@@ -7,14 +7,13 @@ file). Every config key doubles as a flag and flags win over the file.
 
 Exit codes: 0 success, 1 config error, 2 runtime error, 3 assertion or
 acceptance failure. Output is byte-reproducible for a fixed seed; pass
-``--wall-clock`` to ``run``/``reproduce`` to record real elapsed times in
-the CSVs at the cost of reproducibility.
+``--wall-clock`` to ``run`` to record real elapsed times in its CSVs at
+the cost of reproducibility (``reproduce`` always writes them as 0).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .data import LibsvmFormatError, load_libsvm
@@ -137,10 +136,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     cfg = _merged_config(args)
-    records = run_experiment(cfg)
-    if args.wall_clock:
-        for method, record in zip(cfg.methods, records):
-            record.write_csv(os.path.join(cfg.out, f"{method}.csv"), wall_clock=True)
+    records = run_experiment(cfg, wall_clock=args.wall_clock)
     for method, record in zip(cfg.methods, records):
         print(f"{method}: final train_loss = {record.final_loss()!r}")
     print(f"wrote {len(records)} CSV file(s) to {cfg.out}")

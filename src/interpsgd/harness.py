@@ -304,11 +304,12 @@ def _resolve_eta(cfg: ExperimentConfig, obj: Objective, method: str, rho: float)
     return explicit
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
+def run_experiment(cfg: ExperimentConfig, wall_clock: bool = False) -> list[RunRecord]:
     """Dataset -> objective -> constants -> rho -> one run per method.
 
     Writes ``<out>/<method>.csv`` per method plus ``<out>/config.txt``;
-    fully deterministic for a fixed seed (method i runs on seed + i).
+    fully deterministic for a fixed seed (method i runs on seed + i) unless
+    ``wall_clock`` puts the measured elapsed times into the CSVs.
     """
     obj = build_objective(cfg)
     rho = resolve_rho(cfg, obj)
@@ -330,7 +331,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunRecord]:
         except Exception as exc:
             raise type(exc)(f"method {method!r}: {exc}") from exc
         record.config.update({"label": method, "rho_rule": cfg.rho_rule})
-        record.write_csv(os.path.join(cfg.out, f"{method}.csv"))
+        record.write_csv(os.path.join(cfg.out, f"{method}.csv"), wall_clock=wall_clock)
         records.append(record)
     with open(os.path.join(cfg.out, "config.txt"), "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(cfg.raw):

@@ -77,11 +77,14 @@ class Dataset:
         if self.support_size is not None:
             if self.support_size < 1:
                 raise ValueError(f"support_size must be >= 1, got {self.support_size}")
-            distinct = np.unique(X, axis=0).shape[0]
-            if distinct > self.support_size:
-                raise ValueError(
-                    f"{distinct} distinct rows exceed support_size {self.support_size}"
-                )
+            # distinct rows never outnumber rows: the sort-based count is
+            # only needed when the bound is below n
+            if self.support_size < X.shape[0]:
+                distinct = np.unique(X, axis=0).shape[0]
+                if distinct > self.support_size:
+                    raise ValueError(
+                        f"{distinct} distinct rows exceed support_size {self.support_size}"
+                    )
         X.flags.writeable = False
         y.flags.writeable = False
         if w_star is not None:

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .numerics import as_vector, gaussian_vector, make_rng
+from .objectives import Objective
 from .records import MetricRow, RunRecord
 
 __all__ = [
@@ -133,10 +134,10 @@ def make_schedule(
         return AccelSchedule(mode=mode, rho=rho, eta=eta, mu=0.0)
     if mu is None or mu <= 0:
         raise ValueError("strongly_convex mode requires mu > 0")
-    _check_sc_feasible(mu, eta, rho)
-    gamma = 1.0 / math.sqrt(mu * eta * rho)
-    q = math.sqrt(mu * eta / rho)
-    ab = gamma * gamma * eta * rho * (1.0 - q)
+    # gamma and ab_next of this mode do not depend on the carried state, and
+    # ab_next is the fixed point the ratio keeps from here on (the alpha of
+    # this call is discarded)
+    gamma, _, _, ab = _schedule_coefficients(mode, rho, eta, mu, 0.0, 1.0)
     return AccelSchedule(
         mode=mode, rho=rho, eta=eta, mu=mu, gamma_prev=gamma, ab_ratio=ab
     )
@@ -149,8 +150,10 @@ def _check_sc_feasible(mu: float, eta: float, rho: float) -> None:
         )
 
 
-def accel_schedule_advance(s: AccelSchedule) -> AccelSchedule:
-    """Coefficients (gamma_k, alpha_k, beta_k) for iteration k = s.k.
+def _schedule_coefficients(
+    mode: str, rho: float, eta: float, mu: float, gamma_prev: float, ab_ratio: float
+) -> tuple[float, float, float, float]:
+    """(gamma_k, alpha_k, beta_k, next ab_ratio) from the carried state.
 
     Convex mode takes the positive root of
     gamma^2 - gamma/rho - gamma_prev^2 = 0, which keeps gamma strictly
@@ -158,23 +161,30 @@ def accel_schedule_advance(s: AccelSchedule) -> AccelSchedule:
     in k; at the degenerate boundary mu*eta = rho (beta = 0) the three
     sequences collapse to plain gradient descent and alpha is defined as 1.
     """
-    if s.mode == "convex":
-        inv_rho = 1.0 / s.rho
-        gamma = 0.5 * (inv_rho + math.sqrt(inv_rho * inv_rho + 4.0 * s.gamma_prev**2))
-        beta = 1.0
-        alpha = gamma * s.eta / (gamma * s.eta + s.ab_ratio)
-        ab_next = gamma * gamma * s.eta * s.rho
+    if mode == "convex":
+        inv_rho = 1.0 / rho
+        gamma = 0.5 * (inv_rho + math.sqrt(inv_rho * inv_rho + 4.0 * gamma_prev**2))
+        alpha = gamma * eta / (gamma * eta + ab_ratio)
+        return gamma, alpha, 1.0, gamma * gamma * eta * rho
+    _check_sc_feasible(mu, eta, rho)
+    q = math.sqrt(mu * eta / rho)
+    gamma = 1.0 / math.sqrt(mu * eta * rho)
+    beta = 1.0 - q
+    ab_next = gamma * gamma * eta * rho * (1.0 - q)
+    if beta > 0.0:
+        gbe = gamma * beta * eta
+        alpha = gbe / (gbe + ab_ratio)
     else:
-        _check_sc_feasible(s.mu, s.eta, s.rho)
-        q = math.sqrt(s.mu * s.eta / s.rho)
-        gamma = 1.0 / math.sqrt(s.mu * s.eta * s.rho)
-        beta = 1.0 - q
-        ab_next = gamma * gamma * s.eta * s.rho * (1.0 - q)
-        if beta > 0.0:
-            gbe = gamma * beta * s.eta
-            alpha = gbe / (gbe + s.ab_ratio)
-        else:
-            alpha = 1.0
+        alpha = 1.0
+    return gamma, alpha, beta, ab_next
+
+
+def accel_schedule_advance(s: AccelSchedule) -> AccelSchedule:
+    """Coefficients (gamma_k, alpha_k, beta_k) for iteration k = s.k; see
+    :func:`_schedule_coefficients`."""
+    gamma, alpha, beta, ab_next = _schedule_coefficients(
+        s.mode, s.rho, s.eta, s.mu, s.gamma_prev, s.ab_ratio
+    )
     return replace(
         s,
         k=s.k + 1,
@@ -344,6 +354,295 @@ def line_search_accel_step(
 
 
 # ---------------------------------------------------------------------------
+# whole-pass kernels
+# ---------------------------------------------------------------------------
+#
+# run() hands each pass to one kernel per method: a closure that takes the
+# pass's example indices (and noise rows, if any), updates the iterates in
+# preallocated buffers and returns the iterate to log. The arithmetic is the
+# single-step functions' own, operation for operation, so the iterates are
+# bit-identical to a loop over them on the same index stream (the tests
+# check this). What the kernels leave out is per-step bookkeeping: index
+# draws, input validation, finiteness scans (run() checks the iterate once
+# per pass; a non-finite iterate stays non-finite), schedule dataclasses and
+# step reports. Kernels never write into a gradient they are handed.
+
+
+def _example_oracles(obj):
+    """(grad, loss) per-example oracles on a point p and example index i.
+
+    For an :class:`Objective` the gradient is s_i * x_i with the scalar from
+    ``_grad_scalar``; ``grad`` returns None when s_i is exactly zero (the
+    update then changes no iterate) and otherwise a buffer that the next
+    call overwrites. Other objectives fall back to their public
+    ``grad_example``/``loss_example``.
+    """
+    if not isinstance(obj, Objective):
+        return obj.grad_example, obj.loss_example
+    rows = list(obj.data.X)
+    ys = obj.data.y.tolist()
+    grad_scalar, loss_scalar = obj._grad_scalar, obj._loss_scalar
+    buf = np.empty(obj.dim)
+
+    def grad(p, i):
+        row = rows[i]
+        s = grad_scalar(float(row.dot(p)), ys[i])
+        return np.multiply(row, s, buf) if s else None
+
+    def loss(p, i):
+        return loss_scalar(float(rows[i].dot(p)), ys[i])
+
+    return grad, loss
+
+
+class _RunningMean:
+    """The iterate average, updated as wbar += (w - wbar) / count."""
+
+    def __init__(self, w: np.ndarray):
+        self.value = w.copy()
+        self.count = 0
+        self._t = np.empty_like(w)
+
+    def add(self, w: np.ndarray) -> None:
+        self.count += 1
+        t = self._t
+        np.subtract(w, self.value, t)
+        np.divide(t, self.count, t)
+        np.add(self.value, t, self.value)
+
+
+def _check_gradient(g: np.ndarray, i: int) -> None:
+    # only reached when g.g is not finite: g itself may still be finite
+    if not np.all(np.isfinite(g)):
+        raise FloatingPointError(f"non-finite stochastic gradient at example {i}")
+
+
+def _sgd_kernel(obj, w: np.ndarray, eta: float, mean):
+    grad, _ = _example_oracles(obj)
+    t = np.empty_like(w)
+
+    def run_pass(indices, noise):
+        for k, i in enumerate(indices):
+            g = grad(w, i)
+            if noise is not None:
+                g = noise[k] if g is None else g + noise[k]
+            if g is not None:
+                np.multiply(g, eta, t)
+                np.subtract(w, t, w)
+            if mean is not None:
+                mean.add(w)
+        return w
+
+    return run_pass
+
+
+def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean):
+    grad, _ = _example_oracles(obj)
+    mode, rho, eta, mu = sched.mode, sched.rho, sched.eta, sched.mu
+    gamma_prev, ab = sched.gamma_prev, sched.ab_ratio
+    # strongly-convex coefficients are constant: the carried ratio is
+    # already at its fixed point (see make_schedule)
+    constant = None
+    if mode == "strongly_convex":
+        constant = _schedule_coefficients(mode, rho, eta, mu, gamma_prev, ab)
+    v = w.copy()
+    zeta = np.empty_like(w)
+    t = np.empty_like(w)
+
+    def run_pass(indices, noise):
+        nonlocal w, zeta, gamma_prev, ab
+        for k, i in enumerate(indices):
+            if constant is None:
+                gamma, alpha, beta, ab = _schedule_coefficients(
+                    mode, rho, eta, mu, gamma_prev, ab
+                )
+                gamma_prev = gamma
+            else:
+                gamma, alpha, beta, _ = constant
+            # zeta = w + alpha (v - w)
+            np.subtract(v, w, t)
+            np.multiply(t, alpha, t)
+            np.add(w, t, zeta)
+            g = grad(zeta, i)
+            if noise is not None:
+                g = noise[k] if g is None else g + noise[k]
+            # v = zeta + beta (v - zeta) - gamma eta g;  w = zeta - eta g
+            np.subtract(v, zeta, t)
+            if beta != 1.0:
+                np.multiply(t, beta, t)
+            np.add(zeta, t, v)
+            if g is None:
+                w, zeta = zeta, w
+            else:
+                np.multiply(g, gamma * eta, t)
+                np.subtract(v, t, v)
+                np.multiply(g, eta, t)
+                np.subtract(zeta, t, w)
+            if mean is not None:
+                mean.add(w)
+        return w
+
+    return run_pass
+
+
+def _sgd_ls_kernel(obj, w: np.ndarray, estimate: float, mean):
+    grad, loss = _example_oracles(obj)
+    t = np.empty_like(w)
+
+    def run_pass(indices, noise):
+        nonlocal w, t, estimate
+        for i in indices:
+            g = grad(w, i)
+            if g is not None:
+                g_sq = float(g.dot(g))
+                if not math.isfinite(g_sq):
+                    _check_gradient(g, i)
+                if g_sq <= GRAD_RESOLUTION_SQ:
+                    np.divide(g, estimate, t)
+                    np.subtract(w, t, w)
+                else:
+                    # t = w - g / estimate is both the trial point and,
+                    # once accepted, the next iterate
+                    f0 = loss(w, i)
+                    for _ in range(MAX_DOUBLINGS + 1):
+                        np.divide(g, estimate, t)
+                        np.subtract(w, t, t)
+                        if loss(t, i) <= f0 - g_sq / (2.0 * estimate) + 1e-15 * abs(f0):
+                            break
+                        estimate *= 2.0
+                    else:
+                        raise LineSearchError(
+                            f"line search exceeded {MAX_DOUBLINGS} doublings "
+                            f"(estimate {estimate})"
+                        )
+                    w, t = t, w
+            if mean is not None:
+                mean.add(w)
+        return w
+
+    return run_pass
+
+
+def _accel_ls_kernel(obj, w: np.ndarray, sched: AccelSchedule, estimate: float, mean):
+    grad, loss = _example_oracles(obj)
+    mode, mu, L = sched.mode, sched.mu, obj.L
+    gamma_prev, ab = sched.gamma_prev, sched.ab_ratio
+    v = w.copy()
+    zeta, vw, step_g, t = (np.empty_like(w) for _ in range(4))
+
+    def run_pass(indices, noise):
+        nonlocal w, zeta, gamma_prev, ab, estimate
+        for i in indices:
+            np.subtract(v, w, vw)
+            for _ in range(MAX_DOUBLINGS + 1):
+                eta = 1.0 / estimate
+                gamma, alpha, beta, ab_next = _schedule_coefficients(
+                    mode, estimate / L, eta, mu, gamma_prev, ab
+                )
+                np.multiply(vw, alpha, zeta)
+                np.add(w, zeta, zeta)
+                g = grad(zeta, i)
+                if g is None:
+                    break
+                g_sq = float(g.dot(g))
+                if not math.isfinite(g_sq):
+                    _check_gradient(g, i)
+                step = gamma * eta
+                np.multiply(g, step, step_g)
+                if g_sq <= GRAD_RESOLUTION_SQ:
+                    break
+                f0 = loss(zeta, i)
+                np.subtract(zeta, step_g, t)
+                if loss(t, i) <= f0 - 0.5 * step * g_sq + 1e-15 * abs(f0):
+                    break
+                estimate *= 2.0
+            else:
+                raise LineSearchError(
+                    f"line search exceeded {MAX_DOUBLINGS} doublings (estimate {estimate})"
+                )
+            gamma_prev, ab = gamma, ab_next
+            np.subtract(v, zeta, t)
+            if beta != 1.0:
+                np.multiply(t, beta, t)
+            np.add(zeta, t, v)
+            if g is None:
+                w, zeta = zeta, w
+            else:
+                np.subtract(v, step_g, v)
+                np.multiply(g, eta, t)
+                np.subtract(zeta, t, w)
+            if mean is not None:
+                mean.add(w)
+        return w
+
+    return run_pass
+
+
+# What the kernels stand in for. The originals are kept in a tuple, which a
+# rebinding of the module's names (a profiler's wrappers, a test's patch)
+# does not reach.
+_STEP_PATH = (
+    "sgd_step",
+    "accel_step",
+    "line_search_sgd_step",
+    "line_search_accel_step",
+    "accel_schedule_advance",
+)
+
+
+def _step_path() -> tuple:
+    names = globals()
+    return tuple(names[f] for f in _STEP_PATH) + (Objective.grad_example, Objective.loss_example)
+
+
+_ORIGINAL_STEP_PATH = _step_path()
+
+
+class _PassDraws:
+    """Serves the single-step functions one pass's batched draws, in the
+    order they ask for them: example indices, then noise rows."""
+
+    def __init__(self, indices, noise):
+        self._indices = iter(indices)
+        self._noise = iter(() if noise is None else noise)
+
+    def integers(self, low, high):
+        return next(self._indices)
+
+    def normal(self, loc, scale, size):
+        return next(self._noise)
+
+
+def _single_step_pass(obj, method: str, w, eta: float, sigma: float, sched, estimate, mean):
+    """A pass as a loop over the public single-step functions, on the same
+    draws as the kernels and with the same iterates. run() uses it when one
+    of them has been rebound, so that the rebinding sees every step."""
+    cfg = SgdConfig(eta=eta, sigma=sigma)
+    st = None if sched is None else init_accel_state(w, sched)
+
+    def run_pass(indices, noise):
+        nonlocal w, st, estimate
+        rng = _PassDraws(indices, noise)
+        for _ in indices:
+            if method == "sgd":
+                w, _ = sgd_step(obj, w, cfg, rng, metrics=False)
+            elif method == "sgd_ls":
+                w, estimate, _ = line_search_sgd_step(obj, w, estimate, rng, metrics=False)
+            else:
+                if method == "accel":
+                    st = replace(st, schedule=accel_schedule_advance(st.schedule))
+                    st, _ = accel_step(obj, st, rng, sigma=sigma, metrics=False)
+                else:
+                    st, estimate, _ = line_search_accel_step(obj, st, estimate, rng, metrics=False)
+                w = st.w
+            if mean is not None:
+                mean.add(w)
+        return w
+
+    return run_pass
+
+
+# ---------------------------------------------------------------------------
 # multi-pass driver
 # ---------------------------------------------------------------------------
 
@@ -386,6 +685,18 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     averaging, metrics are evaluated at the running mean of the iterates
     (maintained incrementally), not at the last iterate. Wall time is
     recorded on the rows but zeroed in CSV output by default; see records.
+
+    Each pass draws its n example indices in one batch,
+    ``rng.integers(0, n, size=n)``, which is the same stream as n scalar
+    draws, and hands them to the method's whole-pass kernel; the iterates
+    equal those of a loop over the single-step functions. With sigma > 0
+    the pass's noise follows as one (n, dim) normal draw, so noisy runs use
+    a different stream than interleaved per-step draws whenever n > 1.
+    Finiteness of the logged iterate is checked once per pass; a failure
+    is raised as ``pass p: ...`` naming the pass in which it occurred.
+    While a single-step function or ``Objective.grad_example``/
+    ``loss_example`` is rebound (wrapped by a profiler, say), each pass
+    steps through the public functions instead, on the same draws.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -393,6 +704,8 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
         raise ValueError(f"passes must be >= 1, got {passes}")
     if config.sigma > 0 and method.endswith("_ls"):
         raise ValueError("line-search methods do not support additive noise")
+    if method.endswith("_ls") and not config.ls_init > 0:
+        raise ValueError(f"ls_init must be > 0, got {config.ls_init}")
 
     n = obj.n
     w = (
@@ -402,15 +715,24 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     )
     rng = make_rng(config.seed)
     eta = config.resolve_eta(obj, method)
-
-    state = None
+    sched = None
     if method in ("accel", "accel_ls"):
         sched = make_schedule(config.mode, config.rho, eta, mu=config.mu)
-        state = init_accel_state(w, sched)
-    sgd_cfg = SgdConfig(
-        eta=eta, sigma=config.sigma, seed=config.seed, averaging=config.averaging
-    )
-    estimate = config.ls_init
+    SgdConfig(eta=eta, sigma=config.sigma)  # validates eta and sigma
+
+    mean = _RunningMean(w) if config.averaging else None
+    if _step_path() != _ORIGINAL_STEP_PATH:
+        run_pass = _single_step_pass(
+            obj, method, w, eta, config.sigma, sched, config.ls_init, mean
+        )
+    elif method == "sgd":
+        run_pass = _sgd_kernel(obj, w, eta, mean)
+    elif method == "sgd_ls":
+        run_pass = _sgd_ls_kernel(obj, w, config.ls_init, mean)
+    elif method == "accel":
+        run_pass = _accel_kernel(obj, w, sched, mean)
+    else:
+        run_pass = _accel_ls_kernel(obj, w, sched, config.ls_init, mean)
 
     record = RunRecord(
         config={
@@ -426,23 +748,16 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
             "n": str(n),
         }
     )
-
-    wbar = w.copy()
-    steps_done = 0
     t0 = time.monotonic()
 
-    def log_row(pass_index: int) -> None:
-        if config.averaging and steps_done > 0:
-            point = wbar
-        else:
-            point = state.w if state is not None else w
+    def log_row(pass_index: int, point: np.ndarray) -> None:
         loss = obj.loss_full(point)
         full = obj.grad_full(point)
         mistakes = obj.mistake_rate(point) if hasattr(obj, "mistake_rate") else 0.0
         record.append(
             MetricRow(
                 pass_index=pass_index,
-                iteration=steps_done,
+                iteration=pass_index * n,
                 train_loss=loss,
                 grad_sq_norm=float(full @ full),
                 mistake_rate=mistakes,
@@ -450,32 +765,19 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
             )
         )
 
-    log_row(0)
+    log_row(0, w)
+    noise_std = config.sigma / math.sqrt(obj.dim)
     for p in range(1, passes + 1):
         try:
-            for _ in range(n):
-                if method == "sgd":
-                    w, _ = sgd_step(obj, w, sgd_cfg, rng, k=steps_done, metrics=False)
-                elif method == "sgd_ls":
-                    w, estimate, _ = line_search_sgd_step(
-                        obj, w, estimate, rng, k=steps_done, metrics=False
-                    )
-                elif method == "accel":
-                    state = replace(
-                        state, schedule=accel_schedule_advance(state.schedule)
-                    )
-                    state, _ = accel_step(
-                        obj, state, rng, sigma=config.sigma, k=steps_done, metrics=False
-                    )
-                else:
-                    state, estimate, _ = line_search_accel_step(
-                        obj, state, estimate, rng, k=steps_done, metrics=False
-                    )
-                steps_done += 1
-                if config.averaging:
-                    current = state.w if state is not None else w
-                    wbar += (current - wbar) / steps_done
-            log_row(p)
+            indices = rng.integers(0, n, size=n).tolist()
+            noise = None
+            if config.sigma > 0:
+                noise = rng.normal(0.0, noise_std, size=(n, obj.dim))
+            w = run_pass(indices, noise)
+            point = w if mean is None else mean.value
+            if not np.all(np.isfinite(point)):
+                raise FloatingPointError("non-finite iterate")
+            log_row(p, point)
         except (FloatingPointError, LineSearchError, ValueError, OverflowError) as exc:
             raise type(exc)(f"pass {p}: {exc}") from exc
     return record

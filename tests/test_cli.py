@@ -1,7 +1,14 @@
-import numpy as np
+import itertools
+import os
+from types import SimpleNamespace
 
+import numpy as np
+import pytest
+
+from interpsgd import optimizers
 from interpsgd.cli import main
 from interpsgd.data import generate_margin_data, save_libsvm
+from interpsgd.records import RunRecord
 
 
 def write_config(tmp_path, out_name="out", **overrides):
@@ -63,6 +70,35 @@ class TestRunCommand:
         assert len(lines) >= 3
         for line in lines[1:]:
             assert int(line.rsplit(",", 1)[1]) >= 0
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_each_csv_written_once(self, tmp_path, monkeypatch, flag):
+        # a clock that advances 250 ms per reading makes every elapsed time
+        # positive, so a CSV written without them shows up as zeros
+        ticks = itertools.count()
+        monkeypatch.setattr(
+            optimizers, "time", SimpleNamespace(monotonic=lambda: 0.25 * next(ticks))
+        )
+        writes = []
+        write_csv = RunRecord.write_csv
+
+        def counting_write_csv(record, path, wall_clock=False):
+            writes.append((os.path.basename(path), wall_clock))
+            write_csv(record, path, wall_clock=wall_clock)
+
+        monkeypatch.setattr(RunRecord, "write_csv", counting_write_csv)
+        cfg = write_config(tmp_path, out_name="wall")
+        argv = ["run", "--config", str(cfg)] + (["--wall-clock"] if flag else [])
+        assert main(argv) == 0
+        assert sorted(writes) == [("accel.csv", flag), ("sgd.csv", flag)]
+        for name in ("sgd.csv", "accel.csv"):
+            lines = (tmp_path / "wall" / name).read_text().splitlines()
+            elapsed = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
+            assert len(elapsed) == 3
+            if flag:
+                assert 0 < elapsed[0] < elapsed[1] < elapsed[2]
+            else:
+                assert elapsed == [0, 0, 0]
 
 
 class TestReproduceCommand:

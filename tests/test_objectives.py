@@ -35,6 +35,21 @@ class TestDataset:
         with pytest.raises(ValueError, match="distinct rows"):
             Dataset(X=X, y=y, support_size=1)
 
+    def test_support_size_check_runs_only_where_it_can_fail(self, monkeypatch):
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+        y = np.array([1.0, -1.0, 1.0])
+        calls = []
+        real_unique = np.unique
+        monkeypatch.setattr(
+            np, "unique", lambda *a, **k: calls.append(1) or real_unique(*a, **k)
+        )
+        for bound in (3, 4):  # at least n: no row count can exceed it
+            assert Dataset(X=X, y=y, support_size=bound).support_size == bound
+        assert calls == []
+        with pytest.raises(ValueError, match="3 distinct rows exceed support_size 2"):
+            Dataset(X=X, y=y, support_size=2)
+        assert calls == [1]
+
 
 class TestLossFull:
     def test_squared_hinge_zero_when_margins_satisfied(self):

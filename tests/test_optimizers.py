@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from interpsgd import optimizers
 from interpsgd.data import generate_margin_data
 from interpsgd.numerics import make_rng
 from interpsgd.objectives import Dataset, Objective
@@ -21,7 +22,8 @@ from interpsgd.optimizers import (
     run,
     sgd_step,
 )
-from interpsgd.problems import QuadraticObjective
+from interpsgd.problems import PlToyObjective, QuadraticObjective
+from interpsgd.records import MetricRow
 
 
 def one_d_objective(x: float, y: float) -> Objective:
@@ -378,3 +380,265 @@ class TestRun:
         obj = interpolating_objective(n=12, d=4)
         with pytest.raises(ValueError):
             run(obj, "adam", RunConfig(eta=0.1), 1)
+
+
+# ---------------------------------------------------------------------------
+# run()'s whole-pass kernels against the single-step functions
+# ---------------------------------------------------------------------------
+
+# Exceptions that report the same kind of failure: a non-finite iterate or
+# gradient (input validation raised ValueError for it, the gradient check
+# and run()'s per-pass check FloatingPointError), a failed line search, and
+# an overflowing schedule.
+FAILURE_FAMILIES = ((FloatingPointError, ValueError), (LineSearchError,), (OverflowError,))
+
+
+def failure_family(exc: BaseException) -> int:
+    return next(k for k, family in enumerate(FAILURE_FAMILIES) if isinstance(exc, family))
+
+
+class OracleFailure(Exception):
+    def __init__(self, pass_index: int, cause: BaseException):
+        super().__init__(f"pass {pass_index}: {cause!r}")
+        self.pass_index = pass_index
+        self.cause = cause
+
+
+class BatchedDraws:
+    """Serves single steps the draws run() makes: per pass, n indices in
+    one batch and then, with noise, one (n, dim) normal batch."""
+
+    def __init__(self, seed: int, n: int, dim: int, std: float):
+        self.rng = make_rng(seed)
+        self.n, self.dim, self.std = n, dim, std
+        self.indices: list[int] = []
+        self.noise: list[np.ndarray] = []
+
+    def integers(self, low, high):
+        assert (low, high) == (0, self.n)
+        if not self.indices:
+            self.indices = self.rng.integers(0, self.n, size=self.n).tolist()
+            if self.std > 0:
+                self.noise = list(self.rng.normal(0.0, self.std, size=(self.n, self.dim)))
+        return self.indices.pop(0)
+
+    def normal(self, loc, scale, size):
+        assert (loc, scale, size) == (0.0, self.std, self.dim)
+        return self.noise.pop(0)
+
+
+def metric_row(obj, pass_index: int, point: np.ndarray) -> MetricRow:
+    full = obj.grad_full(point)
+    return MetricRow(
+        pass_index=pass_index,
+        iteration=pass_index * obj.n,
+        train_loss=obj.loss_full(point),
+        grad_sq_norm=float(full @ full),
+        mistake_rate=obj.mistake_rate(point) if hasattr(obj, "mistake_rate") else 0.0,
+    )
+
+
+def oracle_rows(obj, method: str, cfg: RunConfig, passes: int) -> list[MetricRow]:
+    """run()'s rows from a loop over the public single-step functions.
+
+    All steps share one generator: scalar index draws from the seeded
+    stream without noise, the batched draws of BatchedDraws with it.
+    """
+    if cfg.sigma > 0:
+        rng = BatchedDraws(cfg.seed, obj.n, obj.dim, cfg.sigma / math.sqrt(obj.dim))
+    else:
+        rng = make_rng(cfg.seed)
+    eta = cfg.resolve_eta(obj, method)
+    w = np.zeros(obj.dim) if cfg.w0 is None else np.array(cfg.w0, dtype=float)
+    st = None
+    if method.startswith("accel"):
+        st = init_accel_state(w, make_schedule(cfg.mode, cfg.rho, eta, mu=cfg.mu))
+    step_cfg = SgdConfig(eta=eta, sigma=cfg.sigma)
+    estimate = cfg.ls_init
+    wbar = w.copy()
+    steps = 0
+    rows = [metric_row(obj, 0, w)]
+    for p in range(1, passes + 1):
+        try:
+            for _ in range(obj.n):
+                if method == "sgd":
+                    w, _ = sgd_step(obj, w, step_cfg, rng, metrics=False)
+                elif method == "sgd_ls":
+                    w, estimate, _ = line_search_sgd_step(obj, w, estimate, rng, metrics=False)
+                elif method == "accel":
+                    st = replace(st, schedule=accel_schedule_advance(st.schedule))
+                    st, _ = accel_step(obj, st, rng, sigma=cfg.sigma, metrics=False)
+                else:
+                    st, estimate, _ = line_search_accel_step(
+                        obj, st, estimate, rng, metrics=False
+                    )
+                steps += 1
+                if cfg.averaging:
+                    wbar += ((st.w if st is not None else w) - wbar) / steps
+            rows.append(metric_row(obj, p, wbar if cfg.averaging else (st.w if st else w)))
+        except (FloatingPointError, LineSearchError, ValueError, OverflowError) as exc:
+            raise OracleFailure(p, exc) from exc
+    return rows
+
+
+def kernel_rows(obj, method: str, cfg: RunConfig, passes: int) -> list[MetricRow]:
+    return [replace(r, elapsed_ms=0) for r in run(obj, method, cfg, passes).rows]
+
+
+def assert_same_failure(obj, method: str, cfg: RunConfig, passes: int) -> int:
+    with pytest.raises(OracleFailure) as oracle:
+        oracle_rows(obj, method, cfg, passes)
+    with pytest.raises(Exception) as kernel:
+        run(obj, method, cfg, passes)
+    assert str(kernel.value).startswith(f"pass {oracle.value.pass_index}: ")
+    assert failure_family(kernel.value) == failure_family(oracle.value.cause)
+    return oracle.value.pass_index
+
+
+KERNEL_CASES = [
+    (method, kind, mode, averaging)
+    for method in ("sgd", "accel", "sgd_ls", "accel_ls")
+    for kind in ("squared", "squared_hinge", "logistic", "hinge")
+    for mode in (("convex", "strongly_convex") if method.startswith("accel") else ("convex",))
+    for averaging in (False, True)
+    if not (kind == "hinge" and method.endswith("_ls"))
+]
+
+
+class TestKernelsMatchSingleSteps:
+    @pytest.mark.parametrize("method,kind,mode,averaging", KERNEL_CASES)
+    def test_rows_equal_single_step_loop(self, method, kind, mode, averaging):
+        data = generate_margin_data(25, 5, 0.2, seed=len(kind))
+        obj = Objective(kind, data)
+        cfg = RunConfig(
+            eta=0.2 if kind == "hinge" else None,
+            rho=3.0,
+            mode=mode,
+            mu=0.01 if mode == "strongly_convex" else None,
+            seed=11,
+            averaging=averaging,
+            w0=np.linspace(-2.0, 2.0, 5),
+        )
+        rows = kernel_rows(obj, method, cfg, 6)
+        assert rows == oracle_rows(obj, method, cfg, 6)
+        assert rows[-1].train_loss < rows[0].train_loss  # the steps did move
+
+    @pytest.mark.parametrize("method", ["sgd", "accel", "sgd_ls", "accel_ls"])
+    @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
+    def test_quadratic_objective(self, method, mode):
+        obj = QuadraticObjective(np.diag([0.04, 4.0]), np.array([1.3, -0.7]))
+        cfg = RunConfig(
+            mode=mode,
+            mu=obj.mu if mode == "strongly_convex" else None,
+            seed=2,
+            w0=np.array([3.0, 2.0]),
+        )
+        assert kernel_rows(obj, method, cfg, 40) == oracle_rows(obj, method, cfg, 40)
+
+    @pytest.mark.parametrize("method", ["sgd", "accel", "sgd_ls", "accel_ls"])
+    def test_pl_toy_objective(self, method):
+        obj = PlToyObjective(3)
+        cfg = RunConfig(rho=2.0, seed=2, averaging=True, w0=np.array([3.0, 2.0, -1.0]))
+        assert kernel_rows(obj, method, cfg, 40) == oracle_rows(obj, method, cfg, 40)
+
+    @pytest.mark.parametrize("method", ["sgd", "accel"])
+    @pytest.mark.parametrize("n", [2, 20])
+    def test_noise_matches_batched_draws(self, method, n):
+        data = generate_margin_data(n, 4, 0.2, seed=5)
+        obj = Objective("squared_hinge", data)
+        cfg = RunConfig(rho=2.0, sigma=0.3, seed=4, averaging=method == "sgd")
+        rows = kernel_rows(obj, method, cfg, 5)
+        assert rows == oracle_rows(obj, method, cfg, 5)
+        # the noise reaches the iterates: a noise-free run ends elsewhere
+        assert rows != kernel_rows(obj, method, replace(cfg, sigma=0.0), 5)
+
+    def test_noise_stream_is_unchanged_for_one_example(self):
+        # with n = 1 the index draw consumes nothing, so the batched noise
+        # is the interleaved per-step stream: the unbatched loop agrees
+        obj = Objective("squared", Dataset(X=np.array([[1.0, 2.0]]), y=np.array([1.0])))
+        cfg = RunConfig(eta=0.1, sigma=0.5, seed=9)
+        rng = make_rng(cfg.seed)
+        w = np.zeros(2)
+        for _ in range(4):
+            w, _ = sgd_step(obj, w, SgdConfig(eta=0.1, sigma=0.5), rng, metrics=False)
+        assert run(obj, "sgd", cfg, 4).rows[-1].train_loss == obj.loss_full(w)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "method,eta,ls_init,expected_pass,message",
+        [
+            ("sgd", 1e100, 1.0, 2, "non-finite iterate"),
+            ("sgd", 10.0, 1.0, 162, "non-finite iterate"),
+            ("accel", 1e100, 1.0, 2, "non-finite iterate"),
+            ("accel", 3.0, 1.0, 45, "non-finite iterate"),
+            ("sgd_ls", None, 1e-300, 1, "doublings"),
+            ("accel_ls", None, 1e-300, 1, "non-finite stochastic gradient"),
+        ],
+    )
+    def test_divergence_fails_in_the_same_pass(
+        self, method, eta, ls_init, expected_pass, message
+    ):
+        # expected_pass is where the per-step checks of earlier versions
+        # stopped these runs
+        X = np.array([[1.0], [1.0]])
+        obj = Objective("squared", Dataset(X=X, y=np.array([1.0, -1.0])))
+        cfg = RunConfig(eta=eta, rho=1e-3, seed=0, ls_init=ls_init)
+        assert assert_same_failure(obj, method, cfg, 300) == expected_pass
+        with pytest.raises(Exception, match=message):
+            run(obj, method, cfg, 300)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["sgd_ls", "accel_ls"])
+    def test_line_search_failure_in_the_same_pass(self, method):
+        obj = one_d_quadratic(1e200)
+        cfg = RunConfig(seed=0, ls_init=1e-12, w0=np.array([1.0]))
+        assert assert_same_failure(obj, method, cfg, 3) == 1
+
+    @pytest.mark.parametrize(
+        "method,step,sigma",
+        [
+            ("sgd", "sgd_step", 0.0),
+            ("sgd", "sgd_step", 0.3),
+            ("accel", "accel_step", 0.0),
+            ("accel", "accel_step", 0.3),
+            ("accel", "accel_schedule_advance", 0.0),
+            ("sgd_ls", "line_search_sgd_step", 0.0),
+            ("accel_ls", "line_search_accel_step", 0.0),
+        ],
+    )
+    def test_rebound_step_sees_every_step(self, monkeypatch, method, step, sigma):
+        data = generate_margin_data(15, 4, 0.2, seed=3)
+        obj = Objective("logistic", data)
+        cfg = RunConfig(rho=2.0, sigma=sigma, seed=7, averaging=True, w0=np.ones(4))
+        expected = kernel_rows(obj, method, cfg, 3)
+        original = getattr(optimizers, step)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizers, step, counting)
+        assert kernel_rows(obj, method, cfg, 3) == expected
+        assert len(calls) == 3 * obj.n
+
+    def test_rebound_oracle_sees_every_gradient(self, monkeypatch):
+        obj = interpolating_objective(n=12, d=4)
+        cfg = RunConfig(seed=1, w0=np.ones(4))
+        expected = kernel_rows(obj, "sgd", cfg, 2)
+        original = Objective.grad_example
+        calls = []
+
+        def counting(self, w, i):
+            calls.append(i)
+            return original(self, w, i)
+
+        monkeypatch.setattr(Objective, "grad_example", counting)
+        assert kernel_rows(obj, "sgd", cfg, 2) == expected
+        assert len(calls) == 2 * obj.n
+
+    def test_rejects_nonpositive_line_search_start(self):
+        obj = interpolating_objective(n=12, d=4)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="ls_init"):
+                run(obj, "sgd_ls", RunConfig(ls_init=bad), 1)
