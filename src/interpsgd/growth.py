@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import child_rng
+from .numerics import as_vector, child_rng
 from .objectives import Dataset, Objective
 from .optimizers import RunConfig, SgdConfig, run, sgd_step
 
@@ -100,16 +100,24 @@ def empirical_sgc_ratio(obj, w) -> float:
 
     At least 1 up to floating error (Jensen). Raises when the full gradient
     is below the cutoff: at interpolation both sides vanish and the ratio
-    is undefined.
+    is undefined. For an :class:`Objective` both sides come from one
+    product z = X w; other objectives go through their public
+    ``grad_full`` and ``per_example_grad_sq_norms``.
     """
-    full = obj.grad_full(w)
+    if isinstance(obj, Objective):
+        w = as_vector(w, dim=obj.dim)
+        s = obj._grad_scalars(obj.data.X @ w)
+        full = (obj.data.X.T @ s) / obj.n
+        per_example = s**2 * obj._row_sq
+    else:
+        full, per_example = obj.grad_full(w), obj.per_example_grad_sq_norms(w)
     full_sq = float(full @ full)
     if full_sq <= GRAD_NORM_CUTOFF**2:
         raise ValueError(
             f"full gradient norm {np.sqrt(full_sq)!r} below cutoff "
             f"{GRAD_NORM_CUTOFF}: ratio undefined at interpolation"
         )
-    return float(np.mean(obj.per_example_grad_sq_norms(w))) / full_sq
+    return float(np.mean(per_example)) / full_sq
 
 
 def audit_sgc(obj, sample_count: int, rng) -> GrowthEstimate:

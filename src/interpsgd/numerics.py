@@ -95,17 +95,32 @@ def spectral_norm_gram(X, tol: float = 1e-10, max_iter: int = 10_000) -> float:
     random vector. Convergence is declared when the eigen-residual
     ||X^T X v - lam v|| <= tol * lam, so the returned value is within
     tol * lam_max of the true eigenvalue.
+
+    When d <= n and the loop has not converged after d // 2 matrix-free
+    iterations (which cost as many flops as forming G = X^T X), it forms
+    G once and continues from the current v with v -> G v, which costs
+    d^2 instead of 2 n d per iteration; G is never larger than X. Both
+    phases count toward ``max_iter``. Whenever the loop converges before
+    the switch, the arithmetic and result are bit-identical to those of
+    earlier, purely matrix-free versions; after it, the result can differ
+    from theirs in the last bits.
     """
     X = as_matrix(X)
-    if tol <= 0:
+    if not tol > 0:  # also rejects nan
         raise ValueError(f"tol must be > 0, got {tol}")
-    d = X.shape[1]
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    n, d = X.shape
+    switch_at = d // 2 if d <= n else max_iter
 
     v = np.full(d, 1.0 / np.sqrt(d))
     lam = 0.0
     restarted = False
-    for _ in range(max_iter):
-        w = X.T @ (X @ v)
+    G = None
+    for it in range(max_iter):
+        if it == switch_at:
+            G = X.T @ X
+        w = X.T @ (X @ v) if G is None else G @ v
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             if restarted:

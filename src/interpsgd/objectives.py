@@ -107,7 +107,8 @@ class Dataset:
 
 
 def smoothness_constants(kind: str, data: Dataset) -> tuple[float, float]:
-    """(L, L_max) for the mean objective of a smooth loss kind.
+    """(L, L_max) for the mean objective of a smooth loss kind, as carried
+    by ``Objective(kind, data)``.
 
     L is kappa * lam_max(X^T X) / n (the mean-normalized Gram spectral
     norm) and L_max is kappa * max_i ||x_i||^2, the largest per-example
@@ -117,11 +118,8 @@ def smoothness_constants(kind: str, data: Dataset) -> tuple[float, float]:
         raise ValueError("hinge loss is non-smooth: no smoothness constants")
     if kind not in _KAPPA:
         raise ValueError(f"unknown loss kind {kind!r}")
-    kappa = _KAPPA[kind]
-    row_sq = np.einsum("ij,ij->i", data.X, data.X)
-    L = kappa * spectral_norm_gram(data.X) / data.n
-    L_max = kappa * float(np.max(row_sq))
-    return L, L_max
+    obj = Objective(kind, data)
+    return obj.L, obj.L_max
 
 
 class Objective:
@@ -147,15 +145,17 @@ class Objective:
         # Unnormalized Gram spectral norm; the experimental tau/L step rule
         # divides by this rather than by the mean-scaled L below.
         self.gram_lam_max = spectral_norm_gram(data.X)
+        # ||x_i||^2, shared by L_max and the per-example gradient norms
+        self._row_sq = np.einsum("ij,ij->i", data.X, data.X)
+        self._row_sq.flags.writeable = False
         if kind == "hinge":
             # Sub-gradient oracle only; no smoothness constants exist.
             self.L = float("nan")
             self.L_max = float("nan")
         else:
             kappa = _KAPPA[kind]
-            row_sq = np.einsum("ij,ij->i", data.X, data.X)
             self.L = kappa * self.gram_lam_max / data.n
-            self.L_max = kappa * float(np.max(row_sq))
+            self.L_max = kappa * float(np.max(self._row_sq))
         self.mu = mu
         if f_star is None and data.has_margin_certificate and kind != "squared":
             f_star = 0.0
@@ -240,8 +240,7 @@ class Objective:
         """||grad f_i(w)||^2 for all i; feeds the growth-condition audits."""
         w = as_vector(w, dim=self.dim)
         s = self._grad_scalars(self.data.X @ w)
-        row_sq = np.einsum("ij,ij->i", self.data.X, self.data.X)
-        return s**2 * row_sq
+        return s**2 * self._row_sq
 
     def mistake_rate(self, w) -> float:
         """Fraction of examples with y_i * x_i^T w <= 0 (margin-0 counts)."""

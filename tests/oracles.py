@@ -1,6 +1,7 @@
 """Independent verification oracles, kept free of the library's own
-implementations: a cyclic Jacobi eigensolver for cross-checking the power
-iteration, and central finite differences for gradient checks."""
+implementations: a cyclic Jacobi eigensolver and the purely matrix-free
+power iteration for cross-checking ``spectral_norm_gram``, and central
+finite differences for gradient checks."""
 
 from __future__ import annotations
 
@@ -31,6 +32,32 @@ def jacobi_max_eigenvalue(S: np.ndarray, sweeps: int = 100, tol: float = 1e-13) 
                 J[q, p] = -s
                 A = J.T @ A @ J
     return float(np.max(np.diag(A)))
+
+
+def matrix_free_spectral_norm_gram(X, tol: float = 1e-10, max_iter: int = 10_000) -> float:
+    """The power iteration v -> X^T (X v) that never forms the Gram matrix,
+    as ``spectral_norm_gram`` ran before it gained its Gram phase."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    d = X.shape[1]
+
+    v = np.full(d, 1.0 / np.sqrt(d))
+    lam = 0.0
+    restarted = False
+    for _ in range(max_iter):
+        w = X.T @ (X @ v)
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            if restarted:
+                return 0.0  # Gram matrix is zero
+            v = np.random.Generator(np.random.Philox(0)).normal(size=d)
+            v /= np.linalg.norm(v)
+            restarted = True
+            continue
+        lam = float(v @ w)  # Rayleigh quotient, ||v|| = 1
+        if np.linalg.norm(w - lam * v) <= tol * lam:
+            return lam
+        v = w / norm_w
+    raise RuntimeError(f"power iteration did not converge in {max_iter} iterations")
 
 
 def central_diff_grad(f, w: np.ndarray, h: float = 1e-5) -> np.ndarray:

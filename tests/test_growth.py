@@ -107,6 +107,17 @@ class TestEmpiricalRatio:
             except ValueError:
                 continue  # interpolation point: ratio undefined
 
+    @pytest.mark.parametrize("kind", ["squared", "squared_hinge", "hinge", "logistic"])
+    def test_equals_the_public_oracles(self, kind):
+        # one X w for both sides gives the same bits as the two public calls
+        obj = margin_objective(seed=6, kind=kind)
+        rng = make_rng(8)
+        for _ in range(20):
+            w = rng.normal(scale=3.0, size=obj.dim)
+            full = obj.grad_full(w)
+            expected = float(np.mean(obj.per_example_grad_sq_norms(w))) / float(full @ full)
+            assert empirical_sgc_ratio(obj, w) == expected
+
     def test_vanishing_gradient_rejected(self):
         obj = margin_objective(seed=5)
         with pytest.raises(ValueError):

@@ -11,7 +11,22 @@ from interpsgd.numerics import (
     spectral_norm_gram,
 )
 
-from oracles import jacobi_max_eigenvalue
+from interpsgd.data import generate_margin_data
+
+from oracles import jacobi_max_eigenvalue, matrix_free_spectral_norm_gram
+
+
+def iterations_needed(X) -> int:
+    """Smallest max_iter at which spectral_norm_gram converges on X."""
+    lo, hi = 1, 10_000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            spectral_norm_gram(X, max_iter=mid)
+            hi = mid
+        except PowerIterationError:
+            lo = mid + 1
+    return lo
 
 
 class TestSpectralNormGram:
@@ -59,6 +74,49 @@ class TestSpectralNormGram:
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             spectral_norm_gram(np.eye(2), tol=0.0)
+
+    def test_rejects_nan_tol(self):
+        with pytest.raises(ValueError, match="tol"):
+            spectral_norm_gram(np.eye(2), tol=float("nan"))
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            spectral_norm_gram(np.eye(2), max_iter=max_iter)
+
+
+class TestGramPhase:
+    """After d // 2 matrix-free iterations (d <= n) the loop continues on G."""
+
+    def test_converging_before_the_switch_is_bit_identical(self):
+        X = generate_margin_data(400, 40, 0.4, seed=0).X
+        # max_iter = d // 2 leaves no room for a Gram iteration
+        lam = spectral_norm_gram(X, max_iter=X.shape[1] // 2)
+        assert lam == matrix_free_spectral_norm_gram(X)
+
+    def test_tiny_gap_continues_on_the_gram_matrix(self):
+        X = generate_margin_data(2000, 40, 0.005, seed=0).X
+        assert iterations_needed(X) > X.shape[1] // 2
+        tol = 1e-10
+        lam = spectral_norm_gram(X, tol=tol)
+        assert abs(lam - jacobi_max_eigenvalue(X.T @ X)) <= tol * lam
+        assert abs(lam - matrix_free_spectral_norm_gram(X, tol=tol)) <= tol * lam
+
+    def test_wide_matrix_stays_matrix_free(self):
+        X = generate_margin_data(50, 100, 0.1, seed=0).X
+        assert iterations_needed(X) > X.shape[1] // 2
+        assert spectral_norm_gram(X) == matrix_free_spectral_norm_gram(X)
+
+    def test_both_phases_count_toward_max_iter(self):
+        X = generate_margin_data(2000, 40, 0.005, seed=0).X
+        one_past_switch = X.shape[1] // 2 + 1
+        with pytest.raises(PowerIterationError, match=f"in {one_past_switch} iter") as err:
+            spectral_norm_gram(X, max_iter=one_past_switch)
+        assert err.value.last_estimate > 0.0
+        needed = iterations_needed(X)
+        assert spectral_norm_gram(X, max_iter=needed) == spectral_norm_gram(X)
+        with pytest.raises(PowerIterationError):
+            spectral_norm_gram(X, max_iter=needed - 1)
 
 
 class TestRng:
