@@ -15,7 +15,9 @@ they map to (-1, +1).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,19 +134,55 @@ def rbf_features(X, cfg: RbfConfig) -> np.ndarray:
     """Row i maps to exp(-||x_i - c_j||^2 / (2 bandwidth^2)), j = 1..m.
 
     Entries lie in (0, 1], with 1 exactly where a row equals a center.
+    The map is built in place in its n x m output, with the same
+    floating-point operations as ``||x||^2 - 2 x.c + ||c||^2`` evaluated
+    term by term, so no n x m temporary is allocated beside it.
     """
     X = as_matrix(X)
-    if X.shape[1] != cfg.centers.shape[1]:
-        raise ValueError(
-            f"feature dim {X.shape[1]} != center dim {cfg.centers.shape[1]}"
-        )
-    sq = (
-        np.einsum("ij,ij->i", X, X)[:, None]
-        - 2.0 * X @ cfg.centers.T
-        + np.einsum("ij,ij->i", cfg.centers, cfg.centers)[None, :]
-    )
+    C = cfg.centers
+    if X.shape[1] != C.shape[1]:
+        raise ValueError(f"feature dim {X.shape[1]} != center dim {C.shape[1]}")
+    sq = X @ C.T
+    sq *= -2.0
+    sq += np.einsum("ij,ij->i", X, X)[:, None]
+    sq += np.einsum("ij,ij->i", C, C)[None, :]
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * cfg.bandwidth**2))
+    np.divide(sq, -(2.0 * cfg.bandwidth**2), out=sq)
+    return np.exp(sq, out=sq)
+
+
+def _parse_line(lineno: int, text: str) -> tuple[float, list[int], list[float]]:
+    """One stripped line token by token: (label, indices, values), or its
+    first format error (label, then feature tokens in order)."""
+    tokens = text.split()
+    try:
+        label = float(tokens[0])
+    except ValueError as exc:
+        raise LibsvmFormatError(
+            f"line {lineno}: unparsable label {tokens[0]!r}"
+        ) from exc
+    cols: list[int] = []
+    vals: list[float] = []
+    for token in tokens[1:]:
+        try:
+            idx_str, val_str = token.split(":", 1)
+            idx = int(idx_str)
+            val = float(val_str)
+        except ValueError as exc:
+            raise LibsvmFormatError(
+                f"line {lineno}: malformed feature token {token!r}"
+            ) from exc
+        if idx < 1:
+            raise LibsvmFormatError(f"line {lineno}: index {idx} is not 1-based")
+        cols.append(idx)
+        vals.append(val)
+    return label, cols, vals
+
+
+@lru_cache(maxsize=1024)
+def _pair_format(k: int) -> str:
+    """``"label idx:val ..."`` with k single-space separated pairs."""
+    return "%s" + " %s:%s" * k
 
 
 def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
@@ -153,41 +191,45 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
     The two distinct labels, sorted ascending, map to (-1, +1); files with
     any other number of distinct labels are rejected (binary-only scope).
     No margin certificate is attached.
+
+    The file is read in one streaming pass. A line whose colons turned to
+    spaces split into a label and k (index, value) pairs that, rejoined as
+    ``label idx:val ...``, give back the stripped line exactly, is parsed
+    by ``int``/``float`` over those strings into two small typed arrays (a
+    row with the previous row's index strings shares its index array).
+    Any other line (tabs or runs of spaces, a bad token, an index below 1
+    or beyond int64) goes token by token, which names the first bad token.
+    A repeated index on one line keeps its last value.
     """
     raw_labels: list[float] = []
-    entries: list[list[tuple[int, float]]] = []
+    rows: list[tuple[array | list[int], array | list[float]]] = []
     max_index = 0
+    prev_idx: list[str] = []
+    prev_cols = array("q")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            text = line.strip()
+            if not text or text[0] == "#":
                 continue
-            parts = line.split()
+            parts = text.replace(":", " ").split()
             try:
+                if not len(parts) % 2 or _pair_format(len(parts) // 2) % tuple(parts) != text:
+                    raise ValueError("not a single-spaced label idx:val ... line")
                 label = float(parts[0])
-            except ValueError as exc:
-                raise LibsvmFormatError(
-                    f"line {lineno}: unparsable label {parts[0]!r}"
-                ) from exc
-            row: list[tuple[int, float]] = []
-            for token in parts[1:]:
-                try:
-                    idx_str, val_str = token.split(":", 1)
-                    idx = int(idx_str)
-                    val = float(val_str)
-                except ValueError as exc:
-                    raise LibsvmFormatError(
-                        f"line {lineno}: malformed feature token {token!r}"
-                    ) from exc
-                if idx < 1:
-                    raise LibsvmFormatError(
-                        f"line {lineno}: index {idx} is not 1-based"
-                    )
-                row.append((idx, val))
-                max_index = max(max_index, idx)
+                idx_s = parts[1::2]
+                if idx_s != prev_idx:
+                    prev_idx, prev_cols = idx_s, array("q", map(int, idx_s))
+                    if prev_cols and min(prev_cols) < 1:
+                        raise ValueError("index below 1")
+                cols = prev_cols
+                vals = array("d", map(float, parts[2::2]))
+            except (ValueError, OverflowError):
+                label, cols, vals = _parse_line(lineno, text)
+            if cols:
+                max_index = max(max_index, max(cols))
             raw_labels.append(label)
-            entries.append(row)
-    if not entries:
+            rows.append((cols, vals))
+    if not rows:
         raise LibsvmFormatError("file contains no examples")
 
     distinct = sorted(set(raw_labels))
@@ -202,10 +244,10 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
         raise LibsvmFormatError(
             f"feature index {max_index} exceeds expected_dim {expected_dim}"
         )
-    X = np.zeros((len(entries), dim))
-    for i, row in enumerate(entries):
-        for idx, val in row:
-            X[i, idx - 1] = val
+    X = np.zeros((len(rows), dim))
+    for x, (cols, vals) in zip(X, rows):
+        if cols:
+            x[np.asarray(cols) - 1] = vals
     y = np.array([mapping[lab] for lab in raw_labels])
     return Dataset(X=X, y=y)
 
@@ -213,14 +255,9 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
 def save_libsvm(data: Dataset, path) -> None:
     """Write a Dataset in LIBSVM text form (zeros omitted, repr floats)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(data.n):
-            label = "+1" if data.y[i] > 0 else "-1"
-            feats = " ".join(
-                f"{j + 1}:{float(data.X[i, j])!r}"
-                for j in range(data.dim)
-                if data.X[i, j] != 0.0
-            )
-            fh.write(f"{label} {feats}".rstrip() + "\n")
+        for label, row in zip(data.y.tolist(), data.X.tolist()):
+            feats = [f"{j}:{v!r}" for j, v in enumerate(row, 1) if v != 0.0]
+            fh.write(" ".join(["+1" if label > 0 else "-1", *feats]) + "\n")
 
 
 def subsample(data: Dataset, n_sub: int, seed: int = 0) -> Dataset:

@@ -98,9 +98,11 @@ def spectral_norm_gram(X, tol: float = 1e-10, max_iter: int = 10_000) -> float:
 
     When d <= n and the loop has not converged after d // 2 matrix-free
     iterations (which cost as many flops as forming G = X^T X), it forms
-    G once and continues from the current v with v -> G v, which costs
-    d^2 instead of 2 n d per iteration; G is never larger than X. Both
-    phases count toward ``max_iter``. Whenever the loop converges before
+    G once and returns its largest eigenvalue from the symmetric
+    eigensolver ``numpy.linalg.eigvalsh``, exact to rounding however
+    close the top two eigenvalues are; G is never larger than X. That
+    switch needs ``max_iter`` > d // 2; d > n stays matrix-free, so it can
+    still raise PowerIterationError. Whenever the loop converges before
     the switch, the arithmetic and result are bit-identical to those of
     earlier, purely matrix-free versions; after it, the result can differ
     from theirs in the last bits.
@@ -116,11 +118,10 @@ def spectral_norm_gram(X, tol: float = 1e-10, max_iter: int = 10_000) -> float:
     v = np.full(d, 1.0 / np.sqrt(d))
     lam = 0.0
     restarted = False
-    G = None
     for it in range(max_iter):
         if it == switch_at:
-            G = X.T @ X
-        w = X.T @ (X @ v) if G is None else G @ v
+            return float(np.linalg.eigvalsh(X.T @ X)[-1])
+        w = X.T @ (X @ v)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             if restarted:

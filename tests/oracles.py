@@ -1,11 +1,17 @@
 """Independent verification oracles, kept free of the library's own
 implementations: a cyclic Jacobi eigensolver and the purely matrix-free
-power iteration for cross-checking ``spectral_norm_gram``, and central
-finite differences for gradient checks."""
+power iteration for cross-checking ``spectral_norm_gram``, central
+finite differences for gradient checks, and the per-element LIBSVM
+reader/writer and three-temporary RBF map that ``interpsgd.data``'s
+streaming versions must match bit for bit."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from interpsgd.data import LibsvmFormatError, RbfConfig
+from interpsgd.numerics import as_matrix
+from interpsgd.objectives import Dataset
 
 
 def jacobi_max_eigenvalue(S: np.ndarray, sweeps: int = 100, tol: float = 1e-13) -> float:
@@ -69,3 +75,101 @@ def central_diff_grad(f, w: np.ndarray, h: float = 1e-5) -> np.ndarray:
         e[j] = h
         g[j] = (f(w + e) - f(w - e)) / (2.0 * h)
     return g
+
+
+# The per-element ingest functions as they were before streaming I/O.
+
+
+def rbf_features(X, cfg: RbfConfig) -> np.ndarray:
+    """Row i maps to exp(-||x_i - c_j||^2 / (2 bandwidth^2)), j = 1..m.
+
+    Entries lie in (0, 1], with 1 exactly where a row equals a center.
+    """
+    X = as_matrix(X)
+    if X.shape[1] != cfg.centers.shape[1]:
+        raise ValueError(
+            f"feature dim {X.shape[1]} != center dim {cfg.centers.shape[1]}"
+        )
+    sq = (
+        np.einsum("ij,ij->i", X, X)[:, None]
+        - 2.0 * X @ cfg.centers.T
+        + np.einsum("ij,ij->i", cfg.centers, cfg.centers)[None, :]
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-sq / (2.0 * cfg.bandwidth**2))
+
+
+def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
+    """Parse a LIBSVM text file into a dense Dataset.
+
+    The two distinct labels, sorted ascending, map to (-1, +1); files with
+    any other number of distinct labels are rejected (binary-only scope).
+    No margin certificate is attached.
+    """
+    raw_labels: list[float] = []
+    entries: list[list[tuple[int, float]]] = []
+    max_index = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            try:
+                label = float(parts[0])
+            except ValueError as exc:
+                raise LibsvmFormatError(
+                    f"line {lineno}: unparsable label {parts[0]!r}"
+                ) from exc
+            row: list[tuple[int, float]] = []
+            for token in parts[1:]:
+                try:
+                    idx_str, val_str = token.split(":", 1)
+                    idx = int(idx_str)
+                    val = float(val_str)
+                except ValueError as exc:
+                    raise LibsvmFormatError(
+                        f"line {lineno}: malformed feature token {token!r}"
+                    ) from exc
+                if idx < 1:
+                    raise LibsvmFormatError(
+                        f"line {lineno}: index {idx} is not 1-based"
+                    )
+                row.append((idx, val))
+                max_index = max(max_index, idx)
+            raw_labels.append(label)
+            entries.append(row)
+    if not entries:
+        raise LibsvmFormatError("file contains no examples")
+
+    distinct = sorted(set(raw_labels))
+    if len(distinct) != 2:
+        raise LibsvmFormatError(
+            f"expected exactly 2 distinct labels, found {distinct}"
+        )
+    mapping = {distinct[0]: -1.0, distinct[1]: 1.0}
+
+    dim = max_index if expected_dim is None else expected_dim
+    if expected_dim is not None and max_index > expected_dim:
+        raise LibsvmFormatError(
+            f"feature index {max_index} exceeds expected_dim {expected_dim}"
+        )
+    X = np.zeros((len(entries), dim))
+    for i, row in enumerate(entries):
+        for idx, val in row:
+            X[i, idx - 1] = val
+    y = np.array([mapping[lab] for lab in raw_labels])
+    return Dataset(X=X, y=y)
+
+
+def save_libsvm(data: Dataset, path) -> None:
+    """Write a Dataset in LIBSVM text form (zeros omitted, repr floats)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for i in range(data.n):
+            label = "+1" if data.y[i] > 0 else "-1"
+            feats = " ".join(
+                f"{j + 1}:{float(data.X[i, j])!r}"
+                for j in range(data.dim)
+                if data.X[i, j] != 0.0
+            )
+            fh.write(f"{label} {feats}".rstrip() + "\n")

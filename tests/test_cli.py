@@ -63,6 +63,15 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "runtime error" in capsys.readouterr().err
 
+    def test_tiny_gap_seed_runs(self, tmp_path):
+        # seed 83 at the default n = 8000, d = 100: the Gram matrix's top two
+        # eigenvalues nearly coincide, so power iteration alone cannot settle
+        # gram_lam_max in 10,000 iterations
+        argv = ["run", "--methods", "sgd", "--tau", "0.005", "--passes", "1",
+                "--seed", "83", "--out", str(tmp_path / "gap")]
+        assert main(argv) == 0
+        assert (tmp_path / "gap" / "sgd.csv").exists()
+
     def test_wall_clock_flag_keeps_csv_parseable(self, tmp_path):
         cfg = write_config(tmp_path, out_name="wall")
         assert main(["run", "--config", str(cfg), "--wall-clock"]) == 0

@@ -17,6 +17,8 @@ from interpsgd.data import (
 from interpsgd.numerics import make_rng
 from interpsgd.objectives import Dataset, Objective
 
+import oracles
+
 
 class TestGenerateMarginData:
     def test_margin_certificate_exact(self):
@@ -140,7 +142,7 @@ class TestLibsvm:
         path = tmp_path / "round.txt"
         save_libsvm(data, path)
         back = load_libsvm(path, expected_dim=6)
-        assert np.max(np.abs(back.X - data.X)) <= 1e-9
+        assert np.array_equal(back.X, data.X)
         assert np.array_equal(back.y, data.y)
 
     def test_malformed_line_reports_number(self, tmp_path):
@@ -160,6 +162,145 @@ class TestLibsvm:
         path.write_text("+1 5:1.0\n-1 1:1.0\n", encoding="utf-8")
         with pytest.raises(LibsvmFormatError):
             load_libsvm(path, expected_dim=3)
+
+
+def _edge_values_dataset() -> Dataset:
+    """Exact zeros, -0.0, subnormals, exponent-form reprs and a row of
+    zeros only, which is written as a label-only line."""
+    X = make_rng(17).normal(size=(12, 9))
+    X[::3, 2] = 0.0
+    X[1, :4] = [-0.0, 5e-324, -2.2250738585072014e-308, 1e-05]
+    X[2, 5:] = [1e16, -1.5e-07, 123456789.0, 0.1]
+    X[4] = 0.0
+    X[7, ::2] = -0.0
+    y = np.where(np.arange(12) % 3 == 0, -1.0, 1.0)
+    return Dataset(X=X, y=y)
+
+
+def _outcome(load, path, **kwargs):
+    """What a loader gives: the arrays, or the exception's type and text."""
+    try:
+        data = load(path, **kwargs)
+    except Exception as exc:  # compared, not swallowed
+        return type(exc), str(exc)
+    return data.X, data.y
+
+
+def _assert_same_outcome(path, **kwargs):
+    got = _outcome(load_libsvm, path, **kwargs)
+    want = _outcome(oracles.load_libsvm, path, **kwargs)
+    if isinstance(want[0], np.ndarray):
+        assert isinstance(got[0], np.ndarray), got
+        assert got[0].shape == want[0].shape
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        # -0.0 stays -0.0: compare the bits, not just the values
+        assert got[0].tobytes() == want[0].tobytes()
+    else:
+        assert got == want
+
+
+class TestIngestMatchesOracles:
+    """The streaming LIBSVM reader/writer and the in-place RBF map give the
+    same bytes, arrays and errors as the per-element versions in oracles."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_margin_data(40, 7, 0.2, seed=0),
+            lambda: generate_margin_data(300, 54, 0.1, seed=5),
+            _edge_values_dataset,
+        ],
+        ids=["margin", "margin_wide", "edge_values"],
+    )
+    def test_save_bytes_and_parsed_arrays(self, tmp_path, make):
+        data = make()
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        save_libsvm(data, new)
+        oracles.save_libsvm(data, old)
+        assert new.read_bytes() == old.read_bytes()
+        _assert_same_outcome(new)
+        _assert_same_outcome(new, expected_dim=data.dim + 3)
+        assert np.array_equal(load_libsvm(new, expected_dim=data.dim).X, data.X)
+
+    def test_label_only_line_is_a_zero_row(self, tmp_path):
+        path = tmp_path / "edge.txt"
+        save_libsvm(_edge_values_dataset(), path)
+        assert path.read_text(encoding="utf-8").splitlines()[4] == "+1"
+        assert not np.any(load_libsvm(path).X[4])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# header\n\n+1 1:0.5 3:-2.0\n  # indented comment\n-1 2:1.25\n\n",
+            "+1 1:0.5 3:-2.0\r\n-1 2:1.25\r\n",
+            "+1\t1:0.5  3:-2.0   \n  -1 2:1.25\t\n",
+            "+1 3:-2.0 1:0.5\n-1 2:1.25 2:-4.0\n",
+            "2 1:1e-05 2:-0.0\n1 1:5e-324 2:1E+3\n",
+            "1.0 1:1_0 2:.5\n-1.0 01:+2 2:-inf\n",
+            "+1 1:nan\n-1 1:1\n",
+            "+1\n-1\n",
+            "+1 1:1\n-1 99999999999999999999:1\n",
+            "# nothing but comments\n\n",
+            "+1 1:1\n0 1:2\n-1 1:3\n",
+            "+1 1:1\n+1 2:2\n",
+        ],
+        ids=[
+            "comments_and_blanks", "crlf", "tabs_and_runs_of_spaces",
+            "unordered_and_repeated", "exponents_and_signed_zero",
+            "python_numeric_forms", "nan", "label_only",
+            "index_beyond_int64", "no_examples", "three_labels", "one_label",
+        ],
+    )
+    @pytest.mark.parametrize("expected_dim", [None, 3])
+    def test_text_inputs(self, tmp_path, text, expected_dim):
+        path = tmp_path / "in.txt"
+        path.write_bytes(text.encode("utf-8"))
+        _assert_same_outcome(path, expected_dim=expected_dim)
+
+    def test_repeated_index_keeps_the_last_value(self, tmp_path):
+        path = tmp_path / "repeat.txt"
+        path.write_text("+1 2:1.0 1:7.0 2:3.0\n-1 1:1.0\n", encoding="utf-8")
+        data = load_libsvm(path)
+        assert np.array_equal(data.X, [[7.0, 3.0], [1.0, 0.0]])
+        _assert_same_outcome(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "-1 2:0.5 1:2:3",
+            "-1 2:0.5 4",
+            "-1 2:0.5 1:",
+            "-1 2:0.5 :1",
+            "-1 2:0.5 0:1.0",
+            "-1 2:0.5 a:1",
+            "-1 2:0.5 1:x",
+            "x 1:1.0",
+            "-1 2:0.5 -99999999999999999999:1",
+            "-1 1:x 0:1",
+            "-1 0:1 1:x",
+            "-1:1 1:1",
+            "-1 2:0.5 1:2:3 4",
+            "-1 2:0.5 1: :2",
+            ":#x 1:1",
+        ],
+    )
+    def test_malformed_line_raises_the_oracle_error(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"+1 1:1.0\n{line}\n-1 3:oops\n", encoding="utf-8")
+        with pytest.raises(LibsvmFormatError, match="^line 2: ") as err:
+            load_libsvm(path)
+        with pytest.raises(LibsvmFormatError) as want:
+            oracles.load_libsvm(path)
+        assert str(err.value) == str(want.value)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_rbf_features_equal(self, seed):
+        X = make_rng(seed).normal(size=(400, 12))
+        cfg = default_rbf_config(X, make_rng(seed + 100), m=50)
+        assert np.array_equal(rbf_features(X, cfg), oracles.rbf_features(X, cfg))
+        # a row equal to a center maps to exactly 1 in both
+        Z = np.vstack([cfg.centers[:3], X[:5] * 1e3])
+        assert np.array_equal(rbf_features(Z, cfg), oracles.rbf_features(Z, cfg))
 
 
 class TestSubsample:

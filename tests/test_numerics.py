@@ -86,7 +86,8 @@ class TestSpectralNormGram:
 
 
 class TestGramPhase:
-    """After d // 2 matrix-free iterations (d <= n) the loop continues on G."""
+    """After d // 2 matrix-free iterations (d <= n) the loop hands the formed
+    Gram matrix to an exact symmetric eigensolver."""
 
     def test_converging_before_the_switch_is_bit_identical(self):
         X = generate_margin_data(400, 40, 0.4, seed=0).X
@@ -107,16 +108,29 @@ class TestGramPhase:
         assert iterations_needed(X) > X.shape[1] // 2
         assert spectral_norm_gram(X) == matrix_free_spectral_norm_gram(X)
 
-    def test_both_phases_count_toward_max_iter(self):
+    def test_gap_too_small_for_the_power_iteration(self):
+        # seed 21: the matrix-free loop does not converge in 10,000 iterations
+        X = generate_margin_data(2000, 40, 0.005, seed=21).X
+        with pytest.raises(RuntimeError, match="did not converge"):
+            matrix_free_spectral_norm_gram(X)
+        tol = 1e-10
+        lam = spectral_norm_gram(X, tol=tol)
+        assert abs(lam - jacobi_max_eigenvalue(X.T @ X)) <= tol * lam
+
+    def test_max_iter_that_stops_before_the_switch_raises(self):
         X = generate_margin_data(2000, 40, 0.005, seed=0).X
-        one_past_switch = X.shape[1] // 2 + 1
-        with pytest.raises(PowerIterationError, match=f"in {one_past_switch} iter") as err:
-            spectral_norm_gram(X, max_iter=one_past_switch)
+        switch = X.shape[1] // 2
+        with pytest.raises(PowerIterationError, match=f"in {switch} iter") as err:
+            spectral_norm_gram(X, max_iter=switch)
         assert err.value.last_estimate > 0.0
+        assert spectral_norm_gram(X, max_iter=switch + 1) == spectral_norm_gram(X)
+
+    def test_wide_matrix_raises_below_the_needed_count(self):
+        X = generate_margin_data(50, 100, 0.1, seed=0).X
         needed = iterations_needed(X)
-        assert spectral_norm_gram(X, max_iter=needed) == spectral_norm_gram(X)
-        with pytest.raises(PowerIterationError):
+        with pytest.raises(PowerIterationError, match=f"in {needed - 1} iter") as err:
             spectral_norm_gram(X, max_iter=needed - 1)
+        assert err.value.last_estimate > 0.0
 
 
 class TestRng:
