@@ -43,7 +43,7 @@ from .numerics import (
     make_rng,
     spectral_norm_gram,
 )
-from .objectives import Dataset, Objective, make_objective, smoothness_constants
+from .objectives import Dataset, Objective, smoothness_constants
 from .optimizers import (
     AccelSchedule,
     AccelState,
@@ -102,7 +102,6 @@ __all__ = [
     "line_search_accel_step",
     "line_search_sgd_step",
     "load_libsvm",
-    "make_objective",
     "make_rng",
     "make_schedule",
     "normalize_rows",

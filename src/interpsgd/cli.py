@@ -18,6 +18,7 @@ import sys
 
 from .data import LibsvmFormatError, load_libsvm
 from .harness import (
+    CONFIG_KEYS,
     FIGURES,
     ConfigError,
     ExperimentConfig,
@@ -42,45 +43,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# Flags mirroring config-file keys; dest names match the keys exactly.
-_CONFIG_FLAGS: list[tuple[str, str]] = [
-    ("--dataset", "synthetic | libsvm"),
-    ("--n", "synthetic sample size"),
-    ("--d", "synthetic dimension"),
-    ("--tau", "synthetic margin in (0, 1)"),
-    ("--balance", "redraw until classes balance (true/false)"),
-    ("--libsvm-path", "path to a LIBSVM text file"),
-    ("--n-sub", "subsample size for libsvm data"),
-    ("--normalize", "row-normalize libsvm features (true/false)"),
-    ("--rbf", "map features through a Gaussian kernel (true/false)"),
-    ("--rbf-centers", "number of RBF centers"),
-    ("--rbf-bandwidth", "RBF bandwidth (default: median heuristic)"),
-    ("--loss", "squared | squared_hinge | hinge | logistic"),
-    ("--mu", "strong-convexity constant when known"),
-    ("--methods", "comma list from sgd,accel,sgd_ls,accel_ls"),
-    ("--step-rule-sgd", "one_over_Lmax | tau_over_L | one_over_rhoL | explicit"),
-    ("--step-rule-accel", "one_over_Lmax | tau_over_L | one_over_rhoL | explicit"),
-    ("--eta-sgd", "explicit step size for sgd"),
-    ("--eta-accel", "explicit step size for accel"),
-    ("--mode", "convex | strongly_convex schedule"),
-    ("--rho-rule", "one_over_tau | c_over_tau_sq | explicit | grid"),
-    ("--rho", "explicit rho"),
-    ("--rho-grid", "comma list of grid candidates"),
-    ("--grid-passes", "passes per grid candidate"),
-    ("--audit-samples", "probe count for audit-rho"),
-    ("--ls-init", "initial line-search estimate"),
-    ("--passes", "effective passes over the data"),
-    ("--seed", "base seed"),
-    ("--sigma", "additive gradient noise level"),
-    ("--averaging", "report metrics at the running iterate mean"),
-    ("--out", "output directory"),
-]
-
-
 def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file")
-    for flag, help_text in _CONFIG_FLAGS:
-        sub.add_argument(flag, help=help_text)
+    for key in CONFIG_KEYS:
+        sub.add_argument("--" + key.name.replace("_", "-"), help=key.help)
 
 
 def _merged_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -91,11 +57,10 @@ def _merged_config(args: argparse.Namespace) -> ExperimentConfig:
                 values.update(parse_config_text(fh.read()))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-    for flag, _ in _CONFIG_FLAGS:
-        key = flag.lstrip("-").replace("-", "_")
-        flag_value = getattr(args, key, None)
+    for key in CONFIG_KEYS:
+        flag_value = getattr(args, key.name)
         if flag_value is not None:
-            values[key] = flag_value
+            values[key.name] = flag_value
     return ExperimentConfig.from_mapping(values)
 
 

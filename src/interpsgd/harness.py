@@ -2,8 +2,9 @@
 perceptron mistake-bound checks, and CSV emission.
 
 Config files are flat ``key = value`` text (one pair per line, ``#`` lines
-ignored); every key is also a CLI flag and flags win. The full key set is
-documented in the README. Output per method is one CSV (dialect in
+ignored); every key is also a CLI flag and flags win. The keys, their
+defaults, parsers, checks and help texts are one table, :data:`CONFIG_KEYS`;
+the README lists the same keys. Output per method is one CSV (dialect in
 :mod:`interpsgd.records`) plus a ``config.txt`` echo; figure pipelines add
 a ``manifest.txt`` mapping curve labels to CSV filenames. All pipelines
 are deterministic for a fixed seed.
@@ -12,7 +13,8 @@ are deterministic for a fixed seed.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,11 +28,12 @@ from .data import (
 )
 from .growth import audit_sgc, grid_search_rho, rho_sgc_margin, rho_wgc
 from .numerics import make_rng
-from .objectives import Dataset, Objective
+from .objectives import LOSS_KINDS, Dataset, Objective
 from .optimizers import METHODS, RunConfig, run
 from .records import LOSS_FLOOR, MetricRow, RunRecord
 
 __all__ = [
+    "CONFIG_KEYS",
     "ConfigError",
     "ExperimentConfig",
     "FIGURES",
@@ -51,55 +54,9 @@ class ConfigError(ValueError):
 STEP_RULES = ("one_over_Lmax", "tau_over_L", "one_over_rhoL", "explicit")
 RHO_RULES = ("one_over_tau", "c_over_tau_sq", "explicit", "grid")
 
-_DEFAULTS = {
-    "dataset": "synthetic",
-    "n": "8000",
-    "d": "100",
-    "tau": "0.1",
-    "balance": "false",
-    "libsvm_path": "",
-    "n_sub": "",
-    "normalize": "false",
-    "rbf": "false",
-    "rbf_centers": "300",
-    "rbf_bandwidth": "",
-    "loss": "squared_hinge",
-    "mu": "",
-    "methods": "sgd,accel",
-    "step_rule_sgd": "one_over_Lmax",
-    "step_rule_accel": "one_over_rhoL",
-    "eta_sgd": "",
-    "eta_accel": "",
-    "mode": "convex",
-    "rho_rule": "one_over_tau",
-    "rho": "1.0",
-    "rho_grid": "",
-    "grid_passes": "5",
-    "audit_samples": "200",
-    "ls_init": "1.0",
-    "passes": "30",
-    "seed": "0",
-    "sigma": "0.0",
-    "averaging": "false",
-    "out": "results",
-}
 
-
-def parse_config_text(text: str) -> dict[str, str]:
-    """Flat key = value lines; ``#`` comment lines and blanks ignored."""
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in _DEFAULTS:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        out[key] = value.strip()
-    return out
+def _text(key: str, value: str) -> str:
+    return value
 
 
 def _parse_bool(key: str, value: str) -> bool:
@@ -125,120 +82,143 @@ def _parse_int(key: str, value: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Typed view of a merged config mapping."""
+def _optional(parse):
+    """An empty value means "not set" (None)."""
+    return lambda key, value: parse(key, value) if value else None
 
-    dataset: str = "synthetic"
-    n: int = 8000
-    d: int = 100
-    tau: float = 0.1
-    balance: bool = False
-    libsvm_path: str = ""
-    n_sub: int | None = None
-    normalize: bool = False
-    rbf: bool = False
-    rbf_centers: int = 300
-    rbf_bandwidth: float | None = None
-    loss: str = "squared_hinge"
-    mu: float | None = None
-    methods: tuple[str, ...] = ("sgd", "accel")
-    step_rule_sgd: str = "one_over_Lmax"
-    step_rule_accel: str = "one_over_rhoL"
-    eta_sgd: float | None = None
-    eta_accel: float | None = None
-    mode: str = "convex"
-    rho_rule: str = "one_over_tau"
-    rho: float = 1.0
-    rho_grid: tuple[float, ...] = ()
-    grid_passes: int = 5
-    audit_samples: int = 200
-    ls_init: float = 1.0
-    passes: int = 30
-    seed: int = 0
-    sigma: float = 0.0
-    averaging: bool = False
-    out: str = "results"
-    raw: dict[str, str] = field(default_factory=dict)
+
+def _parse_floats(key: str, value: str) -> tuple[float, ...]:
+    return tuple(_parse_float(key, tok) for tok in value.split(",") if tok.strip())
+
+
+def _parse_methods(key: str, value: str) -> tuple[str, ...]:
+    methods = tuple(m.strip() for m in value.split(",") if m.strip())
+    if not methods:
+        raise ConfigError("at least one method is required")
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
+    return methods
+
+
+def _one_of(choices: tuple[str, ...], message: str = "must be one of {choices}"):
+    def parse(key, value):
+        if value not in choices:
+            raise ConfigError(f"{key} " + message.format(choices=choices, value=value))
+        return value
+
+    return parse
+
+
+def _at_least(low: int):
+    def parse(key, value):
+        number = _parse_int(key, value)
+        if number < low:
+            raise ConfigError(f"{key} must be >= {low}, got {number}")
+        return number
+
+    return parse
+
+
+class ConfigKey(NamedTuple):
+    name: str
+    default: str  # as written in a config file; "" means not set
+    parse: Callable[[str, str], object]  # (key, text) -> checked typed value
+    help: str
+
+
+# Every config key, in CLI flag order. The defaults, the key check of
+# parse_config_text, ExperimentConfig's attributes and checks, and the CLI
+# flags (``n_sub`` becomes ``--n-sub``) all come from this table.
+CONFIG_KEYS = (
+    ConfigKey("dataset", "synthetic",
+              _one_of(("synthetic", "libsvm"), "must be synthetic or libsvm, got {value!r}"),
+              "synthetic | libsvm"),
+    ConfigKey("n", "8000", _parse_int, "synthetic sample size"),
+    ConfigKey("d", "100", _parse_int, "synthetic dimension"),
+    ConfigKey("tau", "0.1", _parse_float, "synthetic margin in (0, 1)"),
+    ConfigKey("balance", "false", _parse_bool, "redraw until classes balance (true/false)"),
+    ConfigKey("libsvm_path", "", _text, "path to a LIBSVM text file"),
+    ConfigKey("n_sub", "", _optional(_parse_int), "subsample size for libsvm data"),
+    ConfigKey("normalize", "false", _parse_bool, "row-normalize libsvm features (true/false)"),
+    ConfigKey("rbf", "false", _parse_bool, "map features through a Gaussian kernel (true/false)"),
+    ConfigKey("rbf_centers", "300", _parse_int, "number of RBF centers"),
+    ConfigKey("rbf_bandwidth", "", _optional(_parse_float),
+              "RBF bandwidth (default: median heuristic)"),
+    ConfigKey("loss", "squared_hinge", _one_of(LOSS_KINDS), " | ".join(LOSS_KINDS)),
+    ConfigKey("mu", "", _optional(_parse_float), "strong-convexity constant when known"),
+    ConfigKey("methods", "sgd,accel", _parse_methods, "comma list from " + ",".join(METHODS)),
+    ConfigKey("step_rule_sgd", "one_over_Lmax", _one_of(STEP_RULES), " | ".join(STEP_RULES)),
+    ConfigKey("step_rule_accel", "one_over_rhoL", _one_of(STEP_RULES), " | ".join(STEP_RULES)),
+    ConfigKey("eta_sgd", "", _optional(_parse_float), "explicit step size for sgd"),
+    ConfigKey("eta_accel", "", _optional(_parse_float), "explicit step size for accel"),
+    ConfigKey("mode", "convex",
+              _one_of(("convex", "strongly_convex"), "must be convex or strongly_convex"),
+              "convex | strongly_convex schedule"),
+    ConfigKey("rho_rule", "one_over_tau", _one_of(RHO_RULES), " | ".join(RHO_RULES)),
+    ConfigKey("rho", "1.0", _parse_float, "explicit rho"),
+    ConfigKey("rho_grid", "", _parse_floats, "comma list of grid candidates"),
+    ConfigKey("grid_passes", "5", _parse_int, "passes per grid candidate"),
+    ConfigKey("audit_samples", "200", _parse_int, "probe count for audit-rho"),
+    ConfigKey("ls_init", "1.0", _parse_float, "initial line-search estimate"),
+    ConfigKey("passes", "30", _at_least(1), "effective passes over the data"),
+    ConfigKey("seed", "0", _parse_int, "base seed"),
+    ConfigKey("sigma", "0.0", _parse_float, "additive gradient noise level"),
+    ConfigKey("averaging", "false", _parse_bool, "report metrics at the running iterate mean"),
+    ConfigKey("out", "results", _text, "output directory"),
+)
+
+_DEFAULTS = {key.name: key.default for key in CONFIG_KEYS}
+
+
+def parse_config_text(text: str) -> dict[str, str]:
+    """Flat key = value lines; ``#`` comment lines and blanks ignored."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"config line {lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key not in _DEFAULTS:
+            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+        out[key] = value.strip()
+    return out
+
+
+class ExperimentConfig:
+    """Typed view of a merged config mapping: one read-only attribute per
+    :data:`CONFIG_KEYS` entry (``cfg.n``, ``cfg.methods``, ...) plus ``raw``,
+    the merged key -> text mapping. Build it with :meth:`from_mapping`."""
+
+    def __init__(self, values: dict[str, object], raw: dict[str, str]):
+        self.__dict__.update(values, raw=raw)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExperimentConfig is read-only")
 
     @staticmethod
     def from_mapping(values: dict[str, str]) -> "ExperimentConfig":
+        """Defaults overlaid with ``values``, parsed and checked key by key,
+        then across keys; raises ConfigError before any work is done."""
         merged = dict(_DEFAULTS)
         for key, val in values.items():
             if key not in _DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
             merged[key] = val
-
-        methods = tuple(m.strip() for m in merged["methods"].split(",") if m.strip())
-        if not methods:
-            raise ConfigError("at least one method is required")
-        for m in methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
-        if merged["dataset"] not in ("synthetic", "libsvm"):
-            raise ConfigError(f"dataset must be synthetic or libsvm, got {merged['dataset']!r}")
-        if merged["dataset"] == "libsvm" and not merged["libsvm_path"]:
+        typed = {key.name: key.parse(key.name, merged[key.name]) for key in CONFIG_KEYS}
+        cfg = ExperimentConfig(typed, merged)
+        if cfg.dataset == "libsvm" and not cfg.libsvm_path:
             raise ConfigError("libsvm dataset requires libsvm_path")
-        if merged["rho_rule"] not in RHO_RULES:
-            raise ConfigError(f"rho_rule must be one of {RHO_RULES}")
-        if merged["rho_rule"] == "grid" and not merged["rho_grid"]:
+        if cfg.rho_rule == "grid" and not cfg.rho_grid:
             raise ConfigError("rho_rule = grid requires rho_grid")
-        for rule_key in ("step_rule_sgd", "step_rule_accel"):
-            if merged[rule_key] not in STEP_RULES:
-                raise ConfigError(f"{rule_key} must be one of {STEP_RULES}")
-        if merged["mode"] not in ("convex", "strongly_convex"):
-            raise ConfigError("mode must be convex or strongly_convex")
-
-        passes = _parse_int("passes", merged["passes"])
-        if passes < 1:
-            raise ConfigError(f"passes must be >= 1, got {passes}")
-
-        grid = tuple(
-            _parse_float("rho_grid", tok)
-            for tok in merged["rho_grid"].split(",")
-            if tok.strip()
-        )
-        return ExperimentConfig(
-            dataset=merged["dataset"],
-            n=_parse_int("n", merged["n"]),
-            d=_parse_int("d", merged["d"]),
-            tau=_parse_float("tau", merged["tau"]),
-            balance=_parse_bool("balance", merged["balance"]),
-            libsvm_path=merged["libsvm_path"],
-            n_sub=_parse_int("n_sub", merged["n_sub"]) if merged["n_sub"] else None,
-            normalize=_parse_bool("normalize", merged["normalize"]),
-            rbf=_parse_bool("rbf", merged["rbf"]),
-            rbf_centers=_parse_int("rbf_centers", merged["rbf_centers"]),
-            rbf_bandwidth=(
-                _parse_float("rbf_bandwidth", merged["rbf_bandwidth"])
-                if merged["rbf_bandwidth"]
-                else None
-            ),
-            loss=merged["loss"],
-            mu=_parse_float("mu", merged["mu"]) if merged["mu"] else None,
-            methods=methods,
-            step_rule_sgd=merged["step_rule_sgd"],
-            step_rule_accel=merged["step_rule_accel"],
-            eta_sgd=_parse_float("eta_sgd", merged["eta_sgd"]) if merged["eta_sgd"] else None,
-            eta_accel=(
-                _parse_float("eta_accel", merged["eta_accel"])
-                if merged["eta_accel"]
-                else None
-            ),
-            mode=merged["mode"],
-            rho_rule=merged["rho_rule"],
-            rho=_parse_float("rho", merged["rho"]),
-            rho_grid=grid,
-            grid_passes=_parse_int("grid_passes", merged["grid_passes"]),
-            audit_samples=_parse_int("audit_samples", merged["audit_samples"]),
-            ls_init=_parse_float("ls_init", merged["ls_init"]),
-            passes=passes,
-            seed=_parse_int("seed", merged["seed"]),
-            sigma=_parse_float("sigma", merged["sigma"]),
-            averaging=_parse_bool("averaging", merged["averaging"]),
-            out=merged["out"],
-            raw=merged,
-        )
+        if cfg.rho_rule == "explicit" and not cfg.rho > 0:
+            raise ConfigError(f"rho_rule = explicit requires rho > 0, got {cfg.rho!r}")
+        if cfg.mode == "strongly_convex" and not (cfg.mu is not None and cfg.mu > 0):
+            raise ConfigError("mode = strongly_convex requires mu > 0")
+        return cfg
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
@@ -551,6 +531,22 @@ _FIG1_TAU = {"fig1a": 0.1, "fig1b": 0.05, "fig1c": 0.01, "fig1d": 0.005}
 _FIG2_RHO = {"fig2_covtype": 1.0, "fig2_protein": 0.1}
 _APP_LS_TAUS = (0.1, 0.05, 0.01, 0.005)
 
+# Curve specs: (label, filename, method, step rule, seed offset), in manifest
+# order. Labels and filenames are formatted with the data set's tau. The step
+# rule also fixes rho (see _curve_config): one_over_Lmax eta = 1/L_max;
+# tau_over_L eta = tau/lam_max(X^T X) at rho = 1/tau; one_over_rho_gram
+# eta = 1/(rho lam_max(X^T X)) at the figure's preset rho; line_search
+# leaves eta to the method.
+_SGD_CURVE = ("SGD", "sgd.csv", "sgd", "one_over_Lmax", 0)
+_FIG1_CURVES = (_SGD_CURVE, ("Acc-SGD", "acc_sgd.csv", "accel", "tau_over_L", 1))
+_FIG2_CURVES = (_SGD_CURVE, ("Acc-SGD", "acc_sgd.csv", "accel", "one_over_rho_gram", 1))
+_APP_LS_CURVES = (
+    ("SGD(T) tau={tau}", "tau{tau}_sgd_t.csv", "sgd", "one_over_Lmax", 0),
+    ("SGD(LS) tau={tau}", "tau{tau}_sgd_ls.csv", "sgd_ls", "line_search", 1),
+    ("Acc-SGD(T) tau={tau}", "tau{tau}_acc_sgd_t.csv", "accel", "tau_over_L", 2),
+    ("Acc-SGD(LS) tau={tau}", "tau{tau}_acc_sgd_ls.csv", "accel_ls", "line_search", 3),
+)
+
 
 def _write_curves(out_dir, curves: list[tuple[str, str, RunRecord]]) -> list[str]:
     """curves: (label, filename, record). Returns written CSV paths."""
@@ -582,6 +578,31 @@ def _fig2_objective(path, n_sub: int, seed: int) -> Objective:
     return Objective("squared_hinge", feats)
 
 
+def _figure_settings(name, paths, n, d, seed):
+    """(curve specs, objective, tau, rho, base seed) for each data set of a
+    figure, built one at a time."""
+    if name in _FIG1_TAU:
+        tau = _FIG1_TAU[name]
+        yield _FIG1_CURVES, _synthetic_objective(tau, n, d, seed), tau, None, seed
+    elif name in _FIG2_RHO:
+        path = paths.get("covtype" if name == "fig2_covtype" else "protein")
+        yield _FIG2_CURVES, _fig2_objective(path, n, seed), None, _FIG2_RHO[name], seed
+    else:
+        for t_idx, tau in enumerate(_APP_LS_TAUS):
+            obj = _synthetic_objective(tau, n, d, seed + t_idx)
+            yield _APP_LS_CURVES, obj, tau, None, seed + 10 * t_idx
+
+
+def _curve_config(rule: str, obj: Objective, tau, rho, seed: int) -> RunConfig:
+    if rule == "one_over_Lmax":
+        return RunConfig(eta=1.0 / obj.L_max, seed=seed)
+    if rule == "tau_over_L":
+        return RunConfig(eta=tau / obj.gram_lam_max, rho=1.0 / tau, seed=seed)
+    if rule == "one_over_rho_gram":
+        return RunConfig(eta=1.0 / (rho * obj.gram_lam_max), rho=rho, seed=seed)
+    return RunConfig(seed=seed)  # line search owns the step size
+
+
 def reproduce_figure(
     name: str,
     paths: dict[str, str] | None = None,
@@ -602,94 +623,13 @@ def reproduce_figure(
     paths = paths or {}
     if name not in FIGURES:
         raise ConfigError(f"unknown figure {name!r}; expected one of {FIGURES}")
-
-    if name in _FIG1_TAU:
-        tau = _FIG1_TAU[name]
-        obj = _synthetic_objective(tau, n, d, seed)
-        curves = [
-            (
-                "SGD",
-                "sgd.csv",
-                run(obj, "sgd", RunConfig(eta=1.0 / obj.L_max, seed=seed), passes),
-            ),
-            (
-                "Acc-SGD",
-                "acc_sgd.csv",
-                run(
-                    obj,
-                    "accel",
-                    RunConfig(
-                        eta=tau / obj.gram_lam_max, rho=1.0 / tau, seed=seed + 1
-                    ),
-                    passes,
-                ),
-            ),
-        ]
-        return _write_curves(out_dir, curves)
-
-    if name in _FIG2_RHO:
-        key = "covtype" if name == "fig2_covtype" else "protein"
-        obj = _fig2_objective(paths.get(key), n, seed)
-        rho = _FIG2_RHO[name]
-        curves = [
-            (
-                "SGD",
-                "sgd.csv",
-                run(obj, "sgd", RunConfig(eta=1.0 / obj.L_max, seed=seed), passes),
-            ),
-            (
-                "Acc-SGD",
-                "acc_sgd.csv",
-                run(
-                    obj,
-                    "accel",
-                    RunConfig(
-                        eta=1.0 / (rho * obj.gram_lam_max), rho=rho, seed=seed + 1
-                    ),
-                    passes,
-                ),
-            ),
-        ]
-        return _write_curves(out_dir, curves)
-
-    # app_ls: tuned and line-search variants on each synthetic margin.
     curves = []
-    for t_idx, tau in enumerate(_APP_LS_TAUS):
-        obj = _synthetic_objective(tau, n, d, seed + t_idx)
-        rho = 1.0 / tau
-        stem = f"tau{tau}"
-        base = seed + 10 * t_idx
-        curves.extend(
-            [
-                (
-                    f"SGD(T) tau={tau}",
-                    f"{stem}_sgd_t.csv",
-                    run(obj, "sgd", RunConfig(eta=1.0 / obj.L_max, seed=base), passes),
-                ),
-                (
-                    f"SGD(LS) tau={tau}",
-                    f"{stem}_sgd_ls.csv",
-                    run(obj, "sgd_ls", RunConfig(seed=base + 1), passes),
-                ),
-                (
-                    f"Acc-SGD(T) tau={tau}",
-                    f"{stem}_acc_sgd_t.csv",
-                    run(
-                        obj,
-                        "accel",
-                        RunConfig(
-                            eta=tau / obj.gram_lam_max, rho=rho, seed=base + 2
-                        ),
-                        passes,
-                    ),
-                ),
-                (
-                    f"Acc-SGD(LS) tau={tau}",
-                    f"{stem}_acc_sgd_ls.csv",
-                    run(obj, "accel_ls", RunConfig(seed=base + 3), passes),
-                ),
-            ]
-        )
+    for specs, obj, tau, rho, base in _figure_settings(name, paths, n, d, seed):
+        for label, filename, method, rule, offset in specs:
+            cfg = _curve_config(rule, obj, tau, rho, base + offset)
+            curves.append(
+                (label.format(tau=tau), filename.format(tau=tau), run(obj, method, cfg, passes))
+            )
     return _write_curves(out_dir, curves)
 
 
@@ -707,7 +647,7 @@ def audit_report(cfg: ExperimentConfig) -> list[str]:
         lines.append(f"rho[{est.route}] = {est.rho!r}  ({est.detail})")
     est = audit_sgc(obj, cfg.audit_samples, make_rng(cfg.seed))
     lines.append(f"rho[{est.route}] = {est.rho!r}  ({est.detail})")
-    if cfg.rho_rule == "grid" and cfg.rho_grid:
+    if cfg.rho_rule == "grid":
         est = grid_search_rho(
             obj,
             list(cfg.rho_grid),

@@ -28,7 +28,6 @@ __all__ = [
     "Objective",
     "LOSS_KINDS",
     "SMOOTH_KINDS",
-    "make_objective",
     "smoothness_constants",
 ]
 
@@ -278,13 +277,3 @@ class Objective:
         if m >= 0:
             return -y * math.exp(-m) / (1.0 + math.exp(-m))
         return -y / (1.0 + math.exp(m))
-
-
-def make_objective(
-    kind: str,
-    data: Dataset,
-    mu: float | None = None,
-    f_star: float | None = None,
-) -> Objective:
-    """Convenience constructor mirroring ``Objective(...)``."""
-    return Objective(kind, data, mu=mu, f_star=f_star)

@@ -71,13 +71,10 @@ GRAD_RESOLUTION_SQ = 1e-24
 
 @dataclass(frozen=True)
 class SgdConfig:
-    """Step size eta, additive noise level sigma (E||xi||^2 = sigma^2),
-    base seed, and whether metrics are reported at the running iterate mean."""
+    """Step size eta and additive noise level sigma (E||xi||^2 = sigma^2)."""
 
     eta: float
     sigma: float = 0.0
-    seed: int = 0
-    averaging: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):

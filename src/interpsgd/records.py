@@ -84,7 +84,3 @@ class RunRecord:
     def write_csv(self, path, wall_clock: bool = False) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_csv(wall_clock=wall_clock))
-
-    def config_echo(self) -> str:
-        """Sorted ``key = value`` lines for the sidecar config echo."""
-        return "".join(f"{k} = {self.config[k]}\n" for k in sorted(self.config))

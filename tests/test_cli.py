@@ -63,6 +63,23 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "runtime error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--loss", "foo"],
+            ["--rho-rule", "explicit", "--rho", "-1"],
+            ["--rho-rule", "explicit", "--rho", "0"],
+            ["--mode", "strongly_convex"],
+            ["--mode", "strongly_convex", "--mu", "0"],
+        ],
+    )
+    def test_bad_value_is_config_error_before_any_output(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        argv = ["run", "--n", "60", "--d", "8", "--passes", "1", "--out", str(out), *flags]
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_gap_seed_runs(self, tmp_path):
         # seed 83 at the default n = 8000, d = 100: the Gram matrix's top two
         # eigenvalues nearly coincide, so power iteration alone cannot settle

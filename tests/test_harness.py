@@ -1,11 +1,14 @@
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from interpsgd.data import generate_margin_data, save_libsvm
 from interpsgd.harness import (
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     audit_report,
@@ -85,6 +88,20 @@ class TestConfigParsing:
     def test_bad_number_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_mapping({"passes": "three"})
+
+    def test_readme_table_matches_the_key_table(self):
+        # rows such as `n`, `d`, `tau` list several keys with one default
+        # each (", "-separated); a lone default applies to every key in the
+        # row, and "–" stands for an unset (empty) default
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| (`.*?) \| (.*?) \| .* \|$", readme, re.M)
+        listed = []
+        for key_cell, default_cell in rows:
+            keys = re.findall(r"`([^`]+)`", key_cell)
+            defaults = [v.strip("`").replace("–", "") for v in default_cell.split(", ")]
+            listed.extend(zip(keys, defaults * len(keys) if len(defaults) == 1 else defaults,
+                              strict=True))
+        assert listed == [(key.name, key.default) for key in CONFIG_KEYS]
 
 
 class TestRunExperiment:
@@ -234,6 +251,42 @@ class TestReproduceFigure:
         manifest = (out / "manifest.txt").read_text()
         for label in ("SGD(T)", "SGD(LS)", "Acc-SGD(T)", "Acc-SGD(LS)"):
             assert manifest.count(label) >= 4
+
+    @pytest.mark.parametrize("figure", ["fig1b", "fig2_protein", "app_ls"])
+    def test_manifest_lists_every_curve_in_order(self, tmp_path, figure):
+        path = tmp_path / "toy_libsvm.txt"
+        save_libsvm(generate_margin_data(120, 10, 0.2, seed=6), path)
+        out = tmp_path / figure
+        written = reproduce_figure(
+            figure, paths={"protein": str(path)}, out_dir=str(out),
+            n=60, d=8, passes=1, seed=3,
+        )
+        manifest = (out / "manifest.txt").read_text(encoding="utf-8")
+        if figure == "app_ls":
+            expected = (
+                "SGD(T) tau=0.1\ttau0.1_sgd_t.csv\n"
+                "SGD(LS) tau=0.1\ttau0.1_sgd_ls.csv\n"
+                "Acc-SGD(T) tau=0.1\ttau0.1_acc_sgd_t.csv\n"
+                "Acc-SGD(LS) tau=0.1\ttau0.1_acc_sgd_ls.csv\n"
+                "SGD(T) tau=0.05\ttau0.05_sgd_t.csv\n"
+                "SGD(LS) tau=0.05\ttau0.05_sgd_ls.csv\n"
+                "Acc-SGD(T) tau=0.05\ttau0.05_acc_sgd_t.csv\n"
+                "Acc-SGD(LS) tau=0.05\ttau0.05_acc_sgd_ls.csv\n"
+                "SGD(T) tau=0.01\ttau0.01_sgd_t.csv\n"
+                "SGD(LS) tau=0.01\ttau0.01_sgd_ls.csv\n"
+                "Acc-SGD(T) tau=0.01\ttau0.01_acc_sgd_t.csv\n"
+                "Acc-SGD(LS) tau=0.01\ttau0.01_acc_sgd_ls.csv\n"
+                "SGD(T) tau=0.005\ttau0.005_sgd_t.csv\n"
+                "SGD(LS) tau=0.005\ttau0.005_sgd_ls.csv\n"
+                "Acc-SGD(T) tau=0.005\ttau0.005_acc_sgd_t.csv\n"
+                "Acc-SGD(LS) tau=0.005\ttau0.005_acc_sgd_ls.csv\n"
+            )
+        else:
+            expected = "SGD\tsgd.csv\nAcc-SGD\tacc_sgd.csv\n"
+        assert manifest == expected
+        files = [line.split("\t")[1] for line in expected.splitlines()]
+        assert written == [str(out / name) for name in files]
+        assert sorted(os.listdir(out)) == sorted(files + ["manifest.txt"])
 
     def test_fig2_missing_file_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
