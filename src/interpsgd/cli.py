@@ -64,6 +64,11 @@ def _merged_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_mapping(values)
 
 
+_KEYS = {key.name: key for key in CONFIG_KEYS}
+# reproduce's size and seed flags share the config keys' defaults and checks
+_REPRODUCE_KEYS = ("n", "d", "passes", "seed")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="interpsgd", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -78,10 +83,8 @@ def _build_parser() -> _Parser:
     p_rep.add_argument("--covtype", help="CovType LIBSVM file (fig2_covtype)")
     p_rep.add_argument("--protein", help="Protein LIBSVM file (fig2_protein)")
     p_rep.add_argument("--out", required=True, help="output directory")
-    p_rep.add_argument("--n", type=int, default=8000)
-    p_rep.add_argument("--d", type=int, default=100)
-    p_rep.add_argument("--passes", type=int, default=30)
-    p_rep.add_argument("--seed", type=int, default=0)
+    for name in _REPRODUCE_KEYS:
+        p_rep.add_argument("--" + name, default=_KEYS[name].default)
 
     p_per = subs.add_parser("perceptron", help="mistake-bound check")
     p_per.add_argument("--tau", type=float, required=True)
@@ -114,15 +117,8 @@ def _cmd_reproduce(args) -> int:
         paths["covtype"] = args.covtype
     if args.protein:
         paths["protein"] = args.protein
-    written = reproduce_figure(
-        args.figure,
-        paths=paths,
-        out_dir=args.out,
-        n=args.n,
-        d=args.d,
-        passes=args.passes,
-        seed=args.seed,
-    )
+    sizes = {name: _KEYS[name].parse(name, getattr(args, name)) for name in _REPRODUCE_KEYS}
+    written = reproduce_figure(args.figure, paths=paths, out_dir=args.out, **sizes)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

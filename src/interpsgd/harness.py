@@ -12,6 +12,7 @@ are deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -110,6 +111,16 @@ def _one_of(choices: tuple[str, ...], message: str = "must be one of {choices}")
     return parse
 
 
+def _float_where(ok: Callable[[float], bool], requirement: str):
+    def parse(key, value):
+        number = _parse_float(key, value)
+        if not ok(number):
+            raise ConfigError(f"{key} must be {requirement}, got {number!r}")
+        return number
+
+    return parse
+
+
 def _at_least(low: int):
     def parse(key, value):
         number = _parse_int(key, value)
@@ -134,9 +145,10 @@ CONFIG_KEYS = (
     ConfigKey("dataset", "synthetic",
               _one_of(("synthetic", "libsvm"), "must be synthetic or libsvm, got {value!r}"),
               "synthetic | libsvm"),
-    ConfigKey("n", "8000", _parse_int, "synthetic sample size"),
-    ConfigKey("d", "100", _parse_int, "synthetic dimension"),
-    ConfigKey("tau", "0.1", _parse_float, "synthetic margin in (0, 1)"),
+    ConfigKey("n", "8000", _at_least(2), "synthetic sample size"),
+    ConfigKey("d", "100", _at_least(2), "synthetic dimension"),
+    ConfigKey("tau", "0.1", _float_where(lambda x: not math.isnan(x), "a number"),
+              "synthetic margin in (0, 1)"),
     ConfigKey("balance", "false", _parse_bool, "redraw until classes balance (true/false)"),
     ConfigKey("libsvm_path", "", _text, "path to a LIBSVM text file"),
     ConfigKey("n_sub", "", _optional(_parse_int), "subsample size for libsvm data"),
@@ -163,7 +175,8 @@ CONFIG_KEYS = (
     ConfigKey("ls_init", "1.0", _parse_float, "initial line-search estimate"),
     ConfigKey("passes", "30", _at_least(1), "effective passes over the data"),
     ConfigKey("seed", "0", _parse_int, "base seed"),
-    ConfigKey("sigma", "0.0", _parse_float, "additive gradient noise level"),
+    ConfigKey("sigma", "0.0", _float_where(lambda x: x >= 0.0, ">= 0"),
+              "additive gradient noise level"),
     ConfigKey("averaging", "false", _parse_bool, "report metrics at the running iterate mean"),
     ConfigKey("out", "results", _text, "output directory"),
 )
@@ -214,6 +227,11 @@ class ExperimentConfig:
             raise ConfigError("libsvm dataset requires libsvm_path")
         if cfg.rho_rule == "grid" and not cfg.rho_grid:
             raise ConfigError("rho_rule = grid requires rho_grid")
+        if cfg.rho_rule == "grid" and cfg.loss == "hinge":
+            raise ConfigError(
+                "rho_rule = grid runs Acc-SGD at eta = 1/(rho L), "
+                "which the non-smooth hinge loss lacks"
+            )
         if cfg.rho_rule == "explicit" and not cfg.rho > 0:
             raise ConfigError(f"rho_rule = explicit requires rho > 0, got {cfg.rho!r}")
         if cfg.mode == "strongly_convex" and not (cfg.mu is not None and cfg.mu > 0):
@@ -262,8 +280,28 @@ def resolve_rho(cfg: ExperimentConfig, obj: Objective) -> float:
     ).rho
 
 
+def _step_rule(cfg: ExperimentConfig, method: str) -> str:
+    return cfg.step_rule_sgd if method in ("sgd", "sgd_ls") else cfg.step_rule_accel
+
+
+def _check_smoothness_needs(cfg: ExperimentConfig) -> None:
+    """The non-smooth hinge loss has no L or L_max: refuse the methods and
+    step rules that read them before any data is built."""
+    if cfg.loss != "hinge":
+        return
+    for method in cfg.methods:
+        if method.endswith("_ls"):
+            raise ConfigError(f"method {method} needs a smooth loss, not hinge")
+        rule = _step_rule(cfg, method)
+        if rule in ("one_over_Lmax", "one_over_rhoL"):
+            raise ConfigError(
+                f"step rule {rule} of method {method} needs smoothness constants, "
+                "which the hinge loss lacks; use tau_over_L or explicit"
+            )
+
+
 def _resolve_eta(cfg: ExperimentConfig, obj: Objective, method: str, rho: float) -> float | None:
-    rule = cfg.step_rule_sgd if method in ("sgd", "sgd_ls") else cfg.step_rule_accel
+    rule = _step_rule(cfg, method)
     explicit = cfg.eta_sgd if method in ("sgd", "sgd_ls") else cfg.eta_accel
     if method.endswith("_ls"):
         return None  # line search owns the step size
@@ -291,6 +329,7 @@ def run_experiment(cfg: ExperimentConfig, wall_clock: bool = False) -> list[RunR
     fully deterministic for a fixed seed (method i runs on seed + i) unless
     ``wall_clock`` puts the measured elapsed times into the CSVs.
     """
+    _check_smoothness_needs(cfg)
     obj = build_objective(cfg)
     rho = resolve_rho(cfg, obj)
     records = []

@@ -182,15 +182,8 @@ def accel_schedule_advance(s: AccelSchedule) -> AccelSchedule:
     gamma, alpha, beta, ab_next = _schedule_coefficients(
         s.mode, s.rho, s.eta, s.mu, s.gamma_prev, s.ab_ratio
     )
-    return replace(
-        s,
-        k=s.k + 1,
-        gamma_prev=gamma,
-        ab_ratio=ab_next,
-        gamma=gamma,
-        alpha=alpha,
-        beta=beta,
-    )
+    # the constructor directly: dataclasses.replace costs twice as much
+    return AccelSchedule(s.mode, s.rho, s.eta, s.mu, s.k + 1, gamma, ab_next, gamma, alpha, beta)
 
 
 @dataclass(frozen=True)
@@ -362,7 +355,10 @@ def line_search_accel_step(
 # check this). What the kernels leave out is per-step bookkeeping: index
 # draws, input validation, finiteness scans (run() checks the iterate once
 # per pass; a non-finite iterate stays non-finite), schedule dataclasses and
-# step reports. Kernels never write into a gradient they are handed.
+# step reports. Kernels never write into a gradient they are handed. On the
+# squared-hinge and hinge losses without noise, the sgd, sgd_ls and accel
+# kernels also leave out the gradient calls of steps that a _ZeroScreen
+# certifies to be exactly zero (sgd and sgd_ls skip those steps whole).
 
 
 def _example_oracles(obj):
@@ -392,6 +388,148 @@ def _example_oracles(obj):
     return grad, loss
 
 
+_U = 2.0**-53  # unit roundoff of float64
+_PROBE = 128  # steps between looks at the gap while a kernel does not screen
+_MAX_BLOCK = 4096
+# Below these observed gaps between active steps a kernel does not screen:
+# an SGD step saves its whole cost, an Acc-SGD step only its gradient call.
+_SGD_MIN_GAP = 16.0
+_ACCEL_MIN_GAP = 32.0
+
+
+class _ZeroScreen:
+    """Certificates that upcoming steps have an exactly zero gradient.
+
+    For the squared-hinge and hinge losses, s_i = 0 exactly when the
+    kernel's own margin y_i * fl(x_i . p) is >= 1. For a block of upcoming
+    indices the screen gathers the rows and computes y * (X[blk] @ p) with
+    one gemv per point; a step is certified when a lower bound on the
+    kernel's margin is >= 1, so that its ``row.dot`` would give s_i = 0.
+
+    Dot products (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, §3.1): any summation order of a length-d dot product,
+    fused multiply-adds included, lies within gamma_d sum_j |x_j p_j| <=
+    gamma_d ||x|| ||p|| of the exact value, gamma_d = d u / (1 - d u) and
+    u = 2^-53. So the gemv and ``row.dot(p)`` differ by at most
+    2 gamma_d ||x_i|| ||p||.
+
+    SGD and SGD(LS): the point is w, and a step is certified when
+    m_i(w) - 2 gamma_d ||x_i|| ||w|| >= 1. A certified step leaves w
+    untouched, so the kernel skips it; the other steps run the exact step,
+    and the block restarts after any update.
+
+    Acc-SGD: a zero-gradient step sets zeta = w + alpha (v - w), then
+    v = zeta + beta (v - zeta) and w = zeta. With alpha and beta in [0, 1]
+    (both modes) these are convex combinations, so in exact arithmetic w,
+    zeta and v stay on the segment S = [w_b, v_b] of the block's start.
+    In floating point each of the two combinations, on coordinates bounded
+    by M, is within 5 u M (1 + O(u)) of its exact value; an exact convex
+    combination of points within delta of S (coordinatewise) is itself
+    within delta of S. By induction, after k zero-gradient steps every
+    iterate is within delta_k <= 12 k u a of S, a = max(||w_b||_inf,
+    ||v_b||_inf), which absorbs M <= a + delta_k for k << 1/u. Margins
+    are affine in the point, so on S they are at least
+    min(m_i(w_b), m_i(v_b)); a drift e costs at most ||x_i||_1 ||e||_inf;
+    the gemv at w_b and v_b errs by at most gamma_d ||x_i|| N, with
+    N = max(||w_b||, ||v_b||); and ``row.dot(zeta)`` errs by at most
+    gamma_d ||x_i|| (N + sqrt(d) delta). So over a block of B steps a step
+    is certified when
+
+        min(m_i(w_b), m_i(v_b)) - gamma_d ||x_i|| (2 N + sqrt(d) delta_B)
+            - ||x_i||_1 delta_B >= 1.
+
+    A certified step still runs its five ufuncs and its schedule update,
+    but makes no gradient call; the block restarts after any active step.
+
+    gamma is evaluated at d + 2 rather than d: the extra 2 u ||x_i|| N per
+    term covers the rounding of the norms and of the bound itself. The
+    bound assumes no overflow, so a block certifies nothing unless
+    ||x_i|| N < 1e300 for every row (a non-finite point fails this too).
+
+    The block length follows the gap between active steps that the kernel
+    observes (a running mean); while the gap is below ``min_gap`` a gemv
+    costs more than it saves, and the kernel steps without screening,
+    ``_PROBE`` steps at a time.
+    """
+
+    def __init__(self, obj: Objective, min_gap: float):
+        data = obj.data
+        self._X, self._y = data.X, data.y
+        d = obj.dim
+        self._gamma = (d + 2) * _U / (1.0 - (d + 2) * _U)
+        self._sqrt_d = math.sqrt(d)
+        self._l2 = np.sqrt(obj._row_sq)
+        self._l1 = None
+        self._norm_limit = 1e300 / max(float(self._l2.max()), 1.0)
+        self._min_gap = min_gap
+        self._gap = 0.0
+
+    def length(self) -> int:
+        """Steps in the next block; 0 means step without screening."""
+        if self._gap < self._min_gap:
+            return 0
+        return min(int(2.0 * self._gap), _MAX_BLOCK)
+
+    def observe(self, steps: int, active: int) -> None:
+        """A block or probe of ``steps`` steps had ``active`` nonzero
+        gradients. Without one, the gap is at least twice the block (a
+        block cut short by the end of a pass only keeps the estimate)."""
+        if active:
+            sample = steps / active
+        else:
+            sample = max(2.0 * steps, self._gap)
+        self._gap = 0.5 * (self._gap + sample)
+
+    def uncertified(self, blk: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Offsets into ``blk`` of the steps not certified at w."""
+        norm = math.sqrt(w.dot(w))
+        if not norm < self._norm_limit:
+            return np.arange(len(blk))
+        m = self._y[blk] * (self._X[blk] @ w)
+        slack = (2.0 * self._gamma * norm) * self._l2[blk]
+        return np.flatnonzero(m - slack < 1.0)
+
+    def certified_on_segment(self, blk: np.ndarray, w: np.ndarray, v: np.ndarray) -> list:
+        """Per step of ``blk``: certified on the segment [w, v] over the block."""
+        big = max(math.sqrt(w.dot(w)), math.sqrt(v.dot(v)))
+        if not big < self._norm_limit:
+            return [False] * len(blk)
+        if self._l1 is None:
+            self._l1 = np.abs(self._X).sum(axis=1)
+        rows, y = self._X[blk], self._y[blk]
+        m = np.minimum(y * (rows @ w), y * (rows @ v))
+        delta = 12.0 * len(blk) * _U * max(np.abs(w).max(), np.abs(v).max())
+        slack = self._gamma * (2.0 * big + self._sqrt_d * delta) * self._l2[blk]
+        slack += delta * self._l1[blk]
+        return (m - slack >= 1.0).tolist()
+
+
+def _screened_pass(screen: _ZeroScreen, draw: np.ndarray, steps, point) -> None:
+    """One pass of SGD or SGD(LS) over the indices ``draw`` that skips
+    certified steps.
+
+    ``steps(indices)`` runs the kernel's exact steps and returns how many
+    changed w; ``point()`` is the current w.
+    """
+    indices = draw.tolist()
+    k, n = 0, len(indices)
+    while k < n:
+        length = screen.length()
+        if not length:
+            end = min(k + _PROBE, n)
+            screen.observe(end - k, steps(indices[k:end]))
+            k = end
+            continue
+        end = min(k + length, n)
+        active = 0
+        for j in screen.uncertified(draw[k:end], point()).tolist():
+            if steps(indices[k + j : k + j + 1]):
+                end, active = k + j + 1, 1
+                break
+        screen.observe(end - k, active)
+        k = end
+
+
 class _RunningMean:
     """The iterate average, updated as wbar += (w - wbar) / count."""
 
@@ -414,11 +552,12 @@ def _check_gradient(g: np.ndarray, i: int) -> None:
         raise FloatingPointError(f"non-finite stochastic gradient at example {i}")
 
 
-def _sgd_kernel(obj, w: np.ndarray, eta: float, mean):
+def _sgd_kernel(obj, w: np.ndarray, eta: float, mean, screen):
     grad, _ = _example_oracles(obj)
     t = np.empty_like(w)
 
-    def run_pass(indices, noise):
+    def steps(indices, noise=None) -> int:
+        active = 0
         for k, i in enumerate(indices):
             g = grad(w, i)
             if noise is not None:
@@ -426,14 +565,22 @@ def _sgd_kernel(obj, w: np.ndarray, eta: float, mean):
             if g is not None:
                 np.multiply(g, eta, t)
                 np.subtract(w, t, w)
+                active += 1
             if mean is not None:
                 mean.add(w)
+        return active
+
+    def run_pass(draw, noise):
+        if screen is None:
+            steps(draw.tolist(), noise)
+        else:
+            _screened_pass(screen, draw, steps, lambda: w)
         return w
 
     return run_pass
 
 
-def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean):
+def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen):
     grad, _ = _example_oracles(obj)
     mode, rho, eta, mu = sched.mode, sched.rho, sched.eta, sched.mu
     gamma_prev, ab = sched.gamma_prev, sched.ab_ratio
@@ -442,13 +589,31 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean):
     constant = None
     if mode == "strongly_convex":
         constant = _schedule_coefficients(mode, rho, eta, mu, gamma_prev, ab)
+        if not (0.0 <= constant[1] <= 1.0 and 0.0 <= constant[2] <= 1.0):
+            screen = None  # the segment argument needs alpha, beta in [0, 1]
     v = w.copy()
     zeta = np.empty_like(w)
     t = np.empty_like(w)
 
-    def run_pass(indices, noise):
+    def run_pass(draw, noise):
         nonlocal w, zeta, gamma_prev, ab
+        indices = draw.tolist()
+        n = len(indices)
+        # the current block: steps start..end-1, certified[k - start] per step
+        start = end = active = length = 0
+        certified = None
+        if screen is None:
+            certified, end = [False] * n, n
         for k, i in enumerate(indices):
+            if k == end:
+                screen.observe(k - start, active)
+                start, active, length = k, 0, screen.length()
+                if length:
+                    end = min(k + length, n)
+                    certified = screen.certified_on_segment(draw[k:end], w, v)
+                else:
+                    end = min(k + _PROBE, n)
+                    certified = [False] * (end - k)
             if constant is None:
                 gamma, alpha, beta, ab = _schedule_coefficients(
                     mode, rho, eta, mu, gamma_prev, ab
@@ -460,7 +625,14 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean):
             np.subtract(v, w, t)
             np.multiply(t, alpha, t)
             np.add(w, t, zeta)
-            g = grad(zeta, i)
+            if certified[k - start]:
+                g = None
+            else:
+                g = grad(zeta, i)
+                if g is not None:
+                    active += 1
+                    if length:
+                        end = k + 1  # w and v leave the segment: new block
             if noise is not None:
                 g = noise[k] if g is None else g + noise[k]
             # v = zeta + beta (v - zeta) - gamma eta g;  w = zeta - eta g
@@ -477,20 +649,24 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean):
                 np.subtract(zeta, t, w)
             if mean is not None:
                 mean.add(w)
+        if screen is not None:
+            screen.observe(n - start, active)
         return w
 
     return run_pass
 
 
-def _sgd_ls_kernel(obj, w: np.ndarray, estimate: float, mean):
+def _sgd_ls_kernel(obj, w: np.ndarray, estimate: float, mean, screen):
     grad, loss = _example_oracles(obj)
     t = np.empty_like(w)
 
-    def run_pass(indices, noise):
+    def steps(indices) -> int:
         nonlocal w, t, estimate
+        active = 0
         for i in indices:
             g = grad(w, i)
             if g is not None:
+                active += 1
                 g_sq = float(g.dot(g))
                 if not math.isfinite(g_sq):
                     _check_gradient(g, i)
@@ -515,6 +691,13 @@ def _sgd_ls_kernel(obj, w: np.ndarray, estimate: float, mean):
                     w, t = t, w
             if mean is not None:
                 mean.add(w)
+        return active
+
+    def run_pass(draw, noise):
+        if screen is None:
+            steps(draw.tolist())
+        else:
+            _screened_pass(screen, draw, steps, lambda: w)
         return w
 
     return run_pass
@@ -527,9 +710,9 @@ def _accel_ls_kernel(obj, w: np.ndarray, sched: AccelSchedule, estimate: float, 
     v = w.copy()
     zeta, vw, step_g, t = (np.empty_like(w) for _ in range(4))
 
-    def run_pass(indices, noise):
+    def run_pass(draw, noise):
         nonlocal w, zeta, gamma_prev, ab, estimate
-        for i in indices:
+        for i in draw.tolist():
             np.subtract(v, w, vw)
             for _ in range(MAX_DOUBLINGS + 1):
                 eta = 1.0 / estimate
@@ -691,6 +874,10 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     a different stream than interleaved per-step draws whenever n > 1.
     Finiteness of the logged iterate is checked once per pass; a failure
     is raised as ``pass p: ...`` naming the pass in which it occurred.
+    On the squared-hinge and hinge losses with sigma = 0, the sgd and
+    sgd_ls kernels (without averaging) skip the steps whose gradient is
+    certified to be exactly zero, and the accel kernel skips their gradient
+    calls; the iterates stay bit-identical (see ``_ZeroScreen``).
     While a single-step function or ``Objective.grad_example``/
     ``loss_example`` is rebound (wrapped by a profiler, say), each pass
     steps through the public functions instead, on the same draws.
@@ -718,16 +905,28 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     SgdConfig(eta=eta, sigma=config.sigma)  # validates eta and sigma
 
     mean = _RunningMean(w) if config.averaging else None
+    # the screen needs exact zeros (the two hinge losses, no noise); SGD
+    # skips its certified steps only while no running mean needs them
+    screen = None
+    if (
+        isinstance(obj, Objective)
+        and obj.kind in ("squared_hinge", "hinge")
+        and config.sigma == 0.0
+    ):
+        if method == "accel":
+            screen = _ZeroScreen(obj, _ACCEL_MIN_GAP)
+        elif method in ("sgd", "sgd_ls") and mean is None:
+            screen = _ZeroScreen(obj, _SGD_MIN_GAP)
     if _step_path() != _ORIGINAL_STEP_PATH:
         run_pass = _single_step_pass(
             obj, method, w, eta, config.sigma, sched, config.ls_init, mean
         )
     elif method == "sgd":
-        run_pass = _sgd_kernel(obj, w, eta, mean)
+        run_pass = _sgd_kernel(obj, w, eta, mean, screen)
     elif method == "sgd_ls":
-        run_pass = _sgd_ls_kernel(obj, w, config.ls_init, mean)
+        run_pass = _sgd_ls_kernel(obj, w, config.ls_init, mean, screen)
     elif method == "accel":
-        run_pass = _accel_kernel(obj, w, sched, mean)
+        run_pass = _accel_kernel(obj, w, sched, mean, screen)
     else:
         run_pass = _accel_ls_kernel(obj, w, sched, config.ls_init, mean)
 
@@ -748,9 +947,16 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     t0 = time.monotonic()
 
     def log_row(pass_index: int, point: np.ndarray) -> None:
-        loss = obj.loss_full(point)
-        full = obj.grad_full(point)
-        mistakes = obj.mistake_rate(point) if hasattr(obj, "mistake_rate") else 0.0
+        if isinstance(obj, Objective):
+            # loss_full, grad_full and mistake_rate from one z = X w
+            z = obj.data.X @ point
+            loss = float(np.mean(obj._losses(z)))
+            full = (obj.data.X.T @ obj._grad_scalars(z)) / n
+            mistakes = float(np.mean(obj.data.y * z <= 0.0))
+        else:
+            loss = obj.loss_full(point)
+            full = obj.grad_full(point)
+            mistakes = obj.mistake_rate(point) if hasattr(obj, "mistake_rate") else 0.0
         record.append(
             MetricRow(
                 pass_index=pass_index,
@@ -766,11 +972,11 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     noise_std = config.sigma / math.sqrt(obj.dim)
     for p in range(1, passes + 1):
         try:
-            indices = rng.integers(0, n, size=n).tolist()
+            draw = rng.integers(0, n, size=n)
             noise = None
             if config.sigma > 0:
                 noise = rng.normal(0.0, noise_std, size=(n, obj.dim))
-            w = run_pass(indices, noise)
+            w = run_pass(draw, noise)
             point = w if mean is None else mean.value
             if not np.all(np.isfinite(point)):
                 raise FloatingPointError("non-finite iterate")

@@ -80,6 +80,60 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--loss", "hinge"],
+            ["--loss", "hinge", "--methods", "sgd", "--step-rule-accel", "tau_over_L"],
+            ["--loss", "hinge", "--methods", "accel", "--step-rule-sgd", "tau_over_L"],
+            ["--loss", "hinge", "--methods", "sgd", "--step-rule-sgd", "one_over_rhoL"],
+            ["--loss", "hinge", "--methods", "sgd_ls"],
+            ["--loss", "hinge", "--methods", "accel_ls", "--step-rule-accel", "tau_over_L"],
+            ["--loss", "hinge", "--step-rule-sgd", "tau_over_L",
+             "--step-rule-accel", "tau_over_L", "--rho-rule", "grid", "--rho-grid", "1,2"],
+        ],
+    )
+    def test_hinge_without_smoothness_is_config_error(self, tmp_path, capsys, flags):
+        # every one of these reads the hinge loss's nan L or L_max
+        out = tmp_path / "out"
+        argv = ["run", "--n", "60", "--d", "8", "--passes", "1", "--out", str(out), *flags]
+        assert main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--step-rule-sgd", "tau_over_L", "--step-rule-accel", "tau_over_L"],
+            ["--step-rule-sgd", "explicit", "--eta-sgd", "0.5",
+             "--step-rule-accel", "explicit", "--eta-accel", "0.01"],
+        ],
+    )
+    def test_hinge_with_its_step_rules_runs(self, tmp_path, flags):
+        out = tmp_path / "out"
+        argv = ["run", "--loss", "hinge", "--n", "60", "--d", "8", "--passes", "2",
+                "--out", str(out), *flags]
+        assert main(argv) == 0
+        assert sorted(os.listdir(out)) == ["accel.csv", "config.txt", "sgd.csv"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reproduce", "fig1a", "--passes", "0", "--n", "50", "--d", "5"],
+            ["reproduce", "fig1b", "--n", "-5"],
+            ["reproduce", "fig1a", "--d", "1", "--n", "50", "--passes", "1"],
+            ["reproduce", "fig1a", "--seed", "x", "--n", "50", "--d", "5"],
+            ["run", "--tau", "nan"],
+            ["run", "--n", "60", "--d", "8", "--sigma", "-1"],
+            ["run", "--n", "60", "--d", "8", "--sigma", "nan"],
+        ],
+    )
+    def test_bad_size_or_level_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_gap_seed_runs(self, tmp_path):
         # seed 83 at the default n = 8000, d = 100: the Gram matrix's top two
         # eigenvalues nearly coincide, so power iteration alone cannot settle

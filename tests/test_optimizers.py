@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -649,3 +650,174 @@ class TestKernelsMatchSingleSteps:
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="ls_init"):
                 run(obj, "sgd_ls", RunConfig(ls_init=bad), 1)
+
+
+# ---------------------------------------------------------------------------
+# the zero-gradient screen of the sgd, sgd_ls and accel kernels
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def screen_objective(kind: str, tau: float, seed: int) -> Objective:
+    return Objective(kind, generate_margin_data(2000, 20, tau, seed=seed))
+
+
+def screen_config(obj, method, tau, mode="convex", seed=0, averaging=False, w0=None):
+    """The CLI's steps: tau_over_L for accel, 1/L_max for squared-hinge sgd,
+    an explicit 0.5 for hinge sgd and line search for sgd_ls."""
+    eta = None
+    if method == "accel":
+        eta = tau / obj.gram_lam_max
+    elif method == "sgd" and obj.kind == "hinge":
+        eta = 0.5
+    return RunConfig(
+        eta=eta,
+        rho=1.0 / tau,
+        mode=mode,
+        mu=1e-3 if mode == "strongly_convex" else None,
+        seed=seed,
+        averaging=averaging,
+        w0=w0,
+    )
+
+
+# each tau covers both losses, every screened method and accel mode, both
+# averaging settings and both seeds; seed 1 starts at 0.9 w_star, where most
+# margins already exceed 1, so that the screen engages at every tau
+SCREEN_CASES = [
+    (tau, kind, method, mode, k % 2 == 1, k // 2 % 2)
+    for k, (tau, kind, method, mode) in enumerate(
+        (tau, kind, method, mode)
+        for tau in (0.2, 0.1, 0.02, 0.005)
+        for kind in ("squared_hinge", "hinge")
+        for method, mode in (
+            ("sgd", "convex"),
+            ("sgd_ls", "convex"),
+            ("accel", "convex"),
+            ("accel", "strongly_convex"),
+        )
+        if not (kind == "hinge" and method == "sgd_ls")
+    )
+]
+
+
+def near_kink_objective(kind: str, seed: int = 0, n: int = 2000, d: int = 20):
+    """Data whose margins y_i x_i . w at the returned w equal 1 up to
+    rounding for about one row in forty, and lie in [2, 4] for the rest."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=d)
+    X = rng.normal(size=(n, d)) / math.sqrt(d)
+    y = rng.choice([-1.0, 1.0], size=n)
+    margins = np.where(rng.random(n) < 0.025, 1.0, rng.uniform(2.0, 4.0, size=n))
+    X[:, 0] = (y * margins - X[:, 1:] @ w[1:]) / w[0]
+    return Objective(kind, Dataset(X=X, y=y)), w
+
+
+def count_scalar_gradients(monkeypatch) -> list:
+    calls = []
+    original = Objective._grad_scalar
+
+    def counting(self, z, y):
+        calls.append(1)
+        return original(self, z, y)
+
+    monkeypatch.setattr(Objective, "_grad_scalar", counting)
+    return calls
+
+
+class TestZeroScreen:
+    @pytest.mark.parametrize("tau,kind,method,mode,averaging,seed", SCREEN_CASES)
+    def test_rows_equal_single_step_loop(self, tau, kind, method, mode, averaging, seed):
+        obj = screen_objective(kind, tau, seed)
+        w0 = 0.9 * obj.data.w_star if seed else None
+        cfg = screen_config(obj, method, tau, mode, seed + 5, averaging, w0)
+        assert kernel_rows(obj, method, cfg, 3) == oracle_rows(obj, method, cfg, 3)
+
+    @pytest.mark.parametrize(
+        "kind,method,mode",
+        [
+            ("squared_hinge", "sgd", "convex"),
+            ("squared_hinge", "sgd_ls", "convex"),
+            ("squared_hinge", "accel", "convex"),
+            ("squared_hinge", "accel", "strongly_convex"),
+            ("hinge", "sgd", "convex"),
+            ("hinge", "accel", "convex"),
+        ],
+    )
+    def test_margins_within_ulps_of_the_kink(self, monkeypatch, kind, method, mode):
+        obj, w = near_kink_objective(kind)
+        X, y = obj.data.X, obj.data.y
+        kernel_margin = y * np.array([row.dot(w) for row in X])
+        gemv_margin = y * (X @ w)
+        # the two products disagree about the kink on some rows
+        assert np.any((kernel_margin < 1.0) & (gemv_margin >= 1.0))
+        # steps that move w by about an ulp keep the margins at the kink
+        cfg = RunConfig(
+            eta=2e-15 if kind == "hinge" else 1.0,
+            rho=2.0,
+            mode=mode,
+            mu=1e-3 if mode == "strongly_convex" else None,
+            seed=3,
+            w0=w,
+        )
+        expected = oracle_rows(obj, method, cfg, 3)
+        calls = count_scalar_gradients(monkeypatch)
+        assert kernel_rows(obj, method, cfg, 3) == expected
+        assert len(calls) < 0.5 * 3 * obj.n  # the screen was at work
+
+    @pytest.mark.parametrize("method", ["sgd", "accel"])
+    def test_few_gradient_calls_after_interpolation(self, monkeypatch, method):
+        obj = Objective("squared_hinge", generate_margin_data(2000, 100, 0.1, seed=0))
+        cfg = screen_config(obj, method, 0.1, seed=1)
+        calls = count_scalar_gradients(monkeypatch)
+        run(obj, method, cfg, 9)
+        first_nine = len(calls)
+        record = run(obj, method, cfg, 10)
+        assert record.rows[-1].train_loss < 1e-8
+        assert len(calls) - 2 * first_nine < 0.05 * obj.n  # the tenth pass
+
+    @pytest.mark.parametrize("averaging,sigma", [(True, 0.0), (False, 0.1)])
+    def test_sgd_screens_only_without_averaging_and_noise(self, monkeypatch, averaging, sigma):
+        obj = Objective("squared_hinge", generate_margin_data(2000, 100, 0.1, seed=0))
+        cfg = replace(screen_config(obj, "sgd", 0.1, seed=1, averaging=averaging), sigma=sigma)
+        calls = count_scalar_gradients(monkeypatch)
+        run(obj, "sgd", cfg, 2)
+        assert len(calls) == 2 * obj.n
+
+    @pytest.mark.parametrize("alpha,beta", [(1e-3, 1.0), (0.3, 0.7), (1e-3, 0.999)])
+    def test_segment_certificate_holds_along_zero_gradient_steps(self, alpha, beta):
+        # Acc-SGD's certificate covers a block of B zero-gradient steps from
+        # (w, v); rounding moves the iterates off the segment [w, v]. Rows
+        # whose margins at w and at v sit just above 1 must not be certified
+        # at any step where the kernel's own margin falls below 1.
+        rng = np.random.default_rng(0)
+        d, B = 3, 4096
+        certified_rows = 0
+        for _ in range(5):
+            w = rng.normal(size=d)
+            v = w + 1e-3 * rng.normal(size=d)
+            a = max(np.abs(w).max(), np.abs(v).max())
+            above = np.exp(rng.uniform(0.0, math.log(1e5), size=B)) * 2.0**-53 * a
+            X = rng.normal(size=(B, d))
+            # x . w = x . v = 1 + above, solved for the first two coordinates
+            rhs = np.stack([1.0 + above - X[:, 2] * w[2], 1.0 + above - X[:, 2] * v[2]])
+            X[:, :2] = np.linalg.solve(np.array([w[:2], v[:2]]), rhs).T
+            obj = Objective("hinge", Dataset(X=X, y=np.ones(B)))
+            certified = optimizers._ZeroScreen(obj, 0.0).certified_on_segment(
+                np.arange(B), w, v
+            )
+            certified_rows += sum(certified)
+            # the accel kernel's zero-gradient branch, ufunc for ufunc
+            w, v = w.copy(), v.copy()
+            zeta, t = np.empty(d), np.empty(d)
+            for k in range(B):
+                np.subtract(v, w, t)
+                np.multiply(t, alpha, t)
+                np.add(w, t, zeta)
+                assert not certified[k] or X[k].dot(zeta) >= 1.0, k
+                np.subtract(v, zeta, t)
+                if beta != 1.0:
+                    np.multiply(t, beta, t)
+                np.add(zeta, t, v)
+                w, zeta = zeta, w
+        assert certified_rows > 0
