@@ -50,7 +50,6 @@ from .optimizers import (
     LineSearchError,
     RunConfig,
     SgdConfig,
-    StepReport,
     accel_schedule_advance,
     accel_step,
     init_accel_state,
@@ -87,7 +86,6 @@ __all__ = [
     "RunConfig",
     "RunRecord",
     "SgdConfig",
-    "StepReport",
     "accel_schedule_advance",
     "accel_step",
     "audit_sgc",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .data import LibsvmFormatError, load_libsvm
 from .harness import (
@@ -29,6 +30,7 @@ from .harness import (
     run_experiment,
 )
 from .numerics import spectral_norm_gram
+from .objectives import kappa
 
 __all__ = ["main"]
 
@@ -143,12 +145,24 @@ def _cmd_spectral(args) -> int:
     lam = spectral_norm_gram(data.X)
     print(f"n = {data.n}  d = {data.dim}")
     print(f"lambda_max(X^T X) = {lam!r}")
-    print(f"L[squared] = {lam / data.n!r}")
-    print(f"L[squared_hinge] = {2.0 * lam / data.n!r}")
+    for kind in ("squared", "squared_hinge"):
+        print(f"L[{kind}] = {kappa(kind) * lam / data.n!r}")
     return EXIT_OK
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
+    # one line per warning, without the source path and line number that
+    # would tie stderr's bytes to the layout of the code
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return _main(argv)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -143,7 +143,7 @@ def audit_sgc(obj, sample_count: int, rng) -> GrowthEstimate:
     cfg = SgdConfig(eta=eta)
     w = np.zeros(d)
     for _ in range(n_traj):
-        w, _ = sgd_step(obj, w, cfg, rng, metrics=False)
+        w = sgd_step(obj, w, cfg, rng)
         probes.append(w)
 
     best = 0.0

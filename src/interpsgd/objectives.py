@@ -8,16 +8,20 @@ Four kinds are supported, all taking labels in {-1, +1}:
   logistic       f_i(w) = log(1 + exp(-y_i x_i^T w))
 
 Every gradient has the form s_i(w) * x_i for a scalar s_i, which keeps
-full-batch evaluation a single matrix product. The library convention is
-the MEAN over examples everywhere (values, gradients, smoothness
-constants): this rescales loss values relative to an unnormalized sum but
-leaves separability structure and relative convergence behavior intact.
+full-batch evaluation a single matrix product. Each kind is one entry of
+the loss table ``_LOSSES``: kappa (the per-example smoothness is
+kappa * ||x_i||^2; the hinge loss has none) and its formulas. The
+library convention is the MEAN over examples everywhere (values,
+gradients, smoothness constants): this rescales loss values relative to an
+unnormalized sum but leaves separability structure and relative
+convergence behavior intact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,14 +32,88 @@ __all__ = [
     "Objective",
     "LOSS_KINDS",
     "SMOOTH_KINDS",
+    "kappa",
     "smoothness_constants",
 ]
 
-LOSS_KINDS = ("squared", "squared_hinge", "hinge", "logistic")
-SMOOTH_KINDS = ("squared", "squared_hinge", "logistic")
 
-# Per-example smoothness is kappa * ||x_i||^2 for each smooth kind.
-_KAPPA = {"squared": 1.0, "squared_hinge": 2.0, "logistic": 0.25}
+class _LossKind(NamedTuple):
+    """f_i and s_i from the prediction z = x_i^T w and the label y, for one
+    example (floats) and for all (arrays). The two forms agree exactly,
+    except the logistic s_i: ``math.exp`` and ``np.exp`` differ by up to
+    2 ulps."""
+
+    kappa: float | None
+    loss: Callable[[float, float], float]
+    grad: Callable[[float, float], float]
+    losses: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    grads: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+# The scalar losses use products instead of ** so huge arguments overflow
+# to inf rather than raising OverflowError mid-run.
+
+
+def _squared_loss(z: float, y: float) -> float:
+    r = z - y
+    return 0.5 * r * r
+
+
+def _squared_hinge_loss(z: float, y: float) -> float:
+    t = max(0.0, 1.0 - y * z)
+    return t * t
+
+
+def _logistic_grad(z: float, y: float) -> float:
+    m = y * z
+    if m >= 0:
+        return -y * math.exp(-m) / (1.0 + math.exp(-m))
+    return -y / (1.0 + math.exp(m))
+
+
+def _logistic_grads(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # sigmoid computed on the stable side of the exp
+    m = y * z
+    s = np.empty_like(m)
+    pos = m >= 0
+    s[pos] = np.exp(-m[pos]) / (1.0 + np.exp(-m[pos]))
+    s[~pos] = 1.0 / (1.0 + np.exp(m[~pos]))
+    return -y * s
+
+
+_LOSSES = {
+    "squared": _LossKind(
+        kappa=1.0,
+        loss=_squared_loss,
+        grad=lambda z, y: z - y,
+        losses=lambda z, y: 0.5 * (z - y) ** 2,
+        grads=lambda z, y: z - y,
+    ),
+    "squared_hinge": _LossKind(
+        kappa=2.0,
+        loss=_squared_hinge_loss,
+        grad=lambda z, y: -2.0 * max(0.0, 1.0 - y * z) * y,
+        losses=lambda z, y: np.maximum(0.0, 1.0 - y * z) ** 2,
+        grads=lambda z, y: -2.0 * np.maximum(0.0, 1.0 - y * z) * y,
+    ),
+    "hinge": _LossKind(
+        kappa=None,
+        loss=lambda z, y: max(0.0, 1.0 - y * z),
+        grad=lambda z, y: -y if y * z < 1.0 else 0.0,
+        losses=lambda z, y: np.maximum(0.0, 1.0 - y * z),
+        grads=lambda z, y: np.where(y * z < 1.0, -y, 0.0),
+    ),
+    "logistic": _LossKind(
+        kappa=0.25,
+        loss=lambda z, y: float(np.logaddexp(0.0, -(y * z))),
+        grad=_logistic_grad,
+        losses=lambda z, y: np.logaddexp(0.0, -(y * z)),
+        grads=_logistic_grads,
+    ),
+}
+
+LOSS_KINDS = tuple(_LOSSES)
+SMOOTH_KINDS = tuple(kind for kind, loss in _LOSSES.items() if loss.kappa is not None)
 
 
 @dataclass(frozen=True)
@@ -105,6 +183,13 @@ class Dataset:
         return self.tau is not None and self.w_star is not None
 
 
+def kappa(kind: str) -> float | None:
+    """f_i is kappa * ||x_i||^2-smooth; None for the non-smooth hinge loss."""
+    if kind not in _LOSSES:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    return _LOSSES[kind].kappa
+
+
 def smoothness_constants(kind: str, data: Dataset) -> tuple[float, float]:
     """(L, L_max) for the mean objective of a smooth loss kind, as carried
     by ``Objective(kind, data)``.
@@ -113,10 +198,8 @@ def smoothness_constants(kind: str, data: Dataset) -> tuple[float, float]:
     norm) and L_max is kappa * max_i ||x_i||^2, the largest per-example
     smoothness constant. The hinge loss is rejected as non-smooth.
     """
-    if kind == "hinge":
-        raise ValueError("hinge loss is non-smooth: no smoothness constants")
-    if kind not in _KAPPA:
-        raise ValueError(f"unknown loss kind {kind!r}")
+    if kappa(kind) is None:
+        raise ValueError(f"{kind} loss is non-smooth: no smoothness constants")
     obj = Objective(kind, data)
     return obj.L, obj.L_max
 
@@ -137,9 +220,9 @@ class Objective:
         mu: float | None = None,
         f_star: float | None = None,
     ):
-        if kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {kind!r}")
+        k = kappa(kind)  # rejects an unknown kind
         self.kind = kind
+        self._loss_kind = _LOSSES[kind]
         self.data = data
         # Unnormalized Gram spectral norm; the experimental tau/L step rule
         # divides by this rather than by the mean-scaled L below.
@@ -147,14 +230,9 @@ class Objective:
         # ||x_i||^2, shared by L_max and the per-example gradient norms
         self._row_sq = np.einsum("ij,ij->i", data.X, data.X)
         self._row_sq.flags.writeable = False
-        if kind == "hinge":
-            # Sub-gradient oracle only; no smoothness constants exist.
-            self.L = float("nan")
-            self.L_max = float("nan")
-        else:
-            kappa = _KAPPA[kind]
-            self.L = kappa * self.gram_lam_max / data.n
-            self.L_max = kappa * float(np.max(self._row_sq))
+        # a non-smooth kind is a sub-gradient oracle only: L and L_max are nan
+        self.L = math.nan if k is None else k * self.gram_lam_max / data.n
+        self.L_max = math.nan if k is None else k * float(np.max(self._row_sq))
         self.mu = mu
         if f_star is None and data.has_margin_certificate and kind != "squared":
             f_star = 0.0
@@ -170,45 +248,22 @@ class Objective:
 
     @property
     def smooth(self) -> bool:
-        return self.kind in SMOOTH_KINDS
+        return self._loss_kind.kappa is not None
 
-    @property
-    def convex(self) -> bool:
-        return True  # all four kinds are convex in w
-
-    @property
-    def interpolating(self) -> bool:
-        return self.f_star == 0.0 and self.data.has_margin_certificate
-
-    # -- scalar form: grad f_i(w) = s_i(w) * x_i --------------------------
+    # -- scalar form: grad f_i(w) = s_i(w) * x_i, from the loss table -------
 
     def _grad_scalars(self, z: np.ndarray) -> np.ndarray:
         """s_i for all i, given the predictions z = X w."""
-        y = self.data.y
-        if self.kind == "squared":
-            return z - y
-        m = y * z
-        if self.kind == "squared_hinge":
-            return -2.0 * np.maximum(0.0, 1.0 - m) * y
-        if self.kind == "hinge":
-            return np.where(m < 1.0, -y, 0.0)
-        # logistic: sigmoid computed on the stable side of the exp
-        s = np.empty_like(m)
-        pos = m >= 0
-        s[pos] = np.exp(-m[pos]) / (1.0 + np.exp(-m[pos]))
-        s[~pos] = 1.0 / (1.0 + np.exp(m[~pos]))
-        return -y * s
+        return self._loss_kind.grads(z, self.data.y)
 
     def _losses(self, z: np.ndarray) -> np.ndarray:
-        y = self.data.y
-        if self.kind == "squared":
-            return 0.5 * (z - y) ** 2
-        m = y * z
-        if self.kind == "squared_hinge":
-            return np.maximum(0.0, 1.0 - m) ** 2
-        if self.kind == "hinge":
-            return np.maximum(0.0, 1.0 - m)
-        return np.logaddexp(0.0, -m)
+        return self._loss_kind.losses(z, self.data.y)
+
+    def _grad_scalar(self, z: float, y: float) -> float:
+        return self._loss_kind.grad(z, y)
+
+    def _loss_scalar(self, z: float, y: float) -> float:
+        return self._loss_kind.loss(z, y)
 
     # -- public oracles ----------------------------------------------------
 
@@ -251,29 +306,3 @@ class Objective:
     def _check_index(self, i: int):
         if not 0 <= i < self.n:
             raise IndexError(f"example index {i} out of range [0, {self.n})")
-
-    def _loss_scalar(self, z: float, y: float) -> float:
-        # products instead of ** so huge arguments overflow to inf rather
-        # than raising OverflowError mid-run
-        if self.kind == "squared":
-            r = z - y
-            return 0.5 * r * r
-        m = y * z
-        if self.kind == "squared_hinge":
-            t = max(0.0, 1.0 - m)
-            return t * t
-        if self.kind == "hinge":
-            return max(0.0, 1.0 - m)
-        return float(np.logaddexp(0.0, -m))
-
-    def _grad_scalar(self, z: float, y: float) -> float:
-        if self.kind == "squared":
-            return z - y
-        m = y * z
-        if self.kind == "squared_hinge":
-            return -2.0 * max(0.0, 1.0 - m) * y
-        if self.kind == "hinge":
-            return -y if m < 1.0 else 0.0
-        if m >= 0:
-            return -y * math.exp(-m) / (1.0 + math.exp(-m))
-        return -y / (1.0 + math.exp(m))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "LineSearchError",
     "RunConfig",
     "SgdConfig",
-    "StepReport",
     "accel_schedule_advance",
     "accel_step",
     "init_accel_state",
@@ -61,6 +60,10 @@ MAX_DOUBLINGS = 64
 
 class LineSearchError(RuntimeError):
     """Smoothness estimate doubled past the cap; objective is pathological."""
+
+
+def _doublings_exceeded(estimate: float) -> LineSearchError:
+    return LineSearchError(f"line search exceeded {MAX_DOUBLINGS} doublings (estimate {estimate})")
 
 
 # Sampled gradients with squared norm below this are float-resolution zeros
@@ -81,14 +84,6 @@ class SgdConfig:
             raise ValueError(f"eta must be a positive finite number, got {self.eta}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class StepReport:
-    k: int
-    loss: float
-    grad_sq_norm: float
-    stoch_grad_sq_norm: float
 
 
 @dataclass(frozen=True)
@@ -206,45 +201,27 @@ def init_accel_state(w0, schedule: AccelSchedule) -> AccelState:
 # ---------------------------------------------------------------------------
 
 
+def _check_gradient(g: np.ndarray, i: int) -> None:
+    if not np.all(np.isfinite(g)):
+        raise FloatingPointError(f"non-finite stochastic gradient at example {i}")
+
+
 def _draw_gradient(obj, point: np.ndarray, rng, sigma: float) -> np.ndarray:
     i = int(rng.integers(0, obj.n))
     g = obj.grad_example(point, i)
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError(f"non-finite stochastic gradient at example {i}")
+    _check_gradient(g, i)
     if sigma > 0.0:
         g = g + gaussian_vector(rng, g.shape[0], sigma / math.sqrt(g.shape[0]))
     return g
 
 
-def _report(obj, w: np.ndarray, g: np.ndarray, k: int, metrics: bool) -> StepReport:
-    if metrics:
-        loss = obj.loss_full(w)
-        full = obj.grad_full(w)
-        gsq = float(full @ full)
-    else:
-        loss = math.nan
-        gsq = math.nan
-    return StepReport(k=k, loss=loss, grad_sq_norm=gsq, stoch_grad_sq_norm=float(g @ g))
-
-
-def sgd_step(
-    obj, w, cfg: SgdConfig, rng, k: int = 0, metrics: bool = True
-) -> tuple[np.ndarray, StepReport]:
-    """One step w' = w - eta (grad f_i(w) + xi), i uniform, xi optional noise.
-
-    Pass ``metrics=False`` to skip the full-objective evaluations in the
-    report (they cost a dataset sweep each; the run loop only evaluates
-    them once per pass).
-    """
+def sgd_step(obj, w, cfg: SgdConfig, rng) -> np.ndarray:
+    """One step w' = w - eta (grad f_i(w) + xi), i uniform, xi optional noise."""
     w = as_vector(w, dim=obj.dim)
-    g = _draw_gradient(obj, w, rng, cfg.sigma)
-    w_next = w - cfg.eta * g
-    return w_next, _report(obj, w_next, g, k, metrics)
+    return w - cfg.eta * _draw_gradient(obj, w, rng, cfg.sigma)
 
 
-def accel_step(
-    obj, st: AccelState, rng, sigma: float = 0.0, k: int = 0, metrics: bool = True
-) -> tuple[AccelState, StepReport]:
+def accel_step(obj, st: AccelState, rng, sigma: float = 0.0) -> AccelState:
     """One three-sequence step using the coefficients stamped on st.schedule.
 
     The schedule must have been advanced for this iteration. A single
@@ -260,8 +237,7 @@ def accel_step(
     g = _draw_gradient(obj, zeta, rng, sigma)
     w_next = zeta - sch.eta * g
     v_next = zeta + sch.beta * (st.v - zeta) - sch.gamma * sch.eta * g
-    st_next = AccelState(w=w_next, zeta=zeta, v=v_next, schedule=sch)
-    return st_next, _report(obj, w_next, g, k, metrics)
+    return AccelState(w=w_next, zeta=zeta, v=v_next, schedule=sch)
 
 
 def _search_estimate(obj, point: np.ndarray, g: np.ndarray, i_loss, est: float) -> float:
@@ -275,14 +251,10 @@ def _search_estimate(obj, point: np.ndarray, g: np.ndarray, i_loss, est: float) 
         if i_loss(point - g / est) <= f0 - g_sq / (2.0 * est) + 1e-15 * abs(f0):
             return est
         est *= 2.0
-    raise LineSearchError(
-        f"line search exceeded {MAX_DOUBLINGS} doublings (estimate {est})"
-    )
+    raise _doublings_exceeded(est)
 
 
-def line_search_sgd_step(
-    obj, w, L_hat: float, rng, k: int = 0, metrics: bool = True
-) -> tuple[np.ndarray, float, StepReport]:
+def line_search_sgd_step(obj, w, L_hat: float, rng) -> tuple[np.ndarray, float]:
     """SGD step with step size 1/L_hat, doubling L_hat until the sampled
     example passes the sufficient-decrease test. L_hat persists and never
     decreases across iterations."""
@@ -291,16 +263,12 @@ def line_search_sgd_step(
     w = as_vector(w, dim=obj.dim)
     i = int(rng.integers(0, obj.n))
     g = obj.grad_example(w, i)
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError(f"non-finite stochastic gradient at example {i}")
+    _check_gradient(g, i)
     L_hat = _search_estimate(obj, w, g, lambda p: obj.loss_example(p, i), L_hat)
-    w_next = w - g / L_hat
-    return w_next, L_hat, _report(obj, w_next, g, k, metrics)
+    return w - g / L_hat, L_hat
 
 
-def line_search_accel_step(
-    obj, st: AccelState, rhoL_hat: float, rng, k: int = 0, metrics: bool = True
-) -> tuple[AccelState, float, StepReport]:
+def line_search_accel_step(obj, st: AccelState, rhoL_hat: float, rng) -> tuple[AccelState, float]:
     """Accelerated step searching over the product rho*L.
 
     For each candidate estimate the schedule is re-derived with
@@ -324,8 +292,7 @@ def line_search_accel_step(
         trial = accel_schedule_advance(replace(sch, eta=eta, rho=rho))
         zeta = st.w + trial.alpha * (st.v - st.w)
         g = obj.grad_example(zeta, i)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite stochastic gradient at example {i}")
+        _check_gradient(g, i)
         g_sq = float(g @ g)
         step = trial.gamma * eta
         f0 = i_loss(zeta)
@@ -335,12 +302,9 @@ def line_search_accel_step(
         if accepted:
             w_next = zeta - eta * g
             v_next = zeta + trial.beta * (st.v - zeta) - trial.gamma * eta * g
-            st_next = AccelState(w=w_next, zeta=zeta, v=v_next, schedule=trial)
-            return st_next, rhoL_hat, _report(obj, w_next, g, k, metrics)
+            return AccelState(w=w_next, zeta=zeta, v=v_next, schedule=trial), rhoL_hat
         rhoL_hat *= 2.0
-    raise LineSearchError(
-        f"line search exceeded {MAX_DOUBLINGS} doublings (estimate {rhoL_hat})"
-    )
+    raise _doublings_exceeded(rhoL_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +318,8 @@ def line_search_accel_step(
 # bit-identical to a loop over them on the same index stream (the tests
 # check this). What the kernels leave out is per-step bookkeeping: index
 # draws, input validation, finiteness scans (run() checks the iterate once
-# per pass; a non-finite iterate stays non-finite), schedule dataclasses and
-# step reports. Kernels never write into a gradient they are handed. On the
+# per pass; a non-finite iterate stays non-finite) and schedule dataclasses.
+# Kernels never write into a gradient they are handed. On the
 # squared-hinge and hinge losses without noise, the sgd, sgd_ls and accel
 # kernels also leave out the gradient calls of steps that a _ZeroScreen
 # certifies to be exactly zero (sgd and sgd_ls skip those steps whole).
@@ -546,12 +510,6 @@ class _RunningMean:
         np.add(self.value, t, self.value)
 
 
-def _check_gradient(g: np.ndarray, i: int) -> None:
-    # only reached when g.g is not finite: g itself may still be finite
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError(f"non-finite stochastic gradient at example {i}")
-
-
 def _sgd_kernel(obj, w: np.ndarray, eta: float, mean, screen):
     grad, _ = _example_oracles(obj)
     t = np.empty_like(w)
@@ -684,10 +642,7 @@ def _sgd_ls_kernel(obj, w: np.ndarray, estimate: float, mean, screen):
                             break
                         estimate *= 2.0
                     else:
-                        raise LineSearchError(
-                            f"line search exceeded {MAX_DOUBLINGS} doublings "
-                            f"(estimate {estimate})"
-                        )
+                        raise _doublings_exceeded(estimate)
                     w, t = t, w
             if mean is not None:
                 mean.add(w)
@@ -737,9 +692,7 @@ def _accel_ls_kernel(obj, w: np.ndarray, sched: AccelSchedule, estimate: float, 
                     break
                 estimate *= 2.0
             else:
-                raise LineSearchError(
-                    f"line search exceeded {MAX_DOUBLINGS} doublings (estimate {estimate})"
-                )
+                raise _doublings_exceeded(estimate)
             gamma_prev, ab = gamma, ab_next
             np.subtract(v, zeta, t)
             if beta != 1.0:
@@ -797,7 +750,7 @@ def _single_step_pass(obj, method: str, w, eta: float, sigma: float, sched, esti
     """A pass as a loop over the public single-step functions, on the same
     draws as the kernels and with the same iterates. run() uses it when one
     of them has been rebound, so that the rebinding sees every step."""
-    cfg = SgdConfig(eta=eta, sigma=sigma)
+    cfg = SgdConfig(eta=eta, sigma=sigma) if method == "sgd" else None
     st = None if sched is None else init_accel_state(w, sched)
 
     def run_pass(indices, noise):
@@ -805,15 +758,15 @@ def _single_step_pass(obj, method: str, w, eta: float, sigma: float, sched, esti
         rng = _PassDraws(indices, noise)
         for _ in indices:
             if method == "sgd":
-                w, _ = sgd_step(obj, w, cfg, rng, metrics=False)
+                w = sgd_step(obj, w, cfg, rng)
             elif method == "sgd_ls":
-                w, estimate, _ = line_search_sgd_step(obj, w, estimate, rng, metrics=False)
+                w, estimate = line_search_sgd_step(obj, w, estimate, rng)
             else:
                 if method == "accel":
                     st = replace(st, schedule=accel_schedule_advance(st.schedule))
-                    st, _ = accel_step(obj, st, rng, sigma=sigma, metrics=False)
+                    st = accel_step(obj, st, rng, sigma=sigma)
                 else:
-                    st, estimate, _ = line_search_accel_step(obj, st, estimate, rng, metrics=False)
+                    st, estimate = line_search_accel_step(obj, st, estimate, rng)
                 w = st.w
             if mean is not None:
                 mean.add(w)
@@ -832,8 +785,9 @@ class RunConfig:
     """Everything a multi-pass run needs beyond the objective itself.
 
     ``eta=None`` picks the method default: 1/L_max for sgd, 1/(rho L) for
-    accel. ``mode``/``mu`` select the accelerated schedule. ``w0`` defaults
-    to the origin.
+    accel and accel_ls (whose strongly convex start reads it); sgd_ls steps
+    by its line-search estimate and ignores eta. ``mode``/``mu`` select the
+    accelerated schedule. ``w0`` defaults to the origin.
     """
 
     eta: float | None = None
@@ -886,7 +840,7 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
-    if config.sigma > 0 and method.endswith("_ls"):
+    if config.sigma != 0.0 and method.endswith("_ls"):
         raise ValueError("line-search methods do not support additive noise")
     if method.endswith("_ls") and not config.ls_init > 0:
         raise ValueError(f"ls_init must be > 0, got {config.ls_init}")
@@ -898,11 +852,13 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
         else as_vector(config.w0, dim=obj.dim).copy()
     )
     rng = make_rng(config.seed)
-    eta = config.resolve_eta(obj, method)
+    eta = None
+    if method != "sgd_ls":  # SGD(LS) steps by 1/L_hat and never reads eta
+        eta = config.resolve_eta(obj, method)
+        SgdConfig(eta=eta, sigma=config.sigma)  # validates eta and sigma
     sched = None
     if method in ("accel", "accel_ls"):
         sched = make_schedule(config.mode, config.rho, eta, mu=config.mu)
-    SgdConfig(eta=eta, sigma=config.sigma)  # validates eta and sigma
 
     mean = _RunningMean(w) if config.averaging else None
     # the screen needs exact zeros (the two hinge losses, no noise); SGD

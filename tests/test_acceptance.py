@@ -120,7 +120,7 @@ def test_criterion_03_strongly_convex_rate_bound():
     ok = True
     for k in range(1, 501):
         st = replace(st, schedule=accel_schedule_advance(st.schedule))
-        st, _ = accel_step(obj, st, rng, metrics=False)
+        st = accel_step(obj, st, rng)
         ok &= obj.loss_full(st.w) <= rate**k * constant * (1 + 1e-9) + 1e-300
     report("criterion 3: strongly-convex rate bound at every k <= 500", ok)
 
@@ -137,7 +137,7 @@ def test_criterion_04_convex_rate_bound_flat_direction():
     ok = True
     for k in range(1, 501):
         st = replace(st, schedule=accel_schedule_advance(st.schedule))
-        st, _ = accel_step(obj, st, rng, metrics=False)
+        st = accel_step(obj, st, rng)
         if k >= 10:
             ok &= obj.loss_full(st.w) <= 2.0 * rho**2 * obj.L * d_sq / k**2
     report("criterion 4: convex 1/k^2 rate bound for 10 <= k <= 500", ok)
@@ -159,7 +159,7 @@ def test_criterion_05_nonconvex_and_pl_bounds():
     grad_sq = [float(obj.grad_full(w) @ obj.grad_full(w))]
     ok = True
     for k in range(1, 301):
-        w, _ = sgd_step(obj, w, cfg, rng, metrics=False)
+        w = sgd_step(obj, w, cfg, rng)
         g = obj.grad_full(w)
         grad_sq.append(float(g @ g))
         ok &= min(grad_sq[:k]) <= (2.0 * rho * obj.L / k) * f0 + 1e-12
@@ -178,7 +178,7 @@ def test_criterion_06_wgc_inequality_audit():
     cfg = SgdConfig(eta=1.0 / obj.L_max)
     for _ in range(10):
         for _ in range(data.n):
-            w, _ = sgd_step(obj, w, cfg, rng, metrics=False)
+            w = sgd_step(obj, w, cfg, rng)
         points.append(w.copy())
     ok = True
     for p in points:
@@ -226,7 +226,7 @@ def test_criterion_09_additive_noise_plateau():
             rng = make_rng(100 + s)
             for _ in range(2000):
                 st = replace(st, schedule=accel_schedule_advance(st.schedule))
-                st, _ = accel_step(obj, st, rng, sigma=sigma, metrics=False)
+                st = accel_step(obj, st, rng, sigma=sigma)
             finals.append(obj.loss_full(st.w))
         bound = 2.0 * sigma**2 * math.sqrt(eta) / math.sqrt(rho * obj.mu)
         ok &= float(np.mean(finals)) <= bound

@@ -263,6 +263,16 @@ class TestAuditAndSpectral:
         out = capsys.readouterr().out
         assert "lambda_max" in out
 
+    def test_warning_is_one_line_without_source_location(self, tmp_path, capsys):
+        # the grid candidate rho = 0.01 overflows on its way to divergence
+        argv = ["run", "--n", "200", "--d", "10", "--passes", "3", "--methods", "accel",
+                "--rho-rule", "grid", "--rho-grid", "0.01,16,64", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "warning: RuntimeWarning: overflow encountered in matmul\n" in err
+        assert all(line.startswith("warning: RuntimeWarning: ") for line in err.splitlines())
+        assert ".py:" not in err
+
     def test_spectral_missing_file(self, tmp_path):
         assert main(["spectral", "--libsvm", str(tmp_path / "none.txt")]) == 2
 

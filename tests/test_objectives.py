@@ -165,6 +165,46 @@ class TestGradFull:
         assert not np.allclose(obj1.grad_full(w), obj2.grad_full(w))
 
 
+class TestScalarAndVectorForms:
+    """Each kind's per-example forms, which the pass kernels use, against
+    its vector forms, which the metrics rows use."""
+
+    @staticmethod
+    def objective_and_predictions(kind, n=20000, seed=0):
+        rng = np.random.default_rng(seed)
+        y = rng.choice([-1.0, 1.0], size=n)
+        margins = rng.normal(0.0, 4.0, size=n)
+        margins[::10] = 1.0  # exactly at the hinge kink
+        margins[1::10] = 0.0
+        margins[2::10] = rng.normal(0.0, 100.0, size=len(margins[2::10]))
+        obj = Objective(kind, Dataset(X=np.ones((n, 1)), y=y))
+        return obj, y * margins
+
+    @pytest.mark.parametrize("kind", ["squared", "squared_hinge", "hinge", "logistic"])
+    def test_losses_equal(self, kind):
+        obj, z = self.objective_and_predictions(kind)
+        scalar = [obj._loss_scalar(zi, yi) for zi, yi in zip(z.tolist(), obj.data.y.tolist())]
+        assert np.array_equal(obj._losses(z), scalar)
+
+    @pytest.mark.parametrize("kind", ["squared", "squared_hinge", "hinge"])
+    def test_gradient_scalars_equal(self, kind):
+        obj, z = self.objective_and_predictions(kind)
+        scalar = [obj._grad_scalar(zi, yi) for zi, yi in zip(z.tolist(), obj.data.y.tolist())]
+        assert np.array_equal(obj._grad_scalars(z), scalar)
+
+    def test_logistic_gradient_scalars_within_two_ulps(self):
+        # math.exp and np.exp may round differently; unifying the two forms
+        # would change the bytes of logistic runs
+        obj, z = self.objective_and_predictions("logistic")
+        scalar = np.array(
+            [obj._grad_scalar(zi, yi) for zi, yi in zip(z.tolist(), obj.data.y.tolist())]
+        )
+        vector = obj._grad_scalars(z)
+        assert np.array_equal(np.sign(vector), np.sign(scalar))
+        ulps = np.abs(vector - scalar) / np.spacing(np.maximum(np.abs(vector), np.abs(scalar)))
+        assert ulps.max() <= 2.0
+
+
 class TestSmoothnessConstants:
     def test_unit_rows_squared(self):
         data = generate_margin_data(40, 6, 0.2, seed=5)

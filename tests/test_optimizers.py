@@ -47,16 +47,18 @@ class TestSgdStep:
         obj = interpolating_objective()
         w_star = obj.data.w_star
         cfg = SgdConfig(eta=0.5)
+        # every example's gradient is exactly 0 at w_star, whichever is sampled
+        for i in range(obj.n):
+            assert np.array_equal(obj.grad_example(w_star, i), np.zeros(obj.dim))
         rng = make_rng(1)
         for _ in range(20):
-            w_next, rep = sgd_step(obj, w_star, cfg, rng)
+            w_next = sgd_step(obj, w_star, cfg, rng)
             assert np.array_equal(w_next, w_star)
-            assert rep.stoch_grad_sq_norm == 0.0
 
     def test_one_step_exact_solve_in_1d(self):
         # f(w) = 0.5 (w - y)^2 with x = 1: eta = 1 lands on y directly.
         obj = one_d_objective(1.0, 1.0)
-        w_next, _ = sgd_step(obj, np.array([4.0]), SgdConfig(eta=1.0), make_rng(0))
+        w_next = sgd_step(obj, np.array([4.0]), SgdConfig(eta=1.0), make_rng(0))
         assert w_next[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_three_steps_match_manual_unroll(self):
@@ -73,8 +75,8 @@ class TestSgdStep:
             w_manual = w_manual - eta * X[i, 0] * (w_manual * X[i, 0] - y[i])
         rng = make_rng(seed)
         w = np.array([0.5])
-        for k in range(3):
-            w, _ = sgd_step(obj, w, SgdConfig(eta=eta), rng, k=k)
+        for _ in range(3):
+            w = sgd_step(obj, w, SgdConfig(eta=eta), rng)
         assert w[0] == pytest.approx(w_manual, rel=1e-15)
 
     def test_noise_has_requested_energy(self):
@@ -84,8 +86,9 @@ class TestSgdStep:
         rng = make_rng(5)
         sq = []
         for _ in range(4000):
-            _, rep = sgd_step(obj, obj.data.w_star, cfg, rng, metrics=False)
-            sq.append(rep.stoch_grad_sq_norm)  # gradient is 0 here, noise only
+            # the gradient is 0 at w_star and eta = 1: the step is the noise
+            step = sgd_step(obj, obj.data.w_star, cfg, rng) - obj.data.w_star
+            sq.append(float(step @ step))
         assert float(np.mean(sq)) == pytest.approx(sigma**2, rel=0.1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -194,7 +197,7 @@ class TestAccelStep:
         st = init_accel_state(obj.data.w_star, sched)
         for _ in range(10):
             st = replace(st, schedule=accel_schedule_advance(st.schedule))
-            st, _ = accel_step(obj, st, make_rng(3))
+            st = accel_step(obj, st, make_rng(3))
             assert np.array_equal(st.w, obj.data.w_star)
             assert np.array_equal(st.v, obj.data.w_star)
 
@@ -207,7 +210,7 @@ class TestAccelStep:
         sched = replace(sched, gamma=gamma, alpha=1.0, beta=1.0)
         w0 = np.array([2.0])
         st = init_accel_state(w0, sched)
-        st, _ = accel_step(obj, st, make_rng(0))
+        st = accel_step(obj, st, make_rng(0))
         g = w0[0]
         assert st.w[0] == pytest.approx(w0[0] - eta * g, rel=1e-15)
         assert st.v[0] == pytest.approx(w0[0] - gamma * eta * g, rel=1e-15)
@@ -228,7 +231,7 @@ class TestAccelStep:
         rate = 1.0 - math.sqrt(obj.mu / obj.L)
         for k in range(1, 201):
             st = replace(st, schedule=accel_schedule_advance(st.schedule))
-            st, _ = accel_step(obj, st, rng, metrics=False)
+            st = accel_step(obj, st, rng)
             assert obj.loss_full(st.w) <= rate**k * constant * (1 + 1e-9) + 1e-300
 
     def test_matches_classical_nesterov_with_full_gradients(self):
@@ -250,26 +253,26 @@ class TestAccelStep:
             y = x_new + theta * (x_new - x)
             x = x_new
             st = replace(st, schedule=accel_schedule_advance(st.schedule))
-            st, _ = accel_step(obj, st, rng, metrics=False)
+            st = accel_step(obj, st, rng)
         assert np.allclose(st.w, x, atol=1e-12)
 
 
 class TestLineSearch:
     def test_estimate_accepted_immediately_when_true_L_is_one(self):
         obj = one_d_quadratic(1.0)  # f = 0.5 w^2, L = 1
-        w, L_hat, _ = line_search_sgd_step(obj, np.array([3.0]), 1.0, make_rng(0))
+        w, L_hat = line_search_sgd_step(obj, np.array([3.0]), 1.0, make_rng(0))
         assert L_hat == 1.0
         assert w[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_estimate_doubles_to_true_L(self):
         obj = one_d_quadratic(4.0)  # f = 2 w^2, L = 4
-        w, L_hat, _ = line_search_sgd_step(obj, np.array([1.0]), 1.0, make_rng(0))
+        w, L_hat = line_search_sgd_step(obj, np.array([1.0]), 1.0, make_rng(0))
         assert L_hat == 4.0
         assert w[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_zero_gradient_keeps_w_and_estimate(self):
         obj = interpolating_objective()
-        w, L_hat, _ = line_search_sgd_step(obj, obj.data.w_star, 1.0, make_rng(0))
+        w, L_hat = line_search_sgd_step(obj, obj.data.w_star, 1.0, make_rng(0))
         assert np.array_equal(w, obj.data.w_star)
         assert L_hat == 1.0
 
@@ -284,7 +287,7 @@ class TestLineSearch:
         obj = one_d_quadratic(4.0)  # f = 2 w^2, L = 4
         sched = make_schedule("convex", 1.0, 1.0)
         st = init_accel_state(np.array([1.0]), sched)
-        st, rhoL, _ = line_search_accel_step(obj, st, 1.0, make_rng(0))
+        st, rhoL = line_search_accel_step(obj, st, 1.0, make_rng(0))
         assert rhoL == 4.0
         assert st.schedule.eta == pytest.approx(1.0 / 4.0)
         assert st.schedule.rho == pytest.approx(4.0 / obj.L)
@@ -298,9 +301,9 @@ class TestLineSearch:
         st_ls = init_accel_state(np.array([1.5]), sched)
         st_t = init_accel_state(np.array([1.5]), sched)
         rng = make_rng(0)
-        st_ls, rhoL, _ = line_search_accel_step(obj, st_ls, obj.L, rng)
+        st_ls, rhoL = line_search_accel_step(obj, st_ls, obj.L, rng)
         st_t = replace(st_t, schedule=accel_schedule_advance(st_t.schedule))
-        st_t, _ = accel_step(obj, st_t, rng)
+        st_t = accel_step(obj, st_t, rng)
         assert rhoL == obj.L
         assert np.allclose(st_ls.w, st_t.w, rtol=1e-12)
         assert np.allclose(st_ls.v, st_t.v, rtol=1e-12)
@@ -319,7 +322,7 @@ class TestLineSearch:
         sched = make_schedule("convex", 1.0, 1.0)
         st = init_accel_state(obj.data.w_star, sched)
         for rhoL0 in (0.25, 1.0, 64.0):
-            st2, rhoL, _ = line_search_accel_step(obj, st, rhoL0, make_rng(1))
+            st2, rhoL = line_search_accel_step(obj, st, rhoL0, make_rng(1))
             assert np.array_equal(st2.w, obj.data.w_star)
             assert rhoL == rhoL0
 
@@ -371,6 +374,16 @@ class TestRun:
         assert cfg.resolve_eta(obj, "accel") == pytest.approx(1.0 / obj.L)
         cfg = RunConfig(rho=4.0, seed=0)
         assert cfg.resolve_eta(obj, "accel") == pytest.approx(1.0 / (4.0 * obj.L))
+
+    def test_sgd_ls_needs_no_step_size(self):
+        # SGD(LS) steps by its own estimate, so the hinge loss, which has no
+        # L or L_max and hence no default eta, runs; accel_ls reads eta in
+        # its strongly convex start and still needs one
+        obj = Objective("hinge", generate_margin_data(60, 5, 0.2, seed=1))
+        record = run(obj, "sgd_ls", RunConfig(), 2)
+        assert record.final_loss() < record.rows[0].train_loss
+        with pytest.raises(ValueError, match="no default step size"):
+            run(obj, "accel_ls", RunConfig(), 1)
 
     def test_rejects_noise_with_line_search(self):
         obj = interpolating_objective(n=12, d=4)
@@ -470,16 +483,14 @@ def oracle_rows(obj, method: str, cfg: RunConfig, passes: int) -> list[MetricRow
         try:
             for _ in range(obj.n):
                 if method == "sgd":
-                    w, _ = sgd_step(obj, w, step_cfg, rng, metrics=False)
+                    w = sgd_step(obj, w, step_cfg, rng)
                 elif method == "sgd_ls":
-                    w, estimate, _ = line_search_sgd_step(obj, w, estimate, rng, metrics=False)
+                    w, estimate = line_search_sgd_step(obj, w, estimate, rng)
                 elif method == "accel":
                     st = replace(st, schedule=accel_schedule_advance(st.schedule))
-                    st, _ = accel_step(obj, st, rng, sigma=cfg.sigma, metrics=False)
+                    st = accel_step(obj, st, rng, sigma=cfg.sigma)
                 else:
-                    st, estimate, _ = line_search_accel_step(
-                        obj, st, estimate, rng, metrics=False
-                    )
+                    st, estimate = line_search_accel_step(obj, st, estimate, rng)
                 steps += 1
                 if cfg.averaging:
                     wbar += ((st.w if st is not None else w) - wbar) / steps
@@ -568,7 +579,7 @@ class TestKernelsMatchSingleSteps:
         rng = make_rng(cfg.seed)
         w = np.zeros(2)
         for _ in range(4):
-            w, _ = sgd_step(obj, w, SgdConfig(eta=0.1, sigma=0.5), rng, metrics=False)
+            w = sgd_step(obj, w, SgdConfig(eta=0.1, sigma=0.5), rng)
         assert run(obj, "sgd", cfg, 4).rows[-1].train_loss == obj.loss_full(w)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

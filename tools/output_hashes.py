@@ -1,0 +1,247 @@
+"""SHA-256 hashes of everything the CLI writes, for before/after comparisons.
+
+Runs a fixed set of argvs through ``python -m interpsgd.cli`` and records,
+per argv, the exit code and the SHA-256 of stdout, stderr and every file
+the run wrote. A change that should leave outputs alone is checked by
+hashing the parent tree and the changed tree and comparing the two files:
+
+    python tools/output_hashes.py --repo ../parent parent.json
+    python tools/output_hashes.py change.json
+    python tools/output_hashes.py --compare parent.json change.json
+
+The small set (74 argvs, about a minute) covers every subcommand at
+200x10 scale, fig2 on a toy LIBSVM file, 16 ``run`` variants, ``--help``,
+config errors and the hinge combinations that are config errors. ``--full``
+adds ``reproduce fig1a..fig1d`` at n = 8000, d = 100, 30 passes with seeds
+0-3 and ``reproduce app_ls`` at its defaults (17 argvs, several minutes).
+
+Each argv runs in a fresh temporary directory with ``COLUMNS=80`` and
+relative paths, so outputs do not depend on where either tree lives; the
+tree's ``src`` directory and the temporary directory are replaced by
+``<src>`` and ``<tmp>`` in stdout and stderr before hashing. Input files
+(a config file and a toy LIBSVM file) are written by this script with
+numpy alone, so both trees read the same bytes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+
+SMALL = ["--n", "200", "--d", "10", "--passes", "3"]
+RUN = ["run", *SMALL, "--out", "out"]
+LIBSVM = ["--dataset", "libsvm", "--libsvm-path", "toy.txt"]
+FIG1A = ["reproduce", "fig1a", "--out", "out"]
+HINGE = ["run", "--n", "60", "--d", "8", "--passes", "1", "--out", "out", "--loss", "hinge"]
+
+EXP_CFG = (
+    "dataset = synthetic\nn = 120\nd = 10\ntau = 0.1\n"
+    "methods = sgd,accel,sgd_ls,accel_ls\nstep_rule_accel = tau_over_L\n"
+    "passes = 2\nseed = 6\nout = run_out\n"
+)
+
+
+def small_argvs() -> dict[str, list[str]]:
+    argvs = {
+        "crit12_run": ["run", "--config", "exp.cfg"],
+        "crit12_reproduce": ["reproduce", "fig1a", "--out", "fig_out",
+                             "--n", "120", "--d", "10", "--passes", "2", "--seed", "1"],
+        "crit12_perceptron": ["perceptron", "--tau", "0.1", "--n", "50", "--d", "6",
+                              "--passes", "15", "--seed", "1"],
+        "crit12_audit": ["audit-rho", "--config", "exp.cfg"],
+        "crit12_spectral": ["spectral", "--libsvm", "toy.txt"],
+    }
+    for fig in ("fig1a", "fig1b", "fig1c", "fig1d", "app_ls"):
+        for seed in ("0", "5"):
+            argvs[f"{fig}_seed{seed}"] = ["reproduce", fig, "--out", "out", *SMALL,
+                                          "--seed", seed]
+    for fig, flag in (("fig2_covtype", "--covtype"), ("fig2_protein", "--protein")):
+        argvs[fig] = ["reproduce", fig, flag, "toy.txt", "--passes", "3", "--out", "out"]
+        argvs[f"{fig}_sub"] = [*argvs[fig], "--n", "100"]
+    argvs["fig2_no_file"] = ["reproduce", "fig2_covtype", "--out", "out"]
+    argvs["unknown_figure"] = ["reproduce", "fig99", "--out", "out"]
+    runs = {
+        "libsvm_n_sub": [*LIBSVM, "--n-sub", "100"],
+        "libsvm_normalize": [*LIBSVM, "--normalize", "true"],
+        "libsvm_rbf": [*LIBSVM, "--rbf", "true", "--rbf-centers", "20"],
+        "libsvm_rbf_bandwidth": [*LIBSVM, "--rbf", "true", "--rbf-centers", "20",
+                                 "--rbf-bandwidth", "0.5"],
+        "libsvm_missing": ["--dataset", "libsvm", "--libsvm-path", "missing.txt"],
+        "grid": ["--methods", "accel", "--rho-rule", "grid", "--rho-grid", "0.01,16,64"],
+        "c_over_tau_sq": ["--rho-rule", "c_over_tau_sq"],
+        "explicit_rho": ["--rho-rule", "explicit", "--rho", "3"],
+        "explicit_eta": ["--step-rule-sgd", "explicit", "--eta-sgd", "0.5",
+                         "--step-rule-accel", "explicit", "--eta-accel", "0.01"],
+        "swapped_rules": ["--step-rule-sgd", "tau_over_L", "--step-rule-accel",
+                          "one_over_Lmax"],
+        "strongly_convex": ["--mode", "strongly_convex", "--mu", "0.01"],
+        "averaging": ["--averaging", "true"],
+        "sigma": ["--sigma", "0.1"],
+        "logistic_ls": ["--loss", "logistic", "--methods", "sgd_ls,accel_ls"],
+        "squared_all": ["--loss", "squared", "--methods", "sgd,accel,sgd_ls,accel_ls"],
+        "hinge_tau_over_L": ["--loss", "hinge", "--step-rule-sgd", "tau_over_L",
+                             "--step-rule-accel", "tau_over_L"],
+    }
+    argvs.update({f"run_{name}": [*RUN, *flags] for name, flags in runs.items()})
+    argvs["audit"] = ["audit-rho", *SMALL]
+    argvs["audit_grid"] = ["audit-rho", *SMALL, "--rho-rule", "grid",
+                           "--rho-grid", "0.01,16", "--grid-passes", "3"]
+    argvs["help"] = ["--help"]
+    for sub in ("run", "reproduce", "perceptron", "audit-rho", "spectral"):
+        argvs[f"help_{sub}"] = [sub, "--help"]
+    errors = {
+        "missing_config": ["run", "--config", "nope.cfg"],
+        "unknown_key": ["run", "--config", "bad.cfg"],
+        "unknown_flag": ["run", "--bogus", "1"],
+        "unknown_method": [*RUN, "--methods", "sgd,adam"],
+        "libsvm_without_path": [*RUN, "--dataset", "libsvm"],
+        "grid_without_grid": [*RUN, "--rho-rule", "grid"],
+        "bad_number": [*RUN, "--passes", "three"],
+        "bad_dataset": [*RUN, "--dataset", "foo"],
+        "bad_mode": [*RUN, "--mode", "bogus"],
+        "explicit_without_eta": [*RUN, "--methods", "sgd", "--step-rule-sgd", "explicit"],
+        "bad_loss": [*RUN, "--loss", "foo"],
+        "rho_negative": [*RUN, "--rho-rule", "explicit", "--rho", "-1"],
+        "rho_zero": [*RUN, "--rho-rule", "explicit", "--rho", "0"],
+        "sc_without_mu": [*RUN, "--mode", "strongly_convex"],
+        "sc_mu_zero": [*RUN, "--mode", "strongly_convex", "--mu", "0"],
+        "passes_zero": [*FIG1A, "--passes", "0", "--n", "50", "--d", "5"],
+        "n_negative": ["reproduce", "fig1b", "--out", "out", "--n", "-5"],
+        "d_one": [*FIG1A, "--d", "1", "--n", "50", "--passes", "1"],
+        "seed_text": [*FIG1A, "--seed", "x", "--n", "50", "--d", "5"],
+        "tau_nan": ["run", "--out", "out", "--tau", "nan"],
+        "sigma_negative": [*RUN, "--sigma", "-1"],
+        "sigma_nan": [*RUN, "--sigma", "nan"],
+    }
+    argvs.update({f"error_{name}": argv for name, argv in errors.items()})
+    hinge = {
+        "defaults": [],
+        "sgd_default_accel_rule": ["--methods", "sgd", "--step-rule-accel", "tau_over_L"],
+        "accel_default_rule": ["--methods", "accel", "--step-rule-sgd", "tau_over_L"],
+        "sgd_one_over_rhoL": ["--methods", "sgd", "--step-rule-sgd", "one_over_rhoL"],
+        "sgd_ls": ["--methods", "sgd_ls"],
+        "accel_ls": ["--methods", "accel_ls", "--step-rule-accel", "tau_over_L"],
+        "grid": ["--step-rule-sgd", "tau_over_L", "--step-rule-accel", "tau_over_L",
+                 "--rho-rule", "grid", "--rho-grid", "1,2"],
+    }
+    argvs.update({f"hinge_{name}": [*HINGE, *flags] for name, flags in hinge.items()})
+    return argvs
+
+
+def full_argvs() -> dict[str, list[str]]:
+    argvs = {}
+    for fig in ("fig1a", "fig1b", "fig1c", "fig1d"):
+        for seed in range(4):
+            argvs[f"full_{fig}_seed{seed}"] = [
+                "reproduce", fig, "--n", "8000", "--d", "100", "--passes", "30",
+                "--seed", str(seed), "--out", "out",
+            ]
+    argvs["full_app_ls"] = ["reproduce", "app_ls", "--out", "out"]
+    return argvs
+
+
+def write_inputs(directory: Path) -> set[str]:
+    """The input files every argv may read; returns their names."""
+    (directory / "exp.cfg").write_text(EXP_CFG, encoding="utf-8")
+    (directory / "bad.cfg").write_text("nonsense = 1\n", encoding="utf-8")
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(150, 8))
+    y = np.where(X @ rng.normal(size=8) >= 0.0, 1, -1)
+    lines = [f"{label} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row.tolist()))
+             for label, row in zip(y.tolist(), X)]
+    (directory / "toy.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return {"exp.cfg", "bad.cfg", "toy.txt"}
+
+
+def sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
+
+
+def hash_argv(src: Path, argv: list[str]) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = write_inputs(Path(tmp))
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "interpsgd.cli", *argv], cwd=tmp,
+                              env=env, capture_output=True)
+
+        def clean(blob: bytes) -> bytes:
+            return blob.replace(str(src).encode(), b"<src>").replace(tmp.encode(), b"<tmp>")
+
+        files = {}
+        for path in sorted(Path(tmp).rglob("*")):
+            rel = path.relative_to(tmp).as_posix()
+            if path.is_file() and rel not in inputs:
+                files[rel] = sha256(path.read_bytes())
+        stderr = clean(proc.stderr)
+        return {
+            "argv": argv,
+            "exit": proc.returncode,
+            "stdout": sha256(clean(proc.stdout)),
+            "stderr": sha256(stderr),
+            "stderr_text": stderr.decode(errors="replace"),
+            "files": files,
+        }
+
+
+def compare(old: dict, new: dict) -> int:
+    """Print every argv whose entry differs; returns the count."""
+    differing = 0
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name), new.get(name)
+        if a is None or b is None:
+            print(f"{name}: only in {'new' if a is None else 'old'}")
+            differing += 1
+            continue
+        fields = [k for k in ("exit", "stdout", "stderr", "files") if a[k] != b[k]]
+        if fields:
+            differing += 1
+            print(f"{name}: {', '.join(fields)} differ")
+            if "stderr" in fields:
+                print("  old stderr:\n    " + a["stderr_text"].rstrip().replace("\n", "\n    "))
+                print("  new stderr:\n    " + b["stderr_text"].rstrip().replace("\n", "\n    "))
+            if "files" in fields:
+                for f in sorted(a["files"].keys() | b["files"].keys()):
+                    if a["files"].get(f) != b["files"].get(f):
+                        print(f"  file {f}: {a['files'].get(f, '-')[:12]} -> "
+                              f"{b['files'].get(f, '-')[:12]}")
+    total = len(old.keys() | new.keys())
+    print(f"{total - differing} of {total} argvs identical")
+    return differing
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="JSON file to write")
+    parser.add_argument("--repo", default=str(REPO), help="tree to hash (default: this one)")
+    parser.add_argument("--full", action="store_true", help="add the 17 full-scale argvs")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two JSON files instead of hashing")
+    args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.compare)
+        return 1 if compare(old, new) else 0
+    if not args.out:
+        parser.error("an output JSON file is required")
+    argvs = small_argvs()
+    if args.full:
+        argvs.update(full_argvs())
+    src = Path(args.repo).resolve() / "src"
+    results = {name: hash_argv(src, a) for name, a in argvs.items()}
+    Path(args.out).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n",
+                              encoding="utf-8")
+    print(f"hashed {len(results)} argvs from {src} into {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
