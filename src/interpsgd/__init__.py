@@ -49,6 +49,7 @@ from .optimizers import (
     AccelState,
     LineSearchError,
     RunConfig,
+    RunError,
     SgdConfig,
     accel_schedule_advance,
     accel_step,
@@ -84,6 +85,7 @@ __all__ = [
     "RateFit",
     "RbfConfig",
     "RunConfig",
+    "RunError",
     "RunRecord",
     "SgdConfig",
     "accel_schedule_advance",

@@ -31,6 +31,7 @@ from .harness import (
 )
 from .numerics import spectral_norm_gram
 from .objectives import kappa
+from .optimizers import RunError
 
 __all__ = ["main"]
 
@@ -67,8 +68,14 @@ def _merged_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 _KEYS = {key.name: key for key in CONFIG_KEYS}
-# reproduce's size and seed flags share the config keys' defaults and checks
+# reproduce's and perceptron's flags of these names share the config keys'
+# checks (and, for reproduce, their defaults)
 _REPRODUCE_KEYS = ("n", "d", "passes", "seed")
+_PERCEPTRON_KEYS = ("tau", *_REPRODUCE_KEYS)
+
+
+def _parsed(args, names: tuple[str, ...]) -> dict[str, object]:
+    return {name: _KEYS[name].parse(name, getattr(args, name)) for name in names}
 
 
 def _build_parser() -> _Parser:
@@ -89,11 +96,9 @@ def _build_parser() -> _Parser:
         p_rep.add_argument("--" + name, default=_KEYS[name].default)
 
     p_per = subs.add_parser("perceptron", help="mistake-bound check")
-    p_per.add_argument("--tau", type=float, required=True)
-    p_per.add_argument("--n", type=int, required=True)
-    p_per.add_argument("--d", type=int, required=True)
-    p_per.add_argument("--passes", type=int, required=True)
-    p_per.add_argument("--seed", type=int, default=0)
+    for name in _PERCEPTRON_KEYS[:-1]:
+        p_per.add_argument("--" + name, required=True)
+    p_per.add_argument("--seed", default="0")
 
     p_aud = subs.add_parser("audit-rho", help="growth-constant estimates")
     _add_config_flags(p_aud)
@@ -119,15 +124,15 @@ def _cmd_reproduce(args) -> int:
         paths["covtype"] = args.covtype
     if args.protein:
         paths["protein"] = args.protein
-    sizes = {name: _KEYS[name].parse(name, getattr(args, name)) for name in _REPRODUCE_KEYS}
-    written = reproduce_figure(args.figure, paths=paths, out_dir=args.out, **sizes)
+    written = reproduce_figure(args.figure, paths=paths, out_dir=args.out,
+                               **_parsed(args, _REPRODUCE_KEYS))
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_perceptron(args) -> int:
-    report = perceptron_check(args.tau, args.n, args.d, args.passes, seed=args.seed)
+    report = perceptron_check(**_parsed(args, _PERCEPTRON_KEYS))
     for line in report.summary_lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_ASSERTION
@@ -179,6 +184,7 @@ def _main(argv: list[str] | None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (
+        RunError,
         FileNotFoundError,
         LibsvmFormatError,
         FloatingPointError,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .numerics import as_vector, child_rng
 from .objectives import Dataset, Objective
-from .optimizers import RunConfig, SgdConfig, run, sgd_step
+from .optimizers import RunConfig, RunError, SgdConfig, run, sgd_step
 
 __all__ = [
     "GrowthEstimate",
@@ -194,12 +194,7 @@ def grid_search_rho(
         )
         try:
             record = run(obj, "accel", cfg, passes)
-        except (FloatingPointError, OverflowError):
-            finals[rho] = float("inf")
-            continue
-        except ValueError as exc:
-            if "pass " not in str(exc):
-                raise  # configuration problem, not a diverging candidate
+        except RunError:  # failed in a pass: a diverging candidate
             finals[rho] = float("inf")
             continue
         losses = record.losses()

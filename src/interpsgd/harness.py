@@ -30,7 +30,7 @@ from .data import (
 from .growth import audit_sgc, grid_search_rho, rho_sgc_margin, rho_wgc
 from .numerics import make_rng
 from .objectives import LOSS_KINDS, Dataset, Objective
-from .optimizers import METHODS, RunConfig, run
+from .optimizers import METHODS, RunConfig, RunError, run
 from .records import LOSS_FLOOR, MetricRow, RunRecord
 
 __all__ = [
@@ -265,23 +265,94 @@ def build_objective(cfg: ExperimentConfig) -> Objective:
     return Objective(cfg.loss, build_dataset(cfg), mu=cfg.mu)
 
 
+def _margin(obj: Objective, tau, needed_by: str) -> float:
+    """The data set's own margin, else ``tau``."""
+    tau = obj.data.tau if obj.data.tau is not None else tau
+    if not tau:
+        raise ConfigError(f"{needed_by} requires a margin tau")
+    return tau
+
+
+def _grid_search(cfg: ExperimentConfig, obj: Objective):
+    return grid_search_rho(
+        obj, list(cfg.rho_grid), cfg.grid_passes, seed=cfg.seed, mode=cfg.mode, mu=cfg.mu
+    )
+
+
 def resolve_rho(cfg: ExperimentConfig, obj: Objective) -> float:
     if cfg.rho_rule == "one_over_tau":
-        tau = obj.data.tau if obj.data.tau is not None else cfg.tau
-        if not tau:
-            raise ConfigError("rho_rule one_over_tau requires a margin tau")
-        return 1.0 / tau
+        return 1.0 / _margin(obj, cfg.tau, "rho_rule one_over_tau")
     if cfg.rho_rule == "c_over_tau_sq":
         return rho_sgc_margin(obj.data).rho
     if cfg.rho_rule == "explicit":
         return cfg.rho
-    return grid_search_rho(
-        obj, list(cfg.rho_grid), cfg.grid_passes, seed=cfg.seed, mode=cfg.mode, mu=cfg.mu
-    ).rho
+    return _grid_search(cfg, obj).rho
 
 
-def _step_rule(cfg: ExperimentConfig, method: str) -> str:
-    return cfg.step_rule_sgd if method in ("sgd", "sgd_ls") else cfg.step_rule_accel
+def _tau_over_L(obj: Objective, tau, rho: float) -> float:
+    # L here is the unnormalized Gram spectral norm: the mean-scaled constant
+    # would make eta * L_max exceed 2 at realistic n, and the run diverges
+    tau = _margin(obj, tau, "step rule tau_over_L")
+    return tau / obj.gram_lam_max
+
+
+class _EtaRule(NamedTuple):
+    eta: Callable[[Objective, float | None, float], float]  # (obj, tau, rho) -> eta
+    smooth: bool  # reads L or L_max, which the non-smooth hinge loss lacks
+
+
+# The constant step-size rules. "explicit" takes eta from the config and
+# "line_search" leaves it to the method; one_over_rho_gram is fig2's only.
+_ETA_RULES = {
+    "one_over_Lmax": _EtaRule(lambda obj, tau, rho: 1.0 / obj.L_max, True),
+    "tau_over_L": _EtaRule(_tau_over_L, False),
+    "one_over_rhoL": _EtaRule(lambda obj, tau, rho: 1.0 / (rho * obj.L), True),
+    "one_over_rho_gram": _EtaRule(lambda obj, tau, rho: 1.0 / (rho * obj.gram_lam_max), False),
+}
+
+
+def _curves(specs, obj, tau, rho, seed, explicit, **options) -> list[tuple]:
+    """(label, filename, method, objective, RunConfig) per spec (label,
+    filename, method, step rule, seed offset) on one data set, with label and
+    filename formatted with tau and eta resolved before any run."""
+    curves = []
+    for label, filename, method, rule, offset in specs:
+        if rule in _ETA_RULES:
+            eta = _ETA_RULES[rule].eta(obj, tau, rho)
+        elif rule == "explicit":
+            eta = explicit.get(method)
+            if eta is None:
+                raise ConfigError(f"step rule explicit requires eta for method {method}")
+        else:
+            eta = None  # line search owns the step size
+        config = RunConfig(eta=eta, rho=rho, seed=seed + offset, **options)
+        curves.append((label.format(tau=tau), filename.format(tau=tau), method, obj, config))
+    return curves
+
+
+def _run_curves(curves, passes: int, out_dir, wall_clock=False) -> list[RunRecord]:
+    """Run every curve, then write their CSVs: a failed run writes nothing."""
+    records = []
+    for _, _, method, obj, config in curves:
+        try:
+            records.append(run(obj, method, config, passes))
+        except Exception as exc:
+            raise RunError(f"method {method!r}: {exc}") from exc
+    _write_curves(out_dir, curves, records, wall_clock)
+    return records
+
+
+def _write_curves(out_dir, curves, records: list[RunRecord], wall_clock) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    for (label, filename, *_), record in zip(curves, records):
+        record.config["label"] = label
+        record.write_csv(os.path.join(out_dir, filename), wall_clock=wall_clock)
+
+
+def _method_rule(cfg: ExperimentConfig, method: str) -> str:
+    if method.endswith("_ls"):
+        return "line_search"
+    return cfg.step_rule_sgd if method == "sgd" else cfg.step_rule_accel
 
 
 def _check_smoothness_needs(cfg: ExperimentConfig) -> None:
@@ -290,68 +361,34 @@ def _check_smoothness_needs(cfg: ExperimentConfig) -> None:
     if cfg.loss != "hinge":
         return
     for method in cfg.methods:
-        if method.endswith("_ls"):
+        if method == "accel_ls":  # its kernel reads L
             raise ConfigError(f"method {method} needs a smooth loss, not hinge")
-        rule = _step_rule(cfg, method)
-        if rule in ("one_over_Lmax", "one_over_rhoL"):
+        rule = _method_rule(cfg, method)
+        if rule in _ETA_RULES and _ETA_RULES[rule].smooth:
             raise ConfigError(
                 f"step rule {rule} of method {method} needs smoothness constants, "
                 "which the hinge loss lacks; use tau_over_L or explicit"
             )
 
 
-def _resolve_eta(cfg: ExperimentConfig, obj: Objective, method: str, rho: float) -> float | None:
-    rule = _step_rule(cfg, method)
-    explicit = cfg.eta_sgd if method in ("sgd", "sgd_ls") else cfg.eta_accel
-    if method.endswith("_ls"):
-        return None  # line search owns the step size
-    if rule == "one_over_Lmax":
-        return 1.0 / obj.L_max
-    if rule == "tau_over_L":
-        # The experimental rule: L here is the unnormalized Gram spectral
-        # norm (the mean-scaled constant would make eta * L_max exceed 2 at
-        # realistic n, and the run provably diverges).
-        tau = obj.data.tau if obj.data.tau is not None else cfg.tau
-        if not tau:
-            raise ConfigError("step rule tau_over_L requires a margin tau")
-        return tau / obj.gram_lam_max
-    if rule == "one_over_rhoL":
-        return 1.0 / (rho * obj.L)
-    if explicit is None:
-        raise ConfigError(f"step rule explicit requires eta for method {method}")
-    return explicit
-
-
 def run_experiment(cfg: ExperimentConfig, wall_clock: bool = False) -> list[RunRecord]:
     """Dataset -> objective -> constants -> rho -> one run per method.
 
-    Writes ``<out>/<method>.csv`` per method plus ``<out>/config.txt``;
-    fully deterministic for a fixed seed (method i runs on seed + i) unless
-    ``wall_clock`` puts the measured elapsed times into the CSVs.
+    Writes ``<out>/<method>.csv`` per method plus ``<out>/config.txt``
+    once every method has run, so a config error or failed run writes no
+    file; fully deterministic for a fixed seed (method i runs on seed + i)
+    unless ``wall_clock`` puts the measured elapsed times into the CSVs.
     """
     _check_smoothness_needs(cfg)
     obj = build_objective(cfg)
     rho = resolve_rho(cfg, obj)
-    records = []
-    os.makedirs(cfg.out, exist_ok=True)
-    for idx, method in enumerate(cfg.methods):
-        run_cfg = RunConfig(
-            eta=_resolve_eta(cfg, obj, method, rho),
-            rho=rho,
-            mode=cfg.mode,
-            mu=cfg.mu,
-            sigma=cfg.sigma,
-            seed=cfg.seed + idx,
-            averaging=cfg.averaging,
-            ls_init=cfg.ls_init,
-        )
-        try:
-            record = run(obj, method, run_cfg, cfg.passes)
-        except Exception as exc:
-            raise type(exc)(f"method {method!r}: {exc}") from exc
-        record.config.update({"label": method, "rho_rule": cfg.rho_rule})
-        record.write_csv(os.path.join(cfg.out, f"{method}.csv"), wall_clock=wall_clock)
-        records.append(record)
+    specs = [(method, f"{method}.csv", method, _method_rule(cfg, method), idx)
+             for idx, method in enumerate(cfg.methods)]
+    curves = _curves(
+        specs, obj, cfg.tau, rho, cfg.seed, {"sgd": cfg.eta_sgd, "accel": cfg.eta_accel},
+        mode=cfg.mode, mu=cfg.mu, sigma=cfg.sigma, averaging=cfg.averaging, ls_init=cfg.ls_init,
+    )
+    records = _run_curves(curves, cfg.passes, cfg.out, wall_clock)
     with open(os.path.join(cfg.out, "config.txt"), "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(cfg.raw):
             fh.write(f"{key} = {cfg.raw[key]}\n")
@@ -372,6 +409,11 @@ class RateFit:
     window: tuple[int, int]
 
 
+# fewest rows a rate fit takes; the polynomial fit skips the row at
+# iteration 0, so it needs at least this many passes
+MIN_FIT_ROWS = 10
+
+
 def fit_rate(record: RunRecord, regime: str) -> RateFit:
     """Least-squares decay rate of a loss curve.
 
@@ -388,9 +430,9 @@ def fit_rate(record: RunRecord, regime: str) -> RateFit:
         for r in record.rows
         if r.train_loss >= LOSS_FLOOR and (regime == "linear" or r.iteration >= 1)
     ]
-    if len(usable) < 10:
+    if len(usable) < MIN_FIT_ROWS:
         raise ValueError(
-            f"insufficient rows above the loss floor: {len(usable)} < 10"
+            f"insufficient rows above the loss floor: {len(usable)} < {MIN_FIT_ROWS}"
         )
     usable = usable[int(0.10 * len(usable)) :]
     y = np.log([r.train_loss for r in usable])
@@ -448,6 +490,15 @@ class PerceptronReport:
         return lines
 
 
+def _domination_violation(who: str, record: RunRecord) -> list[str]:
+    """The first row whose mistake rate exceeds its loss, as a violation."""
+    for row in record.rows:
+        if row.mistake_rate > row.train_loss + 1e-12:
+            return [f"{who}: mistake_rate {row.mistake_rate!r} > train_loss "
+                    f"{row.train_loss!r} at iteration {row.iteration}"]
+    return []
+
+
 def perceptron_check(
     tau: float, n: int, d: int, passes: int, seed: int = 0
 ) -> PerceptronReport:
@@ -455,30 +506,27 @@ def perceptron_check(
 
     Runs the plain variant (eta = 1/4, w0 = 0, iterate averaging, the
     setting whose loss bound is 8 / (tau^2 k) after k iterations) over 10
-    seeds and the accelerated variant (rho = 1/tau, eta = 1/(rho L)) once.
+    seeds and the accelerated variant (rho = 1/tau, eta = tau/lam_max(X^T X),
+    the tau_over_L rule) once.
     Checks, at every logged row: mistake rate <= train loss (the squared
     hinge dominates the 0-1 indicator pointwise), and for the seed-averaged
     plain curve, loss at iteration k within a slack factor of 10 of
     8 / (tau^2 k). Decay-rate sanity: plain fitted slope in [-1.6, -0.6],
     accelerated fitted slope <= -1.5. Violations are reported with the
-    first offending iteration rather than raised.
+    first offending iteration rather than raised. Fewer passes than the
+    slope fits need (:data:`MIN_FIT_ROWS`) is a ConfigError.
     """
+    if passes < MIN_FIT_ROWS:
+        raise ConfigError(f"passes must be >= {MIN_FIT_ROWS} for the slope fits, got {passes}")
     data = generate_margin_data(n, d, tau, seed=seed)
     obj = Objective("squared_hinge", data)
     violations: list[str] = []
 
     seed_records = []
     for s in range(PERCEPTRON_SEEDS):
-        cfg = RunConfig(eta=0.25, seed=seed + s, averaging=True)
-        rec = run(obj, "sgd", cfg, passes)
+        rec = run(obj, "sgd", RunConfig(eta=0.25, seed=seed + s, averaging=True), passes)
         seed_records.append(rec)
-        for row in rec.rows:
-            if row.mistake_rate > row.train_loss + 1e-12:
-                violations.append(
-                    f"seed {seed + s}: mistake_rate {row.mistake_rate!r} > "
-                    f"train_loss {row.train_loss!r} at iteration {row.iteration}"
-                )
-                break
+        violations.extend(_domination_violation(f"seed {seed + s}", rec))
 
     avg_record = RunRecord(
         config={
@@ -491,8 +539,7 @@ def perceptron_check(
             "eta": repr(0.25),
         }
     )
-    for ridx in range(len(seed_records[0].rows)):
-        rows = [rec.rows[ridx] for rec in seed_records]
+    for rows in zip(*(rec.rows for rec in seed_records)):
         avg_record.append(
             MetricRow(
                 pass_index=rows[0].pass_index,
@@ -516,17 +563,11 @@ def perceptron_check(
 
     rho = 1.0 / tau
     accel_cfg = RunConfig(
-        eta=tau / obj.gram_lam_max, rho=rho, mode="convex", seed=seed
+        eta=_ETA_RULES["tau_over_L"].eta(obj, tau, rho), rho=rho, mode="convex", seed=seed
     )
     accel_record = run(obj, "accel", accel_cfg, passes)
     accel_record.config["label"] = "perceptron_accel"
-    for row in accel_record.rows:
-        if row.mistake_rate > row.train_loss + 1e-12:
-            violations.append(
-                f"accel: mistake_rate {row.mistake_rate!r} > train_loss "
-                f"{row.train_loss!r} at iteration {row.iteration}"
-            )
-            break
+    violations.extend(_domination_violation("accel", accel_record))
 
     sgd_slope = fit_rate(avg_record, "polynomial").slope
     accel_slope = fit_rate(accel_record, "polynomial").slope
@@ -556,26 +597,13 @@ def perceptron_check(
 # ---------------------------------------------------------------------------
 
 
-FIGURES = (
-    "fig1a",
-    "fig1b",
-    "fig1c",
-    "fig1d",
-    "fig2_covtype",
-    "fig2_protein",
-    "app_ls",
-)
-
 _FIG1_TAU = {"fig1a": 0.1, "fig1b": 0.05, "fig1c": 0.01, "fig1d": 0.005}
 _FIG2_RHO = {"fig2_covtype": 1.0, "fig2_protein": 0.1}
 _APP_LS_TAUS = (0.1, 0.05, 0.01, 0.005)
+FIGURES = (*_FIG1_TAU, *_FIG2_RHO, "app_ls")
 
-# Curve specs: (label, filename, method, step rule, seed offset), in manifest
-# order. Labels and filenames are formatted with the data set's tau. The step
-# rule also fixes rho (see _curve_config): one_over_Lmax eta = 1/L_max;
-# tau_over_L eta = tau/lam_max(X^T X) at rho = 1/tau; one_over_rho_gram
-# eta = 1/(rho lam_max(X^T X)) at the figure's preset rho; line_search
-# leaves eta to the method.
+# Curve specs (see _curves) in manifest order. fig1 and app_ls run at
+# rho = 1/tau, fig2 at its preset rho.
 _SGD_CURVE = ("SGD", "sgd.csv", "sgd", "one_over_Lmax", 0)
 _FIG1_CURVES = (_SGD_CURVE, ("Acc-SGD", "acc_sgd.csv", "accel", "tau_over_L", 1))
 _FIG2_CURVES = (_SGD_CURVE, ("Acc-SGD", "acc_sgd.csv", "accel", "one_over_rho_gram", 1))
@@ -587,59 +615,29 @@ _APP_LS_CURVES = (
 )
 
 
-def _write_curves(out_dir, curves: list[tuple[str, str, RunRecord]]) -> list[str]:
-    """curves: (label, filename, record). Returns written CSV paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for label, filename, record in curves:
-        record.config["label"] = label
-        path = os.path.join(out_dir, filename)
-        record.write_csv(path)
-        paths.append(path)
-    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        for label, filename, _ in curves:
-            fh.write(f"{label}\t{filename}\n")
-    return paths
-
-
 def _synthetic_objective(tau: float, n: int, d: int, seed: int) -> Objective:
     return Objective("squared_hinge", generate_margin_data(n, d, tau, seed=seed))
 
 
-def _fig2_objective(path, n_sub: int, seed: int) -> Objective:
-    if not path or not os.path.exists(path or ""):
-        raise FileNotFoundError(f"dataset file not found: {path!r}")
-    data = load_libsvm(path)
-    if n_sub < data.n:
-        data = subsample(data, n_sub, seed=seed)
-    rbf_cfg = default_rbf_config(data.X, make_rng(seed + 1))
-    feats = Dataset(X=rbf_features(data.X, rbf_cfg), y=data.y)
-    return Objective("squared_hinge", feats)
-
-
 def _figure_settings(name, paths, n, d, seed):
     """(curve specs, objective, tau, rho, base seed) for each data set of a
-    figure, built one at a time."""
+    figure."""
     if name in _FIG1_TAU:
         tau = _FIG1_TAU[name]
-        yield _FIG1_CURVES, _synthetic_objective(tau, n, d, seed), tau, None, seed
+        yield _FIG1_CURVES, _synthetic_objective(tau, n, d, seed), tau, 1.0 / tau, seed
     elif name in _FIG2_RHO:
         path = paths.get("covtype" if name == "fig2_covtype" else "protein")
-        yield _FIG2_CURVES, _fig2_objective(path, n, seed), None, _FIG2_RHO[name], seed
+        if not path or not os.path.exists(path):
+            raise FileNotFoundError(f"dataset file not found: {path!r}")
+        data = build_dataset(ExperimentConfig.from_mapping(
+            {"dataset": "libsvm", "libsvm_path": path, "n_sub": str(n), "rbf": "true",
+             "seed": str(seed)}
+        ))
+        yield _FIG2_CURVES, Objective("squared_hinge", data), None, _FIG2_RHO[name], seed
     else:
         for t_idx, tau in enumerate(_APP_LS_TAUS):
             obj = _synthetic_objective(tau, n, d, seed + t_idx)
-            yield _APP_LS_CURVES, obj, tau, None, seed + 10 * t_idx
-
-
-def _curve_config(rule: str, obj: Objective, tau, rho, seed: int) -> RunConfig:
-    if rule == "one_over_Lmax":
-        return RunConfig(eta=1.0 / obj.L_max, seed=seed)
-    if rule == "tau_over_L":
-        return RunConfig(eta=tau / obj.gram_lam_max, rho=1.0 / tau, seed=seed)
-    if rule == "one_over_rho_gram":
-        return RunConfig(eta=1.0 / (rho * obj.gram_lam_max), rho=rho, seed=seed)
-    return RunConfig(seed=seed)  # line search owns the step size
+            yield _APP_LS_CURVES, obj, tau, 1.0 / tau, seed + 10 * t_idx
 
 
 def reproduce_figure(
@@ -659,17 +657,18 @@ def reproduce_figure(
     1.0 (covtype) / 0.1 (protein). app_ls: the four tuned/line-search
     variants per synthetic tau. Returns the written CSV paths.
     """
-    paths = paths or {}
     if name not in FIGURES:
         raise ConfigError(f"unknown figure {name!r}; expected one of {FIGURES}")
-    curves = []
-    for specs, obj, tau, rho, base in _figure_settings(name, paths, n, d, seed):
-        for label, filename, method, rule, offset in specs:
-            cfg = _curve_config(rule, obj, tau, rho, base + offset)
-            curves.append(
-                (label.format(tau=tau), filename.format(tau=tau), run(obj, method, cfg, passes))
-            )
-    return _write_curves(out_dir, curves)
+    curves = [
+        curve
+        for specs, obj, tau, rho, base in _figure_settings(name, paths or {}, n, d, seed)
+        for curve in _curves(specs, obj, tau, rho, base, {})
+    ]
+    _run_curves(curves, passes, out_dir)
+    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8", newline="\n") as fh:
+        for label, filename, *_ in curves:
+            fh.write(f"{label}\t{filename}\n")
+    return [os.path.join(out_dir, filename) for _, filename, *_ in curves]
 
 
 def audit_report(cfg: ExperimentConfig) -> list[str]:
@@ -687,13 +686,6 @@ def audit_report(cfg: ExperimentConfig) -> list[str]:
     est = audit_sgc(obj, cfg.audit_samples, make_rng(cfg.seed))
     lines.append(f"rho[{est.route}] = {est.rho!r}  ({est.detail})")
     if cfg.rho_rule == "grid":
-        est = grid_search_rho(
-            obj,
-            list(cfg.rho_grid),
-            cfg.grid_passes,
-            seed=cfg.seed,
-            mode=cfg.mode,
-            mu=cfg.mu,
-        )
+        est = _grid_search(cfg, obj)
         lines.append(f"rho[{est.route}] = {est.rho!r}  ({est.detail})")
     return lines

@@ -43,6 +43,7 @@ __all__ = [
     "AccelState",
     "LineSearchError",
     "RunConfig",
+    "RunError",
     "SgdConfig",
     "accel_schedule_advance",
     "accel_step",
@@ -60,6 +61,11 @@ MAX_DOUBLINGS = 64
 
 class LineSearchError(RuntimeError):
     """Smoothness estimate doubled past the cap; objective is pathological."""
+
+
+class RunError(RuntimeError):
+    """A run failed: raised by :func:`run` for any exception inside a pass,
+    as ``pass p: <message>``, with that exception as ``__cause__``."""
 
 
 def _doublings_exceeded(estimate: float) -> LineSearchError:
@@ -82,7 +88,7 @@ class SgdConfig:
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be a positive finite number, got {self.eta}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
@@ -827,7 +833,7 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     the pass's noise follows as one (n, dim) normal draw, so noisy runs use
     a different stream than interleaved per-step draws whenever n > 1.
     Finiteness of the logged iterate is checked once per pass; a failure
-    is raised as ``pass p: ...`` naming the pass in which it occurred.
+    in a pass is raised as a :class:`RunError`, ``pass p: ...``.
     On the squared-hinge and hinge losses with sigma = 0, the sgd and
     sgd_ls kernels (without averaging) skip the steps whose gradient is
     certified to be exactly zero, and the accel kernel skips their gradient
@@ -937,6 +943,6 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
             if not np.all(np.isfinite(point)):
                 raise FloatingPointError("non-finite iterate")
             log_row(p, point)
-        except (FloatingPointError, LineSearchError, ValueError, OverflowError) as exc:
-            raise type(exc)(f"pass {p}: {exc}") from exc
+        except Exception as exc:
+            raise RunError(f"pass {p}: {exc}") from exc
     return record

@@ -1,5 +1,6 @@
 import itertools
 import os
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -87,7 +88,6 @@ class TestRunCommand:
             ["--loss", "hinge", "--methods", "sgd", "--step-rule-accel", "tau_over_L"],
             ["--loss", "hinge", "--methods", "accel", "--step-rule-sgd", "tau_over_L"],
             ["--loss", "hinge", "--methods", "sgd", "--step-rule-sgd", "one_over_rhoL"],
-            ["--loss", "hinge", "--methods", "sgd_ls"],
             ["--loss", "hinge", "--methods", "accel_ls", "--step-rule-accel", "tau_over_L"],
             ["--loss", "hinge", "--step-rule-sgd", "tau_over_L",
              "--step-rule-accel", "tau_over_L", "--rho-rule", "grid", "--rho-grid", "1,2"],
@@ -107,6 +107,8 @@ class TestRunCommand:
             ["--step-rule-sgd", "tau_over_L", "--step-rule-accel", "tau_over_L"],
             ["--step-rule-sgd", "explicit", "--eta-sgd", "0.5",
              "--step-rule-accel", "explicit", "--eta-accel", "0.01"],
+            # SGD(LS) reads neither eta, L nor L_max
+            ["--methods", "sgd_ls"],
         ],
     )
     def test_hinge_with_its_step_rules_runs(self, tmp_path, flags):
@@ -114,7 +116,53 @@ class TestRunCommand:
         argv = ["run", "--loss", "hinge", "--n", "60", "--d", "8", "--passes", "2",
                 "--out", str(out), *flags]
         assert main(argv) == 0
-        assert sorted(os.listdir(out)) == ["accel.csv", "config.txt", "sgd.csv"]
+        methods = flags[flags.index("--methods") + 1] if "--methods" in flags else "sgd,accel"
+        csvs = [f"{method}.csv" for method in methods.split(",")]
+        assert sorted(os.listdir(out)) == sorted(["config.txt", *csvs])
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            ([], "rho_rule one_over_tau requires a margin tau"),
+            (["--rho-rule", "explicit", "--step-rule-accel", "tau_over_L"],
+             "step rule tau_over_L requires a margin tau"),
+        ],
+    )
+    def test_margin_rule_without_margin_writes_nothing(self, tmp_path, capsys, flags, message):
+        # LIBSVM data carries no margin, so tau = 0 leaves these rules none;
+        # every step size is resolved before the first run
+        path = tmp_path / "toy.txt"
+        save_libsvm(generate_margin_data(40, 5, 0.2, seed=2), path)
+        out = tmp_path / "out"
+        argv = ["run", "--dataset", "libsvm", "--libsvm-path", str(path), "--tau", "0",
+                "--passes", "2", "--out", str(out), *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_warning_turned_error_is_runtime_error(self, tmp_path, capsys):
+        # under -W error the diverging run's overflow warning becomes an
+        # exception inside a pass: exit 2 with one line, no traceback
+        argv = ["run", "--n", "200", "--d", "5", "--passes", "3", "--methods", "sgd",
+                "--step-rule-sgd", "explicit", "--eta-sgd", "50", "--out", str(tmp_path / "o")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "runtime error: method 'sgd': pass 2: overflow encountered in square\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_warning_turned_error_discards_grid_candidate(self, tmp_path, capsys):
+        # the overflowing grid candidates fail in a pass and are skipped as
+        # diverging; the stable one runs
+        out = tmp_path / "out"
+        argv = ["run", "--n", "200", "--d", "10", "--passes", "3", "--methods", "accel",
+                "--rho-rule", "grid", "--rho-grid", "0.01,16,64", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(os.listdir(out)) == ["accel.csv", "config.txt"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -220,6 +268,21 @@ class TestPerceptronCommand:
         )
         assert code == 0
         assert "checks = PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--passes", "2"], "passes must be >= 10 for the slope fits, got 2"),
+            (["--passes", "0"], "passes must be >= 1, got 0"),
+            (["--passes", "two"], "passes: expected an integer, got 'two'"),
+            (["--passes", "20", "--tau", "nan"], "tau must be a number, got nan"),
+            (["--passes", "20", "--n", "1"], "n must be >= 2, got 1"),
+        ],
+    )
+    def test_bad_value_is_config_error(self, capsys, flags, message):
+        argv = ["perceptron", "--tau", "0.1", "--n", "200", "--d", "5", *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_exit_code_three_on_violation(self, monkeypatch, capsys):
         # force a violation through the report to pin the exit-code contract

@@ -13,6 +13,7 @@ from interpsgd.optimizers import (
     AccelState,
     LineSearchError,
     RunConfig,
+    RunError,
     SgdConfig,
     accel_schedule_advance,
     accel_step,
@@ -390,12 +391,22 @@ class TestRun:
         with pytest.raises(ValueError):
             run(obj, "sgd_ls", RunConfig(sigma=0.1), 1)
 
+    @pytest.mark.parametrize("method", ["sgd", "accel"])
+    def test_rejects_nan_noise_level(self, method):
+        # a ValueError, not a RunError: raised before the first pass
+        with pytest.raises(ValueError, match="sigma must be >= 0, got nan"):
+            SgdConfig(eta=1.0, sigma=math.nan)
+        obj = interpolating_objective(n=12, d=4)
+        with pytest.raises(ValueError, match="sigma must be >= 0, got nan"):
+            run(obj, method, RunConfig(sigma=math.nan), 1)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_propagates_pass_index_on_failure(self):
         X = np.array([[1.0], [1.0]])
         obj = Objective("squared", Dataset(X=X, y=np.array([1.0, -1.0])))
-        with pytest.raises((FloatingPointError, ValueError), match="pass "):
+        with pytest.raises(RunError, match="^pass ") as err:
             run(obj, "sgd", RunConfig(eta=1e100, seed=0), 8)
+        assert isinstance(err.value.__cause__, (FloatingPointError, ValueError))
 
     def test_unknown_method(self):
         obj = interpolating_objective(n=12, d=4)
@@ -507,10 +518,10 @@ def kernel_rows(obj, method: str, cfg: RunConfig, passes: int) -> list[MetricRow
 def assert_same_failure(obj, method: str, cfg: RunConfig, passes: int) -> int:
     with pytest.raises(OracleFailure) as oracle:
         oracle_rows(obj, method, cfg, passes)
-    with pytest.raises(Exception) as kernel:
+    with pytest.raises(RunError) as kernel:
         run(obj, method, cfg, passes)
     assert str(kernel.value).startswith(f"pass {oracle.value.pass_index}: ")
-    assert failure_family(kernel.value) == failure_family(oracle.value.cause)
+    assert failure_family(kernel.value.__cause__) == failure_family(oracle.value.cause)
     return oracle.value.pass_index
 
 

@@ -9,9 +9,10 @@ hashing the parent tree and the changed tree and comparing the two files:
     python tools/output_hashes.py change.json
     python tools/output_hashes.py --compare parent.json change.json
 
-The small set (74 argvs, about a minute) covers every subcommand at
-200x10 scale, fig2 on a toy LIBSVM file, 16 ``run`` variants, ``--help``,
-config errors and the hinge combinations that are config errors. ``--full``
+The small set (77 argvs, about a minute) covers every subcommand at
+200x10 scale, fig2 on a toy LIBSVM file, 18 ``run`` variants, ``--help``,
+config errors, ``perceptron`` with too few passes and the hinge
+combinations. ``--full``
 adds ``reproduce fig1a..fig1d`` at n = 8000, d = 100, 30 passes with seeds
 0-3 and ``reproduce app_ls`` at its defaults (17 argvs, several minutes).
 
@@ -60,6 +61,8 @@ def small_argvs() -> dict[str, list[str]]:
                               "--passes", "15", "--seed", "1"],
         "crit12_audit": ["audit-rho", "--config", "exp.cfg"],
         "crit12_spectral": ["spectral", "--libsvm", "toy.txt"],
+        "perceptron_passes2": ["perceptron", "--tau", "0.1", "--n", "200", "--d", "5",
+                               "--passes", "2"],
     }
     for fig in ("fig1a", "fig1b", "fig1c", "fig1d", "app_ls"):
         for seed in ("0", "5"):
@@ -77,6 +80,9 @@ def small_argvs() -> dict[str, list[str]]:
         "libsvm_rbf_bandwidth": [*LIBSVM, "--rbf", "true", "--rbf-centers", "20",
                                  "--rbf-bandwidth", "0.5"],
         "libsvm_missing": ["--dataset", "libsvm", "--libsvm-path", "missing.txt"],
+        "libsvm_tau0": [*LIBSVM, "--tau", "0"],
+        "libsvm_tau0_tau_over_L": [*LIBSVM, "--tau", "0", "--rho-rule", "explicit",
+                                   "--step-rule-accel", "tau_over_L"],
         "grid": ["--methods", "accel", "--rho-rule", "grid", "--rho-grid", "0.01,16,64"],
         "c_over_tau_sq": ["--rho-rule", "c_over_tau_sq"],
         "explicit_rho": ["--rho-rule", "explicit", "--rho", "3"],
