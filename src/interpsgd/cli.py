@@ -69,7 +69,8 @@ def _merged_config(args: argparse.Namespace) -> ExperimentConfig:
 
 _KEYS = {key.name: key for key in CONFIG_KEYS}
 # reproduce's and perceptron's flags of these names share the config keys'
-# checks (and, for reproduce, their defaults)
+# checks (and, for reproduce, their defaults; perceptron's go through
+# ExperimentConfig whole)
 _REPRODUCE_KEYS = ("n", "d", "passes", "seed")
 _PERCEPTRON_KEYS = ("tau", *_REPRODUCE_KEYS)
 
@@ -132,7 +133,9 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_perceptron(args) -> int:
-    report = perceptron_check(**_parsed(args, _PERCEPTRON_KEYS))
+    # the config's own checks, synthetic tau in (0, 1) among them
+    cfg = ExperimentConfig.from_mapping({name: getattr(args, name) for name in _PERCEPTRON_KEYS})
+    report = perceptron_check(**{name: getattr(cfg, name) for name in _PERCEPTRON_KEYS})
     for line in report.summary_lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_ASSERTION

@@ -174,10 +174,10 @@ def grid_search_rho(
     """Run the accelerated method per candidate rho and keep the best.
 
     Each candidate runs with eta = 1/(rho L) for ``passes`` passes on a
-    derived seed. Candidates whose loss ever exceeds 10x the initial value
-    (or that overflow outright) are discarded as unstable; among the rest
-    the lowest final loss wins. All candidates diverging is an error that
-    reports the final losses.
+    derived seed. Candidates that diverge (:meth:`RunRecord.diverged`: a
+    loss above 10x the initial value) or overflow outright are discarded as
+    unstable; among the rest the lowest final loss wins. All candidates
+    diverging is an error that reports the final losses.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
@@ -197,10 +197,9 @@ def grid_search_rho(
         except RunError:  # failed in a pass: a diverging candidate
             finals[rho] = float("inf")
             continue
-        losses = record.losses()
-        finals[rho] = losses[-1]
-        if max(losses) <= 10.0 * losses[0]:
-            stable[rho] = losses[-1]
+        finals[rho] = record.final_loss()
+        if not record.diverged():
+            stable[rho] = finals[rho]
     if not stable:
         raise RuntimeError(
             "all grid candidates diverged; final losses: "

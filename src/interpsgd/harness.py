@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
+import sys
+import tempfile
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -225,6 +228,8 @@ class ExperimentConfig:
         cfg = ExperimentConfig(typed, merged)
         if cfg.dataset == "libsvm" and not cfg.libsvm_path:
             raise ConfigError("libsvm dataset requires libsvm_path")
+        if cfg.dataset == "synthetic" and not 0.0 < cfg.tau < 1.0:
+            raise ConfigError(f"tau must be in (0, 1) for synthetic data, got {cfg.tau!r}")
         if cfg.rho_rule == "grid" and not cfg.rho_grid:
             raise ConfigError("rho_rule = grid requires rho_grid")
         if cfg.rho_rule == "grid" and cfg.loss == "hinge":
@@ -330,23 +335,45 @@ def _curves(specs, obj, tau, rho, seed, explicit, **options) -> list[tuple]:
     return curves
 
 
-def _run_curves(curves, passes: int, out_dir, wall_clock=False) -> list[RunRecord]:
-    """Run every curve, then write their CSVs: a failed run writes nothing."""
+def _run_curves(curves, passes: int, out_dir, texts, wall_clock=False) -> list[RunRecord]:
+    """Run every curve, then write their CSVs and ``texts``: a failed run
+    writes nothing. A curve that diverged (:meth:`RunRecord.diverged`) is
+    still written, with a warning on stderr."""
     records = []
     for _, _, method, obj, config in curves:
         try:
             records.append(run(obj, method, config, passes))
         except Exception as exc:
             raise RunError(f"method {method!r}: {exc}") from exc
-    _write_curves(out_dir, curves, records, wall_clock)
+    _write_curves(out_dir, curves, records, texts, wall_clock)
+    for (label, *_), record in zip(curves, records):
+        if record.diverged():
+            losses = record.losses()
+            print(f"warning: {label} diverged (loss {losses[0]!r} -> {max(losses)!r})",
+                  file=sys.stderr)
     return records
 
 
-def _write_curves(out_dir, curves, records: list[RunRecord], wall_clock) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    for (label, filename, *_), record in zip(curves, records):
-        record.config["label"] = label
-        record.write_csv(os.path.join(out_dir, filename), wall_clock=wall_clock)
+def _write_curves(out_dir, curves, records: list[RunRecord], texts, wall_clock) -> None:
+    """Each curve's CSV and each (filename, text) of ``texts`` go to a
+    temporary directory beside ``out_dir``, then into ``out_dir`` by one
+    ``os.replace`` each once all are written: a failed write adds no file
+    to ``out_dir``."""
+    parent, name = os.path.split(os.path.abspath(out_dir))
+    os.makedirs(parent, exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=f".{name}-", dir=parent)
+    try:
+        for (label, filename, *_), record in zip(curves, records):
+            record.config["label"] = label
+            record.write_csv(os.path.join(tmp, filename), wall_clock=wall_clock)
+        for filename, text in texts:
+            with open(os.path.join(tmp, filename), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        os.makedirs(out_dir, exist_ok=True)
+        for name in os.listdir(tmp):
+            os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def _method_rule(cfg: ExperimentConfig, method: str) -> str:
@@ -388,12 +415,9 @@ def run_experiment(cfg: ExperimentConfig, wall_clock: bool = False) -> list[RunR
         specs, obj, cfg.tau, rho, cfg.seed, {"sgd": cfg.eta_sgd, "accel": cfg.eta_accel},
         mode=cfg.mode, mu=cfg.mu, sigma=cfg.sigma, averaging=cfg.averaging, ls_init=cfg.ls_init,
     )
-    records = _run_curves(curves, cfg.passes, cfg.out, wall_clock)
-    with open(os.path.join(cfg.out, "config.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(cfg.raw):
-            fh.write(f"{key} = {cfg.raw[key]}\n")
-        fh.write(f"resolved_rho = {rho!r}\n")
-    return records
+    echo = "".join(f"{key} = {cfg.raw[key]}\n" for key in sorted(cfg.raw))
+    echo += f"resolved_rho = {rho!r}\n"
+    return _run_curves(curves, cfg.passes, cfg.out, [("config.txt", echo)], wall_clock)
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +688,8 @@ def reproduce_figure(
         for specs, obj, tau, rho, base in _figure_settings(name, paths or {}, n, d, seed)
         for curve in _curves(specs, obj, tau, rho, base, {})
     ]
-    _run_curves(curves, passes, out_dir)
-    with open(os.path.join(out_dir, "manifest.txt"), "w", encoding="utf-8", newline="\n") as fh:
-        for label, filename, *_ in curves:
-            fh.write(f"{label}\t{filename}\n")
+    manifest = "".join(f"{label}\t{filename}\n" for label, filename, *_ in curves)
+    _run_curves(curves, passes, out_dir, [("manifest.txt", manifest)])
     return [os.path.join(out_dir, filename) for _, filename, *_ in curves]
 
 

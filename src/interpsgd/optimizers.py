@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -326,9 +327,11 @@ def line_search_accel_step(obj, st: AccelState, rhoL_hat: float, rng) -> tuple[A
 # draws, input validation, finiteness scans (run() checks the iterate once
 # per pass; a non-finite iterate stays non-finite) and schedule dataclasses.
 # Kernels never write into a gradient they are handed. On the
-# squared-hinge and hinge losses without noise, the sgd, sgd_ls and accel
-# kernels also leave out the gradient calls of steps that a _ZeroScreen
-# certifies to be exactly zero (sgd and sgd_ls skip those steps whole).
+# squared-hinge and hinge losses without noise, the sgd and sgd_ls kernels
+# also skip the steps that a _ZeroScreen certifies to be exactly zero. The
+# accel kernel there crosses such steps in the span of the iterates at the
+# start of a block: new arithmetic, which agrees with the per-step kernel
+# within about 1e-10 decades of loss rather than bit for bit.
 
 
 def _example_oracles(obj):
@@ -370,54 +373,55 @@ _ACCEL_MIN_GAP = 32.0
 class _ZeroScreen:
     """Certificates that upcoming steps have an exactly zero gradient.
 
-    For the squared-hinge and hinge losses, s_i = 0 exactly when the
-    kernel's own margin y_i * fl(x_i . p) is >= 1. For a block of upcoming
-    indices the screen gathers the rows and computes y * (X[blk] @ p) with
-    one gemv per point; a step is certified when a lower bound on the
-    kernel's margin is >= 1, so that its ``row.dot`` would give s_i = 0.
+    For the squared-hinge and hinge losses, s_i = 0 exactly when the margin
+    y_i x_i . p is >= 1. For a block of upcoming indices the screen gathers
+    the rows and computes their margins with one product; a step is
+    certified when a lower bound on its margin is >= 1.
 
     Dot products (Higham, *Accuracy and Stability of Numerical
     Algorithms*, §3.1): any summation order of a length-d dot product,
     fused multiply-adds included, lies within gamma_d sum_j |x_j p_j| <=
     gamma_d ||x|| ||p|| of the exact value, gamma_d = d u / (1 - d u) and
-    u = 2^-53. So the gemv and ``row.dot(p)`` differ by at most
-    2 gamma_d ||x_i|| ||p||.
+    u = 2^-53. The screen evaluates gamma at d + 4: the four extra units
+    u ||x|| ||p|| (and more) cover the roundings of the bound's own
+    evaluation (below) and its second-order terms, the rounding of the
+    slack and of the norms, O(d^2 u^2) ||x|| ||p||, for d up to about 1e7.
 
-    SGD and SGD(LS): the point is w, and a step is certified when
-    m_i(w) - 2 gamma_d ||x_i|| ||w|| >= 1. A certified step leaves w
+    SGD and SGD(LS): the point is w, and the margin must be the kernel's
+    own, y_i fl(x_i . w). The gemv and ``row.dot(w)`` differ by at most
+    2 gamma_d ||x_i|| ||w||, and the subtraction of the slack rounds once
+    more, so a step is certified when
+    m_i(w) - 2 gamma ||x_i|| ||w|| >= 1. A certified step leaves w
     untouched, so the kernel skips it; the other steps run the exact step,
     and the block restarts after any update.
 
-    Acc-SGD: a zero-gradient step sets zeta = w + alpha (v - w), then
-    v = zeta + beta (v - zeta) and w = zeta. With alpha and beta in [0, 1]
-    (both modes) these are convex combinations, so in exact arithmetic w,
-    zeta and v stay on the segment S = [w_b, v_b] of the block's start.
-    In floating point each of the two combinations, on coordinates bounded
-    by M, is within 5 u M (1 + O(u)) of its exact value; an exact convex
-    combination of points within delta of S (coordinatewise) is itself
-    within delta of S. By induction, after k zero-gradient steps every
-    iterate is within delta_k <= 12 k u a of S, a = max(||w_b||_inf,
-    ||v_b||_inf), which absorbs M <= a + delta_k for k << 1/u. Margins
-    are affine in the point, so on S they are at least
-    min(m_i(w_b), m_i(v_b)); a drift e costs at most ||x_i||_1 ||e||_inf;
-    the gemv at w_b and v_b errs by at most gamma_d ||x_i|| N, with
-    N = max(||w_b||, ||v_b||); and ``row.dot(zeta)`` errs by at most
-    gamma_d ||x_i|| (N + sqrt(d) delta). So over a block of B steps a step
-    is certified when
+    Acc-SGD (:meth:`certified_in_span`): a zero-gradient step sets
+    zeta = (1 - alpha) w + alpha v, w = zeta and v = beta v + (1 - beta)
+    zeta, so from a block's start (w_b, v_b) the iterates stay in the span
+    v_b - c u, u = v_b - w_b, and the k-th step of the block evaluates its
+    gradient at zeta_k = v_b - r_k u for a coefficient r_k in [0, 1] that
+    the kernel computes ahead. The kernel runs this arithmetic: the
+    iterates of a zero-gradient stretch are these span points, exactly, and
+    a step is certified when its exact margin at zeta_k is >= 1. One
+    product X[blk] @ [v_b, u] gives P0 and P1 within gamma_d ||x_i|| N_v and
+    gamma_d ||x_i|| N_u of x_i . v_b and x_i . u (N_v = ||v_b||,
+    N_u = ||u||), so the exact margin is at least
+    y_i (P0 - r_k P1) - gamma_d S_i with S_i = ||x_i|| (N_v + r_k N_u).
+    Evaluating that in floating point rounds three times: the product
+    r_k P1, the difference, and the subtraction of the slack, whose rounded
+    result is >= 1 only if the exact one is >= 1 - u. Each errs by at most
+    u S_i (1 + O(u)), since |P0| and r_k |P1| are at most S_i (1 + gamma_d)
+    and S_i is at least the margin, about 1 where it matters. So a step is
+    certified when
 
-        min(m_i(w_b), m_i(v_b)) - gamma_d ||x_i|| (2 N + sqrt(d) delta_B)
-            - ||x_i||_1 delta_B >= 1.
+        y_i (P0 - r_k P1) - gamma ||x_i|| (N_v + r_k N_u) >= 1.
 
-    A certified step still runs its five ufuncs and its schedule update,
-    but makes no gradient call; the block restarts after any active step.
-
-    gamma is evaluated at d + 2 rather than d: the extra 2 u ||x_i|| N per
-    term covers the rounding of the norms and of the bound itself. The
-    bound assumes no overflow, so a block certifies nothing unless
-    ||x_i|| N < 1e300 for every row (a non-finite point fails this too).
+    The bound assumes no overflow, so a block certifies nothing unless
+    ||x_i|| (N_v + N_u) < 1e300 for every row (a non-finite point fails
+    this too); a nan margin is never certified.
 
     The block length follows the gap between active steps that the kernel
-    observes (a running mean); while the gap is below ``min_gap`` a gemv
+    observes (a running mean); while the gap is below ``min_gap`` a product
     costs more than it saves, and the kernel steps without screening,
     ``_PROBE`` steps at a time.
     """
@@ -425,11 +429,9 @@ class _ZeroScreen:
     def __init__(self, obj: Objective, min_gap: float):
         data = obj.data
         self._X, self._y = data.X, data.y
-        d = obj.dim
-        self._gamma = (d + 2) * _U / (1.0 - (d + 2) * _U)
-        self._sqrt_d = math.sqrt(d)
+        d = obj.dim + 4
+        self._gamma = d * _U / (1.0 - d * _U)
         self._l2 = np.sqrt(obj._row_sq)
-        self._l1 = None
         self._norm_limit = 1e300 / max(float(self._l2.max()), 1.0)
         self._min_gap = min_gap
         self._gap = 0.0
@@ -459,19 +461,17 @@ class _ZeroScreen:
         slack = (2.0 * self._gamma * norm) * self._l2[blk]
         return np.flatnonzero(m - slack < 1.0)
 
-    def certified_on_segment(self, blk: np.ndarray, w: np.ndarray, v: np.ndarray) -> list:
-        """Per step of ``blk``: certified on the segment [w, v] over the block."""
-        big = max(math.sqrt(w.dot(w)), math.sqrt(v.dot(v)))
-        if not big < self._norm_limit:
-            return [False] * len(blk)
-        if self._l1 is None:
-            self._l1 = np.abs(self._X).sum(axis=1)
-        rows, y = self._X[blk], self._y[blk]
-        m = np.minimum(y * (rows @ w), y * (rows @ v))
-        delta = 12.0 * len(blk) * _U * max(np.abs(w).max(), np.abs(v).max())
-        slack = self._gamma * (2.0 * big + self._sqrt_d * delta) * self._l2[blk]
-        slack += delta * self._l1[blk]
-        return (m - slack >= 1.0).tolist()
+    def certified_in_span(
+        self, blk: np.ndarray, v: np.ndarray, u: np.ndarray, r: np.ndarray
+    ) -> np.ndarray:
+        """Per step k of ``blk``: certified at the span point v - r[k] u."""
+        n_v, n_u = math.sqrt(v.dot(v)), math.sqrt(u.dot(u))
+        if not n_v + n_u < self._norm_limit:
+            return np.zeros(len(blk), dtype=bool)
+        p = self._X[blk] @ np.stack((v, u), axis=1)
+        m = self._y[blk] * (p[:, 0] - r * p[:, 1])
+        slack = self._gamma * self._l2[blk] * (n_v + r * n_u)
+        return m - slack >= 1.0
 
 
 def _screened_pass(screen: _ZeroScreen, draw: np.ndarray, steps, point) -> None:
@@ -515,6 +515,18 @@ class _RunningMean:
         np.divide(t, self.count, t)
         np.add(self.value, t, self.value)
 
+    def add_span(self, v: np.ndarray, u: np.ndarray, steps: int, r_sum: float) -> None:
+        """Adds the ``steps`` iterates v - r_k u, whose r_k sum to
+        ``r_sum``: wbar = (count wbar + steps v - r_sum u) / (count + steps)."""
+        value, t = self.value, self._t
+        np.multiply(value, self.count, value)
+        np.multiply(v, steps, t)
+        np.add(value, t, value)
+        np.multiply(u, r_sum, t)
+        np.subtract(value, t, value)
+        self.count += steps
+        np.divide(value, self.count, value)
+
 
 def _sgd_kernel(obj, w: np.ndarray, eta: float, mean, screen):
     grad, _ = _example_oracles(obj)
@@ -544,59 +556,71 @@ def _sgd_kernel(obj, w: np.ndarray, eta: float, mean, screen):
     return run_pass
 
 
+def _span_coefficients(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(r, q) for constant alpha and beta: step k < _MAX_BLOCK of a stretch
+    of zero-gradient steps from (w, v) evaluates at zeta_k = v - r[k] u,
+    u = v - w, and leaves w = zeta_k and v - q[k] u. The pair (p, q) of
+    w = v - p u and v - q u starts at (1, 0) and advances by one 2x2
+    matrix; p, q and r stay in [0, 1]."""
+    r, q = np.empty(_MAX_BLOCK), np.empty(_MAX_BLOCK)
+    p_k, q_k = 1.0, 0.0
+    for k in range(_MAX_BLOCK):
+        p_k = (1.0 - alpha) * p_k + alpha * q_k  # zeta, and the next w
+        q_k = beta * q_k + (1.0 - beta) * p_k
+        r[k], q[k] = p_k, q_k
+    return r, q
+
+
 def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen):
+    """With a screen, the steps between two uncertified ones are crossed in
+    the span of the block's start (see ``_ZeroScreen.certified_in_span``):
+    one product per block instead of five ufuncs per step. Convex mode
+    carries c_k = prod(1 - alpha_j), strongly convex mode the constant
+    ``_span_coefficients``. The exact per-step arithmetic runs the other
+    steps, and all steps without a screen."""
     grad, _ = _example_oracles(obj)
     mode, rho, eta, mu = sched.mode, sched.rho, sched.eta, sched.mu
     gamma_prev, ab = sched.gamma_prev, sched.ab_ratio
-    # strongly-convex coefficients are constant: the carried ratio is
-    # already at its fixed point (see make_schedule)
-    constant = None
+    beta, span = 1.0, None
     if mode == "strongly_convex":
-        constant = _schedule_coefficients(mode, rho, eta, mu, gamma_prev, ab)
-        if not (0.0 <= constant[1] <= 1.0 and 0.0 <= constant[2] <= 1.0):
-            screen = None  # the segment argument needs alpha, beta in [0, 1]
+        # constant coefficients: the carried ratio is already at its fixed
+        # point (see make_schedule)
+        sc_gamma, sc_alpha, beta, _ = _schedule_coefficients(mode, rho, eta, mu, gamma_prev, ab)
+        if not (0.0 <= sc_alpha <= 1.0 and 0.0 <= beta <= 1.0):
+            screen = None  # the span coefficients need alpha, beta in [0, 1]
+        elif screen is not None:
+            span = _span_coefficients(sc_alpha, beta)
     v = w.copy()
-    zeta = np.empty_like(w)
-    t = np.empty_like(w)
+    zeta, t, u = (np.empty_like(w) for _ in range(3))
 
-    def run_pass(draw, noise):
-        nonlocal w, zeta, gamma_prev, ab
-        indices = draw.tolist()
-        n = len(indices)
-        # the current block: steps start..end-1, certified[k - start] per step
-        start = end = active = length = 0
-        certified = None
-        if screen is None:
-            certified, end = [False] * n, n
-        for k, i in enumerate(indices):
-            if k == end:
-                screen.observe(k - start, active)
-                start, active, length = k, 0, screen.length()
-                if length:
-                    end = min(k + length, n)
-                    certified = screen.certified_on_segment(draw[k:end], w, v)
-                else:
-                    end = min(k + _PROBE, n)
-                    certified = [False] * (end - k)
-            if constant is None:
-                gamma, alpha, beta, ab = _schedule_coefficients(
-                    mode, rho, eta, mu, gamma_prev, ab
-                )
-                gamma_prev = gamma
-            else:
-                gamma, alpha, beta, _ = constant
+    def coefficients(n: int) -> tuple[array, array]:
+        """gamma_k and alpha_k of the pass's n steps."""
+        nonlocal gamma_prev, ab
+        if mode != "convex":
+            return array("d", [sc_gamma]) * n, array("d", [sc_alpha]) * n
+        inv_rho = 1.0 / rho
+        gammas, alphas = array("d"), array("d")
+        for _ in range(n):
+            # _schedule_coefficients' convex formulas, term for term
+            gamma = 0.5 * (inv_rho + math.sqrt(inv_rho * inv_rho + 4.0 * gamma_prev**2))
+            alphas.append(gamma * eta / (gamma * eta + ab))
+            gammas.append(gamma)
+            ab = gamma * gamma * eta * rho
+            gamma_prev = gamma
+        return gammas, alphas
+
+    def steps(indices, noise, gammas, alphas, start: int, end: int) -> int:
+        """The exact steps start..end-1; returns how many had a gradient."""
+        nonlocal w, zeta
+        active = 0
+        for k in range(start, end):
             # zeta = w + alpha (v - w)
             np.subtract(v, w, t)
-            np.multiply(t, alpha, t)
+            np.multiply(t, alphas[k], t)
             np.add(w, t, zeta)
-            if certified[k - start]:
-                g = None
-            else:
-                g = grad(zeta, i)
-                if g is not None:
-                    active += 1
-                    if length:
-                        end = k + 1  # w and v leave the segment: new block
+            g = grad(zeta, indices[k])
+            if g is not None:
+                active += 1
             if noise is not None:
                 g = noise[k] if g is None else g + noise[k]
             # v = zeta + beta (v - zeta) - gamma eta g;  w = zeta - eta g
@@ -607,14 +631,59 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen):
             if g is None:
                 w, zeta = zeta, w
             else:
-                np.multiply(g, gamma * eta, t)
+                np.multiply(g, gammas[k] * eta, t)
                 np.subtract(v, t, v)
                 np.multiply(g, eta, t)
                 np.subtract(zeta, t, w)
             if mean is not None:
                 mean.add(w)
-        if screen is not None:
-            screen.observe(n - start, active)
+        return active
+
+    def cross(blk: np.ndarray, r: np.ndarray, q) -> int:
+        """Crosses the certified steps at the head of ``blk`` from (w, v),
+        with zeta_k = v - r[k] u (q: see _span_coefficients; None keeps v);
+        returns their count, with w, v and the mean moved past them."""
+        np.subtract(v, w, u)
+        certified = screen.certified_in_span(blk, v, u, r)
+        j = len(blk) if certified.all() else int(certified.argmin())
+        if j:
+            if mean is not None:
+                mean.add_span(v, u, j, float(r[:j].sum()))
+            np.multiply(u, r[j - 1], t)
+            np.subtract(v, t, w)
+            if q is not None:
+                np.multiply(u, q[j - 1], t)
+                np.subtract(v, t, v)
+        return j
+
+    def run_pass(draw, noise):
+        indices = draw.tolist()
+        n = len(indices)
+        gammas, alphas = coefficients(n)
+        if screen is None:
+            steps(indices, noise, gammas, alphas, 0, n)
+            return w
+        decay = np.subtract(1.0, alphas) if span is None else None
+        k = 0
+        while k < n:
+            length = screen.length()
+            if not length:
+                end = min(k + _PROBE, n)
+                screen.observe(end - k, steps(indices, None, gammas, alphas, k, end))
+                k = end
+                continue
+            end = min(k + length, n)
+            if span is None:
+                r, q = np.cumprod(decay[k:end]), None
+            else:
+                r, q = span[0][: end - k], span[1][: end - k]
+            stop = k + cross(draw[k:end], r, q)
+            uncertified = stop < end
+            if uncertified:  # its exact step, then a new block
+                steps(indices, None, gammas, alphas, stop, stop + 1)
+                stop += 1
+            screen.observe(stop - k, int(uncertified))
+            k = stop
         return w
 
     return run_pass
@@ -836,8 +905,15 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     in a pass is raised as a :class:`RunError`, ``pass p: ...``.
     On the squared-hinge and hinge losses with sigma = 0, the sgd and
     sgd_ls kernels (without averaging) skip the steps whose gradient is
-    certified to be exactly zero, and the accel kernel skips their gradient
-    calls; the iterates stay bit-identical (see ``_ZeroScreen``).
+    certified to be exactly zero, and their iterates stay bit-identical.
+    The accel kernel there crosses each stretch of certified steps at once:
+    between two uncertified steps its iterates stay in the span of the
+    block's start, v - c u with u = v - w, so one product X[blk] @ [v, u]
+    gives the block's margins, and w, v and the running mean are formed
+    only at the block's end (see ``_ZeroScreen.certified_in_span``). This
+    is not the per-step arithmetic: log10 losses agree with it within
+    about 1e-10 decades on non-diverging runs, not bit for bit. Acc-SGD on
+    the other losses, noisy Acc-SGD and Acc-SGD(LS) keep their bits.
     While a single-step function or ``Objective.grad_example``/
     ``loss_example`` is rebound (wrapped by a profiler, say), each pass
     steps through the public functions instead, on the same draws.

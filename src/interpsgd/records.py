@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["CSV_HEADER", "MetricRow", "RunRecord", "LOSS_FLOOR"]
+__all__ = ["CSV_HEADER", "DIVERGENCE_FACTOR", "MetricRow", "RunRecord", "LOSS_FLOOR"]
 
 CSV_HEADER = "pass,iteration,train_loss,log10_loss,grad_sq_norm,mistake_rate,elapsed_ms"
 
@@ -22,6 +22,8 @@ CSV_HEADER = "pass,iteration,train_loss,log10_loss,grad_sq_norm,mistake_rate,ela
 # of the bound comparisons.
 LOSS_FLOOR = 1e-14
 _LOG_CLIP = 1e-300
+# A run diverged when some row's loss exceeds this multiple of the first's.
+DIVERGENCE_FACTOR = 10.0
 
 
 def log10_loss(train_loss: float) -> float:
@@ -65,6 +67,13 @@ class RunRecord:
 
     def losses(self) -> list[float]:
         return [r.train_loss for r in self.rows]
+
+    def diverged(self) -> bool:
+        """Whether some row's loss exceeds DIVERGENCE_FACTOR times the first
+        row's (a nan loss counts): the rule by which grid search discards a
+        candidate and run and reproduce warn."""
+        bound = DIVERGENCE_FACTOR * self.rows[0].train_loss
+        return not all(row.train_loss <= bound for row in self.rows)
 
     def final_loss(self) -> float:
         if not self.rows:

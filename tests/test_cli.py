@@ -182,6 +182,68 @@ class TestRunCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--tau", "1.5", "--n", "50", "--d", "5", "--passes", "2"],
+            ["run", "--tau", "0", "--n", "50", "--d", "5", "--passes", "2"],
+            ["run", "--tau", "-0.1", "--n", "50", "--d", "5", "--passes", "2"],
+        ],
+    )
+    def test_synthetic_tau_outside_unit_interval_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        tau = argv[argv.index("--tau") + 1]
+        assert capsys.readouterr().err == (
+            f"config error: tau must be in (0, 1) for synthetic data, got {float(tau)!r}\n"
+        )
+        assert not out.exists()
+
+    def test_libsvm_tau_zero_stays_valid(self, tmp_path):
+        # tau = 0 means "no margin" for LIBSVM data, which has none of its own
+        path = tmp_path / "toy.txt"
+        save_libsvm(generate_margin_data(40, 5, 0.2, seed=2), path)
+        out = tmp_path / "out"
+        argv = ["run", "--dataset", "libsvm", "--libsvm-path", str(path), "--tau", "0",
+                "--rho-rule", "explicit", "--passes", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert sorted(os.listdir(out)) == ["accel.csv", "config.txt", "sgd.csv"]
+
+    def test_divergence_warns_and_exits_zero(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--step-rule-sgd", "explicit", "--eta-sgd", "5", "--methods", "sgd",
+                "--n", "200", "--d", "5", "--passes", "3", "--out", str(out)]
+        assert main(argv) == 0
+        lines = (out / "sgd.csv").read_text().splitlines()
+        first, last = (float(line.split(",")[2]) for line in (lines[1], lines[-1]))
+        assert last > 1e70
+        assert capsys.readouterr().err == f"warning: sgd diverged (loss {first!r} -> {last!r})\n"
+
+    def test_converging_run_does_not_warn(self, tmp_path, capsys):
+        assert main(["run", "--config", str(write_config(tmp_path))]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_failed_write_adds_no_file(self, tmp_path, monkeypatch):
+        # out exists with a file of its own; the second CSV's write fails
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept\n")
+        write_csv = RunRecord.write_csv
+        calls = []
+
+        def failing_write_csv(record, path, wall_clock=False):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            write_csv(record, path, wall_clock=wall_clock)
+
+        monkeypatch.setattr(RunRecord, "write_csv", failing_write_csv)
+        cfg = write_config(tmp_path, out_name="out")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert len(calls) == 2
+        assert os.listdir(out) == ["keep.txt"]
+        assert sorted(os.listdir(tmp_path)) == ["out", "out.cfg"]
+
     def test_tiny_gap_seed_runs(self, tmp_path):
         # seed 83 at the default n = 8000, d = 100: the Gram matrix's top two
         # eigenvalues nearly coincide, so power iteration alone cannot settle
@@ -277,6 +339,8 @@ class TestPerceptronCommand:
             (["--passes", "two"], "passes: expected an integer, got 'two'"),
             (["--passes", "20", "--tau", "nan"], "tau must be a number, got nan"),
             (["--passes", "20", "--n", "1"], "n must be >= 2, got 1"),
+            (["--passes", "20", "--tau", "1.5"],
+             "tau must be in (0, 1) for synthetic data, got 1.5"),
         ],
     )
     def test_bad_value_is_config_error(self, capsys, flags, message):

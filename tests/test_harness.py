@@ -89,6 +89,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_mapping({"passes": "three"})
 
+    @pytest.mark.parametrize("tau", ["0", "1", "1.5", "-0.2"])
+    def test_synthetic_tau_must_lie_in_unit_interval(self, tau):
+        with pytest.raises(ConfigError, match=r"tau must be in \(0, 1\) for synthetic data"):
+            ExperimentConfig.from_mapping({"tau": tau})
+        cfg = ExperimentConfig.from_mapping(
+            {"tau": tau, "dataset": "libsvm", "libsvm_path": "data.txt"}
+        )
+        assert cfg.tau == float(tau)
+
     def test_readme_table_matches_the_key_table(self):
         # rows such as `n`, `d`, `tau` list several keys with one default
         # each (", "-separated); a lone default applies to every key in the
@@ -149,6 +158,21 @@ class TestRunExperiment:
         cfg = small_config(tmp_path, methods="sgd", step_rule_sgd="explicit")
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+
+class TestDivergenceRule:
+    @pytest.mark.parametrize(
+        "losses,diverged",
+        [
+            ([1.0, 10.0, 0.5], False),
+            ([1.0, 10.5, 0.5], True),  # any row counts, not only the last
+            ([1.0, 0.5, math.inf], True),
+            ([1.0, math.nan, 0.5], True),
+            ([0.0, 0.0], False),
+        ],
+    )
+    def test_ten_times_the_initial_loss(self, losses, diverged):
+        assert synthetic_record(losses).diverged() is diverged
 
 
 class TestFitRate:

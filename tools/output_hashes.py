@@ -9,10 +9,10 @@ hashing the parent tree and the changed tree and comparing the two files:
     python tools/output_hashes.py change.json
     python tools/output_hashes.py --compare parent.json change.json
 
-The small set (77 argvs, about a minute) covers every subcommand at
+The small set (80 argvs, about a minute) covers every subcommand at
 200x10 scale, fig2 on a toy LIBSVM file, 18 ``run`` variants, ``--help``,
-config errors, ``perceptron`` with too few passes and the hinge
-combinations. ``--full``
+config errors, ``perceptron`` with too few passes or τ above 1, a diverging
+run and the hinge combinations. ``--full``
 adds ``reproduce fig1a..fig1d`` at n = 8000, d = 100, 30 passes with seeds
 0-3 and ``reproduce app_ls`` at its defaults (17 argvs, several minutes).
 
@@ -63,6 +63,11 @@ def small_argvs() -> dict[str, list[str]]:
         "crit12_spectral": ["spectral", "--libsvm", "toy.txt"],
         "perceptron_passes2": ["perceptron", "--tau", "0.1", "--n", "200", "--d", "5",
                                "--passes", "2"],
+        "perceptron_tau_above_one": ["perceptron", "--tau", "1.5", "--n", "50", "--d", "5",
+                                     "--passes", "10"],
+        "run_diverging_sgd": ["run", "--step-rule-sgd", "explicit", "--eta-sgd", "5",
+                              "--methods", "sgd", "--n", "200", "--d", "5", "--passes", "3",
+                              "--out", "out"],
     }
     for fig in ("fig1a", "fig1b", "fig1c", "fig1d", "app_ls"):
         for seed in ("0", "5"):
@@ -126,6 +131,8 @@ def small_argvs() -> dict[str, list[str]]:
         "d_one": [*FIG1A, "--d", "1", "--n", "50", "--passes", "1"],
         "seed_text": [*FIG1A, "--seed", "x", "--n", "50", "--d", "5"],
         "tau_nan": ["run", "--out", "out", "--tau", "nan"],
+        "tau_above_one": ["run", "--tau", "1.5", "--n", "50", "--d", "5", "--passes", "2",
+                          "--out", "out"],
         "sigma_negative": [*RUN, "--sigma", "-1"],
         "sigma_nan": [*RUN, "--sigma", "nan"],
     }
