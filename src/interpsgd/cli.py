@@ -17,7 +17,7 @@ import argparse
 import sys
 import warnings
 
-from .data import LibsvmFormatError, load_libsvm
+from .data import load_libsvm
 from .harness import (
     CONFIG_KEYS,
     FIGURES,
@@ -31,7 +31,6 @@ from .harness import (
 )
 from .numerics import spectral_norm_gram
 from .objectives import kappa
-from .optimizers import RunError
 
 __all__ = ["main"]
 
@@ -53,30 +52,20 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _merged_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file (where the subcommand takes ``--config``) overlaid
+    with every config-key flag the subcommand has and was given."""
     values: dict[str, str] = {}
-    if args.config:
+    if getattr(args, "config", None):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 values.update(parse_config_text(fh.read()))
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
     for key in CONFIG_KEYS:
-        flag_value = getattr(args, key.name)
+        flag_value = getattr(args, key.name, None)
         if flag_value is not None:
             values[key.name] = flag_value
     return ExperimentConfig.from_mapping(values)
-
-
-_KEYS = {key.name: key for key in CONFIG_KEYS}
-# reproduce's and perceptron's flags of these names share the config keys'
-# checks (and, for reproduce, their defaults; perceptron's go through
-# ExperimentConfig whole)
-_REPRODUCE_KEYS = ("n", "d", "passes", "seed")
-_PERCEPTRON_KEYS = ("tau", *_REPRODUCE_KEYS)
-
-
-def _parsed(args, names: tuple[str, ...]) -> dict[str, object]:
-    return {name: _KEYS[name].parse(name, getattr(args, name)) for name in names}
 
 
 def _build_parser() -> _Parser:
@@ -93,13 +82,13 @@ def _build_parser() -> _Parser:
     p_rep.add_argument("--covtype", help="CovType LIBSVM file (fig2_covtype)")
     p_rep.add_argument("--protein", help="Protein LIBSVM file (fig2_protein)")
     p_rep.add_argument("--out", required=True, help="output directory")
-    for name in _REPRODUCE_KEYS:
-        p_rep.add_argument("--" + name, default=_KEYS[name].default)
+    for name in ("n", "d", "passes", "seed"):
+        p_rep.add_argument("--" + name)
 
     p_per = subs.add_parser("perceptron", help="mistake-bound check")
-    for name in _PERCEPTRON_KEYS[:-1]:
+    for name in ("tau", "n", "d", "passes"):
         p_per.add_argument("--" + name, required=True)
-    p_per.add_argument("--seed", default="0")
+    p_per.add_argument("--seed")
 
     p_aud = subs.add_parser("audit-rho", help="growth-constant estimates")
     _add_config_flags(p_aud)
@@ -125,8 +114,9 @@ def _cmd_reproduce(args) -> int:
         paths["covtype"] = args.covtype
     if args.protein:
         paths["protein"] = args.protein
-    written = reproduce_figure(args.figure, paths=paths, out_dir=args.out,
-                               **_parsed(args, _REPRODUCE_KEYS))
+    cfg = _merged_config(args)
+    written = reproduce_figure(args.figure, paths=paths, out_dir=cfg.out,
+                               n=cfg.n, d=cfg.d, passes=cfg.passes, seed=cfg.seed)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -134,8 +124,8 @@ def _cmd_reproduce(args) -> int:
 
 def _cmd_perceptron(args) -> int:
     # the config's own checks, synthetic tau in (0, 1) among them
-    cfg = ExperimentConfig.from_mapping({name: getattr(args, name) for name in _PERCEPTRON_KEYS})
-    report = perceptron_check(**{name: getattr(cfg, name) for name in _PERCEPTRON_KEYS})
+    cfg = _merged_config(args)
+    report = perceptron_check(cfg.tau, cfg.n, cfg.d, cfg.passes, cfg.seed)
     for line in report.summary_lines():
         print(line)
     return EXIT_OK if report.ok else EXIT_ASSERTION
@@ -186,15 +176,10 @@ def _main(argv: list[str] | None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        RunError,
-        FileNotFoundError,
-        LibsvmFormatError,
-        FloatingPointError,
-        RuntimeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # RunError is a RuntimeError, LibsvmFormatError a ValueError and a
+    # missing file an OSError; Warning covers those that ``python -W error``
+    # turns into exceptions outside a run
+    except (FloatingPointError, RuntimeError, ValueError, OSError, Warning) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

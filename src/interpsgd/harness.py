@@ -99,9 +99,11 @@ def _parse_methods(key: str, value: str) -> tuple[str, ...]:
     methods = tuple(m.strip() for m in value.split(",") if m.strip())
     if not methods:
         raise ConfigError("at least one method is required")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
+        if m in methods[:i]:  # both runs would write <out>/<method>.csv
+            raise ConfigError(f"method {m!r} listed twice")
     return methods
 
 
@@ -363,8 +365,7 @@ def _write_curves(out_dir, curves, records: list[RunRecord], texts, wall_clock) 
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=f".{name}-", dir=parent)
     try:
-        for (label, filename, *_), record in zip(curves, records):
-            record.config["label"] = label
+        for (_, filename, *_), record in zip(curves, records):
             record.write_csv(os.path.join(tmp, filename), wall_clock=wall_clock)
         for filename, text in texts:
             with open(os.path.join(tmp, filename), "w", encoding="utf-8", newline="\n") as fh:
@@ -552,17 +553,7 @@ def perceptron_check(
         seed_records.append(rec)
         violations.extend(_domination_violation(f"seed {seed + s}", rec))
 
-    avg_record = RunRecord(
-        config={
-            "label": "perceptron_sgd_avg",
-            "tau": repr(tau),
-            "n": str(n),
-            "d": str(d),
-            "passes": str(passes),
-            "seeds": str(PERCEPTRON_SEEDS),
-            "eta": repr(0.25),
-        }
-    )
+    avg_record = RunRecord()
     for rows in zip(*(rec.rows for rec in seed_records)):
         avg_record.append(
             MetricRow(
@@ -590,7 +581,6 @@ def perceptron_check(
         eta=_ETA_RULES["tau_over_L"].eta(obj, tau, rho), rho=rho, mode="convex", seed=seed
     )
     accel_record = run(obj, "accel", accel_cfg, passes)
-    accel_record.config["label"] = "perceptron_accel"
     violations.extend(_domination_violation("accel", accel_record))
 
     sgd_slope = fit_rate(avg_record, "polynomial").slope

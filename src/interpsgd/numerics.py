@@ -106,6 +106,12 @@ def spectral_norm_gram(X, tol: float = 1e-10, max_iter: int = 10_000) -> float:
     the switch, the arithmetic and result are bit-identical to those of
     earlier, purely matrix-free versions; after it, the result can differ
     from theirs in the last bits.
+
+    An iterate whose norm overflows float64 (entries of X near 1e100 are
+    enough) also ends the loop: the eigensolver then takes the smaller of
+    X^T X and X X^T, whose nonzero eigenvalues agree. A Gram matrix or
+    eigenvalue that is itself not finite raises PowerIterationError rather
+    than returning it.
     """
     X = as_matrix(X)
     if not tol > 0:  # also rejects nan
@@ -120,9 +126,11 @@ def spectral_norm_gram(X, tol: float = 1e-10, max_iter: int = 10_000) -> float:
     restarted = False
     for it in range(max_iter):
         if it == switch_at:
-            return float(np.linalg.eigvalsh(X.T @ X)[-1])
+            break
         w = X.T @ (X @ v)
         norm_w = float(np.linalg.norm(w))
+        if not np.isfinite(norm_w):
+            break
         if norm_w == 0.0:
             if restarted:
                 return 0.0  # Gram matrix is zero
@@ -134,8 +142,15 @@ def spectral_norm_gram(X, tol: float = 1e-10, max_iter: int = 10_000) -> float:
         if np.linalg.norm(w - lam * v) <= tol * lam:
             return lam
         v = w / norm_w
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last estimate {lam!r})",
-        last_estimate=lam,
-    )
+    else:
+        raise PowerIterationError(
+            f"power iteration did not converge in {max_iter} iterations "
+            f"(last estimate {lam!r})",
+            last_estimate=lam,
+        )
+    gram = X.T @ X if d <= n else X @ X.T
+    if np.all(np.isfinite(gram)):
+        top = float(np.linalg.eigvalsh(gram)[-1])
+        if np.isfinite(top):
+            return top
+    raise PowerIterationError("the Gram matrix of X overflows float64", last_estimate=lam)

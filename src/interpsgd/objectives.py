@@ -31,7 +31,6 @@ __all__ = [
     "Dataset",
     "Objective",
     "LOSS_KINDS",
-    "SMOOTH_KINDS",
     "kappa",
     "smoothness_constants",
 ]
@@ -113,7 +112,6 @@ _LOSSES = {
 }
 
 LOSS_KINDS = tuple(_LOSSES)
-SMOOTH_KINDS = tuple(kind for kind, loss in _LOSSES.items() if loss.kappa is not None)
 
 
 @dataclass(frozen=True)

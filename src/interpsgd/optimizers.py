@@ -968,20 +968,7 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     else:
         run_pass = _accel_ls_kernel(obj, w, sched, config.ls_init, mean)
 
-    record = RunRecord(
-        config={
-            "method": method,
-            "eta": repr(eta),
-            "rho": repr(config.rho),
-            "mode": config.mode,
-            "mu": repr(config.mu),
-            "sigma": repr(config.sigma),
-            "seed": str(config.seed),
-            "averaging": str(config.averaging).lower(),
-            "passes": str(passes),
-            "n": str(n),
-        }
-    )
+    record = RunRecord()
     t0 = time.monotonic()
 
     def log_row(pass_index: int, point: np.ndarray) -> None:

@@ -55,9 +55,8 @@ class MetricRow:
 
 @dataclass
 class RunRecord:
-    """Time series of per-pass metrics plus an echo of the run config."""
+    """Time series of per-pass metrics, one row per logged pass."""
 
-    config: dict[str, str] = field(default_factory=dict)
     rows: list[MetricRow] = field(default_factory=list)
 
     def append(self, row: MetricRow) -> None:

@@ -9,6 +9,7 @@ import pytest
 from interpsgd import optimizers
 from interpsgd.cli import main
 from interpsgd.data import generate_margin_data, save_libsvm
+from interpsgd.harness import reproduce_figure
 from interpsgd.records import RunRecord
 
 
@@ -72,6 +73,7 @@ class TestRunCommand:
             ["--rho-rule", "explicit", "--rho", "0"],
             ["--mode", "strongly_convex"],
             ["--mode", "strongly_convex", "--mu", "0"],
+            ["--methods", "sgd,accel,sgd"],  # both sgd runs would write sgd.csv
         ],
     )
     def test_bad_value_is_config_error_before_any_output(self, tmp_path, capsys, flags):
@@ -321,6 +323,22 @@ class TestReproduceCommand:
         code = main(["reproduce", "fig99", "--out", str(tmp_path / "x")])
         assert code == 1
 
+    @pytest.mark.parametrize("figure,flag,key", [("fig2_covtype", "--covtype", "covtype"),
+                                                 ("fig2_protein", "--protein", "protein")])
+    def test_fig2_file_flag_matches_the_library_call(self, tmp_path, figure, flag, key):
+        path = tmp_path / "data.txt"
+        save_libsvm(generate_margin_data(60, 5, 0.2, seed=6), path)
+        argv = ["reproduce", figure, flag, str(path), "--n", "40", "--passes", "2",
+                "--seed", "3", "--out", str(tmp_path / "cli")]
+        assert main(argv) == 0
+        reproduce_figure(figure, paths={key: str(path)}, out_dir=str(tmp_path / "lib"),
+                         n=40, passes=2, seed=3)
+        names = sorted(os.listdir(tmp_path / "lib"))
+        assert names == ["acc_sgd.csv", "manifest.txt", "sgd.csv"]
+        assert sorted(os.listdir(tmp_path / "cli")) == names
+        for name in names:
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
 
 class TestPerceptronCommand:
     def test_reference_run_passes(self, capsys):
@@ -402,6 +420,50 @@ class TestAuditAndSpectral:
 
     def test_spectral_missing_file(self, tmp_path):
         assert main(["spectral", "--libsvm", str(tmp_path / "none.txt")]) == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectral", "--libsvm", "FILE"],
+            ["audit-rho", "--dataset", "libsvm", "--libsvm-path", "FILE"],
+            ["run", "--dataset", "libsvm", "--libsvm-path", "FILE", "--methods", "sgd",
+             "--step-rule-sgd", "explicit", "--eta-sgd", "0.1", "--out", "OUT"],
+        ],
+    )
+    def test_overflowing_gram_is_runtime_error(self, tmp_path, capsys, argv):
+        # finite entries near 1e200 whose X^T X overflows float64
+        path = tmp_path / "huge.txt"
+        path.write_text("1 1:1e200 2:3e200\n-1 1:-2e200 2:1e200\n1 1:5e199 2:-1e200\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [{"FILE": str(path), "OUT": str(out)}.get(a, a) for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "runtime error: the Gram matrix of X overflows float64")
+        assert not out.exists()
+
+    def test_warning_outside_a_run_is_runtime_error(self, tmp_path, capsys):
+        # under -W error the Gram power iteration's overflow warning leaves
+        # spectral, outside any run: exit 2 with one line, no traceback
+        path = tmp_path / "huge.txt"
+        path.write_text("1 1:1e200 2:3e200\n-1 1:-2e200 2:1e200\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectral", "--libsvm", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "runtime error: overflow encountered in matmul\n"
+
+    def test_audit_grid_rule_adds_a_grid_search_line(self, tmp_path, capsys):
+        argv = ["audit-rho", "--n", "60", "--d", "8", "--tau", "0.15", "--audit-samples", "20",
+                "--rho-rule", "grid", "--rho-grid", "2,8", "--grid-passes", "2"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("rho[grid_search] = ")
+        assert sum(line.startswith("rho[grid_search]") for line in lines) == 1
 
     def test_deterministic_stdout(self, tmp_path, capsys):
         cfg = write_config(tmp_path, out_name="det", audit_samples="30")

@@ -6,12 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from interpsgd.data import generate_margin_data, save_libsvm
+from interpsgd.data import default_rbf_config, generate_margin_data, load_libsvm, save_libsvm
 from interpsgd.harness import (
     CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     audit_report,
+    build_dataset,
     fit_rate,
     parse_config_text,
     perceptron_check,
@@ -158,6 +159,46 @@ class TestRunExperiment:
         cfg = small_config(tmp_path, methods="sgd", step_rule_sgd="explicit")
         with pytest.raises(ConfigError):
             run_experiment(cfg)
+
+    def test_c_over_tau_sq_rho_rule_resolves_to_n_over_tau_squared(self, tmp_path):
+        # synthetic data's support size c is n
+        run_experiment(small_config(tmp_path, methods="accel", rho_rule="c_over_tau_sq"))
+        echo = (tmp_path / "out" / "config.txt").read_text().splitlines()
+        assert f"resolved_rho = {60 / 0.15**2!r}" in echo
+
+
+def libsvm_config(tmp_path, **overrides):
+    """small_config over a 50 x 6 LIBSVM file whose rows are not unit-norm."""
+    path = tmp_path / "data.txt"
+    save_libsvm(generate_margin_data(50, 6, 0.2, seed=4), path)
+    loaded = load_libsvm(path)
+    scaled = loaded.X * np.linspace(0.5, 3.0, loaded.n)[:, None]
+    save_libsvm(type(loaded)(X=scaled, y=loaded.y), path)
+    return small_config(tmp_path, dataset="libsvm", libsvm_path=str(path), **overrides)
+
+
+class TestLibsvmFeatureOptions:
+    def test_normalize_scales_rows_to_unit_norm(self, tmp_path):
+        cfg = libsvm_config(tmp_path, normalize="true")
+        raw = load_libsvm(cfg.libsvm_path).X
+        X = build_dataset(cfg).X
+        norms = np.linalg.norm(raw, axis=1)
+        assert np.all(np.abs(norms - 1.0) > 1e-3)
+        np.testing.assert_allclose(np.linalg.norm(X, axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_array_equal(X, raw / norms[:, None])
+
+    def test_rbf_bandwidth_replaces_the_median_heuristic(self, tmp_path):
+        # same centers, so exp(-D / (2 h^2)) and exp(-D / (2 b^2)) share D
+        cfg = libsvm_config(tmp_path, rbf="true", rbf_centers="5")
+        h = default_rbf_config(load_libsvm(cfg.libsvm_path).X, make_rng(cfg.seed + 1),
+                               m=5).bandwidth
+        X_h = build_dataset(cfg).X
+        X_b = build_dataset(libsvm_config(tmp_path, rbf="true", rbf_centers="5",
+                                          rbf_bandwidth="0.5")).X
+        assert X_b.shape == X_h.shape == (50, 5)
+        assert h != 0.5
+        np.testing.assert_allclose(np.log(X_b) * 0.5**2, np.log(X_h) * h**2,
+                                   rtol=1e-12, atol=1e-14)
 
 
 class TestDivergenceRule:

@@ -71,6 +71,20 @@ class TestSpectralNormGram:
             spectral_norm_gram(X, tol=1e-16, max_iter=1)
         assert err.value.last_estimate > 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 5)])  # d <= n and d > n
+    def test_overflowing_gram_raises_instead_of_returning_nan(self, shape):
+        X = np.random.default_rng(4).normal(size=shape) * 1e200
+        with pytest.raises(PowerIterationError, match="overflows float64"):
+            spectral_norm_gram(X)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("X", [np.diag([1e100, 2e100, 1.0]),
+                                   np.array([[1e100, 0.0, 0.0], [0.0, 2e100, 0.0]])])
+    def test_overflowing_iterate_norm_falls_back_to_the_smaller_gram(self, X):
+        # ||X^T X v||^2 overflows although X^T X (or X X^T) holds 4e200
+        assert spectral_norm_gram(X) == pytest.approx(4e200, rel=1e-12)
+
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             spectral_norm_gram(np.eye(2), tol=0.0)
