@@ -48,6 +48,17 @@ def _unit_sphere(rng, count: int, d: int) -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def _balanced(label_sum: float, n: int) -> bool:
+    """Class counts that differ by less than 5% of n."""
+    return abs(label_sum) < 0.05 * n
+
+
+def balance_reachable(n: int) -> bool:
+    """Whether some labeling of n points is balanced: a sum of n labels
+    of +-1 has n's parity, so its smallest size is n % 2."""
+    return _balanced(n % 2, n)
+
+
 def generate_margin_data(
     n: int, d: int, tau: float, seed: int = 0, balance: bool = False
 ) -> Dataset:
@@ -57,7 +68,8 @@ def generate_margin_data(
     ``||w_star|| = 1/tau``, and support size c = n, certifying
     y_i x_i^T w_star >= 1 for all i (so the squared-hinge loss is exactly
     zero at w_star). ``balance=True`` redraws until the class counts
-    differ by less than 5% of n; there is no balance guarantee otherwise.
+    differ by less than 5% of n (a ValueError before any draw where no
+    labeling can, for odd n <= 19); there is no balance guarantee otherwise.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -65,6 +77,8 @@ def generate_margin_data(
         raise ValueError(f"d must be >= 2, got {d}")
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
+    if balance and not balance_reachable(n):
+        raise ValueError(f"no labeling of n = {n} points is class-balanced")
 
     for attempt in range(100):
         rng = child_rng(seed, attempt) if attempt else make_rng(seed)
@@ -93,7 +107,7 @@ def generate_margin_data(
             filled += take
 
         y = np.sign(rows @ direction)
-        if not balance or abs(float(np.sum(y))) < 0.05 * n:
+        if not balance or _balanced(float(np.sum(y)), n):
             return Dataset(X=rows, y=y, tau=tau, w_star=w_star, support_size=n)
     raise RuntimeError("could not draw a class-balanced sample in 100 attempts")
 
@@ -185,7 +199,7 @@ def _pair_format(k: int) -> str:
     return "%s" + " %s:%s" * k
 
 
-def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
+def load_libsvm(path) -> Dataset:
     """Parse a LIBSVM text file into a dense Dataset.
 
     The two distinct labels, sorted ascending, map to (-1, +1); files with
@@ -239,12 +253,7 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
         )
     mapping = {distinct[0]: -1.0, distinct[1]: 1.0}
 
-    dim = max_index if expected_dim is None else expected_dim
-    if expected_dim is not None and max_index > expected_dim:
-        raise LibsvmFormatError(
-            f"feature index {max_index} exceeds expected_dim {expected_dim}"
-        )
-    X = np.zeros((len(rows), dim))
+    X = np.zeros((len(rows), max_index))
     for x, (cols, vals) in zip(X, rows):
         if cols:
             x[np.asarray(cols) - 1] = vals

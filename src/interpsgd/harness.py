@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import (
+    balance_reachable,
     default_rbf_config,
     generate_margin_data,
     load_libsvm,
@@ -91,10 +92,6 @@ def _optional(parse):
     return lambda key, value: parse(key, value) if value else None
 
 
-def _parse_floats(key: str, value: str) -> tuple[float, ...]:
-    return tuple(_parse_float(key, tok) for tok in value.split(",") if tok.strip())
-
-
 def _parse_methods(key: str, value: str) -> tuple[str, ...]:
     methods = tuple(m.strip() for m in value.split(",") if m.strip())
     if not methods:
@@ -136,6 +133,13 @@ def _at_least(low: int):
     return parse
 
 
+_positive = _float_where(lambda x: 0.0 < x < math.inf, "positive and finite")
+
+
+def _positives(key: str, value: str) -> tuple[float, ...]:
+    return tuple(_positive(key, tok) for tok in value.split(",") if tok.strip())
+
+
 class ConfigKey(NamedTuple):
     name: str
     default: str  # as written in a config file; "" means not set
@@ -156,28 +160,28 @@ CONFIG_KEYS = (
               "synthetic margin in (0, 1)"),
     ConfigKey("balance", "false", _parse_bool, "redraw until classes balance (true/false)"),
     ConfigKey("libsvm_path", "", _text, "path to a LIBSVM text file"),
-    ConfigKey("n_sub", "", _optional(_parse_int), "subsample size for libsvm data"),
+    ConfigKey("n_sub", "", _optional(_at_least(1)), "subsample size for libsvm data"),
     ConfigKey("normalize", "false", _parse_bool, "row-normalize libsvm features (true/false)"),
     ConfigKey("rbf", "false", _parse_bool, "map features through a Gaussian kernel (true/false)"),
-    ConfigKey("rbf_centers", "300", _parse_int, "number of RBF centers"),
-    ConfigKey("rbf_bandwidth", "", _optional(_parse_float),
+    ConfigKey("rbf_centers", "300", _at_least(1), "number of RBF centers"),
+    ConfigKey("rbf_bandwidth", "", _optional(_positive),
               "RBF bandwidth (default: median heuristic)"),
     ConfigKey("loss", "squared_hinge", _one_of(LOSS_KINDS), " | ".join(LOSS_KINDS)),
     ConfigKey("mu", "", _optional(_parse_float), "strong-convexity constant when known"),
     ConfigKey("methods", "sgd,accel", _parse_methods, "comma list from " + ",".join(METHODS)),
     ConfigKey("step_rule_sgd", "one_over_Lmax", _one_of(STEP_RULES), " | ".join(STEP_RULES)),
     ConfigKey("step_rule_accel", "one_over_rhoL", _one_of(STEP_RULES), " | ".join(STEP_RULES)),
-    ConfigKey("eta_sgd", "", _optional(_parse_float), "explicit step size for sgd"),
-    ConfigKey("eta_accel", "", _optional(_parse_float), "explicit step size for accel"),
+    ConfigKey("eta_sgd", "", _optional(_positive), "explicit step size for sgd"),
+    ConfigKey("eta_accel", "", _optional(_positive), "explicit step size for accel"),
     ConfigKey("mode", "convex",
               _one_of(("convex", "strongly_convex"), "must be convex or strongly_convex"),
               "convex | strongly_convex schedule"),
     ConfigKey("rho_rule", "one_over_tau", _one_of(RHO_RULES), " | ".join(RHO_RULES)),
     ConfigKey("rho", "1.0", _parse_float, "explicit rho"),
-    ConfigKey("rho_grid", "", _parse_floats, "comma list of grid candidates"),
-    ConfigKey("grid_passes", "5", _parse_int, "passes per grid candidate"),
-    ConfigKey("audit_samples", "200", _parse_int, "probe count for audit-rho"),
-    ConfigKey("ls_init", "1.0", _parse_float, "initial line-search estimate"),
+    ConfigKey("rho_grid", "", _positives, "comma list of grid candidates"),
+    ConfigKey("grid_passes", "5", _at_least(1), "passes per grid candidate"),
+    ConfigKey("audit_samples", "200", _at_least(1), "probe count for audit-rho"),
+    ConfigKey("ls_init", "1.0", _positive, "initial line-search estimate"),
     ConfigKey("passes", "30", _at_least(1), "effective passes over the data"),
     ConfigKey("seed", "0", _parse_int, "base seed"),
     ConfigKey("sigma", "0.0", _float_where(lambda x: x >= 0.0, ">= 0"),
@@ -232,6 +236,10 @@ class ExperimentConfig:
             raise ConfigError("libsvm dataset requires libsvm_path")
         if cfg.dataset == "synthetic" and not 0.0 < cfg.tau < 1.0:
             raise ConfigError(f"tau must be in (0, 1) for synthetic data, got {cfg.tau!r}")
+        if cfg.dataset == "synthetic" and cfg.balance and not balance_reachable(cfg.n):
+            raise ConfigError(
+                f"balance = true: no labeling of n = {cfg.n} points is class-balanced"
+            )
         if cfg.rho_rule == "grid" and not cfg.rho_grid:
             raise ConfigError("rho_rule = grid requires rho_grid")
         if cfg.rho_rule == "grid" and cfg.loss == "hinge":

@@ -99,7 +99,7 @@ def rbf_features(X, cfg: RbfConfig) -> np.ndarray:
     return np.exp(-sq / (2.0 * cfg.bandwidth**2))
 
 
-def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
+def load_libsvm(path) -> Dataset:
     """Parse a LIBSVM text file into a dense Dataset.
 
     The two distinct labels, sorted ascending, map to (-1, +1); files with
@@ -149,12 +149,7 @@ def load_libsvm(path, expected_dim: int | None = None) -> Dataset:
         )
     mapping = {distinct[0]: -1.0, distinct[1]: 1.0}
 
-    dim = max_index if expected_dim is None else expected_dim
-    if expected_dim is not None and max_index > expected_dim:
-        raise LibsvmFormatError(
-            f"feature index {max_index} exceeds expected_dim {expected_dim}"
-        )
-    X = np.zeros((len(entries), dim))
+    X = np.zeros((len(entries), max_index))
     for i, row in enumerate(entries):
         for idx, val in row:
             X[i, idx - 1] = val

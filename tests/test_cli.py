@@ -176,12 +176,42 @@ class TestRunCommand:
             ["run", "--tau", "nan"],
             ["run", "--n", "60", "--d", "8", "--sigma", "-1"],
             ["run", "--n", "60", "--d", "8", "--sigma", "nan"],
+            # a sum of 15 labels is odd, so never below 5% of 15
+            ["run", "--balance", "true", "--n", "15", "--d", "4", "--passes", "1"],
         ],
     )
     def test_bad_size_or_level_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--audit-samples", "0"],
+            ["--rho-rule", "grid", "--rho-grid", "1,2", "--grid-passes", "0"],
+            ["--dataset", "libsvm", "--rbf", "true", "--rbf-centers", "0"],
+            ["--dataset", "libsvm", "--rbf", "true", "--rbf-bandwidth", "-1"],
+            ["--dataset", "libsvm", "--n-sub", "0"],
+            ["--step-rule-sgd", "explicit", "--eta-sgd", "-1"],
+            ["--methods", "sgd_ls", "--ls-init", "-1"],
+            ["--rho-rule", "grid", "--rho-grid", "1,nan"],
+        ],
+    )
+    def test_value_out_of_range_is_config_error(self, tmp_path, capsys, flags):
+        # the bound is part of the key's parser, checked before any data is
+        # read; only audit-rho reads --audit-samples
+        if "libsvm" in flags:
+            path = tmp_path / "toy.txt"
+            save_libsvm(generate_margin_data(40, 5, 0.2, seed=2), path)
+            flags = [*flags, "--libsvm-path", str(path), "--tau", "0", "--rho-rule", "explicit"]
+        command = "audit-rho" if "--audit-samples" in flags else "run"
+        out = tmp_path / "out"
+        argv = [command, "--n", "60", "--d", "8", "--passes", "1", "--out", str(out), *flags]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from interpsgd import data as data_module
 from interpsgd.data import (
     LibsvmFormatError,
     RbfConfig,
@@ -61,6 +62,18 @@ class TestGenerateMarginData:
     def test_balance_flag(self):
         data = generate_margin_data(400, 10, 0.1, seed=4, balance=True)
         assert abs(float(np.sum(data.y))) < 0.05 * 400
+
+    def test_unreachable_balance_raises_before_drawing(self, monkeypatch):
+        # odd n <= 19: every label sum has |sum| >= 1 >= 0.05 n
+        calls = []
+        monkeypatch.setattr(data_module, "_unit_sphere", lambda *args: calls.append(args))
+        for n in (3, 15, 19):
+            with pytest.raises(ValueError, match="class-balanced"):
+                generate_margin_data(n, 4, 0.2, seed=0, balance=True)
+        assert calls == []
+        monkeypatch.undo()
+        data = generate_margin_data(21, 4, 0.2, seed=0, balance=True)
+        assert abs(float(np.sum(data.y))) < 0.05 * 21
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -141,7 +154,7 @@ class TestLibsvm:
         data = generate_margin_data(25, 6, 0.2, seed=10)
         path = tmp_path / "round.txt"
         save_libsvm(data, path)
-        back = load_libsvm(path, expected_dim=6)
+        back = load_libsvm(path)
         assert np.array_equal(back.X, data.X)
         assert np.array_equal(back.y, data.y)
 
@@ -157,12 +170,6 @@ class TestLibsvm:
         with pytest.raises(LibsvmFormatError, match=r"\[1.0, 2.0, 3.0\]"):
             load_libsvm(path)
 
-    def test_expected_dim_too_small(self, tmp_path):
-        path = tmp_path / "dim.txt"
-        path.write_text("+1 5:1.0\n-1 1:1.0\n", encoding="utf-8")
-        with pytest.raises(LibsvmFormatError):
-            load_libsvm(path, expected_dim=3)
-
 
 def _edge_values_dataset() -> Dataset:
     """Exact zeros, -0.0, subnormals, exponent-form reprs and a row of
@@ -177,18 +184,18 @@ def _edge_values_dataset() -> Dataset:
     return Dataset(X=X, y=y)
 
 
-def _outcome(load, path, **kwargs):
+def _outcome(load, path):
     """What a loader gives: the arrays, or the exception's type and text."""
     try:
-        data = load(path, **kwargs)
+        data = load(path)
     except Exception as exc:  # compared, not swallowed
         return type(exc), str(exc)
     return data.X, data.y
 
 
-def _assert_same_outcome(path, **kwargs):
-    got = _outcome(load_libsvm, path, **kwargs)
-    want = _outcome(oracles.load_libsvm, path, **kwargs)
+def _assert_same_outcome(path):
+    got = _outcome(load_libsvm, path)
+    want = _outcome(oracles.load_libsvm, path)
     if isinstance(want[0], np.ndarray):
         assert isinstance(got[0], np.ndarray), got
         assert got[0].shape == want[0].shape
@@ -219,8 +226,7 @@ class TestIngestMatchesOracles:
         oracles.save_libsvm(data, old)
         assert new.read_bytes() == old.read_bytes()
         _assert_same_outcome(new)
-        _assert_same_outcome(new, expected_dim=data.dim + 3)
-        assert np.array_equal(load_libsvm(new, expected_dim=data.dim).X, data.X)
+        assert np.array_equal(load_libsvm(new).X, data.X)
 
     def test_label_only_line_is_a_zero_row(self, tmp_path):
         path = tmp_path / "edge.txt"
@@ -251,11 +257,10 @@ class TestIngestMatchesOracles:
             "index_beyond_int64", "no_examples", "three_labels", "one_label",
         ],
     )
-    @pytest.mark.parametrize("expected_dim", [None, 3])
-    def test_text_inputs(self, tmp_path, text, expected_dim):
+    def test_text_inputs(self, tmp_path, text):
         path = tmp_path / "in.txt"
         path.write_bytes(text.encode("utf-8"))
-        _assert_same_outcome(path, expected_dim=expected_dim)
+        _assert_same_outcome(path)
 
     def test_repeated_index_keeps_the_last_value(self, tmp_path):
         path = tmp_path / "repeat.txt"

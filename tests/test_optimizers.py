@@ -567,6 +567,29 @@ KERNEL_CASES = [
 ]
 
 
+class ConstantLossObjective:
+    """Duck-typed objective whose every loss is 0 and whose every sampled
+    gradient is ``scale`` times the ones vector: no trial point passes the
+    sufficient-decrease test, whatever the estimate."""
+
+    n, dim, L = 3, 2, 1.0
+
+    def __init__(self, scale: float):
+        self.scale = scale
+
+    def grad_example(self, w, i):
+        return np.full(self.dim, self.scale)
+
+    def loss_example(self, w, i):
+        return 0.0
+
+    def loss_full(self, w):
+        return 0.0
+
+    def grad_full(self, w):
+        return np.full(self.dim, self.scale)
+
+
 def kernel_case(kind: str, mode: str, averaging: bool):
     data = generate_margin_data(25, 5, 0.2, seed=len(kind))
     cfg = RunConfig(
@@ -671,6 +694,21 @@ class TestKernelsMatchSingleSteps:
         obj = one_d_quadratic(1e200)
         cfg = RunConfig(seed=0, ls_init=1e-12, w0=np.array([1.0]))
         assert assert_same_failure(obj, method, cfg, 3) == 1
+
+    def test_accel_line_search_hits_the_doubling_cap(self):
+        obj = ConstantLossObjective(1.0)
+        cfg = RunConfig(seed=0)
+        assert assert_same_failure(obj, "accel_ls", cfg, 2) == 1
+        with pytest.raises(RunError, match="doublings") as failure:
+            run(obj, "accel_ls", cfg, 2)
+        assert isinstance(failure.value.__cause__, LineSearchError)
+
+    def test_accel_gradient_below_resolution_skips_the_line_search(self):
+        # 1e-13 per coordinate: ||g||^2 = 2e-26 is below GRAD_RESOLUTION_SQ,
+        # so the unpassable test is never made and no estimate doubles
+        obj = ConstantLossObjective(1e-13)
+        cfg = RunConfig(seed=0)
+        assert kernel_rows(obj, "accel_ls", cfg, 2) == oracle_rows(obj, "accel_ls", cfg, 2)
 
     @pytest.mark.parametrize(
         "method,step,sigma",
@@ -888,6 +926,25 @@ class TestZeroScreen:
         record = run(obj, method, cfg, 10)
         assert record.rows[-1].train_loss < 1e-8
         assert len(calls) - 2 * first_nine < 0.05 * obj.n  # the tenth pass
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sgd_certifies_nothing_beyond_the_norm_limit(self, monkeypatch):
+        # rows of norm 1e150 and ||w0|| = 1.5e151: the margins are finite
+        # and all but a few are far above 1, so the screen engages, but its
+        # bounds assume no overflow, and ||x_i|| ||w|| >= 1e300 certifies
+        # nothing: every step runs exactly (the Gram power iteration on
+        # these rows overflows and warns)
+        data = screen_objective("hinge", 0.1, 0).data
+        obj = Objective("hinge", Dataset(X=1e150 * data.X, y=data.y))
+        w0 = data.w_star / np.linalg.norm(data.w_star)
+        w0 += 0.3 * np.random.default_rng(0).normal(size=obj.dim) / math.sqrt(obj.dim)
+        w0 *= 1.5e151 / np.linalg.norm(w0)
+        assert 0.0 < np.mean(obj.data.y * (obj.data.X @ w0) < 1.0) < 0.02
+        cfg = screen_config(obj, "sgd", 0.1, w0=w0)
+        expected = oracle_rows(obj, "sgd", cfg, 3)
+        calls = count_scalar_gradients(monkeypatch)
+        assert kernel_rows(obj, "sgd", cfg, 3) == expected
+        assert len(calls) == 3 * obj.n
 
     @pytest.mark.parametrize("averaging,sigma", [(True, 0.0), (False, 0.1)])
     def test_sgd_screens_only_without_averaging_and_noise(self, monkeypatch, averaging, sigma):
