@@ -183,7 +183,7 @@ CONFIG_KEYS = (
     ConfigKey("audit_samples", "200", _at_least(1), "probe count for audit-rho"),
     ConfigKey("ls_init", "1.0", _positive, "initial line-search estimate"),
     ConfigKey("passes", "30", _at_least(1), "effective passes over the data"),
-    ConfigKey("seed", "0", _parse_int, "base seed"),
+    ConfigKey("seed", "0", _at_least(0), "base seed"),
     ConfigKey("sigma", "0.0", _float_where(lambda x: x >= 0.0, ">= 0"),
               "additive gradient noise level"),
     ConfigKey("averaging", "false", _parse_bool, "report metrics at the running iterate mean"),
@@ -236,6 +236,8 @@ class ExperimentConfig:
             raise ConfigError("libsvm dataset requires libsvm_path")
         if cfg.dataset == "synthetic" and not 0.0 < cfg.tau < 1.0:
             raise ConfigError(f"tau must be in (0, 1) for synthetic data, got {cfg.tau!r}")
+        if cfg.dataset == "libsvm" and not 0.0 <= cfg.tau < math.inf:
+            raise ConfigError(f"tau must be >= 0 and finite for libsvm data, got {cfg.tau!r}")
         if cfg.dataset == "synthetic" and cfg.balance and not balance_reachable(cfg.n):
             raise ConfigError(
                 f"balance = true: no labeling of n = {cfg.n} points is class-balanced"
@@ -249,6 +251,8 @@ class ExperimentConfig:
             )
         if cfg.rho_rule == "explicit" and not cfg.rho > 0:
             raise ConfigError(f"rho_rule = explicit requires rho > 0, got {cfg.rho!r}")
+        if cfg.rho_rule == "explicit" and cfg.rho == math.inf:
+            raise ConfigError("rho_rule = explicit requires a finite rho, got inf")
         if cfg.mode == "strongly_convex" and not (cfg.mu is not None and cfg.mu > 0):
             raise ConfigError("mode = strongly_convex requires mu > 0")
         return cfg

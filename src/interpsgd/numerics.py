@@ -24,11 +24,7 @@ __all__ = [
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the last estimate."""
-
-    def __init__(self, message: str, last_estimate: float):
-        super().__init__(message)
-        self.last_estimate = last_estimate
+    """The Gram matrix of X, or its largest eigenvalue, overflows float64."""
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -87,31 +83,21 @@ def gaussian_vector(rng: np.random.Generator, dim: int, std: float) -> np.ndarra
 
 
 def spectral_norm_gram(X, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest eigenvalue of the Gram matrix X^T X by power iteration.
+    """Largest eigenvalue of the Gram matrix X^T X.
 
-    Iterates v -> X^T (X v) without forming the Gram matrix. Starts from
-    the normalized all-ones vector; if the iterate collapses to zero
-    (all-ones lies in the null space) it restarts once from a seeded
-    random vector. Convergence is declared when the eigen-residual
-    ||X^T X v - lam v|| <= tol * lam, so the returned value is within
-    tol * lam_max of the true eigenvalue.
+    Power iteration v -> X^T (X v) from the normalized all-ones vector,
+    without forming the Gram matrix, for at most min(max_iter, min(n, d) // 2)
+    iterations: that many cost as many flops as forming the smaller of
+    X^T X and X X^T, whose nonzero eigenvalues agree. It returns as soon as
+    the eigen-residual ||X^T X v - lam v|| <= tol * lam, so the value is
+    within tol * lam_max of the true eigenvalue.
 
-    When d <= n and the loop has not converged after d // 2 matrix-free
-    iterations (which cost as many flops as forming G = X^T X), it forms
-    G once and returns its largest eigenvalue from the symmetric
-    eigensolver ``numpy.linalg.eigvalsh``, exact to rounding however
-    close the top two eigenvalues are; G is never larger than X. That
-    switch needs ``max_iter`` > d // 2; d > n stays matrix-free, so it can
-    still raise PowerIterationError. Whenever the loop converges before
-    the switch, the arithmetic and result are bit-identical to those of
-    earlier, purely matrix-free versions; after it, the result can differ
-    from theirs in the last bits.
-
-    An iterate whose norm overflows float64 (entries of X near 1e100 are
-    enough) also ends the loop: the eigensolver then takes the smaller of
-    X^T X and X X^T, whose nonzero eigenvalues agree. A Gram matrix or
-    eigenvalue that is itself not finite raises PowerIterationError rather
-    than returning it.
+    Every other way out of the loop (the iterations are spent, or the
+    iterate's norm is zero or overflows float64) forms the smaller Gram
+    matrix once and returns its largest eigenvalue from the symmetric
+    eigensolver ``numpy.linalg.eigvalsh``, exact to rounding however close
+    the top two eigenvalues are. A Gram matrix or eigenvalue that is itself
+    not finite raises PowerIterationError rather than returning it.
     """
     X = as_matrix(X)
     if not tol > 0:  # also rejects nan
@@ -119,38 +105,20 @@ def spectral_norm_gram(X, tol: float = 1e-10, max_iter: int = 10_000) -> float:
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     n, d = X.shape
-    switch_at = d // 2 if d <= n else max_iter
-
-    v = np.full(d, 1.0 / np.sqrt(d))
-    lam = 0.0
-    restarted = False
-    for it in range(max_iter):
-        if it == switch_at:
-            break
-        w = X.T @ (X @ v)
-        norm_w = float(np.linalg.norm(w))
-        if not np.isfinite(norm_w):
-            break
-        if norm_w == 0.0:
-            if restarted:
-                return 0.0  # Gram matrix is zero
-            v = make_rng(0).normal(size=d)
-            v /= np.linalg.norm(v)
-            restarted = True
-            continue
-        lam = float(v @ w)  # Rayleigh quotient, ||v|| = 1
-        if np.linalg.norm(w - lam * v) <= tol * lam:
-            return lam
-        v = w / norm_w
-    else:
-        raise PowerIterationError(
-            f"power iteration did not converge in {max_iter} iterations "
-            f"(last estimate {lam!r})",
-            last_estimate=lam,
-        )
-    gram = X.T @ X if d <= n else X @ X.T
-    if np.all(np.isfinite(gram)):
-        top = float(np.linalg.eigvalsh(gram)[-1])
-        if np.isfinite(top):
-            return top
-    raise PowerIterationError("the Gram matrix of X overflows float64", last_estimate=lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.full(d, 1.0 / np.sqrt(d))
+        for _ in range(min(max_iter, min(n, d) // 2)):
+            w = X.T @ (X @ v)
+            norm_w = float(np.linalg.norm(w))
+            if not 0.0 < norm_w < np.inf:  # also catches nan
+                break
+            lam = float(v @ w)  # Rayleigh quotient, ||v|| = 1
+            if np.linalg.norm(w - lam * v) <= tol * lam:
+                return lam
+            v = w / norm_w
+        gram = X.T @ X if d <= n else X @ X.T
+        if np.all(np.isfinite(gram)):
+            top = float(np.linalg.eigvalsh(gram)[-1])
+            if np.isfinite(top):
+                return top
+    raise PowerIterationError("the Gram matrix of X overflows float64")

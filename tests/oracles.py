@@ -1,7 +1,8 @@
 """Independent verification oracles, kept free of the library's own
 implementations: a cyclic Jacobi eigensolver and the purely matrix-free
-power iteration for cross-checking ``spectral_norm_gram``, central
-finite differences for gradient checks, and the per-element LIBSVM
+power iteration for cross-checking ``spectral_norm_gram``, a wide matrix
+whose top two singular values nearly coincide, central finite
+differences for gradient checks, and the per-element LIBSVM
 reader/writer and three-temporary RBF map that ``interpsgd.data``'s
 streaming versions must match bit for bit."""
 
@@ -64,6 +65,17 @@ def matrix_free_spectral_norm_gram(X, tol: float = 1e-10, max_iter: int = 10_000
             return lam
         v = w / norm_w
     raise RuntimeError(f"power iteration did not converge in {max_iter} iterations")
+
+
+def wide_tiny_gap_matrix(seed: int = 9) -> np.ndarray:
+    """A 20 x 200 matrix with singular values 1, 1 - 1e-9, then 0.5 down to
+    0.1: power iteration alone does not settle its Gram spectral norm in
+    10,000 iterations."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(20, 20)))[0]
+    V = np.linalg.qr(rng.normal(size=(200, 20)))[0]
+    s = np.concatenate([[1.0, 1.0 - 1e-9], np.linspace(0.5, 0.1, 18)])
+    return (U * s) @ V.T
 
 
 def central_diff_grad(f, w: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -10,7 +10,10 @@ from interpsgd import optimizers
 from interpsgd.cli import main
 from interpsgd.data import generate_margin_data, save_libsvm
 from interpsgd.harness import reproduce_figure
+from interpsgd.objectives import Dataset
 from interpsgd.records import RunRecord
+
+from oracles import wide_tiny_gap_matrix
 
 
 def write_config(tmp_path, out_name="out", **overrides):
@@ -212,6 +215,38 @@ class TestRunCommand:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["run", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["reproduce", "fig1a", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["perceptron", "--tau", "0.1", "--n", "50", "--d", "5", "--passes", "10",
+              "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["audit-rho", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["run", "--rho-rule", "explicit", "--rho", "inf", "--methods", "accel"],
+             "rho_rule = explicit requires a finite rho, got inf"),
+            (["run", "--dataset", "libsvm", "--libsvm-path", "FILE", "--step-rule-accel",
+              "tau_over_L", "--tau", "-0.5"],
+             "tau must be >= 0 and finite for libsvm data, got -0.5"),
+            (["run", "--dataset", "libsvm", "--libsvm-path", "FILE", "--step-rule-accel",
+              "tau_over_L", "--tau", "inf"],
+             "tau must be >= 0 and finite for libsvm data, got inf"),
+        ],
+    )
+    def test_value_the_run_cannot_use_is_config_error(self, tmp_path, capsys, argv, message):
+        # each of these used to reach the run and fail there as a runtime error
+        path = tmp_path / "toy.txt"
+        save_libsvm(generate_margin_data(40, 5, 0.2, seed=2), path)
+        out = tmp_path / "out"
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        if argv[0] != "perceptron":  # the one subcommand without --out
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -476,16 +511,51 @@ class TestAuditAndSpectral:
         assert not out.exists()
 
     def test_warning_outside_a_run_is_runtime_error(self, tmp_path, capsys):
-        # under -W error the Gram power iteration's overflow warning leaves
-        # spectral, outside any run: exit 2 with one line, no traceback
+        # under -W error the growth probes' overflow warning leaves audit-rho,
+        # outside any run: exit 2 with one line, no traceback
+        data = generate_margin_data(200, 10, 0.1, seed=0)
         path = tmp_path / "huge.txt"
-        path.write_text("1 1:1e200 2:3e200\n-1 1:-2e200 2:1e200\n", encoding="utf-8")
+        save_libsvm(Dataset(X=data.X * 1e100, y=data.y), path)
+        argv = ["audit-rho", "--dataset", "libsvm", "--libsvm-path", str(path),
+                "--audit-samples", "4"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["spectral", "--libsvm", str(path)]) == 2
+            assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "runtime error: overflow encountered in matmul\n"
+        assert captured.err == "runtime error: overflow encountered in multiply\n"
+
+    @pytest.mark.parametrize("as_error", [False, True])
+    def test_overflowing_power_iterate_prints_no_warning(self, tmp_path, capsys, as_error):
+        # rows of norm 1e150: the iterate's norm overflows, X^T X does not
+        X = np.random.default_rng(5).normal(size=(200, 10))
+        X *= 1e150 / np.linalg.norm(X, axis=1, keepdims=True)
+        path = tmp_path / "huge.txt"
+        save_libsvm(Dataset(X=X, y=np.where(X[:, 0] >= 0.0, 1.0, -1.0)), path)
+        with warnings.catch_warnings():
+            if as_error:
+                warnings.simplefilter("error")
+            assert main(["spectral", "--libsvm", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lam = float(captured.out.splitlines()[1].split(" = ")[1])
+        assert lam == pytest.approx(np.linalg.eigvalsh(X.T @ X)[-1], rel=1e-10)
+
+    def test_wide_tiny_gap_file(self, tmp_path, capsys):
+        # more features than rows, and a gap power iteration cannot resolve
+        X = wide_tiny_gap_matrix()
+        path = tmp_path / "wide.txt"
+        save_libsvm(Dataset(X=X, y=np.where(X[:, 0] >= 0.0, 1.0, -1.0)), path)
+        assert main(["spectral", "--libsvm", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lam = float(captured.out.splitlines()[1].split(" = ")[1])
+        assert lam == pytest.approx(np.linalg.eigvalsh(X @ X.T)[-1], rel=1e-10)
+        out = tmp_path / "out"
+        argv = ["run", "--dataset", "libsvm", "--libsvm-path", str(path), "--tau", "0.1",
+                "--step-rule-accel", "tau_over_L", "--passes", "3", "--out", str(out)]
+        assert main(argv) == 0
+        assert sorted(os.listdir(out)) == ["accel.csv", "config.txt", "sgd.csv"]
 
     def test_audit_grid_rule_adds_a_grid_search_line(self, tmp_path, capsys):
         argv = ["audit-rho", "--n", "60", "--d", "8", "--tau", "0.15", "--audit-samples", "20",

@@ -56,7 +56,7 @@ _FLAGS = {
     "--rho-grid": st.lists(_NUMBER, max_size=3).map(lambda xs: ",".join(map(str, xs))),
     "--grid-passes": _text(st.integers(0, 2)),
     "--ls-init": _text(_NUMBER),
-    "--seed": _text(st.integers(0, 1000)),
+    "--seed": _text(st.integers(-3, 1000)),
     "--sigma": _text(st.one_of(st.sampled_from([0.0, 0.1]), _NUMBER)),
     "--averaging": st.sampled_from(["true", "false"]),
 }

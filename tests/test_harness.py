@@ -94,10 +94,12 @@ class TestConfigParsing:
     def test_synthetic_tau_must_lie_in_unit_interval(self, tau):
         with pytest.raises(ConfigError, match=r"tau must be in \(0, 1\) for synthetic data"):
             ExperimentConfig.from_mapping({"tau": tau})
-        cfg = ExperimentConfig.from_mapping(
-            {"tau": tau, "dataset": "libsvm", "libsvm_path": "data.txt"}
-        )
-        assert cfg.tau == float(tau)
+        libsvm = {"tau": tau, "dataset": "libsvm", "libsvm_path": "data.txt"}
+        if float(tau) < 0:  # a LIBSVM margin may be 0 ("none") but not negative
+            with pytest.raises(ConfigError, match="tau must be >= 0 and finite for libsvm data"):
+                ExperimentConfig.from_mapping(libsvm)
+        else:
+            assert ExperimentConfig.from_mapping(libsvm).tau == float(tau)
 
     def test_readme_table_matches_the_key_table(self):
         # rows such as `n`, `d`, `tau` list several keys with one default

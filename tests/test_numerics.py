@@ -13,20 +13,11 @@ from interpsgd.numerics import (
 
 from interpsgd.data import generate_margin_data
 
-from oracles import jacobi_max_eigenvalue, matrix_free_spectral_norm_gram
-
-
-def iterations_needed(X) -> int:
-    """Smallest max_iter at which spectral_norm_gram converges on X."""
-    lo, hi = 1, 10_000
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            spectral_norm_gram(X, max_iter=mid)
-            hi = mid
-        except PowerIterationError:
-            lo = mid + 1
-    return lo
+from oracles import (
+    jacobi_max_eigenvalue,
+    matrix_free_spectral_norm_gram,
+    wide_tiny_gap_matrix,
+)
 
 
 class TestSpectralNormGram:
@@ -61,24 +52,18 @@ class TestSpectralNormGram:
         lam_p = spectral_norm_gram(X[perm], tol=1e-12)
         assert lam_p == pytest.approx(lam, rel=1e-9)
 
-    def test_zero_matrix_after_restart(self):
-        assert spectral_norm_gram(np.zeros((4, 3))) == 0.0
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 5)])  # d <= n and d > n
+    def test_zero_matrix(self, shape):
+        assert spectral_norm_gram(np.zeros(shape)) == 0.0
 
-    def test_nonconvergence_carries_last_estimate(self):
-        # Tiny eigen-gap, one iteration allowed: cannot converge.
-        X = np.diag([1.0, 1.0 - 1e-12])
-        with pytest.raises(PowerIterationError) as err:
-            spectral_norm_gram(X, tol=1e-16, max_iter=1)
-        assert err.value.last_estimate > 0.0
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("shape", [(3, 2), (2, 5)])  # d <= n and d > n
     def test_overflowing_gram_raises_instead_of_returning_nan(self, shape):
         X = np.random.default_rng(4).normal(size=shape) * 1e200
         with pytest.raises(PowerIterationError, match="overflows float64"):
             spectral_norm_gram(X)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # the overflow is handled, not warned about
     @pytest.mark.parametrize("X", [np.diag([1e100, 2e100, 1.0]),
                                    np.array([[1e100, 0.0, 0.0], [0.0, 2e100, 0.0]])])
     def test_overflowing_iterate_norm_falls_back_to_the_smaller_gram(self, X):
@@ -100,7 +85,7 @@ class TestSpectralNormGram:
 
 
 class TestGramPhase:
-    """After d // 2 matrix-free iterations (d <= n) the loop hands the formed
+    """After min(n, d) // 2 matrix-free iterations the loop hands the smaller
     Gram matrix to an exact symmetric eigensolver."""
 
     def test_converging_before_the_switch_is_bit_identical(self):
@@ -111,16 +96,13 @@ class TestGramPhase:
 
     def test_tiny_gap_continues_on_the_gram_matrix(self):
         X = generate_margin_data(2000, 40, 0.005, seed=0).X
-        assert iterations_needed(X) > X.shape[1] // 2
+        with pytest.raises(RuntimeError, match="did not converge"):
+            matrix_free_spectral_norm_gram(X, max_iter=X.shape[1] // 2)
         tol = 1e-10
         lam = spectral_norm_gram(X, tol=tol)
+        assert lam == np.linalg.eigvalsh(X.T @ X)[-1]
         assert abs(lam - jacobi_max_eigenvalue(X.T @ X)) <= tol * lam
         assert abs(lam - matrix_free_spectral_norm_gram(X, tol=tol)) <= tol * lam
-
-    def test_wide_matrix_stays_matrix_free(self):
-        X = generate_margin_data(50, 100, 0.1, seed=0).X
-        assert iterations_needed(X) > X.shape[1] // 2
-        assert spectral_norm_gram(X) == matrix_free_spectral_norm_gram(X)
 
     def test_gap_too_small_for_the_power_iteration(self):
         # seed 21: the matrix-free loop does not converge in 10,000 iterations
@@ -131,20 +113,28 @@ class TestGramPhase:
         lam = spectral_norm_gram(X, tol=tol)
         assert abs(lam - jacobi_max_eigenvalue(X.T @ X)) <= tol * lam
 
-    def test_max_iter_that_stops_before_the_switch_raises(self):
+    def test_max_iter_below_the_switch_returns_the_eigensolver_value(self):
         X = generate_margin_data(2000, 40, 0.005, seed=0).X
-        switch = X.shape[1] // 2
-        with pytest.raises(PowerIterationError, match=f"in {switch} iter") as err:
-            spectral_norm_gram(X, max_iter=switch)
-        assert err.value.last_estimate > 0.0
-        assert spectral_norm_gram(X, max_iter=switch + 1) == spectral_norm_gram(X)
+        lam = spectral_norm_gram(X, max_iter=5)  # the switch is at d // 2 = 20
+        assert lam == np.linalg.eigvalsh(X.T @ X)[-1]
+        assert lam == spectral_norm_gram(X)
 
-    def test_wide_matrix_raises_below_the_needed_count(self):
+    def test_wide_matrix_switches_to_the_row_gram_matrix(self):
         X = generate_margin_data(50, 100, 0.1, seed=0).X
-        needed = iterations_needed(X)
-        with pytest.raises(PowerIterationError, match=f"in {needed - 1} iter") as err:
-            spectral_norm_gram(X, max_iter=needed - 1)
-        assert err.value.last_estimate > 0.0
+        with pytest.raises(RuntimeError, match="did not converge"):
+            matrix_free_spectral_norm_gram(X, max_iter=X.shape[0] // 2)
+        tol = 1e-10
+        lam = spectral_norm_gram(X, tol=tol)
+        assert lam == np.linalg.eigvalsh(X @ X.T)[-1]
+        assert abs(lam - matrix_free_spectral_norm_gram(X, tol=tol)) <= tol * lam
+
+    def test_wide_tiny_gap_matrix(self):
+        X = wide_tiny_gap_matrix()
+        with pytest.raises(RuntimeError, match="did not converge"):
+            matrix_free_spectral_norm_gram(X)
+        tol = 1e-10
+        lam = spectral_norm_gram(X, tol=tol)
+        assert abs(lam - jacobi_max_eigenvalue(X @ X.T)) <= tol * lam
 
 
 class TestRng:

@@ -9,10 +9,12 @@ hashing the parent tree and the changed tree and comparing the two files:
     python tools/output_hashes.py change.json
     python tools/output_hashes.py --compare parent.json change.json
 
-The small set (80 argvs, about a minute) covers every subcommand at
+The small set (83 argvs, about a minute) covers every subcommand at
 200x10 scale, fig2 on a toy LIBSVM file, 18 ``run`` variants, ``--help``,
 config errors, ``perceptron`` with too few passes or τ above 1, a diverging
-run and the hinge combinations. ``--full``
+run, the hinge combinations, ``spectral`` and ``run`` on a wide 20x200 file
+whose top two singular values are 1 and 1 - 1e-9, and ``spectral`` on a
+200x10 file whose rows have norm 1e150. ``--full``
 adds ``reproduce fig1a..fig1d`` at n = 8000, d = 100, 30 passes with seeds
 0-3 and ``reproduce app_ls`` at its defaults (17 argvs, several minutes).
 
@@ -20,7 +22,7 @@ Each argv runs in a fresh temporary directory with ``COLUMNS=80`` and
 relative paths, so outputs do not depend on where either tree lives; the
 tree's ``src`` directory and the temporary directory are replaced by
 ``<src>`` and ``<tmp>`` in stdout and stderr before hashing. Input files
-(a config file and a toy LIBSVM file) are written by this script with
+(config files and three LIBSVM files) are written by this script with
 numpy alone, so both trees read the same bytes.
 """
 
@@ -107,6 +109,11 @@ def small_argvs() -> dict[str, list[str]]:
     argvs["audit"] = ["audit-rho", *SMALL]
     argvs["audit_grid"] = ["audit-rho", *SMALL, "--rho-rule", "grid",
                            "--rho-grid", "0.01,16", "--grid-passes", "3"]
+    argvs["spectral_wide"] = ["spectral", "--libsvm", "wide.txt"]
+    argvs["run_wide"] = ["run", "--dataset", "libsvm", "--libsvm-path", "wide.txt",
+                         "--tau", "0.1", "--step-rule-accel", "tau_over_L", "--passes", "3",
+                         "--out", "out"]
+    argvs["spectral_huge"] = ["spectral", "--libsvm", "huge.txt"]
     argvs["help"] = ["--help"]
     for sub in ("run", "reproduce", "perceptron", "audit-rho", "spectral"):
         argvs[f"help_{sub}"] = [sub, "--help"]
@@ -163,17 +170,31 @@ def full_argvs() -> dict[str, list[str]]:
     return argvs
 
 
+def write_libsvm(path: Path, X: np.ndarray, rng: np.random.Generator) -> None:
+    """Dense LIBSVM rows of X, labelled by the sign of a random direction."""
+    y = np.where(X @ rng.normal(size=X.shape[1]) >= 0.0, 1, -1)
+    lines = [f"{label} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row.tolist()))
+             for label, row in zip(y.tolist(), X)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_inputs(directory: Path) -> set[str]:
     """The input files every argv may read; returns their names."""
     (directory / "exp.cfg").write_text(EXP_CFG, encoding="utf-8")
     (directory / "bad.cfg").write_text("nonsense = 1\n", encoding="utf-8")
     rng = np.random.default_rng(8)
-    X = rng.normal(size=(150, 8))
-    y = np.where(X @ rng.normal(size=8) >= 0.0, 1, -1)
-    lines = [f"{label} " + " ".join(f"{j + 1}:{v!r}" for j, v in enumerate(row.tolist()))
-             for label, row in zip(y.tolist(), X)]
-    (directory / "toy.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return {"exp.cfg", "bad.cfg", "toy.txt"}
+    write_libsvm(directory / "toy.txt", rng.normal(size=(150, 8)), rng)
+    # wide: singular values 1, 1 - 1e-9, then 0.5 down to 0.1
+    rng = np.random.default_rng(9)
+    U = np.linalg.qr(rng.normal(size=(20, 20)))[0]
+    V = np.linalg.qr(rng.normal(size=(200, 20)))[0]
+    s = np.concatenate([[1.0, 1.0 - 1e-9], np.linspace(0.5, 0.1, 18)])
+    write_libsvm(directory / "wide.txt", (U * s) @ V.T, rng)
+    # huge: rows of norm 1e150, whose Gram matrix is still finite
+    X = rng.normal(size=(200, 10))
+    X *= 1e150 / np.linalg.norm(X, axis=1, keepdims=True)
+    write_libsvm(directory / "huge.txt", X, rng)
+    return {"exp.cfg", "bad.cfg", "toy.txt", "wide.txt", "huge.txt"}
 
 
 def sha256(blob: bytes) -> str:
