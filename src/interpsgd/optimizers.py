@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import time
-from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -184,8 +183,16 @@ def accel_schedule_advance(s: AccelSchedule) -> AccelSchedule:
     gamma, alpha, beta, ab_next = _schedule_coefficients(
         s.mode, s.rho, s.eta, s.mu, s.gamma_prev, s.ab_ratio
     )
-    # the constructor directly: dataclasses.replace costs twice as much
-    return AccelSchedule(s.mode, s.rho, s.eta, s.mu, s.k + 1, gamma, ab_next, gamma, alpha, beta)
+    # built without the generated __init__, whose frozen-field assignments
+    # cost as much as the rest of the call; ==, repr and replace() read the
+    # same fields
+    nxt = object.__new__(AccelSchedule)
+    fields = nxt.__dict__
+    fields.update(s.__dict__)
+    fields["k"] = s.k + 1
+    fields["gamma_prev"] = fields["gamma"] = gamma
+    fields["ab_ratio"], fields["alpha"], fields["beta"] = ab_next, alpha, beta
+    return nxt
 
 
 @dataclass(frozen=True)
@@ -397,7 +404,11 @@ class _ZeroScreen:
     ``row.dot(w)`` differ by at most 2 gamma_d ||x_i|| ||w||, and the
     subtraction of the slack rounds once more, so a step is certified when
     m_i(w) - 2 gamma ||x_i|| ||w|| >= 1. A certified step leaves w
-    untouched, so the kernel skips it.
+    untouched, so the kernel skips it. Since the bound holds for any
+    summation order, the margins may come from the block's gathered rows
+    or from one X @ w over all n rows: the screen keeps the certificates
+    of all n rows from the latter while w stands still (see :meth:`cover`
+    and :meth:`certified_head`).
 
     Acc-SGD (:meth:`certified_in_span`): a zero-gradient step sets
     zeta = (1 - alpha) w + alpha v, w = zeta and v = beta v + (1 - beta)
@@ -435,6 +446,7 @@ class _ZeroScreen:
         self._norm_limit = 1e300 / max(float(self._l2.max()), 1.0)
         self._min_gap = min_gap
         self._gap = 0.0
+        self._certified = None  # per row, at the w of the last full product
 
     def cover(self, n: int, steps, head) -> None:
         """Runs a pass of n steps. ``steps(start, end)`` runs the exact
@@ -449,31 +461,50 @@ class _ZeroScreen:
         its first uncertified step runs exactly and ends it. A block
         without one suggests a gap of at least twice its length (one cut
         short by the end of the pass only keeps the estimate).
+
+        The kept certificates of :meth:`certified_head` are dropped
+        whenever ``steps`` reports an active step. While the screen is on
+        (no noise, no running mean), that is the only way SGD's or
+        SGD(LS)'s w moves, so they stay valid across blocks and passes.
         """
         k = 0
         while k < n:
+            moved = 0
             if self._gap < self._min_gap:
                 end = min(k + _PROBE, n)
-                active = steps(k, end)
+                active = moved = steps(k, end)
             else:
                 end = min(k + min(int(2.0 * self._gap), _MAX_BLOCK), n)
                 stop = k + head(k, end)
                 active = int(stop < end)
                 if active:
-                    steps(stop, stop + 1)
+                    moved = steps(stop, stop + 1)
                     end = stop + 1
+            if moved:
+                self._certified = None
             sample = (end - k) / active if active else max(2.0 * (end - k), self._gap)
             self._gap = 0.5 * (self._gap + sample)
             k = end
 
     def certified_head(self, blk: np.ndarray, w: np.ndarray) -> int:
-        """How many steps at the head of ``blk`` are certified at w."""
+        """How many steps at the head of ``blk`` are certified at w.
+
+        Reads the kept certificates of all n rows if there are any (w has
+        not moved since they were made). Otherwise a block of at least n/2
+        rows makes and keeps them with one X @ w, which costs less than
+        gathering that many rows; a shorter block gathers its own rows.
+        """
+        if self._certified is not None:
+            return _leading_true(self._certified[blk])
         norm = math.sqrt(w.dot(w))
         if not norm < self._norm_limit:
             return 0
-        m = self._y[blk] * (self._X[blk] @ w)
-        slack = (2.0 * self._gamma * norm) * self._l2[blk]
-        return _leading_true(m - slack >= 1.0)
+        scale = 2.0 * self._gamma * norm
+        if 2 * len(blk) < len(self._y):
+            m = self._y[blk] * (self._X[blk] @ w)
+            return _leading_true(m - scale * self._l2[blk] >= 1.0)
+        self._certified = self._y * (self._X @ w) - scale * self._l2 >= 1.0
+        return _leading_true(self._certified[blk])
 
     def certified_in_span(
         self, blk: np.ndarray, v: np.ndarray, u: np.ndarray, r: np.ndarray
@@ -562,13 +593,33 @@ def _span_coefficients(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarra
     return r, q
 
 
+def _convex_coefficients(
+    n: int, rho: float, eta: float, gamma_prev: float, ab: float
+) -> tuple[list, np.ndarray, float, float]:
+    """(gamma_k, alpha_k, gamma_prev, ab) over n convex-mode advances from
+    the carried (gamma_prev, ab): ``_schedule_coefficients``' formulas and
+    bits. Only gamma is sequential; ab_k = gamma_{k-1}^2 eta rho and alpha_k
+    follow as elementwise array ops, in the same operation order."""
+    inv_rho = 1.0 / rho
+    g = gamma_prev
+    gammas = [g := 0.5 * (inv_rho + math.sqrt(inv_rho * inv_rho + 4.0 * g**2)) for _ in range(n)]
+    gamma = np.array(gammas)
+    ab_k = np.empty(n)
+    ab_k[0] = ab
+    ab_k[1:] = gamma[:-1] * gamma[:-1] * eta * rho
+    ge = gamma * eta
+    return gammas, ge / (ge + ab_k), g, g * g * eta * rho
+
+
 def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen):
     """With a screen, the steps between two uncertified ones are crossed in
     the span of the block's start (see ``_ZeroScreen.certified_in_span``):
     one product per block instead of five ufuncs per step. Convex mode
     carries c_k = prod(1 - alpha_j), strongly convex mode the constant
     ``_span_coefficients``. The exact per-step arithmetic runs the other
-    steps, and all steps without a screen."""
+    steps, and all steps without a screen. Each pass takes its convex
+    gamma_k and alpha_k from ``_convex_coefficients``, as array ops with
+    the schedule's own bits."""
     grad, _ = _example_oracles(obj)
     mode, rho, eta, mu = sched.mode, sched.rho, sched.eta, sched.mu
     gamma_prev, ab = sched.gamma_prev, sched.ab_ratio
@@ -584,26 +635,14 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen):
     v = w.copy()
     zeta, t, u = (np.empty_like(w) for _ in range(3))
 
-    def coefficients(n: int) -> tuple[array, array]:
-        """gamma_k and alpha_k of the pass's n steps."""
-        nonlocal gamma_prev, ab
-        if mode != "convex":
-            return array("d", [sc_gamma]) * n, array("d", [sc_alpha]) * n
-        inv_rho = 1.0 / rho
-        gammas, alphas = array("d"), array("d")
-        for _ in range(n):
-            # _schedule_coefficients' convex formulas, term for term
-            gamma = 0.5 * (inv_rho + math.sqrt(inv_rho * inv_rho + 4.0 * gamma_prev**2))
-            alphas.append(gamma * eta / (gamma * eta + ab))
-            gammas.append(gamma)
-            ab = gamma * gamma * eta * rho
-            gamma_prev = gamma
-        return gammas, alphas
-
     def run_pass(draw, noise):
+        nonlocal gamma_prev, ab
         indices = draw.tolist()
         n = len(indices)
-        gammas, alphas = coefficients(n)
+        if mode == "convex":
+            gammas, alphas, gamma_prev, ab = _convex_coefficients(n, rho, eta, gamma_prev, ab)
+        else:
+            gammas, alphas = [sc_gamma] * n, [sc_alpha] * n
 
         def steps(start: int, end: int) -> int:
             """The exact steps start..end-1; returns how many had a gradient."""
@@ -952,7 +991,9 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
             # loss_full, grad_full and mistake_rate from one z = X w
             z = obj.data.X @ point
             loss = float(np.mean(obj._losses(z)))
-            full = (obj.data.X.T @ obj._grad_scalars(z)) / n
+            s = obj._grad_scalars(z)
+            # X is finite (Dataset checks), so s = 0 gives a zero gradient
+            full = (obj.data.X.T @ s) / n if s.any() else np.zeros(obj.dim)
             mistakes = float(np.mean(obj.data.y * z <= 0.0))
         else:
             loss = obj.loss_full(point)

@@ -1,6 +1,6 @@
 import functools
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +11,7 @@ from interpsgd.data import generate_margin_data
 from interpsgd.numerics import make_rng
 from interpsgd.objectives import Dataset, Objective
 from interpsgd.optimizers import (
+    AccelSchedule,
     AccelState,
     LineSearchError,
     RunConfig,
@@ -184,6 +185,36 @@ class TestScheduleAdvance:
                 seen[k] = (s.gamma, s.alpha, s.beta, s.ab_ratio)
         assert seen[1] == seen[2] == seen[1000]
         assert all(math.isfinite(value) for value in seen[1])
+
+    def test_advance_keeps_a_frozen_dataclass(self):
+        s = accel_schedule_advance(make_schedule("convex", 2.0, 0.125))
+        built = AccelSchedule("convex", 2.0, 0.125, 0.0, 1, s.gamma, s.ab_ratio, s.gamma, s.alpha, 1.0)
+        assert s == built and repr(s) == repr(built) and hash(s) == hash(built)
+        assert replace(s, eta=0.5).eta == 0.5 and replace(s) == s
+        with pytest.raises(FrozenInstanceError):
+            s.k = 7
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 10.0])
+    def test_pass_coefficients_equal_the_scalar_schedule(self, rho):
+        # the accel kernel's per-pass gamma_k and alpha_k, three passes with
+        # the state carried between them, against _schedule_coefficients
+        eta = 0.03
+        gamma_prev = ab = want_prev = want_ab = 0.0
+        for n in (2000, 1, 500):
+            gammas, alphas, gamma_prev, ab = optimizers._convex_coefficients(
+                n, rho, eta, gamma_prev, ab
+            )
+            want_gammas, want_alphas = [], []
+            for _ in range(n):
+                gamma, alpha, _, want_ab = optimizers._schedule_coefficients(
+                    "convex", rho, eta, 0.0, want_prev, want_ab
+                )
+                want_gammas.append(gamma)
+                want_alphas.append(alpha)
+                want_prev = gamma
+            assert list(gammas) == want_gammas
+            assert alphas.tolist() == want_alphas
+            assert (gamma_prev, ab) == (want_prev, want_ab)
 
 
 class TestAccelStep:
@@ -833,6 +864,19 @@ def count_scalar_gradients(monkeypatch) -> list:
     return calls
 
 
+def record_kept_reads(monkeypatch) -> list:
+    """Per certified_head call: whether it read kept certificates."""
+    reads = []
+    original = optimizers._ZeroScreen.certified_head
+
+    def recording(self, blk, w):
+        reads.append(self._certified is not None)
+        return original(self, blk, w)
+
+    monkeypatch.setattr(optimizers._ZeroScreen, "certified_head", recording)
+    return reads
+
+
 def screen_case(tau, kind, method, mode, averaging, seed):
     obj = screen_objective(kind, tau, seed)
     w0 = 0.9 * obj.data.w_star if seed else None
@@ -945,6 +989,32 @@ class TestZeroScreen:
         calls = count_scalar_gradients(monkeypatch)
         assert kernel_rows(obj, "sgd", cfg, 3) == expected
         assert len(calls) == 3 * obj.n
+
+    @pytest.mark.parametrize("method", ["sgd", "sgd_ls"])
+    def test_kept_certificates_while_w_stands_still(self, monkeypatch, method):
+        # every margin at 1.01 w_star is >= 1.01: no step moves w, and from
+        # the first product over all rows on, every later block of every
+        # pass (n = 5000 takes two blocks a pass) reads the kept certificates
+        data = generate_margin_data(5000, 5, 0.1, seed=0)
+        obj = Objective("squared_hinge", data)
+        cfg = RunConfig(seed=2, w0=1.01 * data.w_star)
+        expected = oracle_rows(obj, method, cfg, 4)
+        reads = record_kept_reads(monkeypatch)
+        assert kernel_rows(obj, method, cfg, 4) == expected
+        first = reads.index(True)
+        assert all(reads[first:]) and len(reads) - first >= 4
+
+    @pytest.mark.parametrize("method", ["sgd", "sgd_ls"])
+    def test_active_step_after_kept_certificates(self, monkeypatch, method):
+        # at 0.99 w_star a few margins are below 1: a stretch of kept
+        # certificates ends in an active step, which moves w and must drop
+        # them (margins read at the old w would skip steps that are active)
+        obj = screen_objective("squared_hinge", 0.1, 0)
+        cfg = RunConfig(seed=5, w0=0.99 * obj.data.w_star)
+        expected = oracle_rows(obj, method, cfg, 4)
+        reads = record_kept_reads(monkeypatch)
+        assert kernel_rows(obj, method, cfg, 4) == expected
+        assert any(kept and not now for kept, now in zip(reads, reads[1:]))
 
     @pytest.mark.parametrize("averaging,sigma", [(True, 0.0), (False, 0.1)])
     def test_sgd_screens_only_without_averaging_and_noise(self, monkeypatch, averaging, sigma):
