@@ -100,24 +100,30 @@ def empirical_sgc_ratio(obj, w) -> float:
 
     At least 1 up to floating error (Jensen). Raises when the full gradient
     is below the cutoff: at interpolation both sides vanish and the ratio
-    is undefined. For an :class:`Objective` both sides come from one
-    product z = X w; other objectives go through their public
+    is undefined. Raises too, without an overflow warning, when the ratio
+    is not finite: a squared gradient norm overflows float64 (rows near
+    1e100) and the ratio is lost. For an :class:`Objective` both sides come
+    from one product z = X w; other objectives go through their public
     ``grad_full`` and ``per_example_grad_sq_norms``.
     """
-    if isinstance(obj, Objective):
-        w = as_vector(w, dim=obj.dim)
-        s = obj._grad_scalars(obj.data.X @ w)
-        full = (obj.data.X.T @ s) / obj.n
-        per_example = s**2 * obj._row_sq
-    else:
-        full, per_example = obj.grad_full(w), obj.per_example_grad_sq_norms(w)
-    full_sq = float(full @ full)
-    if full_sq <= GRAD_NORM_CUTOFF**2:
-        raise ValueError(
-            f"full gradient norm {np.sqrt(full_sq)!r} below cutoff "
-            f"{GRAD_NORM_CUTOFF}: ratio undefined at interpolation"
-        )
-    return float(np.mean(per_example)) / full_sq
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(obj, Objective):
+            w = as_vector(w, dim=obj.dim)
+            s = obj._grad_scalars(obj.data.X @ w)
+            full = (obj.data.X.T @ s) / obj.n
+            per_example = s**2 * obj._row_sq
+        else:
+            full, per_example = obj.grad_full(w), obj.per_example_grad_sq_norms(w)
+        full_sq = float(full @ full)
+        if full_sq <= GRAD_NORM_CUTOFF**2:
+            raise ValueError(
+                f"full gradient norm {np.sqrt(full_sq)!r} below cutoff "
+                f"{GRAD_NORM_CUTOFF}: ratio undefined at interpolation"
+            )
+        ratio = float(np.mean(per_example)) / full_sq
+    if not np.isfinite(ratio):
+        raise ValueError(f"ratio {ratio!r} is not finite: the gradients overflow float64")
+    return ratio
 
 
 def audit_sgc(obj, sample_count: int, rng) -> GrowthEstimate:
@@ -126,8 +132,9 @@ def audit_sgc(obj, sample_count: int, rng) -> GrowthEstimate:
     Half the probes are uniform in a box around the origin scaled by
     1/tau (far-field behavior), half are iterates of a short SGD
     trajectory (the points convergence arguments actually consume).
-    Probes at interpolation (full gradient below cutoff) are excluded;
-    if every probe is excluded the audit fails.
+    Probes at interpolation (full gradient below cutoff) and probes whose
+    ratio overflows are excluded and not counted in ``detail``; if every
+    probe is excluded the audit fails.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
@@ -155,7 +162,8 @@ def audit_sgc(obj, sample_count: int, rng) -> GrowthEstimate:
         except ValueError:
             continue
     if used == 0:
-        raise ValueError("all probes at interpolation: empirical ratio undefined")
+        raise ValueError(
+            "all probes at interpolation or overflowing: empirical ratio undefined")
     return GrowthEstimate(
         rho=max(best, 1.0),
         route="empirical_ratio",

@@ -490,9 +490,10 @@ class _ZeroScreen:
         """How many steps at the head of ``blk`` are certified at w.
 
         Reads the kept certificates of all n rows if there are any (w has
-        not moved since they were made). Otherwise a block of at least n/2
-        rows makes and keeps them with one X @ w, which costs less than
-        gathering that many rows; a shorter block gathers its own rows.
+        not moved since they were made). Otherwise a block of at least n/4
+        rows makes and keeps them with one X @ w, which costs about as much
+        as gathering that many rows and serves the blocks after it; a
+        shorter block gathers its own rows.
         """
         if self._certified is not None:
             return _leading_true(self._certified[blk])
@@ -500,7 +501,7 @@ class _ZeroScreen:
         if not norm < self._norm_limit:
             return 0
         scale = 2.0 * self._gamma * norm
-        if 2 * len(blk) < len(self._y):
+        if 4 * len(blk) < len(self._y):
             m = self._y[blk] * (self._X[blk] @ w)
             return _leading_true(m - scale * self._l2[blk] >= 1.0)
         self._certified = self._y * (self._X @ w) - scale * self._l2 >= 1.0

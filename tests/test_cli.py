@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from interpsgd import optimizers
+from interpsgd import growth, optimizers
 from interpsgd.cli import main
 from interpsgd.data import generate_margin_data, save_libsvm
 from interpsgd.harness import reproduce_figure
@@ -510,9 +510,25 @@ class TestAuditAndSpectral:
             "runtime error: the Gram matrix of X overflows float64")
         assert not out.exists()
 
-    def test_warning_outside_a_run_is_runtime_error(self, tmp_path, capsys):
-        # under -W error the growth probes' overflow warning leaves audit-rho,
+    def test_warning_outside_a_run_is_runtime_error(self, monkeypatch, capsys):
+        # under -W error a warning in the growth probes leaves audit-rho,
         # outside any run: exit 2 with one line, no traceback
+        def warning_probe(obj, w):
+            warnings.warn("probe warning", RuntimeWarning)
+            return 1.0
+
+        monkeypatch.setattr(growth, "empirical_sgc_ratio", warning_probe)
+        argv = ["audit-rho", "--n", "50", "--d", "5", "--audit-samples", "4"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "runtime error: probe warning\n"
+
+    def test_overflowing_growth_probes_are_excluded(self, tmp_path, capsys):
+        # rows scaled by 1e100: the squared gradient norms of the two box
+        # probes overflow, so only the two trajectory probes are counted
         data = generate_margin_data(200, 10, 0.1, seed=0)
         path = tmp_path / "huge.txt"
         save_libsvm(Dataset(X=data.X * 1e100, y=data.y), path)
@@ -520,10 +536,13 @@ class TestAuditAndSpectral:
                 "--audit-samples", "4"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(argv) == 2
+            assert main(argv) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "runtime error: overflow encountered in multiply\n"
+        assert captured.err == ""
+        line = captured.out.splitlines()[-1]
+        assert line.startswith("rho[empirical_ratio] = ")
+        assert line.endswith("  (max over 2/4 probes)")
+        assert np.isfinite(float(line.split(" = ")[1].split()[0]))
 
     @pytest.mark.parametrize("as_error", [False, True])
     def test_overflowing_power_iterate_prints_no_warning(self, tmp_path, capsys, as_error):

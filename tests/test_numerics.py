@@ -85,19 +85,25 @@ class TestSpectralNormGram:
 
 
 class TestGramPhase:
-    """After min(n, d) // 2 matrix-free iterations the loop hands the smaller
+    """After min(n, d) // 16 matrix-free iterations the loop hands the smaller
     Gram matrix to an exact symmetric eigensolver."""
 
     def test_converging_before_the_switch_is_bit_identical(self):
-        X = generate_margin_data(400, 40, 0.4, seed=0).X
-        # max_iter = d // 2 leaves no room for a Gram iteration
-        lam = spectral_norm_gram(X, max_iter=X.shape[1] // 2)
-        assert lam == matrix_free_spectral_norm_gram(X)
+        # all-positive rows: a dominant top eigenvalue, converged in 3 of the
+        # 64 // 16 = 4 iterations
+        X = make_rng(0).uniform(1.0, 1.2, size=(400, 64))
+        lam = spectral_norm_gram(X)
+        assert lam == matrix_free_spectral_norm_gram(X, max_iter=X.shape[1] // 16)
+
+    def test_fig1a_data_returns_the_eigensolver_value(self):
+        # the power iteration needs 33 iterations here, the switch is at 6
+        X = generate_margin_data(8000, 100, 0.1, seed=0).X
+        assert spectral_norm_gram(X) == np.linalg.eigvalsh(X.T @ X)[-1]
 
     def test_tiny_gap_continues_on_the_gram_matrix(self):
         X = generate_margin_data(2000, 40, 0.005, seed=0).X
         with pytest.raises(RuntimeError, match="did not converge"):
-            matrix_free_spectral_norm_gram(X, max_iter=X.shape[1] // 2)
+            matrix_free_spectral_norm_gram(X, max_iter=X.shape[1] // 16)
         tol = 1e-10
         lam = spectral_norm_gram(X, tol=tol)
         assert lam == np.linalg.eigvalsh(X.T @ X)[-1]
@@ -115,14 +121,14 @@ class TestGramPhase:
 
     def test_max_iter_below_the_switch_returns_the_eigensolver_value(self):
         X = generate_margin_data(2000, 40, 0.005, seed=0).X
-        lam = spectral_norm_gram(X, max_iter=5)  # the switch is at d // 2 = 20
+        lam = spectral_norm_gram(X, max_iter=1)  # the switch is at d // 16 = 2
         assert lam == np.linalg.eigvalsh(X.T @ X)[-1]
         assert lam == spectral_norm_gram(X)
 
     def test_wide_matrix_switches_to_the_row_gram_matrix(self):
         X = generate_margin_data(50, 100, 0.1, seed=0).X
         with pytest.raises(RuntimeError, match="did not converge"):
-            matrix_free_spectral_norm_gram(X, max_iter=X.shape[0] // 2)
+            matrix_free_spectral_norm_gram(X, max_iter=X.shape[0] // 16)
         tol = 1e-10
         lam = spectral_norm_gram(X, tol=tol)
         assert lam == np.linalg.eigvalsh(X @ X.T)[-1]

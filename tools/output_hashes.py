@@ -2,8 +2,9 @@
 
 Runs a fixed set of argvs through ``python -m interpsgd.cli`` and records,
 per argv, the exit code and the SHA-256 of stdout, stderr and every file
-the run wrote. A change that should leave outputs alone is checked by
-hashing the parent tree and the changed tree and comparing the two files:
+the run wrote, and each CSV's ``log10_loss`` column as written. A change
+that should leave outputs alone is checked by hashing the parent tree and
+the changed tree and comparing the two files:
 
     python tools/output_hashes.py --repo ../parent parent.json
     python tools/output_hashes.py change.json
@@ -24,13 +25,20 @@ tree's ``src`` directory and the temporary directory are replaced by
 ``<src>`` and ``<tmp>`` in stdout and stderr before hashing. Input files
 (config files and three LIBSVM files) are written by this script with
 numpy alone, so both trees read the same bytes.
+
+``--compare`` lists the argvs that differ, and for each differing CSV the
+largest |Δ log10_loss| between its rows (inf if the row counts differ),
+which measures changes that are meant to move curves only in their last
+digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -201,6 +209,32 @@ def sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def log10_loss_column(blob: bytes) -> list[str] | None:
+    """The CSV's ``log10_loss`` column as written, or None if it has none."""
+    rows = list(csv.reader(blob.decode(errors="replace").splitlines()))
+    if not rows or "log10_loss" not in rows[0]:
+        return None
+    j = rows[0].index("log10_loss")
+    return [row[j] if j < len(row) else "" for row in rows[1:]]
+
+
+def max_log10_loss_delta(old: list[str], new: list[str]) -> float:
+    """Largest |Δ| between two ``log10_loss`` columns, row by row; inf if
+    their lengths differ or a row is unparsable or nan on one side only."""
+    if len(old) != len(new):
+        return math.inf
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        try:
+            delta = abs(float(a) - float(b))
+        except ValueError:
+            return math.inf
+        worst = max(worst, math.inf if math.isnan(delta) else delta)
+    return worst
+
+
 def hash_argv(src: Path, argv: list[str]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         inputs = write_inputs(Path(tmp))
@@ -211,11 +245,15 @@ def hash_argv(src: Path, argv: list[str]) -> dict:
         def clean(blob: bytes) -> bytes:
             return blob.replace(str(src).encode(), b"<src>").replace(tmp.encode(), b"<tmp>")
 
-        files = {}
+        files, log10_loss = {}, {}
         for path in sorted(Path(tmp).rglob("*")):
             rel = path.relative_to(tmp).as_posix()
             if path.is_file() and rel not in inputs:
-                files[rel] = sha256(path.read_bytes())
+                blob = path.read_bytes()
+                files[rel] = sha256(blob)
+                column = log10_loss_column(blob) if rel.endswith(".csv") else None
+                if column is not None:
+                    log10_loss[rel] = column
         stderr = clean(proc.stderr)
         return {
             "argv": argv,
@@ -224,6 +262,7 @@ def hash_argv(src: Path, argv: list[str]) -> dict:
             "stderr": sha256(stderr),
             "stderr_text": stderr.decode(errors="replace"),
             "files": files,
+            "log10_loss": log10_loss,
         }
 
 
@@ -246,8 +285,14 @@ def compare(old: dict, new: dict) -> int:
             if "files" in fields:
                 for f in sorted(a["files"].keys() | b["files"].keys()):
                     if a["files"].get(f) != b["files"].get(f):
-                        print(f"  file {f}: {a['files'].get(f, '-')[:12]} -> "
-                              f"{b['files'].get(f, '-')[:12]}")
+                        line = (f"  file {f}: {a['files'].get(f, '-')[:12]} -> "
+                                f"{b['files'].get(f, '-')[:12]}")
+                        old_col = a.get("log10_loss", {}).get(f)
+                        new_col = b.get("log10_loss", {}).get(f)
+                        if old_col is not None and new_col is not None:
+                            delta = max_log10_loss_delta(old_col, new_col)
+                            line += f", max |Δ log10_loss| = {delta:.1e}"
+                        print(line)
     total = len(old.keys() | new.keys())
     print(f"{total - differing} of {total} argvs identical")
     return differing
