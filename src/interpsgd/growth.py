@@ -19,6 +19,7 @@ without destabilizing. rho >= 1 always (Jensen).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,12 +127,27 @@ def empirical_sgc_ratio(obj, w) -> float:
     return ratio
 
 
+def _box_scale(obj) -> float:
+    """Half-width of :func:`audit_sgc`'s box probes."""
+    if not isinstance(obj, Objective):
+        return 1.0
+    if obj.data.tau:
+        return 1.0 / obj.data.tau
+    # finite: an Objective's Gram spectral norm, at least max_i ||x_i||^2, is
+    r = math.sqrt(float(np.max(obj._row_sq)))
+    return 1.0 / r if r > 0.0 else 1.0
+
+
 def audit_sgc(obj, sample_count: int, rng) -> GrowthEstimate:
     """Empirical strong-form constant: max pointwise ratio over probes.
 
-    Half the probes are uniform in a box around the origin scaled by
-    1/tau (far-field behavior), half are iterates of a short SGD
-    trajectory (the points convergence arguments actually consume).
+    Half the probes are uniform in a box around the origin (far-field
+    behavior), half are iterates of a short SGD trajectory (the points
+    convergence arguments actually consume). The box is scaled by 1/tau
+    on margin data and by 1/R, R = max_i ||x_i||, on other data (so its
+    margins x_i . w stay within sqrt(d) of 0 whatever the scale of the
+    rows), and is the unit box for other objectives or when every row is
+    zero.
     Probes at interpolation (full gradient below cutoff) and probes whose
     ratio overflows are excluded and not counted in ``detail``; if every
     probe is excluded the audit fails.
@@ -139,8 +155,7 @@ def audit_sgc(obj, sample_count: int, rng) -> GrowthEstimate:
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     d = obj.dim
-    tau = getattr(obj.data, "tau", None) if hasattr(obj, "data") else None
-    scale = 1.0 / tau if tau else 1.0
+    scale = _box_scale(obj)
 
     n_box = sample_count // 2
     n_traj = sample_count - n_box

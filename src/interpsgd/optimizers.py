@@ -327,14 +327,19 @@ def line_search_accel_step(obj, st: AccelState, rhoL_hat: float, rng) -> tuple[A
 #
 # run() hands each pass to one kernel per method: a closure that takes the
 # pass's example indices (and noise rows, if any), updates the iterates in
-# preallocated buffers and returns the iterate to log. The arithmetic is the
-# single-step functions' own, operation for operation, so the iterates are
-# bit-identical to a loop over them on the same index stream (the tests
-# check this). What the kernels leave out is per-step bookkeeping: index
-# draws, input validation, finiteness scans (run() checks the iterate once
-# per pass; a non-finite iterate stays non-finite) and schedule dataclasses.
-# Kernels never write into a gradient they are handed. Where a _ZeroScreen
-# applies (see run()), its cover() runs the pass instead, block by block.
+# preallocated buffers and returns the iterate to log. The SGD and SGD(LS)
+# kernels run the single-step functions' own arithmetic, operation for
+# operation, so their iterates are bit-identical to a loop over them on the
+# same index stream. The Acc-SGD and Acc-SGD(LS) kernels hold the three
+# sequences in rank-one form (_RankOneIterates): the same steps in another
+# operation order, one 2 x d product per step and vector work only for a
+# nonzero gradient, whose log10 losses agree with the loop's within 1e-9
+# decades (the tests check both). What the kernels leave out is per-step
+# bookkeeping: index draws, input validation, finiteness scans (run()
+# checks the iterate once per pass; a non-finite iterate stays non-finite)
+# and schedule dataclasses. Kernels never write into a gradient they are
+# handed. Where a _ZeroScreen applies (see run()), its cover() runs the
+# pass instead, block by block.
 
 
 def _example_oracles(obj):
@@ -368,9 +373,13 @@ _U = 2.0**-53  # unit roundoff of float64
 _PROBE = 128  # steps between looks at the gap while a kernel does not screen
 _MAX_BLOCK = 4096
 # Below these observed gaps between active steps a kernel does not screen.
-# A skipped SGD step and a crossed Acc-SGD step each save the whole step;
-# the values are the crossover points timed when the screen was introduced
-# (Acc-SGD then skipped only its gradient call) and have not been retuned.
+# A skipped SGD step and a crossed Acc-SGD step each save the whole step.
+# _SGD_MIN_GAP is the crossover timed when the screen was introduced.
+# _ACCEL_MIN_GAP is timed with the rank-one Acc-SGD kernel: CPU time of
+# run("accel"), seeds 0-2 summed, median of 9 alternating rounds, 8000 x 100
+# squared-hinge data, at 16 / 32 / 64: tau = 0.1 (fig1a), 10 passes,
+# 550 / 551 / 569 ms; tau = 0.005 (app_ls_hard), 3 passes,
+# 1064 / 1113 / 1069 ms. 16 and 32 are within noise of each other.
 _SGD_MIN_GAP = 16.0
 _ACCEL_MIN_GAP = 32.0
 
@@ -410,17 +419,17 @@ class _ZeroScreen:
     of all n rows from the latter while w stands still (see :meth:`cover`
     and :meth:`certified_head`).
 
-    Acc-SGD (:meth:`certified_in_span`): a zero-gradient step sets
-    zeta = (1 - alpha) w + alpha v, w = zeta and v = beta v + (1 - beta)
-    zeta, so from a block's start (w_b, v_b) the iterates stay in the span
-    v_b - c u, u = v_b - w_b, and the k-th step of the block evaluates its
-    gradient at zeta_k = v_b - r_k u for a coefficient r_k in [0, 1] that
-    the kernel computes ahead. The kernel runs this arithmetic: the
-    iterates of a zero-gradient stretch are these span points, exactly, and
-    a step is certified when its exact margin at zeta_k is >= 1. One
-    product X[blk] @ [v_b, u] gives P0 and P1 within gamma_d ||x_i|| N_v and
-    gamma_d ||x_i|| N_u of x_i . v_b and x_i . u (N_v = ||v_b||,
-    N_u = ||u||), so the exact margin is at least
+    Acc-SGD (:meth:`certified_in_span`): the kernel holds its iterates as
+    m, u~ and c (see :class:`_RankOneIterates`), and a zero-gradient step
+    changes c alone. From a block's start, folded to c = 1, the k-th step
+    of the block therefore evaluates its gradient at zeta_k = m - r_k u~,
+    r_k = (1 - kappa - alpha_k) c_k, a coefficient in [0, 1] that the
+    kernel computes ahead. The crossed iterates are these span points,
+    exactly, and a step is certified when its exact margin at zeta_k is
+    >= 1; the kernel then crosses the certified head by updating c. One
+    product X[blk] @ [m, u~] gives P0 and P1 within gamma_d ||x_i|| N_v and
+    gamma_d ||x_i|| N_u of x_i . m and x_i . u~ (N_v = ||m||,
+    N_u = ||u~||), so the exact margin is at least
     y_i (P0 - r_k P1) - gamma_d S_i with S_i = ||x_i|| (N_v + r_k N_u).
     Evaluating that in floating point rounds three times: the product
     r_k P1, the difference, and the subtraction of the slack, whose rounded
@@ -508,16 +517,16 @@ class _ZeroScreen:
         return _leading_true(self._certified[blk])
 
     def certified_in_span(
-        self, blk: np.ndarray, v: np.ndarray, u: np.ndarray, r: np.ndarray
+        self, blk: np.ndarray, m: np.ndarray, u: np.ndarray, r: np.ndarray
     ) -> np.ndarray:
-        """Per step k of ``blk``: certified at the span point v - r[k] u."""
-        n_v, n_u = math.sqrt(v.dot(v)), math.sqrt(u.dot(u))
+        """Per step k of ``blk``: certified at the span point m - r[k] u."""
+        n_v, n_u = math.sqrt(m.dot(m)), math.sqrt(u.dot(u))
         if not n_v + n_u < self._norm_limit:
             return np.zeros(len(blk), dtype=bool)
-        p = self._X[blk] @ np.stack((v, u), axis=1)
-        m = self._y[blk] * (p[:, 0] - r * p[:, 1])
+        p = self._X[blk] @ np.stack((m, u), axis=1)
+        margin = self._y[blk] * (p[:, 0] - r * p[:, 1])
         slack = self._gamma * self._l2[blk] * (n_v + r * n_u)
-        return m - slack >= 1.0
+        return margin - slack >= 1.0
 
 
 class _RunningMean:
@@ -579,19 +588,160 @@ def _sgd_kernel(obj, w: np.ndarray, eta: float, mean, screen):
     return run_pass
 
 
-def _span_coefficients(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """(r, q) for constant alpha and beta: step k < _MAX_BLOCK of a stretch
-    of zero-gradient steps from (w, v) evaluates at zeta_k = v - r[k] u,
-    u = v - w, and leaves w = zeta_k and v - q[k] u. The pair (p, q) of
-    w = v - p u and v - q u starts at (1, 0) and advances by one 2x2
-    matrix; p, q and r stay in [0, 1]."""
-    r, q = np.empty(_MAX_BLOCK), np.empty(_MAX_BLOCK)
-    p_k, q_k = 1.0, 0.0
-    for k in range(_MAX_BLOCK):
-        p_k = (1.0 - alpha) * p_k + alpha * q_k  # zeta, and the next w
-        q_k = beta * q_k + (1.0 - beta) * p_k
-        r[k], q[k] = p_k, q_k
-    return r, q
+_FOLD_FLOOR = 2.0**-60  # c is folded into u~ before it falls below this
+
+
+def _kappa(alpha: float, beta: float) -> float:
+    """The kappa of :class:`_RankOneIterates` for the coefficients (alpha,
+    beta): 0 when beta = 1 (convex mode)."""
+    if beta == 1.0:
+        return 0.0
+    return (1.0 - beta) * (1.0 - alpha) / (1.0 - beta * (1.0 - alpha))
+
+
+class _RankOneIterates:
+    """Acc-SGD's three sequences as a 2 x d array M = [m; u~] and two
+    scalars c and kappa:
+
+        u = v - w = c u~,   v = m + kappa c u~,   w = m + (kappa - 1) c u~,
+
+    and a step with coefficients (alpha, beta, gamma) evaluates its
+    gradient at zeta = m + (kappa - 1 + alpha) c u~. Written out,
+    :func:`accel_step` moves u to beta (1 - alpha) u - (gamma - 1) eta g and
+    v to v - (1 - beta)(1 - alpha) u - gamma eta g. With
+    kappa = (1 - beta)(1 - alpha) / (1 - beta (1 - alpha)) (:func:`_kappa`;
+    0 in convex mode, where beta = 1) the u term of m cancels, and the step
+    is
+
+        c <- beta (1 - alpha) c,
+        M -= [(gamma - kappa (gamma - 1)) eta; (gamma - 1) eta / c] (x) g:
+
+    a scalar update when g = 0 and one rank-one update otherwise (Bottou's
+    scaling trick, "Stochastic Gradient Descent Tricks", 2012). Folding sets
+    u~ <- c u~ and c <- 1. It happens whenever c would fall below
+    ``_FOLD_FLOOR`` (convex mode's first step, alpha = 1, would set c to 0),
+    which bounds the 1/c of the update by 2^60, and at the kernels' block,
+    chunk and pass boundaries. A step whose coefficients call for another
+    kappa (Acc-SGD(LS) in strongly convex mode, after its estimate moved)
+    first rebases m += (kappa_old - kappa) c u~, which leaves u and v alone.
+    """
+
+    def __init__(self, w: np.ndarray, kappa: float):
+        self.M = np.zeros((2, len(w)))
+        self.m, self.u = self.M  # row views
+        self.m[:] = w
+        self.c, self.kappa = 1.0, kappa
+        self._col = np.empty((2, 1))
+        self._buf = np.empty_like(self.M)
+        self._point = np.empty_like(w)
+
+    def at(self, t: float) -> np.ndarray:
+        """m + t u~, in a buffer that the next call overwrites."""
+        point = self._point
+        np.multiply(self.u, t, point)
+        np.add(self.m, point, point)
+        return point
+
+    def w(self) -> np.ndarray:
+        return self.at((self.kappa - 1.0) * self.c)
+
+    def scale(self, factor: float) -> None:
+        """c <- factor c, folded if that falls below the floor."""
+        c = factor * self.c
+        if c < _FOLD_FLOOR:
+            np.multiply(self.u, c, self.u)
+            c = 1.0
+        self.c = c
+
+    def fold(self) -> None:
+        if self.c != 1.0:
+            np.multiply(self.u, self.c, self.u)
+            self.c = 1.0
+
+    def rebase(self, kappa: float) -> None:
+        if kappa != self.kappa:
+            np.multiply(self.u, (self.kappa - kappa) * self.c, self._point)
+            np.add(self.m, self._point, self.m)
+            self.kappa = kappa
+
+    def step(self, decay: float, gamma: float, h: float, g) -> None:
+        """A step with decay = beta (1 - alpha) and gradient h g (g None:
+        an exactly zero gradient)."""
+        self.scale(decay)
+        if g is not None:
+            col = self._col
+            col[0, 0] = (gamma - self.kappa * (gamma - 1.0)) * h
+            col[1, 0] = (gamma - 1.0) * h / self.c
+            np.multiply(col, g, self._buf)
+            np.subtract(self.M, self._buf, self.M)
+
+
+class _MarginOracle:
+    """The gradient and loss of example i at zeta = m + t u~ for an
+    :class:`Objective`: the gradient is s x_i, and s and the loss are
+    scalar functions of the margin z = a + t b, where (a, b) = M x_i is made
+    once per step by :meth:`start`. The trial point zeta - h x_i has the
+    margin z - h ||x_i||^2."""
+
+    def __init__(self, obj: Objective, it: _RankOneIterates):
+        self._rows = list(obj.data.X)
+        self._ys = obj.data.y.tolist()
+        self._row_sq = obj._row_sq.tolist()
+        self._M = it.M
+        self._grad, self._loss = obj._grad_scalar, obj._loss_scalar
+
+    def start(self, i: int) -> None:
+        self.g = row = self._rows[i]
+        self._y, self._sq = self._ys[i], self._row_sq[i]
+        self._a, self._b = self._M.dot(row).tolist()
+
+    def grad(self, t: float) -> float:
+        """s: the gradient at zeta is s g, exactly zero when s is."""
+        return self._grad(self._a + t * self._b, self._y)
+
+    def grad_sq(self, s: float) -> float:
+        return s * s * self._sq
+
+    def loss(self, t: float) -> float:
+        return self._loss(self._a + t * self._b, self._y)
+
+    def trial_loss(self, t: float, h: float) -> float:
+        """The loss at zeta - h g."""
+        return self._loss(self._a + t * self._b - h * self._sq, self._y)
+
+
+class _PointOracle:
+    """:class:`_MarginOracle`'s methods for any other objective: zeta is
+    formed by :meth:`grad` (whose t :meth:`loss` and :meth:`trial_loss`
+    reuse), g is the public ``grad_example`` there and s is 1."""
+
+    def __init__(self, obj, it: _RankOneIterates):
+        self._obj, self._it = obj, it
+        self._trial = np.empty(obj.dim)
+
+    def start(self, i: int) -> None:
+        self._i = i
+
+    def grad(self, t: float) -> float:
+        self._zeta = self._it.at(t)
+        self.g = self._obj.grad_example(self._zeta, self._i)
+        return 1.0
+
+    def grad_sq(self, s: float) -> float:
+        return float(self.g.dot(self.g))
+
+    def loss(self, t: float) -> float:
+        return self._obj.loss_example(self._zeta, self._i)
+
+    def trial_loss(self, t: float, h: float) -> float:
+        trial = self._trial
+        np.multiply(self.g, h, trial)
+        np.subtract(self._zeta, trial, trial)
+        return self._obj.loss_example(trial, self._i)
+
+
+def _zeta_oracle(obj, it: _RankOneIterates):
+    return _MarginOracle(obj, it) if isinstance(obj, Objective) else _PointOracle(obj, it)
 
 
 def _convex_coefficients(
@@ -613,95 +763,86 @@ def _convex_coefficients(
 
 
 def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen):
-    """With a screen, the steps between two uncertified ones are crossed in
-    the span of the block's start (see ``_ZeroScreen.certified_in_span``):
-    one product per block instead of five ufuncs per step. Convex mode
-    carries c_k = prod(1 - alpha_j), strongly convex mode the constant
-    ``_span_coefficients``. The exact per-step arithmetic runs the other
-    steps, and all steps without a screen. Each pass takes its convex
+    """Acc-SGD on :class:`_RankOneIterates`. With a screen, the certified
+    steps at the head of a block are crossed by updating c alone (see
+    ``_ZeroScreen.certified_in_span``): r_k is a cumulative product of
+    1 - alpha_j in convex mode and a constant times a power of
+    beta (1 - alpha) in strongly convex mode. Each pass takes its convex
     gamma_k and alpha_k from ``_convex_coefficients``, as array ops with
     the schedule's own bits."""
-    grad, _ = _example_oracles(obj)
     mode, rho, eta, mu = sched.mode, sched.rho, sched.eta, sched.mu
     gamma_prev, ab = sched.gamma_prev, sched.ab_ratio
-    beta, span = 1.0, None
+    beta, kappa, powers = 1.0, 0.0, None
     if mode == "strongly_convex":
         # constant coefficients: the carried ratio is already at its fixed
         # point (see make_schedule)
         sc_gamma, sc_alpha, beta, _ = _schedule_coefficients(mode, rho, eta, mu, gamma_prev, ab)
+        kappa = _kappa(sc_alpha, beta)
         if not (0.0 <= sc_alpha <= 1.0 and 0.0 <= beta <= 1.0):
-            screen = None  # the span coefficients need alpha, beta in [0, 1]
+            screen = None  # r_k needs alpha, beta in [0, 1]
         elif screen is not None:
-            span = _span_coefficients(sc_alpha, beta)
-    v = w.copy()
-    zeta, t, u = (np.empty_like(w) for _ in range(3))
+            # from c = 1, step k of a block has c = powers[k]
+            powers = (beta * (1.0 - sc_alpha)) ** np.arange(_MAX_BLOCK + 1.0)
+            sc_r = max(0.0, 1.0 - kappa - sc_alpha) * powers[:-1]
+    it = _RankOneIterates(w, kappa)
+    oracle = _zeta_oracle(obj, it)
+    g_noise = np.empty_like(w)
 
     def run_pass(draw, noise):
         nonlocal gamma_prev, ab
-        indices = draw.tolist()
-        n = len(indices)
+        n = len(draw)
         if mode == "convex":
             gammas, alphas, gamma_prev, ab = _convex_coefficients(n, rho, eta, gamma_prev, ab)
         else:
-            gammas, alphas = [sc_gamma] * n, [sc_alpha] * n
+            gammas, alphas = [sc_gamma] * n, np.full(n, sc_alpha)
 
         def steps(start: int, end: int) -> int:
             """The exact steps start..end-1; returns how many had a gradient."""
-            nonlocal w, zeta
+            it.fold()
             active = 0
-            for k in range(start, end):
-                # zeta = w + alpha (v - w)
-                np.subtract(v, w, t)
-                np.multiply(t, alphas[k], t)
-                np.add(w, t, zeta)
-                g = grad(zeta, indices[k])
-                if g is not None:
+            # indices and alpha_k as Python scalars, converted a chunk at a
+            # time: a crossed pass runs few exact steps
+            chunk = zip(draw[start:end].tolist(), alphas[start:end].tolist())
+            for k, (i, alpha) in enumerate(chunk, start):
+                oracle.start(i)
+                s = oracle.grad((kappa - 1.0 + alpha) * it.c)
+                if s:
                     active += 1
+                g, h = (oracle.g, eta * s) if s else (None, 0.0)
                 if noise is not None:
-                    g = noise[k] if g is None else g + noise[k]
-                # v = zeta + beta (v - zeta) - gamma eta g;  w = zeta - eta g
-                np.subtract(v, zeta, t)
-                if beta != 1.0:
-                    np.multiply(t, beta, t)
-                np.add(zeta, t, v)
-                if g is None:
-                    w, zeta = zeta, w
-                else:
-                    np.multiply(g, gammas[k] * eta, t)
-                    np.subtract(v, t, v)
-                    np.multiply(g, eta, t)
-                    np.subtract(zeta, t, w)
+                    if g is None:
+                        g = noise[k]
+                    else:
+                        np.multiply(g, s, g_noise)
+                        g = np.add(g_noise, noise[k], g_noise)
+                    h = eta
+                it.step(beta * (1.0 - alpha), gammas[k], h, g)
                 if mean is not None:
-                    mean.add(w)
+                    mean.add(it.w())
             return active
 
         if screen is None:
             steps(0, n)
-            return w
-        decay = np.subtract(1.0, alphas) if span is None else None
+        else:
+            decay = np.subtract(1.0, alphas) if powers is None else None
 
-        def head(start: int, end: int) -> int:
-            """Crosses the certified steps at the head of start..end-1 from
-            (w, v), with zeta_k = v - r[k] u; returns their count, with w, v
-            and the mean moved past them."""
-            if span is None:  # convex mode: v stays put
-                r, q = np.cumprod(decay[start:end]), None
-            else:
-                r, q = span[0][: end - start], span[1][: end - start]
-            np.subtract(v, w, u)
-            j = _leading_true(screen.certified_in_span(draw[start:end], v, u, r))
-            if j:
-                if mean is not None:
-                    mean.add_span(v, u, j, float(r[:j].sum()))
-                np.multiply(u, r[j - 1], t)
-                np.subtract(v, t, w)
-                if q is not None:
-                    np.multiply(u, q[j - 1], t)
-                    np.subtract(v, t, v)
-            return j
+            def head(start: int, end: int) -> int:
+                """Crosses the certified steps at the head of start..end-1,
+                with zeta_k = m - r[k] u~ from c = 1; returns their count,
+                with c and the mean moved past them."""
+                it.fold()
+                r = np.cumprod(decay[start:end]) if powers is None else sc_r[: end - start]
+                j = _leading_true(screen.certified_in_span(draw[start:end], it.m, it.u, r))
+                if j:
+                    if mean is not None:
+                        mean.add_span(it.m, it.u, j, float(r[:j].sum()))
+                    # convex mode: r_k = c_{k+1}
+                    it.scale(float(r[j - 1] if powers is None else powers[j]))
+                return j
 
-        screen.cover(n, steps, head)
-        return w
+            screen.cover(n, steps, head)
+        it.fold()
+        return it.w()
 
     return run_pass
 
@@ -755,54 +896,48 @@ def _sgd_ls_kernel(obj, w: np.ndarray, estimate: float, mean, screen):
 
 
 def _accel_ls_kernel(obj, w: np.ndarray, sched: AccelSchedule, estimate: float, mean):
-    grad, loss = _example_oracles(obj)
+    """Acc-SGD(LS) on :class:`_RankOneIterates`: each candidate estimate's
+    margin, loss and trial loss come from the step's one product M x_i
+    (:class:`_MarginOracle`), so a step makes at most one rank-one update
+    however often its estimate doubles."""
     mode, mu, L = sched.mode, sched.mu, obj.L
     gamma_prev, ab = sched.gamma_prev, sched.ab_ratio
-    v = w.copy()
-    zeta, vw, step_g, t = (np.empty_like(w) for _ in range(4))
+    it = _RankOneIterates(w, 0.0)
+    oracle = _zeta_oracle(obj, it)
 
     def run_pass(draw, noise):
-        nonlocal w, zeta, gamma_prev, ab, estimate
+        nonlocal gamma_prev, ab, estimate
         for i in draw.tolist():
-            np.subtract(v, w, vw)
+            oracle.start(i)
             for _ in range(MAX_DOUBLINGS + 1):
                 eta = 1.0 / estimate
                 gamma, alpha, beta, ab_next = _schedule_coefficients(
                     mode, estimate / L, eta, mu, gamma_prev, ab
                 )
-                np.multiply(vw, alpha, zeta)
-                np.add(w, zeta, zeta)
-                g = grad(zeta, i)
-                if g is None:
+                t = (it.kappa - 1.0 + alpha) * it.c
+                s = oracle.grad(t)
+                if not s:
                     break
-                g_sq = float(g.dot(g))
+                g_sq = oracle.grad_sq(s)
                 if not math.isfinite(g_sq):
-                    _check_gradient(g, i)
-                step = gamma * eta
-                np.multiply(g, step, step_g)
+                    _check_gradient(s * oracle.g, i)
                 if g_sq <= GRAD_RESOLUTION_SQ:
                     break
-                f0 = loss(zeta, i)
-                np.subtract(zeta, step_g, t)
-                if loss(t, i) <= f0 - 0.5 * step * g_sq + 1e-15 * abs(f0):
+                step = gamma * eta
+                f0 = oracle.loss(t)
+                if oracle.trial_loss(t, step * s) <= f0 - 0.5 * step * g_sq + 1e-15 * abs(f0):
                     break
                 estimate *= 2.0
             else:
                 raise _doublings_exceeded(estimate)
             gamma_prev, ab = gamma, ab_next
-            np.subtract(v, zeta, t)
             if beta != 1.0:
-                np.multiply(t, beta, t)
-            np.add(zeta, t, v)
-            if g is None:
-                w, zeta = zeta, w
-            else:
-                np.subtract(v, step_g, v)
-                np.multiply(g, eta, t)
-                np.subtract(zeta, t, w)
+                it.rebase(_kappa(alpha, beta))
+            it.step(beta * (1.0 - alpha), gamma, eta * s, oracle.g if s else None)
             if mean is not None:
-                mean.add(w)
-        return w
+                mean.add(it.w())
+        it.fold()
+        return it.w()
 
     return run_pass
 
@@ -918,18 +1053,21 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
 
     Each pass draws its n example indices in one batch,
     ``rng.integers(0, n, size=n)``, which is the same stream as n scalar
-    draws, and hands them to the method's whole-pass kernel; the iterates
-    equal those of a loop over the single-step functions. With sigma > 0
-    the pass's noise follows as one (n, dim) normal draw, so noisy runs use
-    a different stream than interleaved per-step draws whenever n > 1.
-    Finiteness of the logged iterate is checked once per pass; a failure
-    in a pass is raised as a :class:`RunError`, ``pass p: ...``.
+    draws, and hands them to the method's whole-pass kernel. The SGD and
+    SGD(LS) iterates equal those of a loop over the single-step functions,
+    bit for bit. Acc-SGD and Acc-SGD(LS) take the same steps in rank-one
+    form (:class:`_RankOneIterates`: one 2 x d product per step, vector
+    work only for a nonzero gradient), in another operation order, so
+    their log10 losses agree with the loop's within 1e-9 decades on
+    non-diverging runs. With sigma > 0 the pass's noise follows as one
+    (n, dim) normal draw, so noisy runs use a different stream than
+    interleaved per-step draws whenever n > 1. Finiteness of the logged
+    iterate is checked once per pass; a failure in a pass is raised as a
+    :class:`RunError`, ``pass p: ...``.
     On the squared-hinge and hinge losses with sigma = 0, the sgd and
-    sgd_ls kernels (without averaging) skip, and the accel kernel crosses,
-    the steps that a :class:`_ZeroScreen` certifies to have an exactly zero
-    gradient. SGD and SGD(LS) stay bit-identical; Acc-SGD's crossing is new
-    arithmetic, whose log10 losses agree with the per-step arithmetic's
-    within about 1e-10 decades on non-diverging runs.
+    sgd_ls kernels (without averaging) skip, and the accel kernel crosses
+    by a scalar update, the steps that a :class:`_ZeroScreen` certifies to
+    have an exactly zero gradient; SGD and SGD(LS) stay bit-identical.
     While a single-step function or ``Objective.grad_example``/
     ``loss_example`` is rebound (wrapped by a profiler, say), each pass
     steps through the public functions instead, on the same draws.

@@ -527,8 +527,27 @@ class TestAuditAndSpectral:
         assert captured.err == "runtime error: probe warning\n"
 
     def test_overflowing_growth_probes_are_excluded(self, tmp_path, capsys):
-        # rows scaled by 1e100: the squared gradient norms of the two box
-        # probes overflow, so only the two trajectory probes are counted
+        # four orthogonal rows of norm 2^510: X^T X and L_max are finite,
+        # but s_i^2 ||x_i||^2 overflows wherever |s_i| > 1, so the probes
+        # where that happens are excluded and not counted
+        Q = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+        path = tmp_path / "huge.txt"
+        save_libsvm(Dataset(X=Q * 2.0**510, y=np.array([1.0, -1.0, 1.0, -1.0])), path)
+        argv = ["audit-rho", "--dataset", "libsvm", "--libsvm-path", str(path),
+                "--audit-samples", "8"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        line = captured.out.splitlines()[-1]
+        assert line.startswith("rho[empirical_ratio] = ")
+        assert line.endswith("  (max over 4/8 probes)")
+        assert np.isfinite(float(line.split(" = ")[1].split()[0]))
+
+    def test_growth_box_probes_scale_with_the_rows(self, tmp_path, capsys):
+        # rows scaled by 1e100: the box probes lie in [-1/R, 1/R], R the
+        # largest row norm, so none overflows and all four are counted
         data = generate_margin_data(200, 10, 0.1, seed=0)
         path = tmp_path / "huge.txt"
         save_libsvm(Dataset(X=data.X * 1e100, y=data.y), path)
@@ -540,9 +559,8 @@ class TestAuditAndSpectral:
         captured = capsys.readouterr()
         assert captured.err == ""
         line = captured.out.splitlines()[-1]
-        assert line.startswith("rho[empirical_ratio] = ")
-        assert line.endswith("  (max over 2/4 probes)")
-        assert np.isfinite(float(line.split(" = ")[1].split()[0]))
+        assert line.endswith("  (max over 4/4 probes)")
+        assert float(line.split(" = ")[1].split()[0]) >= 1.0
 
     @pytest.mark.parametrize("as_error", [False, True])
     def test_overflowing_power_iterate_prints_no_warning(self, tmp_path, capsys, as_error):

@@ -143,6 +143,38 @@ class TestAuditSgc:
         b = audit_sgc(obj, 100, make_rng(9))
         assert a.rho == b.rho
 
+    def test_box_probes_are_invariant_to_the_scale_of_the_rows(self):
+        # without a margin the box is [-1/R, 1/R]^d, R = max_i ||x_i||: the
+        # ratio is scale-free, so rows scaled by 1e100 (whose squares
+        # still fit) and by 1e-3 audit to the same rho
+        data = generate_margin_data(80, 6, 0.2, seed=4)
+        estimates = [
+            audit_sgc(Objective("squared_hinge", Dataset(X=scale * data.X, y=data.y)),
+                      40, make_rng(3))
+            for scale in (1.0, 1e100, 1e-3)
+        ]
+        assert all(e.detail == "max over 40/40 probes" for e in estimates)
+        for e in estimates[1:]:
+            assert e.rho == pytest.approx(estimates[0].rho, rel=1e-12)
+
+    def test_margin_data_keeps_the_tau_box(self):
+        # synthetic tau-certified data draws its box probes in [-1/tau, 1/tau]
+        class RecordingRng:
+            def __init__(self, rng):
+                self.rng, self.boxes = rng, []
+
+            def uniform(self, low, high, size):
+                self.boxes.append((low, high))
+                return self.rng.uniform(low, high, size=size)
+
+            def integers(self, low, high):
+                return self.rng.integers(low, high)
+
+        data = generate_margin_data(60, 5, 0.2, seed=2)
+        rng = RecordingRng(make_rng(0))
+        audit_sgc(Objective("squared_hinge", data), 6, rng)
+        assert rng.boxes == [(-5.0, 5.0)] * 3
+
     def test_everything_at_interpolation_errors(self):
         # identically-zero objective: every probe has a vanishing gradient
         obj = QuadraticObjective(np.zeros((2, 2)), np.zeros(2))

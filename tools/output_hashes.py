@@ -29,7 +29,12 @@ numpy alone, so both trees read the same bytes.
 ``--compare`` lists the argvs that differ, and for each differing CSV the
 largest |Δ log10_loss| between its rows (inf if the row counts differ),
 which measures changes that are meant to move curves only in their last
-digits.
+digits. The same line reads the CSV by the tests' curve rules
+(``assert_within_tolerance`` in ``tests/test_optimizers.py``): the largest
+|Δ| over the rows whose old loss is above 1e-10, whether every row at or
+below 1e-10 stayed there, and whether the old curve diverged (a loss
+above 10x its first), in which case the rows past that factor only need
+to stay past it.
 """
 
 from __future__ import annotations
@@ -235,6 +240,30 @@ def max_log10_loss_delta(old: list[str], new: list[str]) -> float:
     return worst
 
 
+FLOOR_LOG10 = -10.0  # log10 of the tests' interpolation floor, 1e-10
+DIVERGENCE_LOG10 = 1.0  # log10 of records.DIVERGENCE_FACTOR
+
+
+def floor_aware_delta(old: list[str], new: list[str]) -> str:
+    """Two ``log10_loss`` columns read by the tests' curve rules: the
+    largest |Δ| over rows whose old loss is above 1e-10 (inf if a row is
+    unparsable or nan on one side only), whether every row at or below
+    1e-10 stayed there, and whether the old curve diverged."""
+    if len(old) != len(new):
+        return "row counts differ"
+    try:
+        a, b = [float(x) for x in old], [float(x) for x in new]
+    except ValueError:
+        return "unparsable row"
+    above = [abs(x - y) for x, y in zip(a, b) if not x <= FLOOR_LOG10 and x != y]
+    worst = max((math.inf if math.isnan(d) else d for d in above), default=0.0)
+    kept = all(y <= FLOOR_LOG10 for x, y in zip(a, b) if x <= FLOOR_LOG10)
+    diverged = bool(a) and max(a) > a[0] + DIVERGENCE_LOG10
+    return (f"above 1e-10 max |Δ| = {worst:.1e}, "
+            f"{'floor kept' if kept else 'FLOOR LEFT'}, "
+            f"old curve {'diverged' if diverged else 'did not diverge'}")
+
+
 def hash_argv(src: Path, argv: list[str]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         inputs = write_inputs(Path(tmp))
@@ -291,7 +320,8 @@ def compare(old: dict, new: dict) -> int:
                         new_col = b.get("log10_loss", {}).get(f)
                         if old_col is not None and new_col is not None:
                             delta = max_log10_loss_delta(old_col, new_col)
-                            line += f", max |Δ log10_loss| = {delta:.1e}"
+                            line += (f", max |Δ log10_loss| = {delta:.1e}; "
+                                     + floor_aware_delta(old_col, new_col))
                         print(line)
     total = len(old.keys() | new.keys())
     print(f"{total - differing} of {total} argvs identical")
