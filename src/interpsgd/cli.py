@@ -14,8 +14,13 @@ the cost of reproducibility (``reproduce`` always writes them as 0).
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
+import os
 import sys
 import warnings
+
+import numpy as np
 
 from .data import load_libsvm
 from .harness import (
@@ -152,7 +157,22 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {category.__name__}: {message}", file=sys.stderr)
 
 
+def _one_blas_thread() -> None:
+    """Pins numpy's OpenBLAS to one thread unless the environment sets a
+    count: the per-step products are too small to share, and an idle
+    second thread spins. Does nothing where the library is not found."""
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for lib in glob.glob(libs):
+        try:
+            ctypes.CDLL(lib).scipy_openblas_set_num_threads64_(1)
+        except (OSError, AttributeError):
+            continue
+
+
 def main(argv: list[str] | None = None) -> int:
+    _one_blas_thread()
     # one line per warning, without the source path and line number that
     # would tie stderr's bytes to the layout of the code
     with warnings.catch_warnings():

@@ -141,11 +141,9 @@ def make_schedule(
     )
 
 
-def _check_sc_feasible(mu: float, eta: float, rho: float) -> None:
-    if mu * eta / rho > 1.0 + 1e-15:
-        raise ValueError(
-            f"invalid configuration: mu*eta/rho = {mu * eta / rho} exceeds 1"
-        )
+def _sc_feasible(mu: float, eta: float, rho: float) -> bool:
+    """Whether mu*eta/rho <= 1 (always in convex mode, where mu = 0)."""
+    return not mu * eta / rho > 1.0 + 1e-15
 
 
 def _schedule_coefficients(
@@ -164,7 +162,8 @@ def _schedule_coefficients(
         gamma = 0.5 * (inv_rho + math.sqrt(inv_rho * inv_rho + 4.0 * gamma_prev**2))
         alpha = gamma * eta / (gamma * eta + ab_ratio)
         return gamma, alpha, 1.0, gamma * gamma * eta * rho
-    _check_sc_feasible(mu, eta, rho)
+    if not _sc_feasible(mu, eta, rho):
+        raise ValueError(f"invalid configuration: mu*eta/rho = {mu * eta / rho} exceeds 1")
     q = math.sqrt(mu * eta / rho)
     gamma = 1.0 / math.sqrt(mu * eta * rho)
     beta = 1.0 - q
@@ -292,7 +291,8 @@ def line_search_accel_step(obj, st: AccelState, rhoL_hat: float, rng) -> tuple[A
     gradient steps the iteration takes, and the one whose unchecked growth
     destabilizes the stochastic method); the first passing candidate is
     used. Early iterations may run with rho below 1 until the estimate
-    warms past L.
+    warms past L. In strongly convex mode a candidate with mu*eta/rho > 1
+    has no schedule and fails like a failed test.
     """
     if rhoL_hat <= 0:
         raise ValueError(f"rhoL_hat must be > 0, got {rhoL_hat}")
@@ -303,20 +303,20 @@ def line_search_accel_step(obj, st: AccelState, rhoL_hat: float, rng) -> tuple[A
     for _ in range(MAX_DOUBLINGS + 1):
         eta = 1.0 / rhoL_hat
         rho = rhoL_hat / obj.L
-        trial = accel_schedule_advance(replace(sch, eta=eta, rho=rho))
-        zeta = st.w + trial.alpha * (st.v - st.w)
-        g = obj.grad_example(zeta, i)
-        _check_gradient(g, i)
-        g_sq = float(g @ g)
-        step = trial.gamma * eta
-        f0 = i_loss(zeta)
-        accepted = g_sq <= GRAD_RESOLUTION_SQ or i_loss(
-            zeta - step * g
-        ) <= f0 - 0.5 * step * g_sq + 1e-15 * abs(f0)
-        if accepted:
-            w_next = zeta - eta * g
-            v_next = zeta + trial.beta * (st.v - zeta) - trial.gamma * eta * g
-            return AccelState(w=w_next, zeta=zeta, v=v_next, schedule=trial), rhoL_hat
+        if _sc_feasible(sch.mu, eta, rho):
+            trial = accel_schedule_advance(replace(sch, eta=eta, rho=rho))
+            zeta = st.w + trial.alpha * (st.v - st.w)
+            g = obj.grad_example(zeta, i)
+            _check_gradient(g, i)
+            g_sq = float(g @ g)
+            step = trial.gamma * eta
+            f0 = i_loss(zeta)
+            if g_sq <= GRAD_RESOLUTION_SQ or (
+                i_loss(zeta - step * g) <= f0 - 0.5 * step * g_sq + 1e-15 * abs(f0)
+            ):
+                w_next = zeta - eta * g
+                v_next = zeta + trial.beta * (st.v - zeta) - trial.gamma * eta * g
+                return AccelState(w=w_next, zeta=zeta, v=v_next, schedule=trial), rhoL_hat
         rhoL_hat *= 2.0
     raise _doublings_exceeded(rhoL_hat)
 
@@ -325,21 +325,21 @@ def line_search_accel_step(obj, st: AccelState, rhoL_hat: float, rng) -> tuple[A
 # whole-pass kernels
 # ---------------------------------------------------------------------------
 #
-# run() hands each pass to one kernel per method: a closure that takes the
+# run() hands each pass to its method's kernel: a closure that takes the
 # pass's example indices (and noise rows, if any), updates the iterates in
 # preallocated buffers and returns the iterate to log. The SGD and SGD(LS)
 # kernels run the single-step functions' own arithmetic, operation for
 # operation, so their iterates are bit-identical to a loop over them on the
-# same index stream. The Acc-SGD and Acc-SGD(LS) kernels hold the three
-# sequences in rank-one form (_RankOneIterates): the same steps in another
-# operation order, one 2 x d product per step and vector work only for a
-# nonzero gradient, whose log10 losses agree with the loop's within 1e-9
-# decades (the tests check both). What the kernels leave out is per-step
-# bookkeeping: index draws, input validation, finiteness scans (run()
-# checks the iterate once per pass; a non-finite iterate stays non-finite)
-# and schedule dataclasses. Kernels never write into a gradient they are
-# handed. Where a _ZeroScreen applies (see run()), its cover() runs the
-# pass instead, block by block.
+# same index stream. One accelerated kernel serves Acc-SGD and Acc-SGD(LS)
+# and holds the three sequences in rank-one form (_RankOneIterates): the
+# same steps in another operation order, one 2 x d product per step and
+# vector work only for a nonzero gradient, whose log10 losses agree with the
+# loop's within 1e-9 decades (the tests check both). What the kernels leave
+# out is per-step bookkeeping: index draws, input validation, finiteness
+# scans (run() checks the iterate once per pass; a non-finite iterate stays
+# non-finite) and schedule dataclasses. Kernels never write into a gradient
+# they are handed. Where a _ZeroScreen applies (see run()), its cover() runs
+# the pass instead, block by block.
 
 
 def _example_oracles(obj):
@@ -391,8 +391,8 @@ def _leading_true(mask: np.ndarray) -> int:
 
 class _ZeroScreen:
     """Certificates that upcoming steps have an exactly zero gradient, and
-    the one screened pass (:meth:`cover`) of the sgd, sgd_ls and accel
-    kernels.
+    the one screened pass (:meth:`cover`) of the SGD, SGD(LS) and
+    accelerated (Acc-SGD and Acc-SGD(LS)) kernels.
 
     For the squared-hinge and hinge losses, s_i = 0 exactly when the margin
     y_i x_i . p is >= 1. For a block of upcoming indices the screen gathers
@@ -419,10 +419,11 @@ class _ZeroScreen:
     of all n rows from the latter while w stands still (see :meth:`cover`
     and :meth:`certified_head`).
 
-    Acc-SGD (:meth:`certified_in_span`): the kernel holds its iterates as
-    m, u~ and c (see :class:`_RankOneIterates`), and a zero-gradient step
-    changes c alone. From a block's start, folded to c = 1, the k-th step
-    of the block therefore evaluates its gradient at zeta_k = m - r_k u~,
+    Acc-SGD and Acc-SGD(LS) (:meth:`certified_in_span`): the kernel holds
+    its iterates as m, u~ and c (see :class:`_RankOneIterates`), and a
+    zero-gradient step changes c alone (and, in Acc-SGD(LS), leaves the
+    estimate alone). From a block's start, folded to c = 1, the k-th step of
+    the block therefore evaluates its gradient at zeta_k = m - r_k u~,
     r_k = (1 - kappa - alpha_k) c_k, a coefficient in [0, 1] that the
     kernel computes ahead. The crossed iterates are these span points,
     exactly, and a step is certified when its exact margin at zeta_k is
@@ -626,11 +627,11 @@ class _RankOneIterates:
     first rebases m += (kappa_old - kappa) c u~, which leaves u and v alone.
     """
 
-    def __init__(self, w: np.ndarray, kappa: float):
+    def __init__(self, w: np.ndarray):
         self.M = np.zeros((2, len(w)))
         self.m, self.u = self.M  # row views
         self.m[:] = w
-        self.c, self.kappa = 1.0, kappa
+        self.c, self.kappa = 1.0, 0.0
         self._col = np.empty((2, 1))
         self._buf = np.empty_like(self.M)
         self._point = np.empty_like(w)
@@ -699,21 +700,22 @@ class _MarginOracle:
         """s: the gradient at zeta is s g, exactly zero when s is."""
         return self._grad(self._a + t * self._b, self._y)
 
-    def grad_sq(self, s: float) -> float:
-        return s * s * self._sq
-
-    def loss(self, t: float) -> float:
-        return self._loss(self._a + t * self._b, self._y)
-
-    def trial_loss(self, t: float, h: float) -> float:
-        """The loss at zeta - h g."""
-        return self._loss(self._a + t * self._b - h * self._sq, self._y)
+    def decreases(self, i: int, t: float, s: float, h: float) -> bool:
+        """Example i's sufficient-decrease test at zeta for the step h s g."""
+        g_sq = s * s * self._sq
+        if not math.isfinite(g_sq):
+            _check_gradient(s * self.g, i)
+        if g_sq <= GRAD_RESOLUTION_SQ:
+            return True
+        z = self._a + t * self._b
+        f0 = self._loss(z, self._y)
+        return self._loss(z - h * s * self._sq, self._y) <= f0 - 0.5 * h * g_sq + 1e-15 * abs(f0)
 
 
 class _PointOracle:
-    """:class:`_MarginOracle`'s methods for any other objective: zeta is
-    formed by :meth:`grad` (whose t :meth:`loss` and :meth:`trial_loss`
-    reuse), g is the public ``grad_example`` there and s is 1."""
+    """:class:`_MarginOracle`'s methods for any other objective: :meth:`grad`
+    forms zeta, which :meth:`decreases` reuses; g is the public
+    ``grad_example`` there and s is 1."""
 
     def __init__(self, obj, it: _RankOneIterates):
         self._obj, self._it = obj, it
@@ -727,17 +729,16 @@ class _PointOracle:
         self.g = self._obj.grad_example(self._zeta, self._i)
         return 1.0
 
-    def grad_sq(self, s: float) -> float:
-        return float(self.g.dot(self.g))
-
-    def loss(self, t: float) -> float:
-        return self._obj.loss_example(self._zeta, self._i)
-
-    def trial_loss(self, t: float, h: float) -> float:
-        trial = self._trial
-        np.multiply(self.g, h, trial)
-        np.subtract(self._zeta, trial, trial)
-        return self._obj.loss_example(trial, self._i)
+    def decreases(self, i: int, t: float, s: float, h: float) -> bool:
+        g_sq = float(self.g.dot(self.g))
+        if not math.isfinite(g_sq):
+            _check_gradient(self.g, i)
+        if g_sq <= GRAD_RESOLUTION_SQ:
+            return True
+        f0 = self._obj.loss_example(self._zeta, i)
+        np.multiply(self.g, h, self._trial)
+        np.subtract(self._zeta, self._trial, self._trial)
+        return self._obj.loss_example(self._trial, i) <= f0 - 0.5 * h * g_sq + 1e-15 * abs(f0)
 
 
 def _zeta_oracle(obj, it: _RankOneIterates):
@@ -756,58 +757,107 @@ def _convex_coefficients(
     gammas = [g := 0.5 * (inv_rho + math.sqrt(inv_rho * inv_rho + 4.0 * g**2)) for _ in range(n)]
     gamma = np.array(gammas)
     ab_k = np.empty(n)
-    ab_k[0] = ab
+    ab_k[:1] = ab
     ab_k[1:] = gamma[:-1] * gamma[:-1] * eta * rho
     ge = gamma * eta
     return gammas, ge / (ge + ab_k), g, g * g * eta * rho
 
 
-def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen):
-    """Acc-SGD on :class:`_RankOneIterates`. With a screen, the certified
-    steps at the head of a block are crossed by updating c alone (see
-    ``_ZeroScreen.certified_in_span``): r_k is a cumulative product of
-    1 - alpha_j in convex mode and a constant times a power of
-    beta (1 - alpha) in strongly convex mode. Each pass takes its convex
-    gamma_k and alpha_k from ``_convex_coefficients``, as array ops with
-    the schedule's own bits."""
-    mode, rho, eta, mu = sched.mode, sched.rho, sched.eta, sched.mu
-    gamma_prev, ab = sched.gamma_prev, sched.ab_ratio
-    beta, kappa, powers = 1.0, 0.0, None
-    if mode == "strongly_convex":
-        # constant coefficients: the carried ratio is already at its fixed
-        # point (see make_schedule)
-        sc_gamma, sc_alpha, beta, _ = _schedule_coefficients(mode, rho, eta, mu, gamma_prev, ab)
-        kappa = _kappa(sc_alpha, beta)
-        if not (0.0 <= sc_alpha <= 1.0 and 0.0 <= beta <= 1.0):
-            screen = None  # r_k needs alpha, beta in [0, 1]
-        elif screen is not None:
-            # from c = 1, step k of a block has c = powers[k]
-            powers = (beta * (1.0 - sc_alpha)) ** np.arange(_MAX_BLOCK + 1.0)
-            sc_r = max(0.0, 1.0 - kappa - sc_alpha) * powers[:-1]
-    it = _RankOneIterates(w, kappa)
+def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estimate=None):
+    """Acc-SGD on :class:`_RankOneIterates`; given a line-search start
+    ``estimate`` L^, Acc-SGD(LS): Acc-SGD at rho = L^/L and eta = 1/L^ whose
+    exact steps with a nonzero gradient may double L^ (``search``). With a
+    screen, the certified steps at the head of a block are crossed by
+    updating c alone (see ``_ZeroScreen.certified_in_span``): r_k is a
+    cumulative product of 1 - alpha_j in convex mode and a constant times a
+    power of beta (1 - alpha) in strongly convex mode."""
+    mode, mu, convex = sched.mode, sched.mu, sched.mode == "convex"
+    rho, eta, gamma_prev, ab = sched.rho, sched.eta, sched.gamma_prev, sched.ab_ratio
+    L = None if estimate is None else obj.L
+    it = _RankOneIterates(w)
     oracle = _zeta_oracle(obj, it)
     g_noise = np.empty_like(w)
+    beta, kappa, powers, sc_r = 1.0, 0.0, None, None
+    # Acc-SGD(LS) searches the run's first step: that sets rho and eta, and in
+    # strongly convex mode uses make_schedule's ratio and skips infeasible L^
+    search_first = L is not None
 
     def run_pass(draw, noise):
-        nonlocal gamma_prev, ab
+        nonlocal gamma_prev
         n = len(draw)
-        if mode == "convex":
-            gammas, alphas, gamma_prev, ab = _convex_coefficients(n, rho, eta, gamma_prev, ab)
-        else:
-            gammas, alphas = [sc_gamma] * n, np.full(n, sc_alpha)
+        gammas, alphas = [], np.empty(n)
+
+        def ready(end: int) -> None:
+            """gamma_j and alpha_j at (rho, eta) of the steps before ``end``
+            (of all n but in convex Acc-SGD(LS)), from the state carried into
+            the first step without them: ``_convex_coefficients``' bits, or
+            strongly convex mode's constants (finite alpha and beta lie in
+            [0, 1]) with kappa and the span powers, c = powers[j] at step j."""
+            nonlocal beta, kappa, powers, sc_r
+            k = len(gammas)
+            if k >= end:
+                return
+            if not convex:
+                gamma, alpha, beta, _ = _schedule_coefficients(mode, rho, eta, mu, 0.0, ab)
+                gammas.extend([gamma] * (n - k))
+                alphas[k:] = alpha
+                it.rebase(kappa := _kappa(alpha, beta))
+                powers = (beta * (1.0 - alpha)) ** np.arange(_MAX_BLOCK + 1.0)
+                sc_r = max(0.0, 1.0 - kappa - alpha) * powers[:-1]
+                return
+            end = n if L is None else end
+            gp = gammas[-1] if k else gamma_prev
+            gs, alphas[k:end], *_ = _convex_coefficients(end - k, rho, eta, gp, gp * gp * eta * rho)
+            gammas.extend(gs)
+
+        def search(k: int, i: int) -> bool:
+            """Step k by :func:`line_search_accel_step`'s loop, from the state
+            carried into it; the coefficients of the steps after it are
+            dropped. Returns whether the gradient was nonzero."""
+            nonlocal estimate, rho, eta, ab, search_first
+            gp = gammas[k - 1] if k else gamma_prev
+            ab_k = gp * gp * eta * rho if convex else ab
+            oracle.start(i)
+            for _ in range(MAX_DOUBLINGS + 1):
+                rho, eta = estimate / L, 1.0 / estimate
+                if _sc_feasible(mu, eta, rho):
+                    gamma, alpha, beta_k, ab = _schedule_coefficients(mode, rho, eta, mu, gp, ab_k)
+                    t = (it.kappa - 1.0 + alpha) * it.c
+                    s = oracle.grad(t)
+                    if not s or oracle.decreases(i, t, s, gamma * eta):
+                        break
+                estimate *= 2.0
+            else:
+                raise _doublings_exceeded(estimate)
+            it.rebase(_kappa(alpha, beta_k))
+            it.step(beta_k * (1.0 - alpha), gamma, eta * s, oracle.g if s else None)
+            if mean is not None:
+                mean.add(it.w())
+            gammas[k:], search_first = [gamma], False
+            return bool(s)
 
         def steps(start: int, end: int) -> int:
             """The exact steps start..end-1; returns how many had a gradient."""
             it.fold()
             active = 0
+            if search_first:
+                active += search(start, int(draw[start]))
+                start += 1
+            ready(end)
             # indices and alpha_k as Python scalars, converted a chunk at a
             # time: a crossed pass runs few exact steps
-            chunk = zip(draw[start:end].tolist(), alphas[start:end].tolist())
-            for k, (i, alpha) in enumerate(chunk, start):
+            als = alphas[start:end].tolist()
+            for k, (i, alpha) in enumerate(zip(draw[start:end].tolist(), als), start):
                 oracle.start(i)
-                s = oracle.grad((kappa - 1.0 + alpha) * it.c)
+                t = (kappa - 1.0 + alpha) * it.c
+                s = oracle.grad(t)
                 if s:
                     active += 1
+                    if L is not None and not oracle.decreases(i, t, s, gammas[k] * eta):
+                        search(k, i)
+                        ready(end)  # rescheduled; zip reads als lazily
+                        als[k + 1 - start:] = alphas[k + 1:end].tolist()
+                        continue
                 g, h = (oracle.g, eta * s) if s else (None, 0.0)
                 if noise is not None:
                     if g is None:
@@ -821,26 +871,26 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen):
                     mean.add(it.w())
             return active
 
+        def head(start: int, end: int) -> int:
+            """Crosses the certified steps at the head of start..end-1, with
+            zeta_k = m - r[k] u~ from c = 1; returns their count, with c and
+            the mean moved past them."""
+            it.fold()
+            ready(end)
+            r = np.cumprod(np.subtract(1.0, alphas[start:end])) if convex else sc_r[: end - start]
+            j = _leading_true(screen.certified_in_span(draw[start:end], it.m, it.u, r))
+            if j:
+                if mean is not None:
+                    mean.add_span(it.m, it.u, j, float(r[:j].sum()))
+                # convex mode: r_k = c_{k+1}
+                it.scale(float(r[j - 1] if convex else powers[j]))
+            return j
+
         if screen is None:
             steps(0, n)
         else:
-            decay = np.subtract(1.0, alphas) if powers is None else None
-
-            def head(start: int, end: int) -> int:
-                """Crosses the certified steps at the head of start..end-1,
-                with zeta_k = m - r[k] u~ from c = 1; returns their count,
-                with c and the mean moved past them."""
-                it.fold()
-                r = np.cumprod(decay[start:end]) if powers is None else sc_r[: end - start]
-                j = _leading_true(screen.certified_in_span(draw[start:end], it.m, it.u, r))
-                if j:
-                    if mean is not None:
-                        mean.add_span(it.m, it.u, j, float(r[:j].sum()))
-                    # convex mode: r_k = c_{k+1}
-                    it.scale(float(r[j - 1] if powers is None else powers[j]))
-                return j
-
             screen.cover(n, steps, head)
+        gamma_prev = gammas[-1]
         it.fold()
         return it.w()
 
@@ -891,53 +941,6 @@ def _sgd_ls_kernel(obj, w: np.ndarray, estimate: float, mean, screen):
             screen.cover(len(indices), steps,
                          lambda start, end: screen.certified_head(draw[start:end], w))
         return w
-
-    return run_pass
-
-
-def _accel_ls_kernel(obj, w: np.ndarray, sched: AccelSchedule, estimate: float, mean):
-    """Acc-SGD(LS) on :class:`_RankOneIterates`: each candidate estimate's
-    margin, loss and trial loss come from the step's one product M x_i
-    (:class:`_MarginOracle`), so a step makes at most one rank-one update
-    however often its estimate doubles."""
-    mode, mu, L = sched.mode, sched.mu, obj.L
-    gamma_prev, ab = sched.gamma_prev, sched.ab_ratio
-    it = _RankOneIterates(w, 0.0)
-    oracle = _zeta_oracle(obj, it)
-
-    def run_pass(draw, noise):
-        nonlocal gamma_prev, ab, estimate
-        for i in draw.tolist():
-            oracle.start(i)
-            for _ in range(MAX_DOUBLINGS + 1):
-                eta = 1.0 / estimate
-                gamma, alpha, beta, ab_next = _schedule_coefficients(
-                    mode, estimate / L, eta, mu, gamma_prev, ab
-                )
-                t = (it.kappa - 1.0 + alpha) * it.c
-                s = oracle.grad(t)
-                if not s:
-                    break
-                g_sq = oracle.grad_sq(s)
-                if not math.isfinite(g_sq):
-                    _check_gradient(s * oracle.g, i)
-                if g_sq <= GRAD_RESOLUTION_SQ:
-                    break
-                step = gamma * eta
-                f0 = oracle.loss(t)
-                if oracle.trial_loss(t, step * s) <= f0 - 0.5 * step * g_sq + 1e-15 * abs(f0):
-                    break
-                estimate *= 2.0
-            else:
-                raise _doublings_exceeded(estimate)
-            gamma_prev, ab = gamma, ab_next
-            if beta != 1.0:
-                it.rebase(_kappa(alpha, beta))
-            it.step(beta * (1.0 - alpha), gamma, eta * s, oracle.g if s else None)
-            if mean is not None:
-                mean.add(it.w())
-        it.fold()
-        return it.w()
 
     return run_pass
 
@@ -1065,9 +1068,11 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     iterate is checked once per pass; a failure in a pass is raised as a
     :class:`RunError`, ``pass p: ...``.
     On the squared-hinge and hinge losses with sigma = 0, the sgd and
-    sgd_ls kernels (without averaging) skip, and the accel kernel crosses
-    by a scalar update, the steps that a :class:`_ZeroScreen` certifies to
-    have an exactly zero gradient; SGD and SGD(LS) stay bit-identical.
+    sgd_ls kernels (without averaging) skip, and the accelerated kernel of
+    accel and accel_ls crosses by a scalar update, the steps that a
+    :class:`_ZeroScreen` certifies to have an exactly zero gradient (a
+    zero-gradient Acc-SGD(LS) step leaves its estimate alone); SGD and
+    SGD(LS) stay bit-identical.
     While a single-step function or ``Objective.grad_example``/
     ``loss_example`` is rebound (wrapped by a profiler, say), each pass
     steps through the public functions instead, on the same draws.
@@ -1092,22 +1097,17 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     if method != "sgd_ls":  # SGD(LS) steps by 1/L_hat and never reads eta
         eta = config.resolve_eta(obj, method)
         SgdConfig(eta=eta, sigma=config.sigma)  # validates eta and sigma
-    sched = None
-    if method in ("accel", "accel_ls"):
-        sched = make_schedule(config.mode, config.rho, eta, mu=config.mu)
+    accel = method.startswith("accel")
+    sched = make_schedule(config.mode, config.rho, eta, mu=config.mu) if accel else None
 
     mean = _RunningMean(w) if config.averaging else None
-    # the screen needs exact zeros (the two hinge losses, no noise); SGD
-    # skips its certified steps only while no running mean needs them
+    # the screen needs exact zeros (the two hinge losses, no noise); SGD and
+    # SGD(LS) skip their certified steps only while no running mean needs them
     screen = None
-    if (
-        isinstance(obj, Objective)
-        and obj.kind in ("squared_hinge", "hinge")
-        and config.sigma == 0.0
-    ):
-        if method == "accel":
+    if isinstance(obj, Objective) and obj.kind in ("squared_hinge", "hinge") and config.sigma == 0:
+        if accel:
             screen = _ZeroScreen(obj, _ACCEL_MIN_GAP)
-        elif method in ("sgd", "sgd_ls") and mean is None:
+        elif mean is None:
             screen = _ZeroScreen(obj, _SGD_MIN_GAP)
     if _step_path() != _ORIGINAL_STEP_PATH:
         run_pass = _single_step_pass(
@@ -1117,10 +1117,9 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
         run_pass = _sgd_kernel(obj, w, eta, mean, screen)
     elif method == "sgd_ls":
         run_pass = _sgd_ls_kernel(obj, w, config.ls_init, mean, screen)
-    elif method == "accel":
-        run_pass = _accel_kernel(obj, w, sched, mean, screen)
     else:
-        run_pass = _accel_ls_kernel(obj, w, sched, config.ls_init, mean)
+        estimate = config.ls_init if method == "accel_ls" else None
+        run_pass = _accel_kernel(obj, w, sched, mean, screen, estimate)
 
     record = RunRecord()
     t0 = time.monotonic()

@@ -320,6 +320,14 @@ class TestRunCommand:
         assert main(argv) == 0
         assert (tmp_path / "gap" / "sgd.csv").exists()
 
+    def test_strongly_convex_line_search_starts_below_mu(self, tmp_path):
+        # L = 1.037 on this data: mu = 1 is feasible at accel's step 1/L,
+        # but not at accel_ls's first estimate, ls_init = 1, which doubles
+        argv = ["run", "--methods", "accel,accel_ls", "--mode", "strongly_convex", "--mu", "1.0",
+                "--n", "200", "--d", "2", "--passes", "2", "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert (tmp_path / "out" / "accel_ls.csv").exists()
+
     def test_wall_clock_flag_keeps_csv_parseable(self, tmp_path):
         cfg = write_config(tmp_path, out_name="wall")
         assert main(["run", "--config", str(cfg), "--wall-clock"]) == 0

@@ -350,6 +350,23 @@ class TestLineSearch:
         assert max(r.train_loss for r in record.rows) <= 10.0 * record.rows[0].train_loss
         assert record.final_loss() < 1e-3
 
+    def test_accel_infeasible_estimate_doubles(self):
+        # strongly convex mode needs mu L / L_hat^2 <= 1: a candidate that
+        # breaks it has no schedule and fails like a failed test, here at a
+        # zero gradient too, and the run keeps the reference's steps
+        obj = interpolating_objective()
+        mu = 2.0 / obj.L
+        sched = make_schedule("strongly_convex", 4.0, 1.0 / (4.0 * obj.L), mu=mu)
+        st = init_accel_state(obj.data.w_star, sched)
+        st2, rhoL = line_search_accel_step(obj, st, 1.0, make_rng(1))
+        assert np.array_equal(st2.w, obj.data.w_star)
+        # mu L / L_hat^2 is 2 at L_hat = 1 and 1/2 at L_hat = 2
+        assert rhoL == 2.0 and mu * obj.L > 1.0 >= mu * obj.L / 4.0
+        cfg = RunConfig(rho=4.0, mode="strongly_convex", mu=mu, seed=2, w0=np.ones(obj.dim))
+        assert_within_tolerance(
+            kernel_rows(obj, "accel_ls", cfg, 3), oracle_rows(obj, "accel_ls", cfg, 3)
+        )
+
     def test_accel_fixed_point_any_estimate(self):
         obj = interpolating_objective()
         sched = make_schedule("convex", 1.0, 1.0)
@@ -553,10 +570,12 @@ def pin_per_step_accel(monkeypatch) -> None:
     monkeypatch.setattr(optimizers, "_ACCEL_MIN_GAP", math.inf)
 
 
-def per_step_accel_rows(monkeypatch, obj, cfg: RunConfig, passes: int) -> list[MetricRow]:
+def per_step_accel_rows(
+    monkeypatch, obj, cfg: RunConfig, passes: int, method: str = "accel"
+) -> list[MetricRow]:
     with monkeypatch.context() as patch:
         pin_per_step_accel(patch)
-        return kernel_rows(obj, "accel", cfg, passes)
+        return kernel_rows(obj, method, cfg, passes)
 
 
 INTERPOLATED = 1e-10
@@ -880,7 +899,8 @@ class TestRankOneForm:
 
 
 # ---------------------------------------------------------------------------
-# the zero-gradient screen of the sgd, sgd_ls and accel kernels
+# the zero-gradient screen of the sgd and sgd_ls kernels and of the
+# accelerated kernel, which accel and accel_ls share
 # ---------------------------------------------------------------------------
 
 
@@ -891,7 +911,7 @@ def screen_objective(kind: str, tau: float, seed: int) -> Objective:
 
 def screen_config(obj, method, tau, mode="convex", seed=0, averaging=False, w0=None):
     """The CLI's steps: tau_over_L for accel, 1/L_max for squared-hinge sgd,
-    an explicit 0.5 for hinge sgd and line search for sgd_ls."""
+    an explicit 0.5 for hinge sgd and line search for sgd_ls and accel_ls."""
     eta = None
     if method == "accel":
         eta = tau / obj.gram_lam_max
@@ -910,7 +930,9 @@ def screen_config(obj, method, tau, mode="convex", seed=0, averaging=False, w0=N
 
 # each tau covers both losses, every screened method and accel mode, both
 # averaging settings and both seeds; seed 1 starts at 0.9 w_star, where most
-# margins already exceed 1, so that the screen engages at every tau
+# margins already exceed 1, so that the screen engages at every tau. accel_ls
+# needs L, so it runs on the squared hinge only, each of its modes with both
+# averaging settings and both seeds over the four taus.
 SCREEN_CASES = [
     (tau, kind, method, mode, k % 2 == 1, k // 2 % 2)
     for k, (tau, kind, method, mode) in enumerate(
@@ -925,6 +947,10 @@ SCREEN_CASES = [
         )
         if not (kind == "hinge" and method == "sgd_ls")
     )
+] + [
+    (tau, "squared_hinge", "accel_ls", mode, (j + m) % 2 == 1, j // 2)
+    for j, tau in enumerate((0.2, 0.1, 0.02, 0.005))
+    for m, mode in enumerate(("convex", "strongly_convex"))
 ]
 
 
@@ -989,14 +1015,14 @@ class TestZeroScreen:
         self, monkeypatch, tau, kind, method, mode, averaging, seed
     ):
         obj, cfg = screen_case(tau, kind, method, mode, averaging, seed)
-        if method == "accel":
+        if method.startswith("accel"):
             pin_per_step_accel(monkeypatch)  # span blocks: test_accel_span_rows_within_tolerance
         rows = kernel_rows(obj, method, cfg, 3)
         assert_rows_match(rows, oracle_rows(obj, method, cfg, 3), method)
 
     @pytest.mark.parametrize(
         "tau,kind,method,mode,averaging,seed",
-        [case for case in SCREEN_CASES if case[2] == "accel"],
+        [case for case in SCREEN_CASES if case[2].startswith("accel")],
     )
     def test_accel_span_rows_within_tolerance(
         self, monkeypatch, tau, kind, method, mode, averaging, seed
@@ -1006,7 +1032,7 @@ class TestZeroScreen:
         rows = kernel_rows(obj, method, cfg, 3)
         if seed:
             assert len(calls) < 3 * obj.n  # the span path was at work
-        assert_within_tolerance(rows, per_step_accel_rows(monkeypatch, obj, cfg, 3))
+        assert_within_tolerance(rows, per_step_accel_rows(monkeypatch, obj, cfg, 3, method))
 
     @pytest.mark.parametrize(
         "kind,method,mode",
@@ -1079,7 +1105,51 @@ class TestZeroScreen:
         assert_within_tolerance(rows, per_step_accel_rows(monkeypatch, obj, cfg, 3))
         assert_within_tolerance(rows, oracle_rows(obj, "accel", cfg, 3))
 
-    @pytest.mark.parametrize("method", ["sgd", "accel"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
+    def test_crossing_after_a_mid_pass_doubling(self, monkeypatch, mode):
+        # from 0.9 w_star the first active steps of accel_ls double its
+        # estimate from ls_init = 1, and the stretch of zero gradients that
+        # follows in the same pass is crossed at the rescheduled coefficients
+        obj = screen_objective("squared_hinge", 0.1, 0)
+        cfg = replace(screen_config(obj, "accel_ls", 0.1, mode, seed=5, averaging=True),
+                      w0=0.9 * obj.data.w_star)
+        events = []
+        original = (optimizers._ZeroScreen.cover, optimizers._ZeroScreen.certified_in_span,
+                    optimizers._schedule_coefficients)
+
+        def cover(self, n, steps, head):
+            events.append("pass")
+            return original[0](self, n, steps, head)
+
+        def certified_in_span(self, blk, m, u, r):
+            certified = original[1](self, blk, m, u, r)
+            events.append(optimizers._leading_true(certified))
+            return certified
+
+        def schedule_coefficients(mode, rho, eta, mu, gamma_prev, ab):
+            events.append(1.0 / eta)  # an estimate, once a pass has begun
+            return original[2](mode, rho, eta, mu, gamma_prev, ab)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizers._ZeroScreen, "cover", cover)
+            patch.setattr(optimizers._ZeroScreen, "certified_in_span", certified_in_span)
+            patch.setattr(optimizers, "_schedule_coefficients", schedule_coefficients)
+            rows = kernel_rows(obj, "accel_ls", cfg, 3)
+        estimate, doubled, crossed = cfg.ls_init, False, 0
+        for event in events[events.index("pass"):]:
+            if event == "pass":
+                doubled = False
+            elif isinstance(event, float):
+                doubled |= event > estimate
+                estimate = max(estimate, event)
+            elif doubled:
+                crossed += event
+        assert crossed > 0
+        assert_within_tolerance(rows, per_step_accel_rows(monkeypatch, obj, cfg, 3, "accel_ls"))
+        assert_within_tolerance(rows, oracle_rows(obj, "accel_ls", cfg, 3))
+
+    @pytest.mark.parametrize("method", ["sgd", "accel", "accel_ls"])
     def test_few_gradient_calls_after_interpolation(self, monkeypatch, method):
         obj = Objective("squared_hinge", generate_margin_data(2000, 100, 0.1, seed=0))
         cfg = screen_config(obj, method, 0.1, seed=1)

@@ -10,8 +10,8 @@ the changed tree and comparing the two files:
     python tools/output_hashes.py change.json
     python tools/output_hashes.py --compare parent.json change.json
 
-The small set (83 argvs, about a minute) covers every subcommand at
-200x10 scale, fig2 on a toy LIBSVM file, 18 ``run`` variants, ``--help``,
+The small set (85 argvs, about a minute) covers every subcommand at
+200x10 scale, fig2 on a toy LIBSVM file, 20 ``run`` variants, ``--help``,
 config errors, ``perceptron`` with too few passes or τ above 1, a diverging
 run, the hinge combinations, ``spectral`` and ``run`` on a wide 20x200 file
 whose top two singular values are 1 and 1 - 1e-9, and ``spectral`` on a
@@ -111,6 +111,8 @@ def small_argvs() -> dict[str, list[str]]:
         "swapped_rules": ["--step-rule-sgd", "tau_over_L", "--step-rule-accel",
                           "one_over_Lmax"],
         "strongly_convex": ["--mode", "strongly_convex", "--mu", "0.01"],
+        "strongly_convex_accel_ls": ["--methods", "accel_ls", "--mode", "strongly_convex",
+                                     "--mu", "0.01"],
         "averaging": ["--averaging", "true"],
         "sigma": ["--sigma", "0.1"],
         "logistic_ls": ["--loss", "logistic", "--methods", "sgd_ls,accel_ls"],
@@ -119,6 +121,11 @@ def small_argvs() -> dict[str, list[str]]:
                              "--step-rule-accel", "tau_over_L"],
     }
     argvs.update({f"run_{name}": [*RUN, *flags] for name, flags in runs.items()})
+    # L = 1.037 on this data, so mu = 1 is feasible at L but not at the
+    # line search's first estimate, ls_init = 1
+    argvs["run_strongly_convex_ls_from_below_mu"] = [
+        "run", "--methods", "accel,accel_ls", "--mode", "strongly_convex", "--mu", "1.0",
+        "--n", "200", "--d", "2", "--passes", "2", "--out", "out"]
     argvs["audit"] = ["audit-rho", *SMALL]
     argvs["audit_grid"] = ["audit-rho", *SMALL, "--rho-rule", "grid",
                            "--rho-grid", "0.01,16", "--grid-passes", "3"]
