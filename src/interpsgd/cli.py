@@ -159,20 +159,23 @@ def _print_warning(message, category, filename, lineno, file=None, line=None):
 
 def _one_blas_thread() -> None:
     """Pins numpy's OpenBLAS to one thread unless the environment sets a
-    count: the per-step products are too small to share, and an idle
-    second thread spins. Does nothing where the library is not found."""
+    count: the per-step products of ``run`` and ``reproduce`` are too small
+    to share, and an idle second thread spins. The other subcommands keep
+    numpy's default (``audit-rho``'s RBF map and Gram products take less
+    wall time on two threads). Does nothing where the library is not found."""
     if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
         return
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
     for lib in glob.glob(libs):
         try:
-            ctypes.CDLL(lib).scipy_openblas_set_num_threads64_(1)
+            set_threads = ctypes.CDLL(lib).scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def main(argv: list[str] | None = None) -> int:
-    _one_blas_thread()
     # one line per warning, without the source path and line number that
     # would tie stderr's bytes to the layout of the code
     with warnings.catch_warnings():
@@ -184,6 +187,8 @@ def _main(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in ("run", "reproduce"):
+            _one_blas_thread()
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "reproduce":

@@ -163,7 +163,9 @@ def _schedule_coefficients(
         alpha = gamma * eta / (gamma * eta + ab_ratio)
         return gamma, alpha, 1.0, gamma * gamma * eta * rho
     if not _sc_feasible(mu, eta, rho):
-        raise ValueError(f"invalid configuration: mu*eta/rho = {mu * eta / rho} exceeds 1")
+        raise ValueError(
+            f"invalid configuration: mu*eta/rho = {mu * eta / rho} exceeds 1"
+        )
     q = math.sqrt(mu * eta / rho)
     gamma = 1.0 / math.sqrt(mu * eta * rho)
     beta = 1.0 - q
@@ -746,21 +748,19 @@ def _zeta_oracle(obj, it: _RankOneIterates):
 
 
 def _convex_coefficients(
-    n: int, rho: float, eta: float, gamma_prev: float, ab: float
-) -> tuple[list, np.ndarray, float, float]:
-    """(gamma_k, alpha_k, gamma_prev, ab) over n convex-mode advances from
-    the carried (gamma_prev, ab): ``_schedule_coefficients``' formulas and
-    bits. Only gamma is sequential; ab_k = gamma_{k-1}^2 eta rho and alpha_k
-    follow as elementwise array ops, in the same operation order."""
+    n: int, rho: float, eta: float, gamma_prev: float
+) -> tuple[list, np.ndarray]:
+    """(gamma_k, alpha_k) over n >= 1 convex-mode advances from the carried
+    gamma_prev: ``_schedule_coefficients``' formulas and bits. Only gamma is
+    sequential; ab_k = gamma_{k-1}^2 eta rho and alpha_k follow as
+    elementwise array ops, in the same operation order."""
     inv_rho = 1.0 / rho
     g = gamma_prev
     gammas = [g := 0.5 * (inv_rho + math.sqrt(inv_rho * inv_rho + 4.0 * g**2)) for _ in range(n)]
     gamma = np.array(gammas)
-    ab_k = np.empty(n)
-    ab_k[:1] = ab
-    ab_k[1:] = gamma[:-1] * gamma[:-1] * eta * rho
+    prev = np.concatenate(([gamma_prev], gamma[:-1]))
     ge = gamma * eta
-    return gammas, ge / (ge + ab_k), g, g * g * eta * rho
+    return gammas, ge / (ge + prev * prev * eta * rho)
 
 
 def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estimate=None):
@@ -773,14 +773,13 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estima
     power of beta (1 - alpha) in strongly convex mode."""
     mode, mu, convex = sched.mode, sched.mu, sched.mode == "convex"
     rho, eta, gamma_prev, ab = sched.rho, sched.eta, sched.gamma_prev, sched.ab_ratio
-    L = None if estimate is None else obj.L
     it = _RankOneIterates(w)
     oracle = _zeta_oracle(obj, it)
     g_noise = np.empty_like(w)
     beta, kappa, powers, sc_r = 1.0, 0.0, None, None
     # Acc-SGD(LS) searches the run's first step: that sets rho and eta, and in
     # strongly convex mode uses make_schedule's ratio and skips infeasible L^
-    search_first = L is not None
+    search_first = estimate is not None
 
     def run_pass(draw, noise):
         nonlocal gamma_prev
@@ -805,9 +804,12 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estima
                 powers = (beta * (1.0 - alpha)) ** np.arange(_MAX_BLOCK + 1.0)
                 sc_r = max(0.0, 1.0 - kappa - alpha) * powers[:-1]
                 return
-            end = n if L is None else end
+            # Acc-SGD never reschedules and fills the whole pass in one call:
+            # filling it up to each request, as Acc-SGD(LS) must, took fig1a's
+            # pass_ms_p50 from 3.00 to 3.25 ms (worse in 9 of 10 benchmark pairs)
+            end = n if estimate is None else end
             gp = gammas[-1] if k else gamma_prev
-            gs, alphas[k:end], *_ = _convex_coefficients(end - k, rho, eta, gp, gp * gp * eta * rho)
+            gs, alphas[k:end] = _convex_coefficients(end - k, rho, eta, gp)
             gammas.extend(gs)
 
         def search(k: int, i: int) -> bool:
@@ -819,7 +821,7 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estima
             ab_k = gp * gp * eta * rho if convex else ab
             oracle.start(i)
             for _ in range(MAX_DOUBLINGS + 1):
-                rho, eta = estimate / L, 1.0 / estimate
+                rho, eta = estimate / obj.L, 1.0 / estimate
                 if _sc_feasible(mu, eta, rho):
                     gamma, alpha, beta_k, ab = _schedule_coefficients(mode, rho, eta, mu, gp, ab_k)
                     t = (it.kappa - 1.0 + alpha) * it.c
@@ -853,7 +855,7 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estima
                 s = oracle.grad(t)
                 if s:
                     active += 1
-                    if L is not None and not oracle.decreases(i, t, s, gammas[k] * eta):
+                    if estimate is not None and not oracle.decreases(i, t, s, gammas[k] * eta):
                         search(k, i)
                         ready(end)  # rescheduled; zip reads als lazily
                         als[k + 1 - start:] = alphas[k + 1:end].tolist()
@@ -1104,7 +1106,11 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     # the screen needs exact zeros (the two hinge losses, no noise); SGD and
     # SGD(LS) skip their certified steps only while no running mean needs them
     screen = None
-    if isinstance(obj, Objective) and obj.kind in ("squared_hinge", "hinge") and config.sigma == 0:
+    if (
+        isinstance(obj, Objective)
+        and obj.kind in ("squared_hinge", "hinge")
+        and config.sigma == 0.0
+    ):
         if accel:
             screen = _ZeroScreen(obj, _ACCEL_MIN_GAP)
         elif mean is None:

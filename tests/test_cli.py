@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from interpsgd import growth, optimizers
+from interpsgd import cli, growth, optimizers
 from interpsgd.cli import main
 from interpsgd.data import generate_margin_data, save_libsvm
 from interpsgd.harness import reproduce_figure
@@ -617,3 +617,23 @@ class TestAuditAndSpectral:
         main(["audit-rho", "--config", str(cfg)])
         second = capsys.readouterr().out
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv,pinned",
+    [
+        (["run", "--config", "nope.cfg"], True),
+        (["reproduce", "fig2_covtype", "--out", "x"], True),
+        (["perceptron", "--passes", "two"], False),
+        (["audit-rho", "--config", "nope.cfg"], False),
+        (["spectral", "--libsvm", "none.txt"], False),
+    ],
+)
+def test_one_blas_thread_only_for_run_and_reproduce(tmp_path, monkeypatch, argv, pinned):
+    # the per-step subcommands pin one BLAS thread; the whole-matrix ones
+    # keep numpy's default count
+    calls = []
+    monkeypatch.setattr(cli, "_one_blas_thread", lambda: calls.append(argv[0]))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) in (1, 2)
+    assert calls == ([argv[0]] if pinned else [])

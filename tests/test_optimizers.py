@@ -199,11 +199,9 @@ class TestScheduleAdvance:
         # the accel kernel's per-pass gamma_k and alpha_k, three passes with
         # the state carried between them, against _schedule_coefficients
         eta = 0.03
-        gamma_prev = ab = want_prev = want_ab = 0.0
+        gamma_prev = want_prev = want_ab = 0.0
         for n in (2000, 1, 500):
-            gammas, alphas, gamma_prev, ab = optimizers._convex_coefficients(
-                n, rho, eta, gamma_prev, ab
-            )
+            gammas, alphas = optimizers._convex_coefficients(n, rho, eta, gamma_prev)
             want_gammas, want_alphas = [], []
             for _ in range(n):
                 gamma, alpha, _, want_ab = optimizers._schedule_coefficients(
@@ -214,7 +212,8 @@ class TestScheduleAdvance:
                 want_prev = gamma
             assert list(gammas) == want_gammas
             assert alphas.tolist() == want_alphas
-            assert (gamma_prev, ab) == (want_prev, want_ab)
+            gamma_prev = gammas[-1]
+            assert (gamma_prev, gamma_prev * gamma_prev * eta * rho) == (want_prev, want_ab)
 
 
 class TestAccelStep:
