@@ -327,48 +327,22 @@ def line_search_accel_step(obj, st: AccelState, rhoL_hat: float, rng) -> tuple[A
 # whole-pass kernels
 # ---------------------------------------------------------------------------
 #
-# run() hands each pass to its method's kernel: a closure that takes the
-# pass's example indices (and noise rows, if any), updates the iterates in
-# preallocated buffers and returns the iterate to log. The SGD and SGD(LS)
-# kernels run the single-step functions' own arithmetic, operation for
-# operation, so their iterates are bit-identical to a loop over them on the
-# same index stream. One accelerated kernel serves Acc-SGD and Acc-SGD(LS)
-# and holds the three sequences in rank-one form (_RankOneIterates): the
-# same steps in another operation order, one 2 x d product per step and
-# vector work only for a nonzero gradient, whose log10 losses agree with the
-# loop's within 1e-9 decades (the tests check both). What the kernels leave
-# out is per-step bookkeeping: index draws, input validation, finiteness
-# scans (run() checks the iterate once per pass; a non-finite iterate stays
-# non-finite) and schedule dataclasses. Kernels never write into a gradient
-# they are handed. Where a _ZeroScreen applies (see run()), its cover() runs
-# the pass instead, block by block.
-
-
-def _example_oracles(obj):
-    """(grad, loss) per-example oracles on a point p and example index i.
-
-    For an :class:`Objective` the gradient is s_i * x_i with the scalar from
-    ``_grad_scalar``; ``grad`` returns None when s_i is exactly zero (the
-    update then changes no iterate) and otherwise a buffer that the next
-    call overwrites. Other objectives fall back to their public
-    ``grad_example``/``loss_example``.
-    """
-    if not isinstance(obj, Objective):
-        return obj.grad_example, obj.loss_example
-    rows = list(obj.data.X)
-    ys = obj.data.y.tolist()
-    grad_scalar, loss_scalar = obj._grad_scalar, obj._loss_scalar
-    buf = np.empty(obj.dim)
-
-    def grad(p, i):
-        row = rows[i]
-        s = grad_scalar(float(row.dot(p)), ys[i])
-        return np.multiply(row, s, buf) if s else None
-
-    def loss(p, i):
-        return loss_scalar(float(rows[i].dot(p)), ys[i])
-
-    return grad, loss
+# run() hands each pass to one of two kernels, closures that take the pass's
+# example indices (and noise rows, if any), update the iterates in
+# preallocated buffers and return the iterate to log; given a line-search
+# start, each runs its method's line-search variant. One SGD kernel serves
+# SGD and SGD(LS) with the single-step functions' own arithmetic, so its
+# iterates are bit-identical to a loop over them on the same index stream.
+# One accelerated kernel serves Acc-SGD and Acc-SGD(LS) and holds the three
+# sequences in rank-one form (_RankOneIterates): the same steps in another
+# operation order, one 2 x d product per step and vector work only for a
+# nonzero gradient, whose log10 losses agree with the loop's within 1e-9
+# decades (the tests check both). What the kernels leave out is per-step
+# bookkeeping: index draws, input validation, finiteness scans (run() checks
+# the iterate once per pass; a non-finite iterate stays non-finite) and
+# schedule dataclasses. Kernels never write into a gradient they are handed.
+# Where a _ZeroScreen applies (see run()), its cover() runs the pass instead,
+# block by block.
 
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -393,8 +367,8 @@ def _leading_true(mask: np.ndarray) -> int:
 
 class _ZeroScreen:
     """Certificates that upcoming steps have an exactly zero gradient, and
-    the one screened pass (:meth:`cover`) of the SGD, SGD(LS) and
-    accelerated (Acc-SGD and Acc-SGD(LS)) kernels.
+    the one screened pass (:meth:`cover`) of the SGD kernel (SGD and
+    SGD(LS)) and the accelerated kernel (Acc-SGD and Acc-SGD(LS)).
 
     For the squared-hinge and hinge losses, s_i = 0 exactly when the margin
     y_i x_i . p is >= 1. For a block of upcoming indices the screen gathers
@@ -560,23 +534,65 @@ class _RunningMean:
         np.divide(value, self.count, value)
 
 
-def _sgd_kernel(obj, w: np.ndarray, eta: float, mean, screen):
-    grad, _ = _example_oracles(obj)
+def _sgd_kernel(obj, w: np.ndarray, eta: float, mean, screen, estimate=None):
+    """SGD; given a line-search start ``estimate`` L^, SGD(LS): SGD at
+    eta = 1/L^ whose steps with a nonzero gradient double L^ until the
+    sampled example passes the sufficient-decrease test. For an
+    :class:`Objective`, ``grad`` returns s_i x_i (s_i from ``_grad_scalar``)
+    in a buffer that the next call overwrites, or None when s_i is exactly
+    zero; other objectives use their ``grad_example``/``loss_example``."""
+    if isinstance(obj, Objective):
+        rows = list(obj.data.X)
+        ys = obj.data.y.tolist()
+        grad_scalar, loss_scalar = obj._grad_scalar, obj._loss_scalar
+        buf = np.empty(obj.dim)
+
+        def grad(p, i):
+            row = rows[i]
+            s = grad_scalar(float(row.dot(p)), ys[i])
+            return np.multiply(row, s, buf) if s else None
+
+        def loss(p, i):
+            return loss_scalar(float(rows[i].dot(p)), ys[i])
+    else:
+        grad, loss = obj.grad_example, obj.loss_example
     t = np.empty_like(w)
 
     def run_pass(draw, noise):
         indices = draw.tolist()
 
         def steps(start: int, end: int) -> int:
+            nonlocal w, t, estimate
             active = 0
             for k in range(start, end):
-                g = grad(w, indices[k])
+                i = indices[k]
+                g = grad(w, i)
                 if noise is not None:
                     g = noise[k] if g is None else g + noise[k]
                 if g is not None:
-                    np.multiply(g, eta, t)
-                    np.subtract(w, t, w)
                     active += 1
+                    if estimate is None:
+                        np.multiply(g, eta, t)
+                        np.subtract(w, t, w)
+                    else:
+                        g_sq = float(g.dot(g))
+                        if not math.isfinite(g_sq):
+                            _check_gradient(g, i)
+                        # t = w - g / estimate is both the trial point and,
+                        # once accepted, the next iterate; below resolution
+                        # the first is accepted untested
+                        f0 = None if g_sq <= GRAD_RESOLUTION_SQ else loss(w, i)
+                        for _ in range(MAX_DOUBLINGS + 1):
+                            np.divide(g, estimate, t)
+                            np.subtract(w, t, t)
+                            if f0 is None or (
+                                loss(t, i) <= f0 - g_sq / (2.0 * estimate) + 1e-15 * abs(f0)
+                            ):
+                                break
+                            estimate *= 2.0
+                        else:
+                            raise _doublings_exceeded(estimate)
+                        w, t = t, w
                 if mean is not None:
                     mean.add(w)
             return active
@@ -623,7 +639,7 @@ class _RankOneIterates:
     scaling trick, "Stochastic Gradient Descent Tricks", 2012). Folding sets
     u~ <- c u~ and c <- 1. It happens whenever c would fall below
     ``_FOLD_FLOOR`` (convex mode's first step, alpha = 1, would set c to 0),
-    which bounds the 1/c of the update by 2^60, and at the kernels' block,
+    which bounds the 1/c of the update by 2^60, and at the kernel's block,
     chunk and pass boundaries. A step whose coefficients call for another
     kappa (Acc-SGD(LS) in strongly convex mode, after its estimate moved)
     first rebases m += (kappa_old - kappa) c u~, which leaves u and v alone.
@@ -899,54 +915,6 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estima
     return run_pass
 
 
-def _sgd_ls_kernel(obj, w: np.ndarray, estimate: float, mean, screen):
-    grad, loss = _example_oracles(obj)
-    t = np.empty_like(w)
-
-    def run_pass(draw, noise):
-        indices = draw.tolist()
-
-        def steps(start: int, end: int) -> int:
-            nonlocal w, t, estimate
-            active = 0
-            for k in range(start, end):
-                i = indices[k]
-                g = grad(w, i)
-                if g is not None:
-                    active += 1
-                    g_sq = float(g.dot(g))
-                    if not math.isfinite(g_sq):
-                        _check_gradient(g, i)
-                    if g_sq <= GRAD_RESOLUTION_SQ:
-                        np.divide(g, estimate, t)
-                        np.subtract(w, t, w)
-                    else:
-                        # t = w - g / estimate is both the trial point and,
-                        # once accepted, the next iterate
-                        f0 = loss(w, i)
-                        for _ in range(MAX_DOUBLINGS + 1):
-                            np.divide(g, estimate, t)
-                            np.subtract(w, t, t)
-                            if loss(t, i) <= f0 - g_sq / (2.0 * estimate) + 1e-15 * abs(f0):
-                                break
-                            estimate *= 2.0
-                        else:
-                            raise _doublings_exceeded(estimate)
-                        w, t = t, w
-                if mean is not None:
-                    mean.add(w)
-            return active
-
-        if screen is None:
-            steps(0, len(indices))
-        else:
-            screen.cover(len(indices), steps,
-                         lambda start, end: screen.certified_head(draw[start:end], w))
-        return w
-
-    return run_pass
-
-
 # What the kernels stand in for. The originals are kept in a tuple, which a
 # rebinding of the module's names (a profiler's wrappers, a test's patch)
 # does not reach.
@@ -1058,23 +1026,22 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
 
     Each pass draws its n example indices in one batch,
     ``rng.integers(0, n, size=n)``, which is the same stream as n scalar
-    draws, and hands them to the method's whole-pass kernel. The SGD and
-    SGD(LS) iterates equal those of a loop over the single-step functions,
-    bit for bit. Acc-SGD and Acc-SGD(LS) take the same steps in rank-one
-    form (:class:`_RankOneIterates`: one 2 x d product per step, vector
-    work only for a nonzero gradient), in another operation order, so
-    their log10 losses agree with the loop's within 1e-9 decades on
-    non-diverging runs. With sigma > 0 the pass's noise follows as one
-    (n, dim) normal draw, so noisy runs use a different stream than
-    interleaved per-step draws whenever n > 1. Finiteness of the logged
-    iterate is checked once per pass; a failure in a pass is raised as a
-    :class:`RunError`, ``pass p: ...``.
-    On the squared-hinge and hinge losses with sigma = 0, the sgd and
-    sgd_ls kernels (without averaging) skip, and the accelerated kernel of
-    accel and accel_ls crosses by a scalar update, the steps that a
-    :class:`_ZeroScreen` certifies to have an exactly zero gradient (a
-    zero-gradient Acc-SGD(LS) step leaves its estimate alone); SGD and
-    SGD(LS) stay bit-identical.
+    draws, and hands them to a whole-pass kernel: one serves SGD and
+    SGD(LS), whose iterates equal those of a loop over the single-step
+    functions, bit for bit; one serves Acc-SGD and Acc-SGD(LS), which take
+    the same steps in rank-one form (:class:`_RankOneIterates`: one 2 x d
+    product per step, vector work only for a nonzero gradient), in another
+    operation order, so their log10 losses agree with the loop's within
+    1e-9 decades on non-diverging runs. With sigma > 0 the pass's noise
+    follows as one (n, dim) normal draw, so noisy runs use a different
+    stream than interleaved per-step draws whenever n > 1. Finiteness of
+    the logged iterate is checked once per pass; a failure in a pass is
+    raised as a :class:`RunError`, ``pass p: ...``.
+    On the squared-hinge and hinge losses with sigma = 0, the SGD kernel
+    (without averaging) skips, and the accelerated kernel crosses by a
+    scalar update, the steps that a :class:`_ZeroScreen` certifies to have
+    an exactly zero gradient (a zero-gradient line-search step leaves its
+    estimate alone); SGD and SGD(LS) stay bit-identical.
     While a single-step function or ``Objective.grad_example``/
     ``loss_example`` is rebound (wrapped by a profiler, say), each pass
     steps through the public functions instead, on the same draws.
@@ -1085,8 +1052,8 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
         raise ValueError(f"passes must be >= 1, got {passes}")
     if config.sigma != 0.0 and method.endswith("_ls"):
         raise ValueError("line-search methods do not support additive noise")
-    if method.endswith("_ls") and not config.ls_init > 0:
-        raise ValueError(f"ls_init must be > 0, got {config.ls_init}")
+    if method.endswith("_ls") and not (math.isfinite(config.ls_init) and config.ls_init > 0):
+        raise ValueError(f"ls_init must be a positive finite number, got {config.ls_init}")
 
     n = obj.n
     w = (
@@ -1099,6 +1066,8 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     if method != "sgd_ls":  # SGD(LS) steps by 1/L_hat and never reads eta
         eta = config.resolve_eta(obj, method)
         SgdConfig(eta=eta, sigma=config.sigma)  # validates eta and sigma
+    if method == "accel_ls" and not (math.isfinite(obj.L) and obj.L > 0):  # its kernel reads L
+        raise ValueError(f"method accel_ls needs a smooth loss with a finite L, got L = {obj.L}")
     accel = method.startswith("accel")
     sched = make_schedule(config.mode, config.rho, eta, mu=config.mu) if accel else None
 
@@ -1115,17 +1084,15 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
             screen = _ZeroScreen(obj, _ACCEL_MIN_GAP)
         elif mean is None:
             screen = _ZeroScreen(obj, _SGD_MIN_GAP)
+    estimate = config.ls_init if method.endswith("_ls") else None
     if _step_path() != _ORIGINAL_STEP_PATH:
         run_pass = _single_step_pass(
-            obj, method, w, eta, config.sigma, sched, config.ls_init, mean
+            obj, method, w, eta, config.sigma, sched, estimate, mean
         )
-    elif method == "sgd":
-        run_pass = _sgd_kernel(obj, w, eta, mean, screen)
-    elif method == "sgd_ls":
-        run_pass = _sgd_ls_kernel(obj, w, config.ls_init, mean, screen)
-    else:
-        estimate = config.ls_init if method == "accel_ls" else None
+    elif accel:
         run_pass = _accel_kernel(obj, w, sched, mean, screen, estimate)
+    else:
+        run_pass = _sgd_kernel(obj, w, eta, mean, screen, estimate)
 
     record = RunRecord()
     t0 = time.monotonic()

@@ -528,12 +528,12 @@ def oracle_rows(obj, method: str, cfg: RunConfig, passes: int) -> list[MetricRow
         rng = BatchedDraws(cfg.seed, obj.n, obj.dim, cfg.sigma / math.sqrt(obj.dim))
     else:
         rng = make_rng(cfg.seed)
-    eta = cfg.resolve_eta(obj, method)
+    eta = None if method == "sgd_ls" else cfg.resolve_eta(obj, method)  # as run() reads it
     w = np.zeros(obj.dim) if cfg.w0 is None else np.array(cfg.w0, dtype=float)
     st = None
     if method.startswith("accel"):
         st = init_accel_state(w, make_schedule(cfg.mode, cfg.rho, eta, mu=cfg.mu))
-    step_cfg = SgdConfig(eta=eta, sigma=cfg.sigma)
+    step_cfg = SgdConfig(eta=eta, sigma=cfg.sigma) if method == "sgd" else None
     estimate = cfg.ls_init
     wbar = w.copy()
     steps = 0
@@ -627,7 +627,7 @@ KERNEL_CASES = [
     for kind in ("squared", "squared_hinge", "logistic", "hinge")
     for mode in (("convex", "strongly_convex") if method.startswith("accel") else ("convex",))
     for averaging in (False, True)
-    if not (kind == "hinge" and method.endswith("_ls"))
+    if not (kind == "hinge" and method == "accel_ls")
 ]
 
 
@@ -769,13 +769,14 @@ class TestKernelsMatchSingleSteps:
             run(obj, "accel_ls", cfg, 2)
         assert isinstance(failure.value.__cause__, LineSearchError)
 
-    def test_accel_gradient_below_resolution_skips_the_line_search(self):
+    @pytest.mark.parametrize("method", ["sgd_ls", "accel_ls"])
+    def test_gradient_below_resolution_skips_the_line_search(self, method):
         # 1e-13 per coordinate: ||g||^2 = 2e-26 is below GRAD_RESOLUTION_SQ,
         # so the unpassable test is never made and no estimate doubles
         obj = ConstantLossObjective(1e-13)
         cfg = RunConfig(seed=0)
-        rows = kernel_rows(obj, "accel_ls", cfg, 2)
-        assert_within_tolerance(rows, oracle_rows(obj, "accel_ls", cfg, 2))
+        rows = kernel_rows(obj, method, cfg, 2)
+        assert_rows_match(rows, oracle_rows(obj, method, cfg, 2), method)
 
     @pytest.mark.parametrize(
         "method,step,sigma",
@@ -822,13 +823,21 @@ class TestKernelsMatchSingleSteps:
 
     def test_rejects_nonpositive_line_search_start(self):
         obj = interpolating_objective(n=12, d=4)
-        for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="ls_init"):
-                run(obj, "sgd_ls", RunConfig(ls_init=bad), 1)
+        for method in ("sgd_ls", "accel_ls"):
+            for bad in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ValueError, match="ls_init"):
+                    run(obj, method, RunConfig(ls_init=bad), 1)
+
+    def test_accel_line_search_needs_a_finite_smoothness_constant(self, monkeypatch):
+        obj = Objective("hinge", generate_margin_data(20, 4, 0.2, seed=0))
+        calls = count_scalar_gradients(monkeypatch)
+        with pytest.raises(ValueError, match="accel_ls needs a smooth loss"):
+            run(obj, "accel_ls", RunConfig(eta=0.1), 2)
+        assert not calls  # refused before any pass
 
 
 class TestRankOneForm:
-    """The edge paths of the Acc-SGD kernels' rank-one iterates, each
+    """The edge paths of the accelerated kernel's rank-one iterates, each
     within tolerance of the single-step loop and without a RuntimeWarning."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -898,7 +907,7 @@ class TestRankOneForm:
 
 
 # ---------------------------------------------------------------------------
-# the zero-gradient screen of the sgd and sgd_ls kernels and of the
+# the zero-gradient screen of the SGD kernel (sgd and sgd_ls) and of the
 # accelerated kernel, which accel and accel_ls share
 # ---------------------------------------------------------------------------
 
@@ -928,15 +937,16 @@ def screen_config(obj, method, tau, mode="convex", seed=0, averaging=False, w0=N
 
 
 # each tau covers both losses, every screened method and accel mode, both
-# averaging settings and both seeds; seed 1 starts at 0.9 w_star, where most
-# margins already exceed 1, so that the screen engages at every tau. accel_ls
-# needs L, so it runs on the squared hinge only, each of its modes with both
-# averaging settings and both seeds over the four taus.
+# averaging settings and both seeds, and each (loss, method, mode) meets all
+# four averaging and seed pairs over the four taus; seed 1 starts at
+# 0.9 w_star, where most margins already exceed 1, so that the screen engages
+# at every tau. accel_ls needs L, so it runs on the squared hinge only, each
+# of its modes with both averaging settings and both seeds over the four taus.
 SCREEN_CASES = [
-    (tau, kind, method, mode, k % 2 == 1, k // 2 % 2)
-    for k, (tau, kind, method, mode) in enumerate(
-        (tau, kind, method, mode)
-        for tau in (0.2, 0.1, 0.02, 0.005)
+    (tau, kind, method, mode, (j + t) % 2 == 1, (j // 2 + t // 2) % 2)
+    for t, tau in enumerate((0.2, 0.1, 0.02, 0.005))
+    for j, (kind, method, mode) in enumerate(
+        (kind, method, mode)
         for kind in ("squared_hinge", "hinge")
         for method, mode in (
             ("sgd", "convex"),
@@ -944,7 +954,6 @@ SCREEN_CASES = [
             ("accel", "convex"),
             ("accel", "strongly_convex"),
         )
-        if not (kind == "hinge" and method == "sgd_ls")
     )
 ] + [
     (tau, "squared_hinge", "accel_ls", mode, (j + m) % 2 == 1, j // 2)

@@ -10,8 +10,8 @@ the changed tree and comparing the two files:
     python tools/output_hashes.py change.json
     python tools/output_hashes.py --compare parent.json change.json
 
-The small set (85 argvs, about a minute) covers every subcommand at
-200x10 scale, fig2 on a toy LIBSVM file, 20 ``run`` variants, ``--help``,
+The small set (86 argvs, about a minute) covers every subcommand at
+200x10 scale, fig2 on a toy LIBSVM file, 21 ``run`` variants, ``--help``,
 config errors, ``perceptron`` with too few passes or τ above 1, a diverging
 run, the hinge combinations, ``spectral`` and ``run`` on a wide 20x200 file
 whose top two singular values are 1 and 1 - 1e-9, and ``spectral`` on a
@@ -114,6 +114,7 @@ def small_argvs() -> dict[str, list[str]]:
         "strongly_convex_accel_ls": ["--methods", "accel_ls", "--mode", "strongly_convex",
                                      "--mu", "0.01"],
         "averaging": ["--averaging", "true"],
+        "averaging_ls": ["--averaging", "true", "--methods", "sgd_ls,accel_ls"],
         "sigma": ["--sigma", "0.1"],
         "logistic_ls": ["--loss", "logistic", "--methods", "sgd_ls,accel_ls"],
         "squared_all": ["--loss", "squared", "--methods", "sgd,accel,sgd_ls,accel_ls"],
