@@ -273,8 +273,8 @@ def line_search_sgd_step(obj, w, L_hat: float, rng) -> tuple[np.ndarray, float]:
     """SGD step with step size 1/L_hat, doubling L_hat until the sampled
     example passes the sufficient-decrease test. L_hat persists and never
     decreases across iterations."""
-    if L_hat <= 0:
-        raise ValueError(f"L_hat must be > 0, got {L_hat}")
+    if not (math.isfinite(L_hat) and L_hat > 0):
+        raise ValueError(f"L_hat must be a positive finite number, got {L_hat}")
     w = as_vector(w, dim=obj.dim)
     i = int(rng.integers(0, obj.n))
     g = obj.grad_example(w, i)
@@ -296,8 +296,8 @@ def line_search_accel_step(obj, st: AccelState, rhoL_hat: float, rng) -> tuple[A
     warms past L. In strongly convex mode a candidate with mu*eta/rho > 1
     has no schedule and fails like a failed test.
     """
-    if rhoL_hat <= 0:
-        raise ValueError(f"rhoL_hat must be > 0, got {rhoL_hat}")
+    if not (math.isfinite(rhoL_hat) and rhoL_hat > 0):
+        raise ValueError(f"rhoL_hat must be a positive finite number, got {rhoL_hat}")
     sch = st.schedule
     i = int(rng.integers(0, obj.n))
     i_loss = lambda p: obj.loss_example(p, i)
@@ -342,7 +342,11 @@ def line_search_accel_step(obj, st: AccelState, rhoL_hat: float, rng) -> tuple[A
 # the iterate once per pass; a non-finite iterate stays non-finite) and
 # schedule dataclasses. Kernels never write into a gradient they are handed.
 # Where a _ZeroScreen applies (see run()), its cover() runs the pass instead,
-# block by block.
+# block by block. While it does not screen, on the squared hinge without a
+# running mean, the accelerated kernel runs its stretches of mostly active
+# steps as _SolvedBlocks: one Gram product per block and a triangular solve
+# per guessed active set, within the same tolerance, and the exact loop
+# where a block cannot be committed.
 
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -351,13 +355,23 @@ _MAX_BLOCK = 4096
 # Below these observed gaps between active steps a kernel does not screen.
 # A skipped SGD step and a crossed Acc-SGD step each save the whole step.
 # _SGD_MIN_GAP is the crossover timed when the screen was introduced.
-# _ACCEL_MIN_GAP is timed with the rank-one Acc-SGD kernel: CPU time of
-# run("accel"), seeds 0-2 summed, median of 9 alternating rounds, 8000 x 100
-# squared-hinge data, at 16 / 32 / 64: tau = 0.1 (fig1a), 10 passes,
-# 550 / 551 / 569 ms; tau = 0.005 (app_ls_hard), 3 passes,
-# 1064 / 1113 / 1069 ms. 16 and 32 are within noise of each other.
+# _ACCEL_MIN_GAP and _SOLVE_BLOCK are timed with the solved blocks in place:
+# CPU time of run("accel") (and run("accel_ls") for the block), seeds 0-2
+# summed, median of 9 alternating rounds, 8000 x 100 squared-hinge data,
+# tau = 0.1 (fig1a) at 10 passes and tau = 0.005 (app_ls_hard) at 3 passes,
+# one BLAS thread on a 2-vCPU VM. The gap at 16 / 32 / 64: 259 / 258 /
+# 268 ms and 296 / 282 / 292 ms, within noise, so it stays 32. The block at
+# 32 / 64 / 128: Acc-SGD 229 / 217 / 209 ms and 380 / 259 / 244 ms,
+# Acc-SGD(LS) 275 / 246 / 233 ms and 510 / 352 / 337 ms; a second round of
+# 64 against 128 gave 219 / 236, 248 / 224, 291 / 269 and 311 / 281 ms.
+# 128 is also the most steps a block can take: cover() hands over _PROBE
+# steps at a time.
 _SGD_MIN_GAP = 16.0
 _ACCEL_MIN_GAP = 32.0
+_SOLVE_BLOCK = 128  # steps per _SolvedBlock
+_MIN_SOLVED = 16  # shorter stretches run exact steps
+_ROUNDS = 8  # iterations of a weakly coupled _SolvedBlock before it solves
+_GUESSES = 3  # active sets a _SolvedBlock tries
 
 
 def _leading_true(mask: np.ndarray) -> int:
@@ -435,14 +449,15 @@ class _ZeroScreen:
         self._certified = None  # per row, at the w of the last full product
 
     def cover(self, n: int, steps, head) -> None:
-        """Runs a pass of n steps. ``steps(start, end)`` runs the exact
-        steps start..end-1 and returns how many had a nonzero gradient;
+        """Runs a pass of n steps. ``steps(start, end)`` runs the steps
+        start..end-1 (exactly, or as the accelerated kernel's solved
+        blocks) and returns how many had a nonzero gradient;
         ``head(start, end)`` moves the iterates past the certified steps at
         the head of start..end-1 and returns their count.
 
         While the observed gap between active steps (a running mean) is
         below ``min_gap``, a product costs more than it saves and the pass
-        runs ``_PROBE`` exact steps at a time. Otherwise a block of 2 gap
+        runs ``_PROBE`` steps at a time. Otherwise a block of 2 gap
         steps (at most ``_MAX_BLOCK``) starts with its certified head, and
         its first uncertified step runs exactly and ends it. A block
         without one suggests a gap of at least twice its length (one cut
@@ -763,6 +778,123 @@ def _zeta_oracle(obj, it: _RankOneIterates):
     return _MarginOracle(obj, it) if isinstance(obj, Objective) else _PointOracle(obj, it)
 
 
+class _SolvedBlock:
+    """A block of Acc-SGD steps on the squared hinge as one linear system.
+
+    On the active side of the squared hinge (y z < 1, y = +-1) a step's
+    gradient scalar is linear in its margin, s = 2 (z - y), and zero on the
+    other side. From the block's start, with c = c_0, step k evaluates its
+    gradient at zeta_k = m + t_k u~ with t_k = (kappa - 1 + alpha_k) c_k and
+    c_{k+1} = beta (1 - alpha_k) c_k, and each earlier step j moved M by
+    [C0_j; C1_j] s_j x_j (:class:`_RankOneIterates`), with
+    C0_j = (gamma_j - kappa (gamma_j - 1)) eta and
+    C1_j = (gamma_j - 1) eta / c_{j+1}. So step k's margin is
+
+        z_k = p_k - sum_{j<k} K_kj s_j,   K_kj = (x_k . x_j) (C0_j + t_k C1_j),
+
+    with p_k = P[k, 0] + t_k P[k, 1] and P = X_b M^T. :meth:`commit`
+    guesses the active set A = {k : y_k p_k < 1} and solves the unit
+    lower-triangular system s = D (2 (p - y) - 2 K s), D the 0/1 diagonal
+    of A. Where every |K_kj| is below 2^-10 it iterates that equation from
+    s = 2 D (p - y) until s stands still, in a few rounds, which cost less
+    than one general solve (s_k reads s_j for j < k only, so s_k settles
+    within k + 1 rounds in any case); otherwise, or if ``_ROUNDS`` rounds do
+    not settle it, it solves (I + 2 K_AA) s_A = 2 (p_A - y_A) with
+    np.linalg.solve. A step's margin reads earlier steps only, so the
+    leading steps whose solved status y z < 1 agrees with the guess are the
+    steps the exact loop takes, in another operation order; a guess that
+    the solved statuses contradict is replaced by them, up to ``_GUESSES``
+    guesses in all, and the block commits its leading agreeing steps.
+    Acc-SGD(LS) commits a step only if it also passes
+    :meth:`_MarginOracle.decreases`' test at the current estimate. A block
+    ends before a step that would take c below ``_FOLD_FLOOR``, which the
+    exact loop folds in mid-step.
+
+    A block with some |K_kj| >= 1/2 is left to the exact loop. Its steps
+    move each other's margins by more than their own size: its guesses
+    fail within a few steps, its system needs a general solve, and a
+    diverging run (where every reordering changes the printed digits) keeps
+    the exact loop's arithmetic.
+    """
+
+    def __init__(self, obj: Objective):
+        self._X, self._y, self._row_sq = obj.data.X, obj.data.y, obj._row_sq
+        self._losses = obj._loss_kind.losses
+        self._lower = np.tri(_SOLVE_BLOCK, k=-1)
+
+    def commit(self, it: _RankOneIterates, blk, alphas, gammas, beta, kappa, eta, test):
+        """Commits the leading steps of the example indices ``blk``, with
+        the coefficients ``alphas`` and ``gammas`` at (beta, kappa, eta);
+        ``test`` asks for the sufficient-decrease test. Returns (steps,
+        active steps) committed, or None, with ``it`` untouched, if the
+        block is strongly coupled or a number it needs is not finite: the
+        exact loop then runs the block, and raises or warns as it does."""
+        c = np.cumprod(np.concatenate(([it.c], beta * (1.0 - alphas))))  # c_0..c_n
+        n = _leading_true(c[1:] >= _FOLD_FLOOR)
+        if not n:
+            return 0, 0
+        blk, alphas = blk[:n], alphas[:n]
+        with np.errstate(all="ignore"):
+            X_b, y_b = self._X[blk], self._y[blk]
+            t = (kappa - 1.0 + alphas) * c[:n]
+            P = X_b @ it.M.T
+            p = P[:, 0] + t * P[:, 1]
+            g = np.array(gammas[:n])
+            C0 = (g - kappa * (g - 1.0)) * eta
+            C1 = (g - 1.0) * eta / c[1 : n + 1]
+            K = np.multiply.outer(t, C1)
+            K += C0
+            K *= self._lower[:n, :n]
+            K *= X_b @ X_b.T
+            coupling = np.abs(K).max()
+            if not coupling < 0.5:
+                return None
+            status = y_b * p < 1.0
+            for _ in range(_GUESSES):
+                guess, two = status, 2.0 * status
+                b = two * (p - y_b)
+                s = b
+                for _ in range(_ROUNDS if coupling < 2.0**-10 else 0):
+                    s, last = b - two * (K @ s), s
+                    if (s == last).all():
+                        break
+                else:
+                    act = np.flatnonzero(guess)
+                    system = 2.0 * K[np.ix_(act, act)]
+                    system.flat[:: len(act) + 1] = 1.0
+                    s = np.zeros(n)
+                    s[act] = np.linalg.solve(system, b[act])
+                z = p - K @ s
+                if not np.isfinite(z).all():
+                    return None
+                status = y_b * z < 1.0
+                if (status == guess).all():
+                    break
+            steps = _leading_true(status == guess)
+            if test:
+                sq = self._row_sq[blk]
+                h = g * eta
+                g_sq = s * s * sq
+                if not np.isfinite(g_sq).all():
+                    return None
+                f0 = self._losses(z, y_b)
+                trial = self._losses(z - h * s * sq, y_b)
+                ok = (g_sq <= GRAD_RESOLUTION_SQ) | (
+                    trial <= f0 - 0.5 * h * g_sq + 1e-15 * np.abs(f0)
+                )
+                steps = min(steps, _leading_true(ok))
+            active = int(np.count_nonzero(guess[:steps]))
+            if active:
+                s = s[:steps]
+                update = np.stack((C0[:steps] * s, C1[:steps] * s)) @ X_b[:steps]
+                new = np.subtract(it.M, update, it._buf)
+                if not np.isfinite(new).all():
+                    return None
+                it.M[:] = new
+        it.c = float(c[steps])
+        return steps, active
+
+
 def _convex_coefficients(
     n: int, rho: float, eta: float, gamma_prev: float
 ) -> tuple[list, np.ndarray]:
@@ -786,11 +918,21 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estima
     screen, the certified steps at the head of a block are crossed by
     updating c alone (see ``_ZeroScreen.certified_in_span``): r_k is a
     cumulative product of 1 - alpha_j in convex mode and a constant times a
-    power of beta (1 - alpha) in strongly convex mode."""
+    power of beta (1 - alpha) in strongly convex mode. With a screen on the
+    squared hinge and no running mean, a stretch of at least ``_MIN_SOLVED``
+    steps that the screen hands over runs as :class:`_SolvedBlock`s of
+    ``_SOLVE_BLOCK`` steps: each commits its leading steps that agree with
+    its guessed active set (and, in Acc-SGD(LS), pass the sufficient-decrease
+    test), and the exact loop takes the step that ended them, which may fold
+    c or double L^, or the whole block if it is strongly coupled or not
+    finite."""
     mode, mu, convex = sched.mode, sched.mu, sched.mode == "convex"
     rho, eta, gamma_prev, ab = sched.rho, sched.eta, sched.gamma_prev, sched.ab_ratio
     it = _RankOneIterates(w)
     oracle = _zeta_oracle(obj, it)
+    solver = None
+    if screen is not None and mean is None and obj.kind == "squared_hinge":
+        solver = _SolvedBlock(obj)
     g_noise = np.empty_like(w)
     beta, kappa, powers, sc_r = 1.0, 0.0, None, None
     # Acc-SGD(LS) searches the run's first step: that sets rho and eta, and in
@@ -855,17 +997,37 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estima
             return bool(s)
 
         def steps(start: int, end: int) -> int:
-            """The exact steps start..end-1; returns how many had a gradient."""
+            """The steps start..end-1, in solved blocks where they apply;
+            returns how many had a gradient."""
             it.fold()
             active = 0
             if search_first:
                 active += search(start, int(draw[start]))
                 start += 1
             ready(end)
+            k = start
+            while k < end:
+                stop = end
+                if solver is not None and end - k >= _MIN_SOLVED:
+                    # a solved block's leading steps, then the step that
+                    # ended them exactly, or all of it if commit declines
+                    stop = min(k + _SOLVE_BLOCK, end)
+                    done = solver.commit(it, draw[k:stop], alphas[k:stop], gammas[k:stop],
+                                         beta, kappa, eta, estimate is not None)
+                    if done is not None:
+                        k, stop = k + done[0], min(k + done[0] + 1, stop)
+                        active += done[1]
+                active += exact(k, stop, end)
+                k = stop
+            return active
+
+        def exact(start: int, stop: int, end: int) -> int:
+            """The exact steps start..stop-1 of the steps before ``end``."""
+            active = 0
             # indices and alpha_k as Python scalars, converted a chunk at a
             # time: a crossed pass runs few exact steps
-            als = alphas[start:end].tolist()
-            for k, (i, alpha) in enumerate(zip(draw[start:end].tolist(), als), start):
+            als = alphas[start:stop].tolist()
+            for k, (i, alpha) in enumerate(zip(draw[start:stop].tolist(), als), start):
                 oracle.start(i)
                 t = (kappa - 1.0 + alpha) * it.c
                 s = oracle.grad(t)
@@ -874,7 +1036,7 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estima
                     if estimate is not None and not oracle.decreases(i, t, s, gammas[k] * eta):
                         search(k, i)
                         ready(end)  # rescheduled; zip reads als lazily
-                        als[k + 1 - start:] = alphas[k + 1:end].tolist()
+                        als[k + 1 - start:] = alphas[k + 1:stop].tolist()
                         continue
                 g, h = (oracle.g, eta * s) if s else (None, 0.0)
                 if noise is not None:
@@ -1041,7 +1203,16 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     (without averaging) skips, and the accelerated kernel crosses by a
     scalar update, the steps that a :class:`_ZeroScreen` certifies to have
     an exactly zero gradient (a zero-gradient line-search step leaves its
-    estimate alone); SGD and SGD(LS) stay bit-identical.
+    estimate alone); SGD and SGD(LS) stay bit-identical. On the squared
+    hinge without averaging, the accelerated kernel runs the stretches that
+    it does not screen in solved blocks (:class:`_SolvedBlock`): a block of
+    128 steps guesses its active set from the margins at its start, solves
+    the unit lower-triangular system that the steps' gradient scalars
+    satisfy on the squared hinge's linear side, and commits the leading
+    steps whose solved margins agree with the guess; the exact loop runs
+    the step after them, and a block that is strongly coupled or not finite.
+    Its log10 losses agree with the exact loop's within the same 1e-9
+    decades.
     While a single-step function or ``Objective.grad_example``/
     ``loss_example`` is rebound (wrapped by a profiler, say), each pass
     steps through the public functions instead, on the same draws.

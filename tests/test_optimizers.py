@@ -375,6 +375,17 @@ class TestLineSearch:
             assert np.array_equal(st2.w, obj.data.w_star)
             assert rhoL == rhoL0
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_an_estimate_that_is_not_positive_and_finite(self, bad):
+        # inf once returned w unchanged from the SGD step and divided by zero
+        # in the accelerated one; nan failed later as a non-finite vector
+        obj = interpolating_objective(n=50, d=5)
+        st = init_accel_state(np.zeros(5), make_schedule("convex", 1.0, 1.0))
+        with pytest.raises(ValueError, match="L_hat must be a positive finite number"):
+            line_search_sgd_step(obj, np.zeros(5), bad, make_rng(0))
+        with pytest.raises(ValueError, match="rhoL_hat must be a positive finite number"):
+            line_search_accel_step(obj, st, bad, make_rng(0))
+
 
 class TestRun:
     def test_step_count_and_row_count(self):
@@ -565,8 +576,10 @@ def kernel_rows(obj, method: str, cfg: RunConfig, passes: int) -> list[MetricRow
 
 def pin_per_step_accel(monkeypatch) -> None:
     """Keeps the accel kernel on its exact per-step arithmetic: no observed
-    gap reaches the screen's threshold, so no step is crossed in a span."""
+    gap reaches the screen's threshold, so no step is crossed in a span,
+    and no stretch of steps is long enough for a solved block."""
     monkeypatch.setattr(optimizers, "_ACCEL_MIN_GAP", math.inf)
+    monkeypatch.setattr(optimizers, "_MIN_SOLVED", math.inf)
 
 
 def per_step_accel_rows(
@@ -1264,3 +1277,117 @@ class TestZeroScreen:
                         certified += 1
                     unsafe += bare[k] and margin < 1
         assert certified > 0 and unsafe > 0
+
+
+# ---------------------------------------------------------------------------
+# the accelerated kernel's solved blocks: dense stretches of squared-hinge
+# steps as one triangular system each
+# ---------------------------------------------------------------------------
+
+
+def kink_crossing_objective(seed: int = 0, n: int = 2000, d: int = 20):
+    """Data whose margins y_i x_i . w at the returned w are 1 - 1e-3 for
+    about half the rows and 1 + 1e-6 for the others."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=d)
+    X = rng.normal(size=(n, d)) / math.sqrt(d)
+    y = rng.choice([-1.0, 1.0], size=n)
+    margins = np.where(rng.random(n) < 0.5, 1.0 - 1e-3, 1.0 + 1e-6)
+    X[:, 0] = (y * margins - X[:, 1:] @ w[1:]) / w[0]
+    return Objective("squared_hinge", Dataset(X=X, y=y)), w
+
+
+def record_commits(monkeypatch) -> list:
+    """Per solved block: its length, its eta and what it committed."""
+    commits = []
+    original = optimizers._SolvedBlock.commit
+
+    def recording(self, it, blk, alphas, gammas, beta, kappa, eta, test):
+        done = original(self, it, blk, alphas, gammas, beta, kappa, eta, test)
+        commits.append((len(blk), eta, done))
+        return done
+
+    monkeypatch.setattr(optimizers._SolvedBlock, "commit", recording)
+    return commits
+
+
+def dense_config(obj, method: str, mode: str = "convex", **changes) -> RunConfig:
+    return replace(screen_config(obj, method, 0.005, mode, seed=5), **changes)
+
+
+class TestSolvedBlocks:
+    """Against the kernel pinned to exact steps and the single-step loop,
+    with fewer scalar gradients than steps: the blocks did the work."""
+
+    def check(self, monkeypatch, obj, cfg, method, passes=3):
+        expected = per_step_accel_rows(monkeypatch, obj, cfg, passes, method)
+        oracle = oracle_rows(obj, method, cfg, passes)
+        calls = count_scalar_gradients(monkeypatch)
+        rows = kernel_rows(obj, method, cfg, passes)
+        assert len(calls) < 0.5 * passes * obj.n
+        assert_within_tolerance(rows, expected)
+        assert_within_tolerance(rows, oracle)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["accel", "accel_ls"])
+    def test_dense_data_in_convex_mode(self, monkeypatch, method):
+        obj = screen_objective("squared_hinge", 0.005, 0)
+        commits = record_commits(monkeypatch)
+        self.check(monkeypatch, obj, dense_config(obj, method), method)
+        # Acc-SGD's first step, alpha = 1, would set c to 0: the exact loop
+        # folds it (Acc-SGD(LS) searches it), and most blocks commit whole
+        if method == "accel":
+            assert commits[0][2] == (0, 0)
+        assert sum(done[0] == size for size, _, done in commits if done) > 0.5 * len(commits)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_strongly_convex_fold_inside_a_block(self, monkeypatch):
+        # mu eta / rho = 1/4 makes beta (1 - alpha) = 1/3: c would fall
+        # below the fold floor within 40 steps, so blocks end there and the
+        # exact loop takes the folding step
+        obj = screen_objective("squared_hinge", 0.005, 0)
+        cfg = dense_config(obj, "accel", "strongly_convex")
+        cfg = replace(cfg, mu=0.25 * cfg.rho / cfg.eta)
+        sched = accel_schedule_advance(make_schedule(cfg.mode, cfg.rho, cfg.eta, mu=cfg.mu))
+        assert (sched.beta * (1.0 - sched.alpha)) ** 40 < optimizers._FOLD_FLOOR
+        commits = record_commits(monkeypatch)
+        self.check(monkeypatch, obj, cfg, "accel")
+        assert max(done[0] for _, _, done in commits if done) <= 40
+
+    @pytest.mark.parametrize("guesses", [1, 3])
+    def test_guess_fails_mid_block_at_the_kink(self, monkeypatch, guesses):
+        # the active rows' steps move the margins 1e-6 above 1 across it, so
+        # the active set guessed at a block's start is wrong mid-block. One
+        # guess commits up to the first wrong step; more guesses mend it.
+        obj, w = kink_crossing_objective()
+        cfg = RunConfig(eta=1e-5, rho=2.0, seed=3, w0=w)
+        monkeypatch.setattr(optimizers, "_GUESSES", guesses)
+        commits = record_commits(monkeypatch)
+        self.check(monkeypatch, obj, cfg, "accel")
+        cut = [done[0] for size, _, done in commits if done and 0 < done[0] < size]
+        assert cut if guesses == 1 else len(cut) < 0.1 * len(commits)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_line_search_doubles_inside_a_block(self, monkeypatch):
+        # from ls_init = 1/64 the estimate doubles in the first pass: a
+        # block ends at the step that fails its test, which doubles the
+        # estimate in the exact loop, and the next block runs at the new eta
+        obj = screen_objective("squared_hinge", 0.005, 0)
+        cfg = dense_config(obj, "accel_ls", ls_init=1.0 / 64)
+        commits = record_commits(monkeypatch)
+        self.check(monkeypatch, obj, cfg, "accel_ls")
+        assert any(
+            done and done[0] < size and nxt < eta
+            for (size, eta, done), (_, nxt, _) in zip(commits, commits[1:])
+        )
+
+    def test_strongly_coupled_blocks_stay_exact(self, monkeypatch):
+        # steps of eta = 1/(rho L) at rho = 10 couple the margins of a
+        # block by more than their own size, and the run diverges: its
+        # blocks are left to the exact loop, whose rows it keeps bit for bit
+        obj = screen_objective("squared_hinge", 0.005, 0)
+        cfg = RunConfig(rho=10.0, seed=5)
+        expected = per_step_accel_rows(monkeypatch, obj, cfg, 2)
+        commits = record_commits(monkeypatch)
+        assert kernel_rows(obj, "accel", cfg, 2) == expected
+        assert commits and all(done in (None, (0, 0)) for _, _, done in commits)

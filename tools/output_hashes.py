@@ -10,8 +10,8 @@ the changed tree and comparing the two files:
     python tools/output_hashes.py change.json
     python tools/output_hashes.py --compare parent.json change.json
 
-The small set (86 argvs, about a minute) covers every subcommand at
-200x10 scale, fig2 on a toy LIBSVM file, 21 ``run`` variants, ``--help``,
+The small set (88 argvs, about a minute) covers every subcommand at
+200x10 scale, fig2 on a toy LIBSVM file, 23 ``run`` variants, ``--help``,
 config errors, ``perceptron`` with too few passes or τ above 1, a diverging
 run, the hinge combinations, ``spectral`` and ``run`` on a wide 20x200 file
 whose top two singular values are 1 and 1 - 1e-9, and ``spectral`` on a
@@ -120,6 +120,11 @@ def small_argvs() -> dict[str, list[str]]:
         "squared_all": ["--loss", "squared", "--methods", "sgd,accel,sgd_ls,accel_ls"],
         "hinge_tau_over_L": ["--loss", "hinge", "--step-rule-sgd", "tau_over_L",
                              "--step-rule-accel", "tau_over_L"],
+        "dense_accel": ["--tau", "0.005", "--methods", "accel,accel_ls",
+                        "--step-rule-accel", "tau_over_L"],
+        "dense_accel_strongly_convex": ["--tau", "0.005", "--methods", "accel,accel_ls",
+                                        "--step-rule-accel", "tau_over_L",
+                                        "--mode", "strongly_convex", "--mu", "0.01"],
     }
     argvs.update({f"run_{name}": [*RUN, *flags] for name, flags in runs.items()})
     # L = 1.037 on this data, so mu = 1 is feasible at L but not at the
