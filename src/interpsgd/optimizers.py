@@ -1005,21 +1005,19 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estima
                 active += search(start, int(draw[start]))
                 start += 1
             ready(end)
-            k = start
-            while k < end:
-                stop = end
-                if solver is not None and end - k >= _MIN_SOLVED:
-                    # a solved block's leading steps, then the step that
-                    # ended them exactly, or all of it if commit declines
-                    stop = min(k + _SOLVE_BLOCK, end)
-                    done = solver.commit(it, draw[k:stop], alphas[k:stop], gammas[k:stop],
-                                         beta, kappa, eta, estimate is not None)
-                    if done is not None:
-                        k, stop = k + done[0], min(k + done[0] + 1, stop)
-                        active += done[1]
-                active += exact(k, stop, end)
-                k = stop
-            return active
+            while solver is not None and end - start >= _MIN_SOLVED:
+                # a solved block's leading steps, then the step that ended
+                # them exactly, or all of it if commit declines
+                stop = min(start + _SOLVE_BLOCK, end)
+                done = solver.commit(it, draw[start:stop], alphas[start:stop],
+                                     gammas[start:stop], beta, kappa, eta, estimate is not None)
+                if done is not None:
+                    start += done[0]
+                    active += done[1]
+                    stop = min(start + 1, stop)
+                active += exact(start, stop, end)
+                start = stop
+            return active + exact(start, end, end)
 
         def exact(start: int, stop: int, end: int) -> int:
             """The exact steps start..stop-1 of the steps before ``end``."""

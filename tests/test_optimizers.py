@@ -1391,3 +1391,18 @@ class TestSolvedBlocks:
         commits = record_commits(monkeypatch)
         assert kernel_rows(obj, "accel", cfg, 2) == expected
         assert commits and all(done in (None, (0, 0)) for _, _, done in commits)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("test", [False, True])
+    def test_non_finite_block_is_left_to_the_exact_loop(self, test):
+        # margins of rows against m = 1e308 (1, ..., 1) overflow: the block
+        # declines without a warning and leaves the iterates alone, so that
+        # the exact loop meets the overflow and warns or raises as it does
+        obj = screen_objective("squared_hinge", 0.005, 0)
+        it = optimizers._RankOneIterates(np.full(obj.dim, 1e308))
+        before = it.M.copy()
+        done = optimizers._SolvedBlock(obj).commit(
+            it, np.arange(64), np.full(64, 0.01), [2.0] * 64, 1.0, 0.0, 1e-4, test
+        )
+        assert done is None
+        assert np.array_equal(it.M, before) and it.c == 1.0
