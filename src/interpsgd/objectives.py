@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,6 +48,14 @@ class _LossKind(NamedTuple):
     grad: Callable[[float, float], float]
     losses: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grads: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    # s = 0 exactly when y z >= 1, that is, s != 0 exactly when y * z < 1.0
+    # in floating point (the two hinge losses). The hinge's s tests that
+    # condition itself. The squared hinge's is -2 max(0, 1 - y z) y: for
+    # y z < 1, 1 - y z is a nonzero difference of distinct floats, at least
+    # 2^-53, and y = +-1, so s is nonzero (or -+inf, for y z = -inf); for
+    # y z >= 1 (+inf included), 1 - y z <= 0 and the max is 0. A nan y z
+    # fails y * z < 1.0, and max(0.0, nan) returns its first argument, 0.
+    margin_zero: bool = False
 
 
 # The scalar losses use products instead of ** so huge arguments overflow
@@ -94,6 +103,7 @@ _LOSSES = {
         grad=lambda z, y: -2.0 * max(0.0, 1.0 - y * z) * y,
         losses=lambda z, y: np.maximum(0.0, 1.0 - y * z) ** 2,
         grads=lambda z, y: -2.0 * np.maximum(0.0, 1.0 - y * z) * y,
+        margin_zero=True,
     ),
     "hinge": _LossKind(
         kappa=None,
@@ -101,6 +111,7 @@ _LOSSES = {
         grad=lambda z, y: -y if y * z < 1.0 else 0.0,
         losses=lambda z, y: np.maximum(0.0, 1.0 - y * z),
         grads=lambda z, y: np.where(y * z < 1.0, -y, 0.0),
+        margin_zero=True,
     ),
     "logistic": _LossKind(
         kappa=0.25,
@@ -262,6 +273,12 @@ class Objective:
 
     def _loss_scalar(self, z: float, y: float) -> float:
         return self._loss_kind.loss(z, y)
+
+    @cached_property
+    def _scalar_rows(self) -> tuple[list, list, list]:
+        """The rows x_i (views), the labels y_i and ||x_i||^2 as Python
+        lists, for the optimizers' per-example loops."""
+        return list(self.data.X), self.data.y.tolist(), self._row_sq.tolist()
 
     # -- public oracles ----------------------------------------------------
 

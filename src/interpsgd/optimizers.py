@@ -555,17 +555,26 @@ def _sgd_kernel(obj, w: np.ndarray, eta: float, mean, screen, estimate=None):
     sampled example passes the sufficient-decrease test. For an
     :class:`Objective`, ``grad`` returns s_i x_i (s_i from ``_grad_scalar``)
     in a buffer that the next call overwrites, or None when s_i is exactly
-    zero; other objectives use their ``grad_example``/``loss_example``."""
+    zero, which on the two hinge losses it tells from the margin alone (see
+    ``_LossKind.margin_zero``); other objectives use their
+    ``grad_example``/``loss_example``."""
     if isinstance(obj, Objective):
-        rows = list(obj.data.X)
-        ys = obj.data.y.tolist()
+        rows, ys, _ = obj._scalar_rows
         grad_scalar, loss_scalar = obj._grad_scalar, obj._loss_scalar
         buf = np.empty(obj.dim)
 
-        def grad(p, i):
-            row = rows[i]
-            s = grad_scalar(float(row.dot(p)), ys[i])
-            return np.multiply(row, s, buf) if s else None
+        if obj._loss_kind.margin_zero:
+
+            def grad(p, i):
+                row, y = rows[i], ys[i]
+                z = float(row.dot(p))
+                return np.multiply(row, grad_scalar(z, y), buf) if y * z < 1.0 else None
+        else:
+
+            def grad(p, i):
+                row = rows[i]
+                s = grad_scalar(float(row.dot(p)), ys[i])
+                return np.multiply(row, s, buf) if s else None
 
         def loss(p, i):
             return loss_scalar(float(rows[i].dot(p)), ys[i])
@@ -718,9 +727,7 @@ class _MarginOracle:
     margin z - h ||x_i||^2."""
 
     def __init__(self, obj: Objective, it: _RankOneIterates):
-        self._rows = list(obj.data.X)
-        self._ys = obj.data.y.tolist()
-        self._row_sq = obj._row_sq.tolist()
+        self._rows, self._ys, self._row_sq = obj._scalar_rows
         self._M = it.M
         self._grad, self._loss = obj._grad_scalar, obj._loss_scalar
 
@@ -822,6 +829,14 @@ class _SolvedBlock:
         self._losses = obj._loss_kind.losses
         self._lower = np.tri(_SOLVE_BLOCK, k=-1)
 
+    def _columns(self, X_b, T, C, cols):
+        """The columns ``cols`` (indices, or slice(None) for all) of K."""
+        n = len(T)
+        K = T @ C[:, cols]
+        K *= self._lower[:n, :n][:, cols]
+        K *= X_b @ X_b[cols].T
+        return K
+
     def commit(self, it: _RankOneIterates, blk, alphas, gammas, beta, kappa, eta, test):
         """Commits the leading steps of the example indices ``blk``, with
         the coefficients ``alphas`` and ``gammas`` at (beta, kappa, eta);
@@ -840,18 +855,28 @@ class _SolvedBlock:
             P = X_b @ it.M.T
             p = P[:, 0] + t * P[:, 1]
             g = np.array(gammas[:n])
-            C0 = (g - kappa * (g - 1.0)) * eta
-            C1 = (g - 1.0) * eta / c[1 : n + 1]
-            K = np.multiply.outer(t, C1)
-            K += C0
-            K *= self._lower[:n, :n]
-            K *= X_b @ X_b.T
-            coupling = np.abs(K).max()
-            if not coupling < 0.5:
-                return None
+            # K_kj = (x_k . x_j) (C[0, j] + t_k C[1, j]) below the diagonal
+            C = np.array(((g - kappa * (g - 1.0)) * eta, (g - 1.0) * eta / c[1 : n + 1]))
+            T = np.array((np.ones(n), t)).T
+            # the columns of K that some guess made active; the others stay
+            # 0, as do the s they would multiply
+            K = np.zeros((n, n))
+            made = np.zeros(n, dtype=bool)
+            coupling = 0.0
             status = y_b * p < 1.0
             for _ in range(_GUESSES):
                 guess, two = status, 2.0 * status
+                new = np.flatnonzero(guess & ~made)
+                if len(new):
+                    if 2 * len(new) > n:
+                        new = slice(None)  # all of X_b @ X_b.T, a symmetric product
+                    cols = self._columns(X_b, T, C, new)
+                    peak = np.abs(cols).max()
+                    if not peak < 0.5:
+                        return None
+                    coupling = max(coupling, peak)
+                    K[:, new] = cols
+                    made[new] = True
                 b = two * (p - y_b)
                 s = b
                 for _ in range(_ROUNDS if coupling < 2.0**-10 else 0):
@@ -860,7 +885,7 @@ class _SolvedBlock:
                         break
                 else:
                     act = np.flatnonzero(guess)
-                    system = 2.0 * K[np.ix_(act, act)]
+                    system = 2.0 * K[act][:, act]
                     system.flat[:: len(act) + 1] = 1.0
                     s = np.zeros(n)
                     s[act] = np.linalg.solve(system, b[act])
@@ -885,8 +910,7 @@ class _SolvedBlock:
                 steps = min(steps, _leading_true(ok))
             active = int(np.count_nonzero(guess[:steps]))
             if active:
-                s = s[:steps]
-                update = np.stack((C0[:steps] * s, C1[:steps] * s)) @ X_b[:steps]
+                update = (C[:, :steps] * s[:steps]) @ X_b[:steps]
                 new = np.subtract(it.M, update, it._buf)
                 if not np.isfinite(new).all():
                     return None
@@ -1246,7 +1270,7 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     screen = None
     if (
         isinstance(obj, Objective)
-        and obj.kind in ("squared_hinge", "hinge")
+        and obj._loss_kind.margin_zero
         and config.sigma == 0.0
     ):
         if accel:

@@ -1,6 +1,6 @@
 import functools
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, astuple, replace
 from fractions import Fraction
 
 import numpy as np
@@ -1012,6 +1012,37 @@ def record_kept_reads(monkeypatch) -> list:
     return reads
 
 
+def record_certified(monkeypatch) -> list:
+    """What each certified_head call returned: the steps it certified."""
+    counts = []
+    original = optimizers._ZeroScreen.certified_head
+
+    def recording(self, blk, w):
+        counts.append(original(self, blk, w))
+        return counts[-1]
+
+    monkeypatch.setattr(optimizers._ZeroScreen, "certified_head", recording)
+    return counts
+
+
+def boundary_objective(kind: str, margin: float):
+    """Two rows, y = +1 and y = -1, both with the margin ``margin`` at the
+    returned w0 in the kernel's own product ``row.dot(w0)``: exactly 1.0 or
+    1 - 2^-53 from the last coordinate alone, an overflowing +-inf from the
+    first, and nan from +inf and -inf partial sums of the first two."""
+    d, big_x = 16, 1e150
+    w0 = np.full(d, 1e200)
+    w0[-1] = 1.0
+    x = np.zeros(d)
+    if math.isnan(margin):
+        x[:2] = big_x, -big_x
+    elif math.isinf(margin):
+        x[0] = math.copysign(big_x, margin)
+    else:
+        x[-1] = margin
+    return Objective(kind, Dataset(X=np.array([x, -x]), y=np.array([1.0, -1.0]))), w0
+
+
 def screen_case(tau, kind, method, mode, averaging, seed):
     obj = screen_objective(kind, tau, seed)
     w0 = 0.9 * obj.data.w_star if seed else None
@@ -1186,8 +1217,8 @@ class TestZeroScreen:
         # rows of norm 1e150 and ||w0|| = 1.5e151: the margins are finite
         # and all but a few are far above 1, so the screen engages, but its
         # bounds assume no overflow, and ||x_i|| ||w|| >= 1e300 certifies
-        # nothing: every step runs exactly (the Gram power iteration on
-        # these rows overflows and warns)
+        # nothing: every step runs in the exact loop (the Gram power
+        # iteration on these rows overflows and warns)
         data = screen_objective("hinge", 0.1, 0).data
         obj = Objective("hinge", Dataset(X=1e150 * data.X, y=data.y))
         w0 = data.w_star / np.linalg.norm(data.w_star)
@@ -1196,9 +1227,9 @@ class TestZeroScreen:
         assert 0.0 < np.mean(obj.data.y * (obj.data.X @ w0) < 1.0) < 0.02
         cfg = screen_config(obj, "sgd", 0.1, w0=w0)
         expected = oracle_rows(obj, "sgd", cfg, 3)
-        calls = count_scalar_gradients(monkeypatch)
+        certified = record_certified(monkeypatch)
         assert kernel_rows(obj, "sgd", cfg, 3) == expected
-        assert len(calls) == 3 * obj.n
+        assert certified and not any(certified)
 
     @pytest.mark.parametrize("method", ["sgd", "sgd_ls"])
     def test_kept_certificates_while_w_stands_still(self, monkeypatch, method):
@@ -1228,11 +1259,51 @@ class TestZeroScreen:
 
     @pytest.mark.parametrize("averaging,sigma", [(True, 0.0), (False, 0.1)])
     def test_sgd_screens_only_without_averaging_and_noise(self, monkeypatch, averaging, sigma):
+        # from 0.9 w_star most margins exceed 1, where the screen would
+        # engage; with a running mean or noise no screen is made, and every
+        # step runs in the exact loop
         obj = Objective("squared_hinge", generate_margin_data(2000, 100, 0.1, seed=0))
         cfg = replace(screen_config(obj, "sgd", 0.1, seed=1, averaging=averaging), sigma=sigma)
-        calls = count_scalar_gradients(monkeypatch)
-        run(obj, "sgd", cfg, 2)
-        assert len(calls) == 2 * obj.n
+        expected = oracle_rows(obj, "sgd", cfg, 2)
+        screens = []
+        original = optimizers._ZeroScreen.__init__
+
+        def recording(self, obj, min_gap):
+            screens.append(min_gap)
+            original(self, obj, min_gap)
+
+        monkeypatch.setattr(optimizers._ZeroScreen, "__init__", recording)
+        assert kernel_rows(obj, "sgd", cfg, 2) == expected
+        assert screens == []
+        # the same run without them screens
+        kernel_rows(obj, "sgd", replace(cfg, averaging=False, sigma=0.0), 2)
+        assert screens == [optimizers._SGD_MIN_GAP]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["sgd", "sgd_ls"])
+    @pytest.mark.parametrize("kind", ["hinge", "squared_hinge"])
+    @pytest.mark.parametrize("margin", [1.0, 1.0 - 2.0**-53, math.nan, math.inf, -math.inf])
+    def test_margin_test_at_its_boundary(self, method, kind, margin):
+        # SGD's exact loop skips a step whose margin fails y * z < 1.0
+        # without asking the loss for s; the loss's s is zero there too
+        obj, w0 = boundary_objective(kind, margin)
+        margins = obj.data.y * np.array([row.dot(w0) for row in obj.data.X])
+        if math.isnan(margin) and not np.isnan(margins).all():
+            pytest.skip("this BLAS sums the row's two overflowing terms in one accumulator")
+        assert np.array_equal(margins, [margin, margin], equal_nan=True)
+        cfg = RunConfig(eta=0.25, seed=0, w0=w0)
+        if kind == "squared_hinge" and margin == -math.inf:
+            # s is infinite: the single step raises, the kernel's iterate is
+            # not finite at the end of the same pass
+            assert assert_same_failure(obj, method, cfg, 4) == 1
+            return
+        rows, oracle = kernel_rows(obj, method, cfg, 4), oracle_rows(obj, method, cfg, 4)
+        # a nan margin makes every logged loss nan, which == does not match
+        assert np.array_equal(
+            [astuple(r) for r in rows], [astuple(r) for r in oracle], equal_nan=True
+        )
+        if not math.isnan(margin):
+            assert rows == oracle
 
     @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
     def test_span_certificate_holds_in_exact_arithmetic(self, mode):
@@ -1311,6 +1382,29 @@ def record_commits(monkeypatch) -> list:
     return commits
 
 
+def record_products(monkeypatch) -> list:
+    """Per solved block, the columns of each product X_b @ X_b[cols].T it
+    made: an index array, or slice(None) for the whole product."""
+    blocks = []
+    commit, columns = optimizers._SolvedBlock.commit, optimizers._SolvedBlock._columns
+
+    def recording_commit(self, *args):
+        blocks.append([])
+        return commit(self, *args)
+
+    def recording_columns(self, X_b, T, C, cols):
+        blocks[-1].append(cols)
+        return columns(self, X_b, T, C, cols)
+
+    monkeypatch.setattr(optimizers._SolvedBlock, "commit", recording_commit)
+    monkeypatch.setattr(optimizers._SolvedBlock, "_columns", recording_columns)
+    return blocks
+
+
+def whole(cols) -> bool:
+    return isinstance(cols, slice)
+
+
 def dense_config(obj, method: str, mode: str = "convex", **changes) -> RunConfig:
     return replace(screen_config(obj, method, 0.005, mode, seed=5), **changes)
 
@@ -1333,12 +1427,34 @@ class TestSolvedBlocks:
     def test_dense_data_in_convex_mode(self, monkeypatch, method):
         obj = screen_objective("squared_hinge", 0.005, 0)
         commits = record_commits(monkeypatch)
+        products = record_products(monkeypatch)
         self.check(monkeypatch, obj, dense_config(obj, method), method)
         # Acc-SGD's first step, alpha = 1, would set c to 0: the exact loop
         # folds it (Acc-SGD(LS) searches it), and most blocks commit whole
         if method == "accel":
             assert commits[0][2] == (0, 0)
+            # nearly every step is active: each block guesses so at once
+            # and makes the whole Gram product, once
+            assert all(cols == [slice(None)] for cols in products[1:])
         assert sum(done[0] == size for size, _, done in commits if done) > 0.5 * len(commits)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
+    def test_sparse_guesses_make_narrow_products(self, monkeypatch, mode):
+        # Acc-SGD(LS) at its line-search step: after the first blocks most
+        # guesses have under half their steps active, and K is made on
+        # those columns alone; a guess that the solved statuses replace
+        # adds the active columns that the first one lacked
+        obj = screen_objective("squared_hinge", 0.005, 0)
+        products = record_products(monkeypatch)
+        self.check(monkeypatch, obj, dense_config(obj, "accel_ls", mode), "accel_ls")
+        narrow = [cols for cols in products if cols and not any(map(whole, cols))]
+        assert len(narrow) > 0.5 * len(products)
+        added = [cols for cols in narrow if len(cols) > 1]
+        assert added
+        for first, *later in added:
+            assert 0 < len(first) <= optimizers._SOLVE_BLOCK // 2
+            assert len(np.unique(np.concatenate([first, *later]))) == sum(map(len, [first, *later]))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_strongly_convex_fold_inside_a_block(self, monkeypatch):
@@ -1384,13 +1500,17 @@ class TestSolvedBlocks:
     def test_strongly_coupled_blocks_stay_exact(self, monkeypatch):
         # steps of eta = 1/(rho L) at rho = 10 couple the margins of a
         # block by more than their own size, and the run diverges: its
-        # blocks are left to the exact loop, whose rows it keeps bit for bit
+        # blocks are left to the exact loop, whose rows it keeps bit for bit.
+        # The coupling is measured on the guessed active columns, and most
+        # blocks guess fewer than half their steps active.
         obj = screen_objective("squared_hinge", 0.005, 0)
         cfg = RunConfig(rho=10.0, seed=5)
         expected = per_step_accel_rows(monkeypatch, obj, cfg, 2)
         commits = record_commits(monkeypatch)
+        products = record_products(monkeypatch)
         assert kernel_rows(obj, "accel", cfg, 2) == expected
         assert commits and all(done in (None, (0, 0)) for _, _, done in commits)
+        assert sum(len(cols) == 1 and not whole(cols[0]) for cols in products) > 0.5 * len(products)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("test", [False, True])
