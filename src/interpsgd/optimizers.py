@@ -341,12 +341,15 @@ def line_search_accel_step(obj, st: AccelState, rhoL_hat: float, rng) -> tuple[A
 # bookkeeping: index draws, input validation, finiteness scans (run() checks
 # the iterate once per pass; a non-finite iterate stays non-finite) and
 # schedule dataclasses. Kernels never write into a gradient they are handed.
-# Where a _ZeroScreen applies (see run()), its cover() runs the pass instead,
-# block by block. While it does not screen, on the squared hinge without a
-# running mean, the accelerated kernel runs its stretches of mostly active
-# steps as _SolvedBlocks: one Gram product per block and a triangular solve
-# per guessed active set, within the same tolerance, and the exact loop
-# where a block cannot be committed.
+# On the two hinge losses the SGD kernel's exact loop tells a zero gradient
+# from the margin alone (_LossKind.margin_zero) and asks the loss table for
+# s only on the active side. Where a _ZeroScreen applies (see run()), its
+# cover() runs the pass instead, block by block. While it does not screen,
+# on the squared hinge without a running mean, the accelerated kernel runs
+# its stretches of mostly active steps as _SolvedBlocks: a Gram product on
+# the guessed active columns and a triangular solve per guessed active set,
+# within the same tolerance, and the exact loop where a block cannot be
+# committed.
 
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -802,7 +805,15 @@ class _SolvedBlock:
     with p_k = P[k, 0] + t_k P[k, 1] and P = X_b M^T. :meth:`commit`
     guesses the active set A = {k : y_k p_k < 1} and solves the unit
     lower-triangular system s = D (2 (p - y) - 2 K s), D the 0/1 diagonal
-    of A. Where every |K_kj| is below 2^-10 it iterates that equation from
+    of A. Since s_j = 0 off A, only the columns of K in A enter:
+    z = p - K_A s_A. So K is made on the guessed active columns alone, from
+    the n x |A| product X_b X_A^T, and a later guess makes only the columns
+    that it adds. A guess that adds more than half the block's columns
+    makes all of them instead, from the symmetric product X_b X_b^T, which
+    costs less than as many gathered columns: Acc-SGD at tau_over_L guesses
+    almost every step active, and making its columns per guess took it
+    from 1.00x to about 1.0Nx of the exact loop's (TBD). Where every made
+    |K_kj| is below 2^-10 it iterates that equation from
     s = 2 D (p - y) until s stands still, in a few rounds, which cost less
     than one general solve (s_k reads s_j for j < k only, so s_k settles
     within k + 1 rounds in any case); otherwise, or if ``_ROUNDS`` rounds do
@@ -817,11 +828,12 @@ class _SolvedBlock:
     ends before a step that would take c below ``_FOLD_FLOOR``, which the
     exact loop folds in mid-step.
 
-    A block with some |K_kj| >= 1/2 is left to the exact loop. Its steps
-    move each other's margins by more than their own size: its guesses
-    fail within a few steps, its system needs a general solve, and a
-    diverging run (where every reordering changes the printed digits) keeps
-    the exact loop's arithmetic.
+    A block with some made |K_kj| >= 1/2 is left to the exact loop. Its
+    steps move each other's margins by more than their own size: its
+    guesses fail within a few steps, its system needs a general solve, and
+    a diverging run (where every reordering changes the printed digits)
+    keeps the exact loop's arithmetic. The made columns are those of active
+    steps, the only ones that move a margin.
     """
 
     def __init__(self, obj: Objective):
@@ -1230,11 +1242,15 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     it does not screen in solved blocks (:class:`_SolvedBlock`): a block of
     128 steps guesses its active set from the margins at its start, solves
     the unit lower-triangular system that the steps' gradient scalars
-    satisfy on the squared hinge's linear side, and commits the leading
-    steps whose solved margins agree with the guess; the exact loop runs
-    the step after them, and a block that is strongly coupled or not finite.
-    Its log10 losses agree with the exact loop's within the same 1e-9
-    decades.
+    satisfy on the squared hinge's linear side, from the Gram columns of
+    the guessed active steps, and commits the leading steps whose solved
+    margins agree with the guess; the exact loop runs the step after them,
+    and a block that is strongly coupled or not finite. Its log10 losses
+    agree with the exact loop's within the same 1e-9 decades. In the steps
+    that the screen does not certify, SGD and SGD(LS) on the two hinge
+    losses skip a step whose margin y z is not below 1 without evaluating
+    the loss table, whose s is exactly zero there
+    (``_LossKind.margin_zero``), and stay bit-identical.
     While a single-step function or ``Objective.grad_example``/
     ``loss_example`` is rebound (wrapped by a profiler, say), each pass
     steps through the public functions instead, on the same draws.
