@@ -811,11 +811,14 @@ class _SolvedBlock:
     that it adds. A guess that adds more than half the block's columns
     makes all of them instead, from the symmetric product X_b X_b^T, which
     costs less than as many gathered columns: Acc-SGD at tau_over_L guesses
-    almost every step active, and making its columns per guess took it
-    from 1.00x to about 1.0Nx of the exact loop's (TBD). Where every made
-    |K_kj| is below 2^-10 it iterates that equation from
-    s = 2 D (p - y) until s stands still, in a few rounds, which cost less
-    than one general solve (s_k reads s_j for j < k only, so s_k settles
+    almost every step active. Timed by the method of the ``_SOLVE_BLOCK``
+    comment (tau = 0.005, 3 passes): against the whole product in every
+    block, Acc-SGD(LS) took 342 -> 257 and 341 -> 310 ms in two rounds
+    (9 and 8 of 9 faster) and Acc-SGD 209 -> 209 and 241 -> 228 ms (4 and 7
+    of 9); without the rule above, Acc-SGD took 272 ms against 197 ms with
+    it. Where every made |K_kj| is below 2^-10 it iterates that equation
+    from s = 2 D (p - y) until s stands still, in a few rounds, which cost
+    less than one general solve (s_k reads s_j for j < k only, so s_k settles
     within k + 1 rounds in any case); otherwise, or if ``_ROUNDS`` rounds do
     not settle it, it solves (I + 2 K_AA) s_A = 2 (p_A - y_A) with
     np.linalg.solve. A step's margin reads earlier steps only, so the

@@ -1452,9 +1452,9 @@ class TestSolvedBlocks:
         assert len(narrow) > 0.5 * len(products)
         added = [cols for cols in narrow if len(cols) > 1]
         assert added
-        for first, *later in added:
-            assert 0 < len(first) <= optimizers._SOLVE_BLOCK // 2
-            assert len(np.unique(np.concatenate([first, *later]))) == sum(map(len, [first, *later]))
+        for cols in added:
+            assert 0 < len(cols[0]) <= optimizers._SOLVE_BLOCK // 2
+            assert len(np.unique(np.concatenate(cols))) == sum(map(len, cols))  # disjoint
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_strongly_convex_fold_inside_a_block(self, monkeypatch):
@@ -1510,7 +1510,8 @@ class TestSolvedBlocks:
         products = record_products(monkeypatch)
         assert kernel_rows(obj, "accel", cfg, 2) == expected
         assert commits and all(done in (None, (0, 0)) for _, _, done in commits)
-        assert sum(len(cols) == 1 and not whole(cols[0]) for cols in products) > 0.5 * len(products)
+        narrow = sum(len(cols) == 1 and not whole(cols[0]) for cols in products)
+        assert narrow > 0.5 * len(products)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("test", [False, True])
