@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -129,15 +128,19 @@ class RbfConfig:
 def default_rbf_config(X, rng, m: int | None = None) -> RbfConfig:
     """Centers drawn uniformly without replacement from the rows of X,
     bandwidth set by the median heuristic (median pairwise distance among
-    the chosen centers)."""
+    the chosen centers). The distances are taken one center at a time
+    against the centers after it, so no m x m x d difference array is
+    made."""
     X = as_matrix(X)
     n = X.shape[0]
     m = min(n, 300) if m is None else min(m, n)
     idx = rng.choice(n, size=m, replace=False)
     centers = X[np.sort(idx)]
-    diffs = centers[:, None, :] - centers[None, :, :]
-    dists = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
-    upper = dists[np.triu_indices(m, k=1)]
+    sq = []
+    for i, c in enumerate(centers):  # the last center adds an empty array
+        diff = c - centers[i + 1 :]
+        sq.append(np.einsum("jk,jk->j", diff, diff))
+    upper = np.sqrt(np.concatenate(sq))
     bandwidth = float(np.median(upper)) if upper.size else 1.0
     if bandwidth <= 0:
         raise ValueError("median pairwise distance is zero: centers coincide")
@@ -193,12 +196,6 @@ def _parse_line(lineno: int, text: str) -> tuple[float, list[int], list[float]]:
     return label, cols, vals
 
 
-@lru_cache(maxsize=1024)
-def _pair_format(k: int) -> str:
-    """``"label idx:val ..."`` with k single-space separated pairs."""
-    return "%s" + " %s:%s" * k
-
-
 def load_libsvm(path) -> Dataset:
     """Parse a LIBSVM text file into a dense Dataset.
 
@@ -206,44 +203,57 @@ def load_libsvm(path) -> Dataset:
     any other number of distinct labels are rejected (binary-only scope).
     No margin certificate is attached.
 
-    The file is read in one streaming pass. A line whose colons turned to
-    spaces split into a label and k (index, value) pairs that, rejoined as
-    ``label idx:val ...``, give back the stripped line exactly, is parsed
-    by ``int``/``float`` over those strings into two small typed arrays (a
-    row with the previous row's index strings shares its index array).
-    Any other line (tabs or runs of spaces, a bad token, an index below 1
-    or beyond int64) goes token by token, which names the first bad token.
-    A repeated index on one line keeps its last value.
+    The file is read in one streaming pass, and every row's values go into
+    one flat buffer in file order. A line whose colons turned to spaces
+    split into a label and k (index, value) pairs is checked against a
+    format with the row's index strings baked in, built once ``int`` has
+    accepted them and reused while the next rows carry the same strings:
+    if the label and value strings, put into it, give back the stripped
+    line exactly, they are parsed by ``float``. Any other line (tabs or
+    runs of spaces, a bad token, an index below 1 or beyond int64) goes
+    token by token, which names the first bad token. When every row
+    carries indices 1..d in order, X is the buffer itself, shaped n x d;
+    otherwise each run of rows that share their indices is placed into a
+    zero matrix by one assignment. A repeated index on one line keeps its
+    last value.
     """
     raw_labels: list[float] = []
-    rows: list[tuple[array | list[int], array | list[float]]] = []
-    max_index = 0
-    prev_idx: list[str] = []
-    prev_cols = array("q")
+    flat = array("d")
+    runs: list[list] = []  # [indices, row count] per run of rows sharing them
+    # prev_cols and row_format are built from the index strings prev_idx
+    prev_idx: list[str] | None = None
+    prev_cols = row_format = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text[0] == "#":
                 continue
             parts = text.replace(":", " ").split()
+            idx_s = parts[1::2]
             try:
-                if not len(parts) % 2 or _pair_format(len(parts) // 2) % tuple(parts) != text:
+                if idx_s != prev_idx:
+                    cols = array("q", map(int, idx_s))
+                    if cols and min(cols) < 1:
+                        raise ValueError("index below 1")
+                    prev_idx, prev_cols = idx_s, cols
+                    row_format = "%s" + "".join(f" {s}:%s" for s in idx_s)
+                if not len(parts) % 2 or row_format % tuple(parts[::2]) != text:
                     raise ValueError("not a single-spaced label idx:val ... line")
                 label = float(parts[0])
-                idx_s = parts[1::2]
-                if idx_s != prev_idx:
-                    prev_idx, prev_cols = idx_s, array("q", map(int, idx_s))
-                    if prev_cols and min(prev_cols) < 1:
-                        raise ValueError("index below 1")
+                flat.extend(map(float, parts[2::2]))
                 cols = prev_cols
-                vals = array("d", map(float, parts[2::2]))
             except (ValueError, OverflowError):
+                # once the format matched, only a value float() rejects gets
+                # here, and _parse_line rejects it too: the values appended
+                # before it are never read
                 label, cols, vals = _parse_line(lineno, text)
-            if cols:
-                max_index = max(max_index, max(cols))
+                flat.extend(vals)
             raw_labels.append(label)
-            rows.append((cols, vals))
-    if not rows:
+            if runs and runs[-1][0] is cols:
+                runs[-1][1] += 1
+            else:
+                runs.append([cols, 1])
+    if not raw_labels:
         raise LibsvmFormatError("file contains no examples")
 
     distinct = sorted(set(raw_labels))
@@ -253,20 +263,43 @@ def load_libsvm(path) -> Dataset:
         )
     mapping = {distinct[0]: -1.0, distinct[1]: 1.0}
 
-    X = np.zeros((len(rows), max_index))
-    for x, (cols, vals) in zip(X, rows):
-        if cols:
-            x[np.asarray(cols) - 1] = vals
+    n = len(raw_labels)
+    d = max((max(cols) for cols, _ in runs if cols), default=0)
+    values = np.frombuffer(flat)
+    if len(runs) == 1 and runs[0][0] == array("q", range(1, d + 1)):
+        X = values.reshape(n, d)
+    else:
+        X = np.zeros((n, d))
+        row = start = 0
+        for cols, count in runs:
+            k = len(cols)
+            if k:
+                block = values[start : start + count * k].reshape(count, k)
+                X[row : row + count, np.asarray(cols) - 1] = block
+            row += count
+            start += count * k
     y = np.array([mapping[lab] for lab in raw_labels])
     return Dataset(X=X, y=y)
 
 
 def save_libsvm(data: Dataset, path) -> None:
-    """Write a Dataset in LIBSVM text form (zeros omitted, repr floats)."""
+    """Write a Dataset in LIBSVM text form (zeros omitted, repr floats).
+
+    A row without an exact zero (or -0.0) is written through one format
+    with every ``j:%r`` slot of the row built in; any other row joins its
+    nonzero ``j:value`` tokens. Rows are converted one at a time, so no
+    Python copy of the whole matrix is made.
+    """
+    dense = "%s" + "".join(f" {j}:%r" for j in range(1, data.dim + 1)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for label, row in zip(data.y.tolist(), data.X.tolist()):
-            feats = [f"{j}:{v!r}" for j, v in enumerate(row, 1) if v != 0.0]
-            fh.write(" ".join(["+1" if label > 0 else "-1", *feats]) + "\n")
+        for label, x in zip(data.y.tolist(), data.X):
+            row = x.tolist()
+            sign = "+1" if label > 0 else "-1"
+            if 0.0 in row:
+                feats = [f"{j}:{v!r}" for j, v in enumerate(row, 1) if v != 0.0]
+                fh.write(" ".join([sign, *feats]) + "\n")
+            else:
+                fh.write(dense % (sign, *row))
 
 
 def subsample(data: Dataset, n_sub: int, seed: int = 0) -> Dataset:

@@ -3,8 +3,9 @@ implementations: a cyclic Jacobi eigensolver and the purely matrix-free
 power iteration for cross-checking ``spectral_norm_gram``, a wide matrix
 whose top two singular values nearly coincide, central finite
 differences for gradient checks, and the per-element LIBSVM
-reader/writer and three-temporary RBF map that ``interpsgd.data``'s
-streaming versions must match bit for bit."""
+reader/writer, the three-temporary RBF map and the difference-array
+median bandwidth that ``interpsgd.data``'s streaming versions must match
+bit for bit."""
 
 from __future__ import annotations
 
@@ -109,6 +110,16 @@ def rbf_features(X, cfg: RbfConfig) -> np.ndarray:
     )
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-sq / (2.0 * cfg.bandwidth**2))
+
+
+def median_heuristic_bandwidth(centers: np.ndarray) -> float:
+    """Median pairwise distance among the centers, from their full
+    m x m x d difference array (1.0 for a single center)."""
+    m = centers.shape[0]
+    diffs = centers[:, None, :] - centers[None, :, :]
+    dists = np.sqrt(np.einsum("ijk,ijk->ij", diffs, diffs))
+    upper = dists[np.triu_indices(m, k=1)]
+    return float(np.median(upper)) if upper.size else 1.0
 
 
 def load_libsvm(path) -> Dataset:

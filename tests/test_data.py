@@ -184,6 +184,26 @@ def _edge_values_dataset() -> Dataset:
     return Dataset(X=X, y=y)
 
 
+def _dense_rows_around_zero_rows() -> Dataset:
+    """Dense rows, one holding 1e16 and one 5e-324, next to a row of
+    zeros and a row of -0.0 (both written as label-only lines)."""
+    X = make_rng(18).normal(size=(7, 5))
+    X[1, 2] = 1e16
+    X[2] = 0.0
+    X[3] = -0.0
+    X[4, 0] = 5e-324
+    X[5, 4] = -5e-324
+    y = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+    return Dataset(X=X, y=y)
+
+
+def _single_column() -> Dataset:
+    X = make_rng(19).normal(size=(6, 1))
+    X[2] = 0.0
+    X[4] = -0.0
+    return Dataset(X=X, y=np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0]))
+
+
 def _outcome(load, path):
     """What a loader gives: the arrays, or the exception's type and text."""
     try:
@@ -207,8 +227,9 @@ def _assert_same_outcome(path):
 
 
 class TestIngestMatchesOracles:
-    """The streaming LIBSVM reader/writer and the in-place RBF map give the
-    same bytes, arrays and errors as the per-element versions in oracles."""
+    """The streaming LIBSVM reader/writer, the in-place RBF map and the
+    row-by-row bandwidth give the same bytes, arrays, errors and bits as the
+    per-element versions in oracles."""
 
     @pytest.mark.parametrize(
         "make",
@@ -216,8 +237,11 @@ class TestIngestMatchesOracles:
             lambda: generate_margin_data(40, 7, 0.2, seed=0),
             lambda: generate_margin_data(300, 54, 0.1, seed=5),
             _edge_values_dataset,
+            _dense_rows_around_zero_rows,
+            _single_column,
         ],
-        ids=["margin", "margin_wide", "edge_values"],
+        ids=["margin", "margin_wide", "edge_values", "dense_around_zero_rows",
+             "single_column"],
     )
     def test_save_bytes_and_parsed_arrays(self, tmp_path, make):
         data = make()
@@ -249,12 +273,18 @@ class TestIngestMatchesOracles:
             "# nothing but comments\n\n",
             "+1 1:1\n0 1:2\n-1 1:3\n",
             "+1 1:1\n+1 2:2\n",
+            "+1 1:0.5 3:-2.0\n-1 1:1.25 3:4.0\n+1 1:2 3:1e-3\n",
+            "+1 3:-2.0 1:0.5\n-1 3:4.0 1:1.25\n+1 3:1 1:2\n",
+            "+1 1:5 2:6\n+1:1 5 2:6\n-1 1:1\n",
+            "+1 1:1 2:2 3:3\n-1 2:5\n+1 1:1 2:2 3:3\n+1 1:4 2:5 3:6\n-1\n+1 3:7 1:8\n",
         ],
         ids=[
             "comments_and_blanks", "crlf", "tabs_and_runs_of_spaces",
             "unordered_and_repeated", "exponents_and_signed_zero",
             "python_numeric_forms", "nan", "label_only",
             "index_beyond_int64", "no_examples", "three_labels", "one_label",
+            "shared_non_contiguous", "shared_reordered",
+            "swapped_separators_after_same_indices", "dense_and_sparse_rows",
         ],
     )
     def test_text_inputs(self, tmp_path, text):
@@ -297,6 +327,12 @@ class TestIngestMatchesOracles:
         with pytest.raises(LibsvmFormatError) as want:
             oracles.load_libsvm(path)
         assert str(err.value) == str(want.value)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 300])
+    def test_rbf_bandwidth_equal(self, m):
+        X = generate_margin_data(600, 54, 0.1, seed=m).X
+        cfg = default_rbf_config(X, make_rng(m), m=m)
+        assert cfg.bandwidth == oracles.median_heuristic_bandwidth(cfg.centers)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_rbf_features_equal(self, seed):

@@ -10,12 +10,14 @@ the changed tree and comparing the two files:
     python tools/output_hashes.py change.json
     python tools/output_hashes.py --compare parent.json change.json
 
-The small set (88 argvs, about a minute) covers every subcommand at
+The small set (90 argvs, about a minute) covers every subcommand at
 200x10 scale, fig2 on a toy LIBSVM file, 23 ``run`` variants, ``--help``,
 config errors, ``perceptron`` with too few passes or τ above 1, a diverging
 run, the hinge combinations, ``spectral`` and ``run`` on a wide 20x200 file
-whose top two singular values are 1 and 1 - 1e-9, and ``spectral`` on a
-200x10 file whose rows have norm 1e150. ``--full``
+whose top two singular values are 1 and 1 - 1e-9, ``spectral`` on a
+200x10 file whose rows have norm 1e150, and ``spectral`` and ``audit-rho``
+on a sparse 120x12 file (zeros omitted, indices unordered, a comment line
+and a label-only row), whose lines the reader places one by one. ``--full``
 adds ``reproduce fig1a..fig1d`` at n = 8000, d = 100, 30 passes with seeds
 0-3 and ``reproduce app_ls`` at its defaults (17 argvs, several minutes).
 
@@ -23,7 +25,7 @@ Each argv runs in a fresh temporary directory with ``COLUMNS=80`` and
 relative paths, so outputs do not depend on where either tree lives; the
 tree's ``src`` directory and the temporary directory are replaced by
 ``<src>`` and ``<tmp>`` in stdout and stderr before hashing. Input files
-(config files and three LIBSVM files) are written by this script with
+(config files and four LIBSVM files) are written by this script with
 numpy alone, so both trees read the same bytes.
 
 ``--compare`` lists the argvs that differ, and for each differing CSV the
@@ -140,6 +142,8 @@ def small_argvs() -> dict[str, list[str]]:
                          "--tau", "0.1", "--step-rule-accel", "tau_over_L", "--passes", "3",
                          "--out", "out"]
     argvs["spectral_huge"] = ["spectral", "--libsvm", "huge.txt"]
+    argvs["spectral_sparse"] = ["spectral", "--libsvm", "sparse.txt"]
+    argvs["audit_sparse"] = ["audit-rho", "--dataset", "libsvm", "--libsvm-path", "sparse.txt"]
     argvs["help"] = ["--help"]
     for sub in ("run", "reproduce", "perceptron", "audit-rho", "spectral"):
         argvs[f"help_{sub}"] = [sub, "--help"]
@@ -204,6 +208,22 @@ def write_libsvm(path: Path, X: np.ndarray, rng: np.random.Generator) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_sparse_libsvm(path: Path, rng: np.random.Generator) -> None:
+    """Sparse LIBSVM rows after a comment line: about half of each row's
+    entries are zero and omitted, the rest are written in shuffled index
+    order, and one row of zeros is a label-only line."""
+    X = rng.normal(size=(120, 12))
+    X[rng.random(X.shape) < 0.5] = 0.0
+    X[7] = 0.0
+    y = np.where(X @ rng.normal(size=X.shape[1]) >= 0.0, 1, -1)
+    lines = ["# sparse rows: zeros omitted, indices unordered"]
+    for label, row in zip(y.tolist(), X):
+        values = row.tolist()
+        cols = rng.permutation(np.flatnonzero(row)).tolist()
+        lines.append(" ".join([f"{label}", *(f"{j + 1}:{values[j]!r}" for j in cols)]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_inputs(directory: Path) -> set[str]:
     """The input files every argv may read; returns their names."""
     (directory / "exp.cfg").write_text(EXP_CFG, encoding="utf-8")
@@ -220,7 +240,8 @@ def write_inputs(directory: Path) -> set[str]:
     X = rng.normal(size=(200, 10))
     X *= 1e150 / np.linalg.norm(X, axis=1, keepdims=True)
     write_libsvm(directory / "huge.txt", X, rng)
-    return {"exp.cfg", "bad.cfg", "toy.txt", "wide.txt", "huge.txt"}
+    write_sparse_libsvm(directory / "sparse.txt", np.random.default_rng(10))
+    return {"exp.cfg", "bad.cfg", "toy.txt", "wide.txt", "huge.txt", "sparse.txt"}
 
 
 def sha256(blob: bytes) -> str:
