@@ -243,9 +243,10 @@ def load_libsvm(path) -> Dataset:
                 flat.extend(map(float, parts[2::2]))
                 cols = prev_cols
             except (ValueError, OverflowError):
-                # once the format matched, only a value float() rejects gets
-                # here, and _parse_line rejects it too: the values appended
-                # before it are never read
+                # values are appended only once the format and the label
+                # passed; a value float() then rejects is rejected again
+                # by _parse_line, so the values appended before it are
+                # never read
                 label, cols, vals = _parse_line(lineno, text)
                 flat.extend(vals)
             raw_labels.append(label)

@@ -274,7 +274,7 @@ class TestIngestMatchesOracles:
             "+1 1:1\n0 1:2\n-1 1:3\n",
             "+1 1:1\n+1 2:2\n",
             "+1 1:0.5 3:-2.0\n-1 1:1.25 3:4.0\n+1 1:2 3:1e-3\n",
-            "+1 3:-2.0 1:0.5\n-1 3:4.0 1:1.25\n+1 3:1 1:2\n",
+            "+1 3:-2.0 1:0.5 2:7\n-1 3:4.0 1:1.25 2:8\n+1 3:1 1:2 2:9\n",
             "+1 1:5 2:6\n+1:1 5 2:6\n-1 1:1\n",
             "+1 1:1 2:2 3:3\n-1 2:5\n+1 1:1 2:2 3:3\n+1 1:4 2:5 3:6\n-1\n+1 3:7 1:8\n",
         ],
