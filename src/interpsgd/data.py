@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -196,6 +197,12 @@ def _parse_line(lineno: int, text: str) -> tuple[float, list[int], list[float]]:
     return label, cols, vals
 
 
+@lru_cache(maxsize=1024)
+def _pair_format(k: int) -> str:
+    """``"label idx:val ..."`` with k single-space separated pairs."""
+    return "%s" + " %s:%s" * k
+
+
 def load_libsvm(path) -> Dataset:
     """Parse a LIBSVM text file into a dense Dataset.
 
@@ -205,21 +212,26 @@ def load_libsvm(path) -> Dataset:
 
     The file is read in one streaming pass, and every row's values go into
     one flat buffer in file order. A line whose colons turned to spaces
-    split into a label and k (index, value) pairs is checked against a
-    format with the row's index strings baked in, built once ``int`` has
-    accepted them and reused while the next rows carry the same strings:
-    if the label and value strings, put into it, give back the stripped
-    line exactly, they are parsed by ``float``. Any other line (tabs or
-    runs of spaces, a bad token, an index below 1 or beyond int64) goes
-    token by token, which names the first bad token. When every row
-    carries indices 1..d in order, X is the buffer itself, shaped n x d;
-    otherwise each run of rows that share their indices is placed into a
-    zero matrix by one assignment. A repeated index on one line keeps its
-    last value.
+    split into a label and k (index, value) pairs is accepted when its
+    strings, put back into a format, give back the stripped line exactly;
+    its values are then parsed by ``float``. A row whose index strings
+    differ from the previous row's fills the cached ``label idx:val ...``
+    format (2k + 1 slots) and has its indices parsed by ``int``. The
+    second of consecutive rows with the same index strings builds a format
+    with them baked in (k + 1 slots), which the rows after it reuse. Any
+    other line (tabs or runs of spaces, a bad token, an index below 1 or
+    beyond int64) goes token by token, which names the first bad token.
+    When every row carries indices 1..d in order, X is the buffer itself,
+    shaped n x d. Otherwise each run of consecutive rows that share their
+    indices is placed by one block assignment, and the rows that share
+    them with neither neighbour by one scatter. A repeated index on one
+    line keeps its last value.
     """
     raw_labels: list[float] = []
     flat = array("d")
-    runs: list[list] = []  # [indices, row count] per run of rows sharing them
+    # each run of consecutive rows sharing one index array: the array, the row count
+    run_cols: list = []
+    run_counts = array("q")
     # prev_cols and row_format are built from the index strings prev_idx
     prev_idx: list[str] | None = None
     prev_cols = row_format = None
@@ -231,14 +243,20 @@ def load_libsvm(path) -> Dataset:
             parts = text.replace(":", " ").split()
             idx_s = parts[1::2]
             try:
+                if not len(parts) % 2:
+                    raise ValueError("not a label idx:val ... line")
                 if idx_s != prev_idx:
+                    if _pair_format(len(idx_s)) % tuple(parts) != text:
+                        raise ValueError("not a single-spaced label idx:val ... line")
                     cols = array("q", map(int, idx_s))
                     if cols and min(cols) < 1:
                         raise ValueError("index below 1")
-                    prev_idx, prev_cols = idx_s, cols
-                    row_format = "%s" + "".join(f" {s}:%s" for s in idx_s)
-                if not len(parts) % 2 or row_format % tuple(parts[::2]) != text:
-                    raise ValueError("not a single-spaced label idx:val ... line")
+                    prev_idx, prev_cols, row_format = idx_s, cols, None
+                else:
+                    if row_format is None:
+                        row_format = "%s" + "".join(f" {s}:%s" for s in idx_s)
+                    if row_format % tuple(parts[::2]) != text:
+                        raise ValueError("not a single-spaced label idx:val ... line")
                 label = float(parts[0])
                 flat.extend(map(float, parts[2::2]))
                 cols = prev_cols
@@ -250,10 +268,11 @@ def load_libsvm(path) -> Dataset:
                 label, cols, vals = _parse_line(lineno, text)
                 flat.extend(vals)
             raw_labels.append(label)
-            if runs and runs[-1][0] is cols:
-                runs[-1][1] += 1
+            if run_cols and run_cols[-1] is cols:
+                run_counts[-1] += 1
             else:
-                runs.append([cols, 1])
+                run_cols.append(cols)
+                run_counts.append(1)
     if not raw_labels:
         raise LibsvmFormatError("file contains no examples")
 
@@ -265,20 +284,30 @@ def load_libsvm(path) -> Dataset:
     mapping = {distinct[0]: -1.0, distinct[1]: 1.0}
 
     n = len(raw_labels)
-    d = max((max(cols) for cols, _ in runs if cols), default=0)
+    d = max((max(cols) for cols in run_cols if cols), default=0)
     values = np.frombuffer(flat)
-    if len(runs) == 1 and runs[0][0] == array("q", range(1, d + 1)):
+    if len(run_cols) == 1 and run_cols[0] == array("q", range(1, d + 1)):
         X = values.reshape(n, d)
     else:
+        # a run of several rows is placed as one block, and the rows that
+        # share their indices with neither neighbour by one scatter
         X = np.zeros((n, d))
+        lone_rows, lone_k, lone_cols = array("q"), array("q"), array("q")
+        in_blocks = np.zeros(len(values), dtype=bool)
         row = start = 0
-        for cols, count in runs:
-            k = len(cols)
-            if k:
-                block = values[start : start + count * k].reshape(count, k)
-                X[row : row + count, np.asarray(cols) - 1] = block
-            row += count
-            start += count * k
+        for cols, count in zip(run_cols, run_counts):
+            stop = start + count * len(cols)
+            if count == 1:
+                lone_rows.append(row)
+                lone_k.append(len(cols))
+                lone_cols.extend(cols)
+            elif cols:
+                X[row : row + count, np.asarray(cols) - 1] = values[start:stop].reshape(count, -1)
+                in_blocks[start:stop] = True
+            row, start = row + count, stop
+        where = np.frombuffer(lone_cols, np.int64)  # row * d + col - 1, in place
+        where += np.repeat(np.frombuffer(lone_rows, np.int64) * d - 1, lone_k)
+        X.reshape(-1)[where] = values[~in_blocks] if in_blocks.any() else values
     y = np.array([mapping[lab] for lab in raw_labels])
     return Dataset(X=X, y=y)
 

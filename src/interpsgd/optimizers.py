@@ -559,41 +559,30 @@ def _sgd_kernel(obj, w: np.ndarray, eta: float, mean, screen, estimate=None):
     :class:`Objective`, ``grad`` returns s_i x_i (s_i from ``_grad_scalar``)
     in a buffer that the next call overwrites, or None when s_i is exactly
     zero, which on the two hinge losses it tells from the margin alone (see
-    ``_LossKind.margin_zero``), and keeps the margin it computed, from which
-    ``loss_at_w`` gives the line search's f_i(w) without a second dot; other
-    objectives use their ``grad_example``/``loss_example``."""
+    ``_LossKind.margin_zero``); other objectives use their
+    ``grad_example``/``loss_example``."""
     if isinstance(obj, Objective):
         rows, ys, _ = obj._scalar_rows
         grad_scalar, loss_scalar = obj._grad_scalar, obj._loss_scalar
         buf = np.empty(obj.dim)
-        z = 0.0
 
         if obj._loss_kind.margin_zero:
 
             def grad(p, i):
-                nonlocal z
                 row, y = rows[i], ys[i]
                 z = float(row.dot(p))
                 return np.multiply(row, grad_scalar(z, y), buf) if y * z < 1.0 else None
         else:
 
             def grad(p, i):
-                nonlocal z
                 row = rows[i]
-                z = float(row.dot(p))
-                s = grad_scalar(z, ys[i])
+                s = grad_scalar(float(row.dot(p)), ys[i])
                 return np.multiply(row, s, buf) if s else None
 
         def loss(p, i):
             return loss_scalar(float(rows[i].dot(p)), ys[i])
-
-        def loss_at_w(i):
-            return loss_scalar(z, ys[i])
     else:
         grad, loss = obj.grad_example, obj.loss_example
-
-        def loss_at_w(i):
-            return loss(w, i)
     t = np.empty_like(w)
 
     def run_pass(draw, noise):
@@ -619,7 +608,7 @@ def _sgd_kernel(obj, w: np.ndarray, eta: float, mean, screen, estimate=None):
                         # t = w - g / estimate is both the trial point and,
                         # once accepted, the next iterate; below resolution
                         # the first is accepted untested
-                        f0 = None if g_sq <= GRAD_RESOLUTION_SQ else loss_at_w(i)
+                        f0 = None if g_sq <= GRAD_RESOLUTION_SQ else loss(w, i)
                         for _ in range(MAX_DOUBLINGS + 1):
                             np.divide(g, estimate, t)
                             np.subtract(w, t, t)

@@ -277,6 +277,7 @@ class TestIngestMatchesOracles:
             "+1 3:-2.0 1:0.5 2:7\n-1 3:4.0 1:1.25 2:8\n+1 3:1 1:2 2:9\n",
             "+1 1:5 2:6\n+1:1 5 2:6\n-1 1:1\n",
             "+1 1:1 2:2 3:3\n-1 2:5\n+1 1:1 2:2 3:3\n+1 1:4 2:5 3:6\n-1\n+1 3:7 1:8\n",
+            "+1 2:1 1:7 2:3\n-1 2:4 1:5 2:6\n+1 1:1\n-1 2:2 2:9\n+1 2:1 1:7 2:3\n",
         ],
         ids=[
             "comments_and_blanks", "crlf", "tabs_and_runs_of_spaces",
@@ -285,11 +286,31 @@ class TestIngestMatchesOracles:
             "index_beyond_int64", "no_examples", "three_labels", "one_label",
             "shared_non_contiguous", "shared_reordered",
             "swapped_separators_after_same_indices", "dense_and_sparse_rows",
+            "repeated_indices_in_runs_and_lone_rows",
         ],
     )
     def test_text_inputs(self, tmp_path, text):
         path = tmp_path / "in.txt"
         path.write_bytes(text.encode("utf-8"))
+        _assert_same_outcome(path)
+
+    def test_covtype_shaped_sparse_file(self, tmp_path):
+        """54 columns, about 12 nonzeros a row: 10 continuous columns with
+        a zero now and then, and one of 4 and one of 40 indicator columns
+        that neighbouring rows often share, so runs of rows with the same
+        indices alternate with rows that share them with no neighbour."""
+        rng = make_rng(19)
+        lines, pair = [], (11, 15)
+        for i in range(400):
+            if rng.random() < 0.3:
+                pair = (11 + int(rng.integers(4)), 15 + int(rng.integers(40)))
+            x = rng.normal(size=10)
+            x[rng.random(10) < 0.05] = 0.0
+            tokens = [f"{j}:{v!r}" for j, v in enumerate(x.tolist(), 1) if v != 0.0]
+            label = "+1" if i % 3 else "-1"
+            lines.append(" ".join([label, *tokens, f"{pair[0]}:1", f"{pair[1]}:1"]))
+        path = tmp_path / "covtype_shaped.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         _assert_same_outcome(path)
 
     def test_repeated_index_keeps_the_last_value(self, tmp_path):
