@@ -50,7 +50,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     return v
 
@@ -62,7 +62,7 @@ def as_matrix(x) -> np.ndarray:
         raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
     if m.shape[0] == 0 or m.shape[1] == 0:
         raise ValueError(f"matrix must be non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -121,7 +121,7 @@ def spectral_norm_gram(X, tol: float = 1e-10, max_iter: int = 10_000) -> float:
                 return lam
             v = w / norm_w
         gram = X.T @ X if d <= n else X @ X.T
-        if np.all(np.isfinite(gram)):
+        if np.isfinite(gram).all():
             top = float(np.linalg.eigvalsh(gram)[-1])
             if np.isfinite(top):
                 return top

@@ -217,7 +217,7 @@ def init_accel_state(w0, schedule: AccelSchedule) -> AccelState:
 
 
 def _check_gradient(g: np.ndarray, i: int) -> None:
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise FloatingPointError(f"non-finite stochastic gradient at example {i}")
 
 
@@ -1343,7 +1343,7 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
                 noise = rng.normal(0.0, noise_std, size=(n, obj.dim))
             w = run_pass(draw, noise)
             point = w if mean is None else mean.value
-            if not np.all(np.isfinite(point)):
+            if not np.isfinite(point).all():
                 raise FloatingPointError("non-finite iterate")
             log_row(p, point)
         except Exception as exc:

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -204,6 +206,16 @@ def _single_column() -> Dataset:
     return Dataset(X=X, y=np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0]))
 
 
+SAVED_DATASETS = [
+    lambda: generate_margin_data(40, 7, 0.2, seed=0),
+    lambda: generate_margin_data(300, 54, 0.1, seed=5),
+    _edge_values_dataset,
+    _dense_rows_around_zero_rows,
+    _single_column,
+]
+SAVED_IDS = ["margin", "margin_wide", "edge_values", "dense_around_zero_rows", "single_column"]
+
+
 def _outcome(load, path):
     """What a loader gives: the arrays, or the exception's type and text."""
     try:
@@ -231,18 +243,7 @@ class TestIngestMatchesOracles:
     row-by-row bandwidth give the same bytes, arrays, errors and bits as the
     per-element versions in oracles."""
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: generate_margin_data(40, 7, 0.2, seed=0),
-            lambda: generate_margin_data(300, 54, 0.1, seed=5),
-            _edge_values_dataset,
-            _dense_rows_around_zero_rows,
-            _single_column,
-        ],
-        ids=["margin", "margin_wide", "edge_values", "dense_around_zero_rows",
-             "single_column"],
-    )
+    @pytest.mark.parametrize("make", SAVED_DATASETS, ids=SAVED_IDS)
     def test_save_bytes_and_parsed_arrays(self, tmp_path, make):
         data = make()
         new, old = tmp_path / "new.txt", tmp_path / "old.txt"
@@ -363,6 +364,192 @@ class TestIngestMatchesOracles:
         # a row equal to a center maps to exactly 1 in both
         Z = np.vstack([cfg.centers[:3], X[:5] * 1e3])
         assert np.array_equal(rbf_features(Z, cfg), oracles.rbf_features(Z, cfg))
+
+
+def _sparse_runs_text(rng) -> str:
+    """Runs of rows that share their indices, long enough to cross the
+    seams of small parts, between rows that share them with no neighbour."""
+    lines = []
+    for block in range(12):
+        cols = sorted(rng.choice(9, size=1 + block % 4, replace=False) + 1)
+        for _ in range(int(rng.integers(1, 9))):
+            vals = rng.normal(size=len(cols)).tolist()
+            label = "+1" if rng.random() < 0.5 else "-1"
+            lines.append(" ".join([label, *(f"{j}:{v!r}" for j, v in zip(cols, vals))]))
+    return "\n".join(lines) + "\n"
+
+
+def _lone_rows_text(rng) -> str:
+    """Every row carries other indices than the rows next to it."""
+    lines = []
+    for i in range(60):
+        cols = sorted(rng.choice(12, size=1 + i % 5, replace=False) + 1)
+        if i % 2:
+            cols.append(13)
+        tokens = [f"{j}:{rng.normal()!r}" for j in cols]
+        lines.append(" ".join(["+1" if i % 3 else "-1", *tokens]))
+    return "\n".join(lines) + "\n"
+
+
+class TestSplitIngest:
+    """With the part size patched small and four usable CPUs, tiny files are
+    read and written in parts, by forked children, and still give the
+    oracles' bytes, arrays and errors; no child is left behind."""
+
+    @pytest.fixture(autouse=True)
+    def small_parts(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_PART_BYTES", 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        self.counts = []
+        split = data_module._in_parts
+
+        def counting(part, count):
+            self.counts.append(count)
+            return split(part, count)
+
+        monkeypatch.setattr(data_module, "_in_parts", counting)
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _split_matches_oracle(self, path, parts=4):
+        _assert_same_outcome(path)
+        assert max(self.counts) == parts
+
+    @pytest.mark.parametrize("make", SAVED_DATASETS, ids=SAVED_IDS)
+    def test_save_bytes_and_parsed_arrays(self, tmp_path, make):
+        data = make()
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        save_libsvm(data, new)
+        oracles.save_libsvm(data, old)
+        assert new.read_bytes() == old.read_bytes()
+        assert self.counts == [4]
+        self._split_matches_oracle(new)
+
+    @pytest.mark.parametrize("make", [_sparse_runs_text, _lone_rows_text],
+                             ids=["runs_across_seams", "lone_rows"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_files(self, tmp_path, make, seed):
+        path = tmp_path / "sparse.txt"
+        path.write_text(make(make_rng(seed)), encoding="utf-8")
+        self._split_matches_oracle(path)
+
+    def test_runs_merge_at_seams(self, tmp_path):
+        """One run of dense rows split four ways is still the buffer itself."""
+        path = tmp_path / "dense.txt"
+        save_libsvm(generate_margin_data(40, 7, 0.2, seed=1), path)
+        X = load_libsvm(path).X
+        assert max(self.counts) == 4 and X.base is not None and not X.flags.owndata
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\r\r\n\n"],
+                             ids=["crlf", "lone_cr", "mixed"])
+    def test_line_endings(self, tmp_path, newline):
+        text = _sparse_runs_text(make_rng(3)).replace("\n", newline)
+        path = tmp_path / "endings.txt"
+        path.write_bytes(text.encode("utf-8"))
+        _assert_same_outcome(path)
+        bad = text.splitlines(keepends=True)
+        bad[-3] = "-1 2:oops" + newline
+        path.write_bytes("".join(bad).encode("utf-8"))
+        _assert_same_outcome(path)
+
+    def test_comments_and_blank_lines_at_seams(self, tmp_path):
+        rows = _sparse_runs_text(make_rng(4)).splitlines()
+        fill = ["# a comment", "", "   ", "\t# indented comment"]
+        lines = [line for i, row in enumerate(rows) for line in (fill[i % 4], row)]
+        path = tmp_path / "comments.txt"
+        path.write_text("\n".join(lines) + "\n\n# trailing\n", encoding="utf-8")
+        self._split_matches_oracle(path)
+
+    @pytest.mark.parametrize("text", ["+1 1:1\n", "-1 " + " ".join(f"{j}:{j}.5" for j in range(1, 40))],
+                             ids=["short", "long"])
+    def test_one_row_file(self, tmp_path, text):
+        path = tmp_path / "one.txt"
+        path.write_text(text, encoding="utf-8")
+        _assert_same_outcome(path)
+
+    @pytest.mark.parametrize("where", [0.3, 0.6, 0.95])
+    def test_bad_line_in_a_later_part(self, tmp_path, where):
+        lines = _lone_rows_text(make_rng(5)).splitlines()
+        at = int(len(lines) * where)
+        lines[at] = "-1 3:0.5 x:1"
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(LibsvmFormatError, match=f"^line {at + 1}: ") as err:
+            load_libsvm(path)
+        assert max(self.counts) == 4
+        with pytest.raises(LibsvmFormatError) as want:
+            oracles.load_libsvm(path)
+        assert str(err.value) == str(want.value)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        lines = _lone_rows_text(make_rng(6)).splitlines()
+        lines[20], lines[50] = "-1 1:1 0:2", "+1 :x"
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(LibsvmFormatError, match="^line 21: index 0 is not 1-based$"):
+            load_libsvm(path)
+        self._split_matches_oracle(path)
+
+    def test_not_utf8(self, tmp_path):
+        """A later part that is not UTF-8 sends the file through one pass,
+        which meets the same error in the same order as the oracle."""
+        lines = _lone_rows_text(make_rng(7)).encode("utf-8").splitlines()
+        lines[45] = b"+1 1:\xff"
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        _assert_same_outcome(path)
+        with pytest.raises(UnicodeDecodeError):
+            load_libsvm(path)
+        lines[10] = b"+1 1:x"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        _assert_same_outcome(path)
+
+    def test_failed_children_leave_the_result_unchanged(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def dying(real):
+            def part(*args):
+                if os.getpid() != parent:
+                    os._exit(1)
+                return real(*args)
+            return part
+
+        monkeypatch.setattr(data_module, "_parse_part", dying(data_module._parse_part))
+        monkeypatch.setattr(data_module, "_write_rows", dying(data_module._write_rows))
+        data = generate_margin_data(60, 7, 0.2, seed=2)
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        save_libsvm(data, new)
+        oracles.save_libsvm(data, old)
+        assert new.read_bytes() == old.read_bytes()
+        self._split_matches_oracle(new)
+        lines = old.read_text(encoding="utf-8").splitlines()
+        lines[50] = "+1 1:1 2"
+        old.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(LibsvmFormatError, match="^line 51: "):
+            load_libsvm(old)
+
+    def test_an_error_here_kills_and_reaps_the_children(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def part(lines):
+            if os.getpid() != parent:
+                time.sleep(60)  # ended by the parent's kill
+            raise RuntimeError("part 0 failed")
+
+        monkeypatch.setattr(data_module, "_parse_part", part)
+        path = tmp_path / "sparse.txt"
+        path.write_text(_lone_rows_text(make_rng(9)), encoding="utf-8")
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="part 0 failed"):
+            load_libsvm(path)
+        assert max(self.counts) == 4 and time.monotonic() - started < 30
+
+    def test_without_fork_one_part_runs_here(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        path = tmp_path / "sparse.txt"
+        path.write_text(_sparse_runs_text(make_rng(8)), encoding="utf-8")
+        self._split_matches_oracle(path, parts=1)
 
 
 class TestSubsample:

@@ -10,14 +10,16 @@ the changed tree and comparing the two files:
     python tools/output_hashes.py change.json
     python tools/output_hashes.py --compare parent.json change.json
 
-The small set (90 argvs, about a minute) covers every subcommand at
+The small set (91 argvs, about a minute) covers every subcommand at
 200x10 scale, fig2 on a toy LIBSVM file, 23 ``run`` variants, ``--help``,
 config errors, ``perceptron`` with too few passes or τ above 1, a diverging
 run, the hinge combinations, ``spectral`` and ``run`` on a wide 20x200 file
 whose top two singular values are 1 and 1 - 1e-9, ``spectral`` on a
 200x10 file whose rows have norm 1e150, and ``spectral`` and ``audit-rho``
 on a sparse 120x12 file (zeros omitted, indices unordered, a comment line
-and a label-only row), whose lines the reader places one by one. ``--full``
+and a label-only row), whose lines the reader places one by one, and
+``spectral`` on a dense 20000x54 file (about 24 MB), which the reader splits
+into parts on a machine with more than one CPU. ``--full``
 adds ``reproduce fig1a..fig1d`` at n = 8000, d = 100, 30 passes with seeds
 0-3 and ``reproduce app_ls`` at its defaults (17 argvs, several minutes).
 
@@ -25,7 +27,7 @@ Each argv runs in a fresh temporary directory with ``COLUMNS=80`` and
 relative paths, so outputs do not depend on where either tree lives; the
 tree's ``src`` directory and the temporary directory are replaced by
 ``<src>`` and ``<tmp>`` in stdout and stderr before hashing. Input files
-(config files and four LIBSVM files) are written by this script with
+(config files and five LIBSVM files) are written by this script with
 numpy alone, so both trees read the same bytes.
 
 ``--compare`` lists the argvs that differ, and for each differing CSV the
@@ -144,6 +146,7 @@ def small_argvs() -> dict[str, list[str]]:
     argvs["spectral_huge"] = ["spectral", "--libsvm", "huge.txt"]
     argvs["spectral_sparse"] = ["spectral", "--libsvm", "sparse.txt"]
     argvs["audit_sparse"] = ["audit-rho", "--dataset", "libsvm", "--libsvm-path", "sparse.txt"]
+    argvs["spectral_big"] = ["spectral", "--libsvm", "big.txt"]
     argvs["help"] = ["--help"]
     for sub in ("run", "reproduce", "perceptron", "audit-rho", "spectral"):
         argvs[f"help_{sub}"] = [sub, "--help"]
@@ -224,8 +227,9 @@ def write_sparse_libsvm(path: Path, rng: np.random.Generator) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_inputs(directory: Path) -> set[str]:
-    """The input files every argv may read; returns their names."""
+def write_inputs(directory: Path, argv: list[str]) -> set[str]:
+    """The input files an argv may read; returns their names. The large
+    big.txt is written only for the argvs that name it."""
     (directory / "exp.cfg").write_text(EXP_CFG, encoding="utf-8")
     (directory / "bad.cfg").write_text("nonsense = 1\n", encoding="utf-8")
     rng = np.random.default_rng(8)
@@ -241,7 +245,12 @@ def write_inputs(directory: Path) -> set[str]:
     X *= 1e150 / np.linalg.norm(X, axis=1, keepdims=True)
     write_libsvm(directory / "huge.txt", X, rng)
     write_sparse_libsvm(directory / "sparse.txt", np.random.default_rng(10))
-    return {"exp.cfg", "bad.cfg", "toy.txt", "wide.txt", "huge.txt", "sparse.txt"}
+    names = {"exp.cfg", "bad.cfg", "toy.txt", "wide.txt", "huge.txt", "sparse.txt"}
+    if "big.txt" in argv:
+        rng = np.random.default_rng(11)
+        write_libsvm(directory / "big.txt", rng.normal(size=(20000, 54)), rng)
+        names.add("big.txt")
+    return names
 
 
 def sha256(blob: bytes) -> str:
@@ -300,7 +309,7 @@ def floor_aware_delta(old: list[str], new: list[str]) -> str:
 
 def hash_argv(src: Path, argv: list[str]) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = write_inputs(Path(tmp))
+        inputs = write_inputs(Path(tmp), argv)
         env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(src))
         proc = subprocess.run([sys.executable, "-m", "interpsgd.cli", *argv], cwd=tmp,
                               env=env, capture_output=True)
