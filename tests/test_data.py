@@ -545,6 +545,18 @@ class TestSplitIngest:
             load_libsvm(path)
         assert max(self.counts) == 4 and time.monotonic() - started < 30
 
+    def test_a_failed_fork_runs_the_parts_here(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        data = generate_margin_data(40, 7, 0.2, seed=3)
+        new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+        save_libsvm(data, new)
+        oracles.save_libsvm(data, old)
+        assert new.read_bytes() == old.read_bytes()
+        self._split_matches_oracle(new)
+
     def test_without_fork_one_part_runs_here(self, tmp_path, monkeypatch):
         monkeypatch.delattr(os, "fork")
         path = tmp_path / "sparse.txt"
