@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
-__all__ = ["CSV_HEADER", "DIVERGENCE_FACTOR", "MetricRow", "RunRecord", "LOSS_FLOOR"]
+__all__ = [
+    "CSV_HEADER", "CurveAgreement", "DIVERGENCE_FACTOR", "INTERPOLATED", "LOSS_FLOOR",
+    "MetricRow", "RunRecord", "compare_curves", "diverges",
+]
 
 CSV_HEADER = "pass,iteration,train_loss,log10_loss,grad_sq_norm,mistake_rate,elapsed_ms"
 
@@ -24,10 +28,50 @@ LOSS_FLOOR = 1e-14
 _LOG_CLIP = 1e-300
 # A run diverged when some row's loss exceeds this multiple of the first's.
 DIVERGENCE_FACTOR = 10.0
+# A loss at or below this has interpolated; its digits are rounding noise.
+INTERPOLATED = 1e-10
 
 
 def log10_loss(train_loss: float) -> float:
     return math.log10(max(train_loss, _LOG_CLIP))
+
+
+def diverges(losses: Sequence[float]) -> bool:
+    """Whether some loss exceeds DIVERGENCE_FACTOR times the first (a nan
+    loss counts): the rule by which grid search discards a candidate and
+    run and reproduce warn."""
+    bound = DIVERGENCE_FACTOR * losses[0]
+    return not all(loss <= bound for loss in losses)
+
+
+class CurveAgreement(NamedTuple):
+    """The parts of the curve rule; each caller sets its own tolerance."""
+
+    max_log10_delta: float  # over the ordinary rows; inf where it is nan
+    floor_kept: bool
+    reference_diverged: bool
+    divergence_kept: bool
+
+
+def compare_curves(reference: Sequence[float], losses: Sequence[float]) -> CurveAgreement:
+    """The curve rule, row by row: a reference loss at or below INTERPOLATED
+    must stay there; one past DIVERGENCE_FACTOR times the reference's first
+    (as :func:`diverges` counts) must stay past that factor times the
+    curve's own first, since a diverging step amplifies any reordered
+    rounding; the other rows are ordinary, measured in log10."""
+    if len(reference) != len(losses):
+        raise ValueError(f"curves of {len(reference)} and {len(losses)} rows")
+    bound, own_bound = DIVERGENCE_FACTOR * reference[0], DIVERGENCE_FACTOR * losses[0]
+    worst, floor_kept, divergence_kept = 0.0, True, True
+    for want, got in zip(reference, losses):
+        if want <= INTERPOLATED:
+            floor_kept &= got <= INTERPOLATED
+        elif not want <= bound:
+            divergence_kept &= not got <= own_bound
+        else:
+            delta = abs(log10_loss(got) - log10_loss(want))
+            worst = max(worst, math.inf if math.isnan(delta) else delta)
+    return CurveAgreement(worst, floor_kept, diverges(reference), divergence_kept)
 
 
 @dataclass
@@ -68,11 +112,8 @@ class RunRecord:
         return [r.train_loss for r in self.rows]
 
     def diverged(self) -> bool:
-        """Whether some row's loss exceeds DIVERGENCE_FACTOR times the first
-        row's (a nan loss counts): the rule by which grid search discards a
-        candidate and run and reproduce warn."""
-        bound = DIVERGENCE_FACTOR * self.rows[0].train_loss
-        return not all(row.train_loss <= bound for row in self.rows)
+        """Whether the losses diverge (:func:`diverges`)."""
+        return diverges(self.losses())
 
     def final_loss(self) -> float:
         if not self.rows:

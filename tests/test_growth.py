@@ -202,7 +202,7 @@ class TestGridSearch:
         for idx, rho in enumerate(candidates):
             seed = int(child_rng(1, idx).integers(0, 2**63 - 1))
             rec = run(obj, "accel", RunConfig(rho=rho, seed=seed), 40)
-            if max(rec.losses()) <= 10 * rec.rows[0].train_loss:
+            if not rec.diverged():
                 finals[rho] = rec.final_loss()
         assert finals[est.rho] <= 2.0 * min(finals.values()) + 1e-300
 

@@ -23,7 +23,7 @@ from interpsgd.numerics import make_rng
 from interpsgd.objectives import Objective
 from interpsgd.optimizers import RunConfig, run
 from interpsgd.problems import QuadraticObjective
-from interpsgd.records import CSV_HEADER, MetricRow, RunRecord
+from interpsgd.records import CSV_HEADER, MetricRow, RunRecord, compare_curves
 
 
 def synthetic_record(losses, start_iteration=0, step=1):
@@ -216,6 +216,32 @@ class TestDivergenceRule:
     )
     def test_ten_times_the_initial_loss(self, losses, diverged):
         assert synthetic_record(losses).diverged() is diverged
+
+
+class TestCurveRule:
+    def test_a_row_just_above_the_floor_has_left_it(self):
+        # its log10 loss prints as -10.0, like the floor's own
+        rule = compare_curves([1.0, 1e-10], [1.0, math.nextafter(1e-10, 1.0)])
+        assert not rule.floor_kept and rule.max_log10_delta == 0.0
+
+    def test_a_nan_reference_row_diverges(self):
+        rule = compare_curves([1.0, math.nan, 0.5], [1.0, math.nan, 0.5])
+        assert rule.reference_diverged and rule.divergence_kept
+
+    @pytest.mark.parametrize("late,kept", [(10.5, True), (math.nan, True), (9.5, False)])
+    def test_diverging_rows_stay_past_the_curves_own_bound(self, late, kept):
+        rule = compare_curves([1.0, 20.0, 0.5], [1.01, late, 0.5])
+        assert rule.reference_diverged and rule.divergence_kept is kept
+        assert rule.max_log10_delta == pytest.approx(math.log10(1.01))
+
+    @pytest.mark.parametrize("loss", [math.nan, math.inf])
+    def test_a_non_finite_delta_reads_inf(self, loss):
+        rule = compare_curves([1.0, 0.5, 1e-12], [1.0, loss, 1e-12])
+        assert rule.max_log10_delta == math.inf and rule.floor_kept
+
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(ValueError, match="3 and 2 rows"):
+            compare_curves([1.0, 0.5, 0.25], [1.0, 0.5])
 
 
 class TestFitRate:

@@ -2,7 +2,7 @@
 
 Runs a fixed set of argvs through ``python -m interpsgd.cli`` and records,
 per argv, the exit code and the SHA-256 of stdout, stderr and every file
-the run wrote, and each CSV's ``log10_loss`` column as written. A change
+the run wrote, and each CSV's ``train_loss`` column as written. A change
 that should leave outputs alone is checked by hashing the parent tree and
 the changed tree and comparing the two files:
 
@@ -19,9 +19,9 @@ whose top two singular values are 1 and 1 - 1e-9, ``spectral`` on a
 on a sparse 120x12 file (zeros omitted, indices unordered, a comment line
 and a label-only row), whose lines the reader places one by one, and
 ``spectral`` on a dense 20000x54 file (about 24 MB), which the reader splits
-into parts on a machine with more than one CPU. ``--full``
-adds ``reproduce fig1a..fig1d`` at n = 8000, d = 100, 30 passes with seeds
-0-3 and ``reproduce app_ls`` at its defaults (17 argvs, several minutes).
+into parts on a machine with more than one CPU. ``--full`` adds
+``reproduce fig1a..fig1d`` at n = 8000, d = 100, 30 passes with seeds 0-3
+and ``reproduce app_ls`` at its defaults (17 argvs; 108 in all).
 
 Each argv runs in a fresh temporary directory with ``COLUMNS=80`` and
 relative paths, so outputs do not depend on where either tree lives; the
@@ -30,15 +30,16 @@ tree's ``src`` directory and the temporary directory are replaced by
 (config files and five LIBSVM files) are written by this script with
 numpy alone, so both trees read the same bytes.
 
-``--compare`` lists the argvs that differ, and for each differing CSV the
-largest |Δ log10_loss| between its rows (inf if the row counts differ),
-which measures changes that are meant to move curves only in their last
-digits. The same line reads the CSV by the tests' curve rules
-(``assert_within_tolerance`` in ``tests/test_optimizers.py``): the largest
-|Δ| over the rows whose old loss is above 1e-10, whether every row at or
-below 1e-10 stayed there, and whether the old curve diverged (a loss
-above 10x its first), in which case the rows past that factor only need
-to stay past it.
+``--compare`` lists the argvs that differ, and reads each differing CSV
+by the curve rule of this tree's ``records.compare_curves``, which the
+tests' ``assert_within_tolerance`` also applies: the largest |Δ log10
+loss| over the rows whose old loss is above 1e-10 (inf where it is nan),
+which measures a change meant to move curves only in their last digits;
+whether every row at or below 1e-10 stayed there; and whether the old
+curve diverged (a loss above 10x its first), in which case its rows past
+that factor need only stay past 10x the new curve's first loss. A JSON
+written by an older version of this script has no ``train_loss``
+columns: its hashes still compare, but its CSVs get no verdict.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
@@ -57,6 +57,8 @@ from pathlib import Path
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+from interpsgd.records import compare_curves  # noqa: E402
 
 SMALL = ["--n", "200", "--d", "10", "--passes", "3"]
 RUN = ["run", *SMALL, "--out", "out"]
@@ -257,54 +259,25 @@ def sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def log10_loss_column(blob: bytes) -> list[str] | None:
-    """The CSV's ``log10_loss`` column as written, or None if it has none."""
+def train_loss_column(blob: bytes) -> list[str] | None:
+    """The CSV's ``train_loss`` column as written, or None if it has none."""
     rows = list(csv.reader(blob.decode(errors="replace").splitlines()))
-    if not rows or "log10_loss" not in rows[0]:
+    if not rows or "train_loss" not in rows[0]:
         return None
-    j = rows[0].index("log10_loss")
+    j = rows[0].index("train_loss")
     return [row[j] if j < len(row) else "" for row in rows[1:]]
 
 
-def max_log10_loss_delta(old: list[str], new: list[str]) -> float:
-    """Largest |Δ| between two ``log10_loss`` columns, row by row; inf if
-    their lengths differ or a row is unparsable or nan on one side only."""
-    if len(old) != len(new):
-        return math.inf
-    worst = 0.0
-    for a, b in zip(old, new):
-        if a == b:
-            continue
-        try:
-            delta = abs(float(a) - float(b))
-        except ValueError:
-            return math.inf
-        worst = max(worst, math.inf if math.isnan(delta) else delta)
-    return worst
-
-
-FLOOR_LOG10 = -10.0  # log10 of the tests' interpolation floor, 1e-10
-DIVERGENCE_LOG10 = 1.0  # log10 of records.DIVERGENCE_FACTOR
-
-
-def floor_aware_delta(old: list[str], new: list[str]) -> str:
-    """Two ``log10_loss`` columns read by the tests' curve rules: the
-    largest |Δ| over rows whose old loss is above 1e-10 (inf if a row is
-    unparsable or nan on one side only), whether every row at or below
-    1e-10 stayed there, and whether the old curve diverged."""
-    if len(old) != len(new):
-        return "row counts differ"
+def verdict(old: list[str], new: list[str]) -> str:
+    """Two ``train_loss`` columns read by ``records.compare_curves``."""
     try:
-        a, b = [float(x) for x in old], [float(x) for x in new]
-    except ValueError:
-        return "unparsable row"
-    above = [abs(x - y) for x, y in zip(a, b) if not x <= FLOOR_LOG10 and x != y]
-    worst = max((math.inf if math.isnan(d) else d for d in above), default=0.0)
-    kept = all(y <= FLOOR_LOG10 for x, y in zip(a, b) if x <= FLOOR_LOG10)
-    diverged = bool(a) and max(a) > a[0] + DIVERGENCE_LOG10
-    return (f"above 1e-10 max |Δ| = {worst:.1e}, "
-            f"{'floor kept' if kept else 'FLOOR LEFT'}, "
-            f"old curve {'diverged' if diverged else 'did not diverge'}")
+        rule = compare_curves([float(x) for x in old], [float(x) for x in new])
+    except ValueError as exc:  # an unparsable row, or row counts that differ
+        return str(exc)
+    diverged = ("diverged, " + ("divergence kept" if rule.divergence_kept else "DIVERGENCE LOST")
+                if rule.reference_diverged else "did not diverge")
+    return (f"above 1e-10 max |Δ log10 loss| = {rule.max_log10_delta:.1e}, "
+            f"{'floor kept' if rule.floor_kept else 'FLOOR LEFT'}, old curve {diverged}")
 
 
 def hash_argv(src: Path, argv: list[str]) -> dict:
@@ -317,15 +290,15 @@ def hash_argv(src: Path, argv: list[str]) -> dict:
         def clean(blob: bytes) -> bytes:
             return blob.replace(str(src).encode(), b"<src>").replace(tmp.encode(), b"<tmp>")
 
-        files, log10_loss = {}, {}
+        files, train_loss = {}, {}
         for path in sorted(Path(tmp).rglob("*")):
             rel = path.relative_to(tmp).as_posix()
             if path.is_file() and rel not in inputs:
                 blob = path.read_bytes()
                 files[rel] = sha256(blob)
-                column = log10_loss_column(blob) if rel.endswith(".csv") else None
+                column = train_loss_column(blob) if rel.endswith(".csv") else None
                 if column is not None:
-                    log10_loss[rel] = column
+                    train_loss[rel] = column
         stderr = clean(proc.stderr)
         return {
             "argv": argv,
@@ -334,7 +307,7 @@ def hash_argv(src: Path, argv: list[str]) -> dict:
             "stderr": sha256(stderr),
             "stderr_text": stderr.decode(errors="replace"),
             "files": files,
-            "log10_loss": log10_loss,
+            "train_loss": train_loss,
         }
 
 
@@ -359,12 +332,10 @@ def compare(old: dict, new: dict) -> int:
                     if a["files"].get(f) != b["files"].get(f):
                         line = (f"  file {f}: {a['files'].get(f, '-')[:12]} -> "
                                 f"{b['files'].get(f, '-')[:12]}")
-                        old_col = a.get("log10_loss", {}).get(f)
-                        new_col = b.get("log10_loss", {}).get(f)
+                        old_col = a.get("train_loss", {}).get(f)
+                        new_col = b.get("train_loss", {}).get(f)
                         if old_col is not None and new_col is not None:
-                            delta = max_log10_loss_delta(old_col, new_col)
-                            line += (f", max |Δ log10_loss| = {delta:.1e}; "
-                                     + floor_aware_delta(old_col, new_col))
+                            line += "; " + verdict(old_col, new_col)
                         print(line)
     total = len(old.keys() | new.keys())
     print(f"{total - differing} of {total} argvs identical")
