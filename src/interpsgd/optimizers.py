@@ -327,10 +327,12 @@ def line_search_accel_step(obj, st: AccelState, rhoL_hat: float, rng) -> tuple[A
 # whole-pass kernels
 # ---------------------------------------------------------------------------
 #
-# run() hands each pass to one of two kernels, closures that take the pass's
-# example indices (and noise rows, if any), update the iterates in
-# preallocated buffers and return the iterate to log; given a line-search
-# start, each runs its method's line-search variant. One SGD kernel serves
+# run() hands each pass on an Objective to one of two kernels, closures that
+# take the pass's example indices (and noise rows, if any), update the
+# iterates in preallocated buffers and return the iterate to log; given a
+# line-search start, each runs its method's line-search variant. Any other
+# objective steps through the single-step functions (_single_step_pass), so
+# the kernels read the Objective's rows and scalar losses. One SGD kernel serves
 # SGD and SGD(LS) with the single-step functions' own arithmetic, so its
 # iterates are bit-identical to a loop over them on the same index stream.
 # One accelerated kernel serves Acc-SGD and Acc-SGD(LS) and holds the three
@@ -552,37 +554,33 @@ class _RunningMean:
         np.divide(value, self.count, value)
 
 
-def _sgd_kernel(obj, w: np.ndarray, eta: float, mean, screen, estimate=None):
+def _sgd_kernel(obj: Objective, w: np.ndarray, eta: float, mean, screen, estimate=None):
     """SGD; given a line-search start ``estimate`` L^, SGD(LS): SGD at
     eta = 1/L^ whose steps with a nonzero gradient double L^ until the
-    sampled example passes the sufficient-decrease test. For an
-    :class:`Objective`, ``grad`` returns s_i x_i (s_i from ``_grad_scalar``)
-    in a buffer that the next call overwrites, or None when s_i is exactly
-    zero, which on the two hinge losses it tells from the margin alone (see
-    ``_LossKind.margin_zero``); other objectives use their
-    ``grad_example``/``loss_example``."""
-    if isinstance(obj, Objective):
-        rows, ys, _ = obj._scalar_rows
-        grad_scalar, loss_scalar = obj._grad_scalar, obj._loss_scalar
-        buf = np.empty(obj.dim)
+    sampled example passes the sufficient-decrease test. ``grad`` returns
+    s_i x_i (s_i from ``_grad_scalar``) in a buffer that the next call
+    overwrites, or None when s_i is exactly zero, which on the two hinge
+    losses it tells from the margin alone (see ``_LossKind.margin_zero``)."""
+    rows, ys, _ = obj._scalar_rows
+    grad_scalar, loss_scalar = obj._grad_scalar, obj._loss_scalar
+    buf = np.empty(obj.dim)
 
-        if obj._loss_kind.margin_zero:
+    if obj._loss_kind.margin_zero:
 
-            def grad(p, i):
-                row, y = rows[i], ys[i]
-                z = float(row.dot(p))
-                return np.multiply(row, grad_scalar(z, y), buf) if y * z < 1.0 else None
-        else:
-
-            def grad(p, i):
-                row = rows[i]
-                s = grad_scalar(float(row.dot(p)), ys[i])
-                return np.multiply(row, s, buf) if s else None
-
-        def loss(p, i):
-            return loss_scalar(float(rows[i].dot(p)), ys[i])
+        def grad(p, i):
+            row, y = rows[i], ys[i]
+            z = float(row.dot(p))
+            return np.multiply(row, grad_scalar(z, y), buf) if y * z < 1.0 else None
     else:
-        grad, loss = obj.grad_example, obj.loss_example
+
+        def grad(p, i):
+            row = rows[i]
+            s = grad_scalar(float(row.dot(p)), ys[i])
+            return np.multiply(row, s, buf) if s else None
+
+    def loss(p, i):
+        return loss_scalar(float(rows[i].dot(p)), ys[i])
+
     t = np.empty_like(w)
 
     def run_pass(draw, noise):
@@ -681,15 +679,12 @@ class _RankOneIterates:
         self._buf = np.empty_like(self.M)
         self._point = np.empty_like(w)
 
-    def at(self, t: float) -> np.ndarray:
-        """m + t u~, in a buffer that the next call overwrites."""
+    def w(self) -> np.ndarray:
+        """m + (kappa - 1) c u~, in a buffer that the next call overwrites."""
         point = self._point
-        np.multiply(self.u, t, point)
+        np.multiply(self.u, (self.kappa - 1.0) * self.c, point)
         np.add(self.m, point, point)
         return point
-
-    def w(self) -> np.ndarray:
-        return self.at((self.kappa - 1.0) * self.c)
 
     def scale(self, factor: float) -> None:
         """c <- factor c, folded if that falls below the floor."""
@@ -753,39 +748,6 @@ class _MarginOracle:
         z = self._a + t * self._b
         f0 = self._loss(z, self._y)
         return self._loss(z - h * s * self._sq, self._y) <= f0 - 0.5 * h * g_sq + 1e-15 * abs(f0)
-
-
-class _PointOracle:
-    """:class:`_MarginOracle`'s methods for any other objective: :meth:`grad`
-    forms zeta, which :meth:`decreases` reuses; g is the public
-    ``grad_example`` there and s is 1."""
-
-    def __init__(self, obj, it: _RankOneIterates):
-        self._obj, self._it = obj, it
-        self._trial = np.empty(obj.dim)
-
-    def start(self, i: int) -> None:
-        self._i = i
-
-    def grad(self, t: float) -> float:
-        self._zeta = self._it.at(t)
-        self.g = self._obj.grad_example(self._zeta, self._i)
-        return 1.0
-
-    def decreases(self, i: int, t: float, s: float, h: float) -> bool:
-        g_sq = float(self.g.dot(self.g))
-        if not math.isfinite(g_sq):
-            _check_gradient(self.g, i)
-        if g_sq <= GRAD_RESOLUTION_SQ:
-            return True
-        f0 = self._obj.loss_example(self._zeta, i)
-        np.multiply(self.g, h, self._trial)
-        np.subtract(self._zeta, self._trial, self._trial)
-        return self._obj.loss_example(self._trial, i) <= f0 - 0.5 * h * g_sq + 1e-15 * abs(f0)
-
-
-def _zeta_oracle(obj, it: _RankOneIterates):
-    return _MarginOracle(obj, it) if isinstance(obj, Objective) else _PointOracle(obj, it)
 
 
 class _SolvedBlock:
@@ -950,7 +912,7 @@ def _convex_coefficients(
     return gammas, ge / (ge + prev * prev * eta * rho)
 
 
-def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estimate=None):
+def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, screen, estimate=None):
     """Acc-SGD on :class:`_RankOneIterates`; given a line-search start
     ``estimate`` L^, Acc-SGD(LS): Acc-SGD at rho = L^/L and eta = 1/L^ whose
     exact steps with a nonzero gradient may double L^ (``search``). With a
@@ -968,7 +930,7 @@ def _accel_kernel(obj, w: np.ndarray, sched: AccelSchedule, mean, screen, estima
     mode, mu, convex = sched.mode, sched.mu, sched.mode == "convex"
     rho, eta, gamma_prev, ab = sched.rho, sched.eta, sched.gamma_prev, sched.ab_ratio
     it = _RankOneIterates(w)
-    oracle = _zeta_oracle(obj, it)
+    oracle = _MarginOracle(obj, it)
     solver = None
     if screen is not None and mean is None and obj.kind == "squared_hinge":
         solver = _SolvedBlock(obj)
@@ -1151,8 +1113,10 @@ class _PassDraws:
 
 def _single_step_pass(obj, method: str, w, eta: float, sigma: float, sched, estimate, mean):
     """A pass as a loop over the public single-step functions, on the same
-    draws as the kernels and with the same iterates. run() uses it when one
-    of them has been rebound, so that the rebinding sees every step."""
+    draws as the kernels. run() uses it for an objective that is not an
+    :class:`Objective` (the analytic objectives of :mod:`interpsgd.problems`,
+    which the kernels do not serve), and when one of the functions has been
+    rebound, so that the rebinding sees every step."""
     cfg = SgdConfig(eta=eta, sigma=sigma) if method == "sgd" else None
     st = None if sched is None else init_accel_state(w, sched)
 
@@ -1225,17 +1189,17 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
 
     Each pass draws its n example indices in one batch,
     ``rng.integers(0, n, size=n)``, which is the same stream as n scalar
-    draws, and hands them to a whole-pass kernel: one serves SGD and
-    SGD(LS), whose iterates equal those of a loop over the single-step
-    functions, bit for bit; one serves Acc-SGD and Acc-SGD(LS), which take
-    the same steps in rank-one form (:class:`_RankOneIterates`: one 2 x d
-    product per step, vector work only for a nonzero gradient), in another
-    operation order, so their log10 losses agree with the loop's within
-    1e-9 decades on non-diverging runs. With sigma > 0 the pass's noise
-    follows as one (n, dim) normal draw, so noisy runs use a different
-    stream than interleaved per-step draws whenever n > 1. Finiteness of
-    the logged iterate is checked once per pass; a failure in a pass is
-    raised as a :class:`RunError`, ``pass p: ...``.
+    draws. On an :class:`Objective` a whole-pass kernel runs them: one
+    serves SGD and SGD(LS), whose iterates equal those of a loop over the
+    single-step functions, bit for bit; one serves Acc-SGD and Acc-SGD(LS),
+    which take the same steps in rank-one form (:class:`_RankOneIterates`:
+    one 2 x d product per step, vector work only for a nonzero gradient),
+    in another operation order, so their log10 losses agree with the
+    loop's within 1e-9 decades on non-diverging runs. With sigma > 0 the
+    pass's noise follows as one (n, dim) normal draw, so noisy runs use a
+    different stream than interleaved per-step draws whenever n > 1.
+    Finiteness of the logged iterate is checked once per pass; a failure in
+    a pass is raised as a :class:`RunError`, ``pass p: ...``.
     On the squared-hinge and hinge losses with sigma = 0, the SGD kernel
     (without averaging) skips, and the accelerated kernel crosses by a
     scalar update, the steps that a :class:`_ZeroScreen` certifies to have
@@ -1254,9 +1218,10 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     losses skip a step whose margin y z is not below 1 without evaluating
     the loss table, whose s is exactly zero there
     (``_LossKind.margin_zero``), and stay bit-identical.
-    While a single-step function or ``Objective.grad_example``/
-    ``loss_example`` is rebound (wrapped by a profiler, say), each pass
-    steps through the public functions instead, on the same draws.
+    Any other objective (those of :mod:`interpsgd.problems`), and any while
+    a single-step function or ``Objective.grad_example``/``loss_example``
+    is rebound (wrapped by a profiler, say), steps through the public
+    single-step functions instead, on the same draws.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -1284,27 +1249,25 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     sched = make_schedule(config.mode, config.rho, eta, mu=config.mu) if accel else None
 
     mean = _RunningMean(w) if config.averaging else None
-    # the screen needs exact zeros (the two hinge losses, no noise); SGD and
-    # SGD(LS) skip their certified steps only while no running mean needs them
-    screen = None
-    if (
-        isinstance(obj, Objective)
-        and obj._loss_kind.margin_zero
-        and config.sigma == 0.0
-    ):
-        if accel:
-            screen = _ZeroScreen(obj, _ACCEL_MIN_GAP)
-        elif mean is None:
-            screen = _ZeroScreen(obj, _SGD_MIN_GAP)
     estimate = config.ls_init if method.endswith("_ls") else None
-    if _step_path() != _ORIGINAL_STEP_PATH:
+    if not isinstance(obj, Objective) or _step_path() != _ORIGINAL_STEP_PATH:
         run_pass = _single_step_pass(
             obj, method, w, eta, config.sigma, sched, estimate, mean
         )
-    elif accel:
-        run_pass = _accel_kernel(obj, w, sched, mean, screen, estimate)
     else:
-        run_pass = _sgd_kernel(obj, w, eta, mean, screen, estimate)
+        # the screen needs exact zeros (the two hinge losses, no noise); SGD
+        # and SGD(LS) skip their certified steps only while no running mean
+        # needs them
+        screen = None
+        if obj._loss_kind.margin_zero and config.sigma == 0.0:
+            if accel:
+                screen = _ZeroScreen(obj, _ACCEL_MIN_GAP)
+            elif mean is None:
+                screen = _ZeroScreen(obj, _SGD_MIN_GAP)
+        if accel:
+            run_pass = _accel_kernel(obj, w, sched, mean, screen, estimate)
+        else:
+            run_pass = _sgd_kernel(obj, w, eta, mean, screen, estimate)
 
     record = RunRecord()
     t0 = time.monotonic()

@@ -5,6 +5,8 @@ mu, f_star, loss/grad oracles) but are single-example finite sums, so the
 stochastic gradient equals the full gradient and the relative-growth
 constant is exactly 1. That makes them the right instruments for checking
 the deterministic-limit convergence guarantees of the optimizers.
+:func:`interpsgd.optimizers.run` steps them through the public single-step
+functions; its whole-pass kernels serve :class:`Objective` alone.
 """
 
 from __future__ import annotations
@@ -16,14 +18,29 @@ from .numerics import as_vector
 __all__ = ["QuadraticObjective", "PlToyObjective"]
 
 
-class QuadraticObjective:
+class _OneExample:
+    """The n = 1 identities: example 0 is the whole objective."""
+
+    n = 1
+
+    def loss_example(self, w, i: int) -> float:
+        return self.loss_full(w)
+
+    def grad_example(self, w, i: int) -> np.ndarray:
+        return self.grad_full(w)
+
+    def per_example_grad_sq_norms(self, w) -> np.ndarray:
+        g = self.grad_full(w)
+        return np.array([float(g @ g)])
+
+
+class QuadraticObjective(_OneExample):
     """f(w) = 0.5 (w - w_star)^T A (w - w_star) for symmetric PSD A.
 
     L = lam_max(A), mu = lam_min(A) (0 when A is singular, i.e. the
     objective has a flat direction), f_star = 0 at w_star.
     """
 
-    n = 1
     kind = "quadratic"
 
     def __init__(self, A, w_star):
@@ -50,22 +67,12 @@ class QuadraticObjective:
         r = as_vector(w, dim=self.dim) - self.w_star
         return 0.5 * float(r @ (self.A @ r))
 
-    def loss_example(self, w, i: int) -> float:
-        return self.loss_full(w)
-
     def grad_full(self, w) -> np.ndarray:
         r = as_vector(w, dim=self.dim) - self.w_star
         return self.A @ r
 
-    def grad_example(self, w, i: int) -> np.ndarray:
-        return self.grad_full(w)
 
-    def per_example_grad_sq_norms(self, w) -> np.ndarray:
-        g = self.grad_full(w)
-        return np.array([float(g @ g)])
-
-
-class PlToyObjective:
+class PlToyObjective(_OneExample):
     """Separable non-convex test function sum_j [w_j^2 + 3 sin^2(w_j)].
 
     Each coordinate term has second derivative 2 + 6 cos(2 w_j), which is
@@ -75,7 +82,6 @@ class PlToyObjective:
     stationary point is the global minimizer at the origin.
     """
 
-    n = 1
     kind = "pl_toy"
     L = 8.0
     L_max = 8.0
@@ -95,16 +101,6 @@ class PlToyObjective:
         w = as_vector(w, dim=self._dim)
         return float(np.sum(w**2 + 3.0 * np.sin(w) ** 2))
 
-    def loss_example(self, w, i: int) -> float:
-        return self.loss_full(w)
-
     def grad_full(self, w) -> np.ndarray:
         w = as_vector(w, dim=self._dim)
         return 2.0 * w + 3.0 * np.sin(2.0 * w)
-
-    def grad_example(self, w, i: int) -> np.ndarray:
-        return self.grad_full(w)
-
-    def per_example_grad_sq_norms(self, w) -> np.ndarray:
-        g = self.grad_full(w)
-        return np.array([float(g @ g)])

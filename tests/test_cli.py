@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from interpsgd import cli, growth, optimizers
+from interpsgd import cli, growth, harness, optimizers
 from interpsgd.cli import main
 from interpsgd.data import generate_margin_data, save_libsvm
 from interpsgd.harness import reproduce_figure
@@ -438,6 +438,25 @@ class TestPerceptronCommand:
         argv = ["perceptron", "--tau", "0.1", "--n", "200", "--d", "5", *flags]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("PERCEPTRON_SLACK", 1e-9, "violation: seed-averaged loss "),
+            ("SGD_SLOPE_WINDOW", (5, 6), "violation: sgd fitted slope "),
+            ("ACCEL_SLOPE_MAX", -100, "violation: accel fitted slope "),
+        ],
+        ids=["slack", "sgd_slope", "accel_slope"],
+    )
+    def test_exit_code_three_on_a_real_violation(self, monkeypatch, capsys, name, value, message):
+        monkeypatch.setattr(harness, name, value)
+        code = main(
+            ["perceptron", "--tau", "0.1", "--n", "60", "--d", "8",
+             "--passes", "20", "--seed", "1"]
+        )
+        assert code == 3
+        out = capsys.readouterr().out
+        assert "checks = FAIL" in out and message in out
 
     def test_exit_code_three_on_violation(self, monkeypatch, capsys):
         # force a violation through the report to pin the exit-code contract

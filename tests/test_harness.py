@@ -1,11 +1,13 @@
 import math
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from interpsgd import harness
 from interpsgd.data import default_rbf_config, generate_margin_data, load_libsvm, save_libsvm
 from interpsgd.harness import (
     CONFIG_KEYS,
@@ -322,6 +324,35 @@ class TestPerceptronCheck:
         report = perceptron_check(0.1, 40, 6, 15, seed=5)
         text = "\n".join(report.summary_lines())
         assert "PASS" in text or "FAIL" in text
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("PERCEPTRON_SLACK", 1e-9), ("SGD_SLOPE_WINDOW", (5, 6)), ("ACCEL_SLOPE_MAX", -100)],
+        ids=["slack", "sgd_slope", "accel_slope"],
+    )
+    def test_each_check_reports_its_violation(self, monkeypatch, name, value):
+        # the reference setup passes; each tightened threshold fails it alone
+        monkeypatch.setattr(harness, name, value)
+        report = perceptron_check(0.1, 60, 8, 20, seed=1)
+        if name == "PERCEPTRON_SLACK":
+            row = report.sgd_avg_record.rows[1]  # the first with k >= 1
+            bound = 1e-9 * 8.0 / (0.1**2 * row.iteration)
+            message = (f"seed-averaged loss {row.train_loss!r} exceeds "
+                       f"1e-09*8/(tau^2 k) = {bound!r} at iteration 60")
+        elif name == "SGD_SLOPE_WINDOW":
+            message = f"sgd fitted slope {report.sgd_slope!r} outside (5, 6)"
+        else:
+            message = f"accel fitted slope {report.accel_slope!r} above -100"
+        assert report.ok is False
+        assert report.violations == [message]
+        assert f"violation: {message}" in report.summary_lines()
+
+    def test_domination_violation_names_the_first_row(self):
+        rec = synthetic_record([0.5, 0.2, 0.1], step=10)
+        rec.rows[2] = replace(rec.rows[2], mistake_rate=0.5)
+        assert harness._domination_violation("seed 3", rec) == [
+            "seed 3: mistake_rate 0.5 > train_loss 0.1 at iteration 20"
+        ]
 
 
 class TestReproduceFigure:
