@@ -58,9 +58,20 @@ class LibsvmFormatError(ValueError):
     """Malformed LIBSVM text; message carries the offending line number."""
 
 
+_NORMALIZE_ROWS = 1024
+
+
 def _unit_sphere(rng, count: int, d: int) -> np.ndarray:
+    """count standard normal rows, each divided in place by its norm.
+
+    The norm is ``np.linalg.norm(axis=1)``'s per-row sum of squares and
+    square root, taken over blocks of rows, so the only temporary is one
+    block's squares."""
     pts = rng.normal(size=(count, d))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    for start in range(0, count, _NORMALIZE_ROWS):
+        b = pts[start : start + _NORMALIZE_ROWS]
+        b /= np.sqrt(np.add.reduce(b * b, axis=1, keepdims=True))
+    return pts
 
 
 def _balanced(label_sum: float, n: int) -> bool:
@@ -85,6 +96,14 @@ def generate_margin_data(
     zero at w_star). ``balance=True`` redraws until the class counts
     differ by less than 5% of n (a ValueError before any draw where no
     labeling can, for odd n <= 19); there is no balance guarantee otherwise.
+
+    Rows are drawn in rejection batches of max(rows missing, 256), each
+    normalized in place, and the accepted rows are copied straight into
+    the n x d output. So the stage holds the output plus one batch, the
+    last one freed before the next is drawn. The draws, their order and
+    the float operations on every kept value are those of
+    ``pts / np.linalg.norm(pts, axis=1, keepdims=True)`` and
+    ``batch[keep]``, so a seed gives the same bytes as they do.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -104,22 +123,24 @@ def generate_margin_data(
         filled = 0
         rejected_streak = 0
         while filled < n:
-            batch = _unit_sphere(rng, max(n - filled, 256), d)
-            keep = np.abs(batch @ direction) >= tau
-            accepted = batch[keep]
-            if accepted.shape[0] == 0:
-                rejected_streak += batch.shape[0]
-                if rejected_streak > MAX_CONSECUTIVE_REJECTIONS:
-                    raise RuntimeError(
-                        f"margin band rejection exceeded "
-                        f"{MAX_CONSECUTIVE_REJECTIONS} consecutive draws; "
-                        f"tau={tau} is too large for dimension {d}"
-                    )
-                continue
-            rejected_streak = 0
-            take = min(accepted.shape[0], n - filled)
-            rows[filled : filled + take] = accepted[:take]
+            size = max(n - filled, 256)
+            batch = _unit_sphere(rng, size, d)
+            keep = np.flatnonzero(np.abs(batch @ direction) >= tau)
+            take = min(keep.size, n - filled)
+            # mode="clip" writes straight into out; "raise" buffers it
+            np.take(batch, keep[:take], axis=0, out=rows[filled : filled + take], mode="clip")
+            del batch  # not alive while the next batch is drawn
             filled += take
+            if take:
+                rejected_streak = 0
+                continue
+            rejected_streak += size
+            if rejected_streak > MAX_CONSECUTIVE_REJECTIONS:
+                raise RuntimeError(
+                    f"margin band rejection exceeded "
+                    f"{MAX_CONSECUTIVE_REJECTIONS} consecutive draws; "
+                    f"tau={tau} is too large for dimension {d}"
+                )
 
         y = np.sign(rows @ direction)
         if not balance or _balanced(float(np.sum(y)), n):

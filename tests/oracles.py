@@ -3,16 +3,18 @@ implementations: a cyclic Jacobi eigensolver and the purely matrix-free
 power iteration for cross-checking ``spectral_norm_gram``, a wide matrix
 whose top two singular values nearly coincide, central finite
 differences for gradient checks, and the per-element LIBSVM
-reader/writer, the three-temporary RBF map and the difference-array
-median bandwidth that ``interpsgd.data``'s streaming versions must match
-bit for bit."""
+reader/writer, the three-temporary RBF map, the difference-array
+median bandwidth and the full-batch margin generator that
+``interpsgd.data``'s streaming and in-place versions must match bit for
+bit."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from interpsgd import data as data_module
 from interpsgd.data import LibsvmFormatError, RbfConfig
-from interpsgd.numerics import as_matrix
+from interpsgd.numerics import as_matrix, child_rng, make_rng
 from interpsgd.objectives import Dataset
 
 
@@ -191,3 +193,56 @@ def save_libsvm(data: Dataset, path) -> None:
                 if data.X[i, j] != 0.0
             )
             fh.write(f"{label} {feats}".rstrip() + "\n")
+
+
+def _unit_sphere(rng, count: int, d: int) -> np.ndarray:
+    pts = rng.normal(size=(count, d))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def generate_margin_data(
+    n: int, d: int, tau: float, seed: int = 0, balance: bool = False
+) -> Dataset:
+    """Margin data with a full-size norm, divided copy and boolean-mask
+    gather per rejection batch; the cap is read from
+    ``interpsgd.data.MAX_CONSECUTIVE_REJECTIONS``."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    if balance and not abs(n % 2) < 0.05 * n:
+        raise ValueError(f"no labeling of n = {n} points is class-balanced")
+
+    cap = data_module.MAX_CONSECUTIVE_REJECTIONS
+    for attempt in range(100):
+        rng = child_rng(seed, attempt) if attempt else make_rng(seed)
+        direction = _unit_sphere(rng, 1, d)[0]
+        w_star = direction / tau
+
+        rows = np.empty((n, d))
+        filled = 0
+        rejected_streak = 0
+        while filled < n:
+            batch = _unit_sphere(rng, max(n - filled, 256), d)
+            keep = np.abs(batch @ direction) >= tau
+            accepted = batch[keep]
+            if accepted.shape[0] == 0:
+                rejected_streak += batch.shape[0]
+                if rejected_streak > cap:
+                    raise RuntimeError(
+                        f"margin band rejection exceeded "
+                        f"{cap} consecutive draws; "
+                        f"tau={tau} is too large for dimension {d}"
+                    )
+                continue
+            rejected_streak = 0
+            take = min(accepted.shape[0], n - filled)
+            rows[filled : filled + take] = accepted[:take]
+            filled += take
+
+        y = np.sign(rows @ direction)
+        if not balance or abs(float(np.sum(y))) < 0.05 * n:
+            return Dataset(X=rows, y=y, tau=tau, w_star=w_star, support_size=n)
+    raise RuntimeError("could not draw a class-balanced sample in 100 attempts")

@@ -1,6 +1,8 @@
 import math
 import os
+import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,9 +58,15 @@ class TestGenerateMarginData:
         b = generate_margin_data(50, 6, 0.2, seed=9)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
-    def test_infeasible_margin_errors(self):
-        # tau = 0.9 in dimension 100 leaves essentially no sphere mass
-        with pytest.raises(RuntimeError, match="tau"):
+    def test_infeasible_margin_errors(self, monkeypatch):
+        # tau = 0.9 in dimension 100 leaves essentially no sphere mass; a
+        # smaller cap reaches the same raise after about 40 batches
+        monkeypatch.setattr(data_module, "MAX_CONSECUTIVE_REJECTIONS", 10_000)
+        message = (
+            "margin band rejection exceeded 10000 consecutive draws; "
+            "tau=0.9 is too large for dimension 100"
+        )
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
             generate_margin_data(10, 100, 0.9, seed=0)
 
     def test_balance_flag(self):
@@ -84,6 +92,56 @@ class TestGenerateMarginData:
             generate_margin_data(10, 1, 0.1)
         with pytest.raises(ValueError):
             generate_margin_data(10, 5, 1.5)
+
+
+def _margin_outcome(generate, *args, **kwargs):
+    """The bytes of X, y and w_star, or the type and message raised."""
+    try:
+        data = generate(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return data.X.shape, data.X.tobytes(), data.y.tobytes(), data.w_star.tobytes()
+
+
+class TestMarginDataMatchesOracle:
+    @pytest.mark.parametrize(
+        "n, d, tau",
+        [(8000, 100, 0.1), (8000, 100, 0.05), (8000, 100, 0.01), (8000, 100, 0.005),
+         (20000, 54, 0.1)],
+    )
+    def test_reference_sizes(self, n, d, tau):
+        assert _margin_outcome(generate_margin_data, n, d, tau, seed=0) == _margin_outcome(
+            oracles.generate_margin_data, n, d, tau, seed=0
+        )
+
+    @pytest.mark.parametrize("n, d, tau", [(300, 5, 0.3), (50, 3, 0.01), (5000, 2, 0.5)])
+    def test_small_shapes_every_seed_and_balance(self, n, d, tau):
+        for seed in range(10):
+            for balance in (False, True):
+                got = _margin_outcome(generate_margin_data, n, d, tau, seed=seed, balance=balance)
+                want = _margin_outcome(
+                    oracles.generate_margin_data, n, d, tau, seed=seed, balance=balance
+                )
+                assert got == want, (seed, balance)
+
+    def test_raised_errors(self, monkeypatch):
+        monkeypatch.setattr(data_module, "MAX_CONSECUTIVE_REJECTIONS", 2_000)
+        for args in [(10, 100, 0.9), (15, 4, 0.2), (1, 5, 0.1), (10, 5, 1.5)]:
+            got = _margin_outcome(generate_margin_data, *args, seed=0, balance=True)
+            assert isinstance(got[0], type) and got == _margin_outcome(
+                oracles.generate_margin_data, *args, seed=0, balance=True
+            )
+
+    def test_peak_memory_is_the_output_plus_one_batch(self):
+        n, d = 8000, 100
+        generate_margin_data(n, d, 0.1, seed=1)  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            generate_margin_data(n, d, 0.1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * d * 8, peak / (n * d * 8)
 
 
 class TestRbfFeatures:
