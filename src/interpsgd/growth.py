@@ -30,6 +30,7 @@ from .optimizers import RunConfig, RunError, SgdConfig, run, sgd_step
 
 __all__ = [
     "GrowthEstimate",
+    "RatioUndefinedError",
     "audit_sgc",
     "empirical_sgc_ratio",
     "grid_search_rho",
@@ -42,6 +43,11 @@ __all__ = [
 GRAD_NORM_CUTOFF = 1e-12
 
 ROUTES = ("wgc_analytic", "sgc_margin", "empirical_ratio", "grid_search")
+
+
+class RatioUndefinedError(ValueError):
+    """The growth ratio has no value at a point: the full gradient is below
+    the cutoff, or the ratio is not finite."""
 
 
 @dataclass(frozen=True)
@@ -99,9 +105,10 @@ def rho_sgc_margin(data: Dataset) -> GrowthEstimate:
 def empirical_sgc_ratio(obj, w) -> float:
     """Pointwise ratio E_i ||grad f_i(w)||^2 / ||grad f(w)||^2 at one w.
 
-    At least 1 up to floating error (Jensen). Raises when the full gradient
-    is below the cutoff: at interpolation both sides vanish and the ratio
-    is undefined. Raises too, without an overflow warning, when the ratio
+    At least 1 up to floating error (Jensen). Raises
+    :class:`RatioUndefinedError` when the full gradient is below the
+    cutoff: at interpolation both sides vanish and the ratio is undefined.
+    Raises it too, without an overflow warning, when the ratio
     is not finite: a squared gradient norm overflows float64 (rows near
     1e100) and the ratio is lost. For an :class:`Objective` both sides come
     from one product z = X w; other objectives go through their public
@@ -117,13 +124,13 @@ def empirical_sgc_ratio(obj, w) -> float:
             full, per_example = obj.grad_full(w), obj.per_example_grad_sq_norms(w)
         full_sq = float(full @ full)
         if full_sq <= GRAD_NORM_CUTOFF**2:
-            raise ValueError(
+            raise RatioUndefinedError(
                 f"full gradient norm {np.sqrt(full_sq)!r} below cutoff "
                 f"{GRAD_NORM_CUTOFF}: ratio undefined at interpolation"
             )
         ratio = float(np.mean(per_example)) / full_sq
     if not np.isfinite(ratio):
-        raise ValueError(f"ratio {ratio!r} is not finite: the gradients overflow float64")
+        raise RatioUndefinedError(f"ratio {ratio!r} is not finite: the gradients overflow float64")
     return ratio
 
 
@@ -149,8 +156,9 @@ def audit_sgc(obj, sample_count: int, rng) -> GrowthEstimate:
     rows), and is the unit box for other objectives or when every row is
     zero.
     Probes at interpolation (full gradient below cutoff) and probes whose
-    ratio overflows are excluded and not counted in ``detail``; if every
-    probe is excluded the audit fails.
+    ratio overflows (:class:`RatioUndefinedError`) are excluded and not
+    counted in ``detail``; if every probe is excluded the audit fails. Any
+    other error of a probe propagates.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
@@ -174,10 +182,10 @@ def audit_sgc(obj, sample_count: int, rng) -> GrowthEstimate:
         try:
             best = max(best, empirical_sgc_ratio(obj, p))
             used += 1
-        except ValueError:
+        except RatioUndefinedError:
             continue
     if used == 0:
-        raise ValueError(
+        raise RatioUndefinedError(
             "all probes at interpolation or overflowing: empirical ratio undefined")
     return GrowthEstimate(
         rho=max(best, 1.0),

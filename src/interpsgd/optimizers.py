@@ -414,18 +414,18 @@ class _ZeroScreen:
     of all n rows from the latter while w stands still (see :meth:`cover`
     and :meth:`certified_head`).
 
-    Acc-SGD and Acc-SGD(LS) (:meth:`certified_in_span`): the kernel holds
-    its iterates as m, u~ and c (see :class:`_RankOneIterates`), and a
-    zero-gradient step changes c alone (and, in Acc-SGD(LS), leaves the
-    estimate alone). From a block's start, folded to c = 1, the k-th step of
-    the block therefore evaluates its gradient at zeta_k = m - r_k u~,
-    r_k = (1 - kappa - alpha_k) c_k, a coefficient in [0, 1] that the
-    kernel computes ahead. The crossed iterates are these span points,
-    exactly, and a step is certified when its exact margin at zeta_k is
-    >= 1; the kernel then crosses the certified head by updating c. One
-    product X[blk] @ [m, u~] gives P0 and P1 within gamma_d ||x_i|| N_v and
-    gamma_d ||x_i|| N_u of x_i . m and x_i . u~ (N_v = ||m||,
-    N_u = ||u~||), so the exact margin is at least
+    Acc-SGD and Acc-SGD(LS) (:meth:`certified_in_span`, :meth:`span_head`):
+    the kernel holds its iterates as m, u~ and c (see
+    :class:`_RankOneIterates`), and a zero-gradient step changes c alone
+    (and, in Acc-SGD(LS), leaves the estimate alone). From a block's start
+    at c, the k-th step of the block therefore evaluates its gradient at
+    zeta_k = m - r_k u~, r_k = (1 - kappa - alpha_k) c_k, a coefficient in
+    [0, c] that the kernel computes ahead. The crossed iterates are these
+    span points, exactly, and a step is certified when its exact margin at
+    zeta_k is >= 1; the kernel then crosses the certified head by updating
+    c. One product X[blk] @ [m, u~] gives P0 and P1 within
+    gamma_d ||x_i|| N_v and gamma_d ||x_i|| N_u of x_i . m and x_i . u~
+    (N_v = ||m||, N_u = ||u~||), so the exact margin is at least
     y_i (P0 - r_k P1) - gamma_d S_i with S_i = ||x_i|| (N_v + r_k N_u).
     Evaluating that in floating point rounds three times: the product
     r_k P1, the difference, and the subtraction of the slack, whose rounded
@@ -436,10 +436,21 @@ class _ZeroScreen:
 
         y_i (P0 - r_k P1) - gamma ||x_i|| (N_v + r_k N_u) >= 1.
 
+    The exact margin at m - r u~ is affine in r, so a row whose certificate
+    holds at r = 0 and at r = c, each checked as above, has an exact margin
+    >= 1 at every span point with r in [0, c]. While M = [m; u~] stands
+    still, c only falls (a fold that resets it rewrites u~), so every later
+    span point has r in [0, c] with c taken when the check was made: the
+    screen keeps these segment certificates of all n rows from one
+    X @ [m, u~] while M stands still (see :meth:`span_head`). It compares a
+    copy of M rather than counting the writes to it, which a copy cannot
+    miss, and checks that c has not risen (a fold of u~ = 0 resets c and
+    leaves M alone).
+
     The bounds assume no overflow, so a block certifies nothing unless
-    ||x_i|| ||w|| (SGD) or ||x_i|| (N_v + N_u) (Acc-SGD) is below 1e300
-    for every row (a non-finite point fails this too); a nan margin is
-    never certified.
+    ||x_i|| ||w|| (SGD) or ||x_i|| (N_v + N_u) (Acc-SGD; c <= 1) is below
+    1e300 for every row (a non-finite point fails this too); a nan margin
+    is never certified.
     """
 
     def __init__(self, obj: Objective, min_gap: float):
@@ -451,7 +462,8 @@ class _ZeroScreen:
         self._norm_limit = 1e300 / max(float(self._l2.max()), 1.0)
         self._min_gap = min_gap
         self._gap = 0.0
-        self._certified = None  # per row, at the w of the last full product
+        self._certified = None  # per row, at the w or M of the last full product
+        self._kept_M, self._kept_c = None, 0.0  # that M and c (Acc-SGD)
 
     def cover(self, n: int, steps, head) -> None:
         """Runs a pass of n steps. ``steps(start, end)`` runs the steps
@@ -472,6 +484,8 @@ class _ZeroScreen:
         whenever ``steps`` reports an active step. While the screen is on
         (no noise, no running mean), that is the only way SGD's or
         SGD(LS)'s w moves, so they stay valid across blocks and passes.
+        Those of :meth:`span_head` also stay while M stands still, which
+        that method checks itself.
         """
         k = 0
         while k < n:
@@ -513,16 +527,50 @@ class _ZeroScreen:
         self._certified = self._y * (self._X @ w) - scale * self._l2 >= 1.0
         return _leading_true(self._certified[blk])
 
+    def span_head(self, blk: np.ndarray, M: np.ndarray, c: float, r: np.ndarray) -> int:
+        """How many steps at the head of ``blk`` are certified at their span
+        points m - r[k] u~, M = [m; u~] and 0 <= r[k] <= c.
+
+        Reads the kept certificates of all n rows if there are any, M is
+        bitwise equal to the M they were made at and c is at most that c:
+        each holds on the segment of span points with r in [0, c]. The
+        steps after their head run the check of :meth:`certified_in_span`.
+        Otherwise a block of at least n/4 rows makes and keeps them with one
+        X @ [m, u~] (:meth:`certified_head`'s rule), and certifies its own
+        steps from that product; a shorter block gathers its own rows.
+        """
+        if (self._certified is not None and c <= self._kept_c
+                and np.array_equal(M, self._kept_M)):
+            j = _leading_true(self._certified[blk])
+            if j < len(blk):
+                j += _leading_true(self.certified_in_span(blk[j:], M[0], M[1], r[j:]))
+            return j
+        self._certified = None
+        if 4 * len(blk) < len(self._y):
+            return _leading_true(self.certified_in_span(blk, M[0], M[1], r))
+        n_v, n_u = math.sqrt(M[0].dot(M[0])), math.sqrt(M[1].dot(M[1]))
+        if not n_v + n_u < self._norm_limit:
+            return 0
+        P = self._X @ M.T
+        every = slice(None)
+        self._certified = self._check(P, every, n_v, n_u, 0.0) & self._check(P, every, n_v, n_u, c)
+        self._kept_M, self._kept_c = M.copy(), c
+        return _leading_true(self._check(P[blk], blk, n_v, n_u, r))
+
     def certified_in_span(
         self, blk: np.ndarray, m: np.ndarray, u: np.ndarray, r: np.ndarray
     ) -> np.ndarray:
-        """Per step k of ``blk``: certified at the span point m - r[k] u."""
+        """Per step k of ``blk``: certified at the span point m - r[k] u~."""
         n_v, n_u = math.sqrt(m.dot(m)), math.sqrt(u.dot(u))
         if not n_v + n_u < self._norm_limit:
             return np.zeros(len(blk), dtype=bool)
-        p = self._X[blk] @ np.stack((m, u), axis=1)
-        margin = self._y[blk] * (p[:, 0] - r * p[:, 1])
-        slack = self._gamma * self._l2[blk] * (n_v + r * n_u)
+        return self._check(self._X[blk] @ np.stack((m, u), axis=1), blk, n_v, n_u, r)
+
+    def _check(self, P: np.ndarray, rows, n_v: float, n_u: float, r) -> np.ndarray:
+        """The certificate of the ``rows`` at r (per row, or one for all),
+        from their products P with [m, u~] and the norms of m and u~."""
+        margin = self._y[rows] * (P[:, 0] - r * P[:, 1])
+        slack = self._gamma * self._l2[rows] * (n_v + r * n_u)
         return margin - slack >= 1.0
 
 
@@ -662,12 +710,14 @@ class _RankOneIterates:
 
     a scalar update when g = 0 and one rank-one update otherwise (Bottou's
     scaling trick, "Stochastic Gradient Descent Tricks", 2012). Folding sets
-    u~ <- c u~ and c <- 1. It happens whenever c would fall below
+    u~ <- c u~ and c <- 1. It happens only where c would fall below
     ``_FOLD_FLOOR`` (convex mode's first step, alpha = 1, would set c to 0),
-    which bounds the 1/c of the update by 2^60, and at the kernel's block,
-    chunk and pass boundaries. A step whose coefficients call for another
-    kappa (Acc-SGD(LS) in strongly convex mode, after its estimate moved)
-    first rebases m += (kappa_old - kappa) c u~, which leaves u and v alone.
+    which bounds the 1/c of the update by 2^60, and at the start of the
+    kernel's exact steps and solved blocks; while only c moves, M stands
+    still, and so do the screen's kept certificates. A step whose
+    coefficients call for another kappa (Acc-SGD(LS) in strongly convex
+    mode, after its estimate moved) first rebases
+    m += (kappa_old - kappa) c u~, which leaves u and v alone.
     """
 
     def __init__(self, w: np.ndarray):
@@ -904,8 +954,9 @@ def _convex_coefficients(
     sequential; ab_k = gamma_{k-1}^2 eta rho and alpha_k follow as
     elementwise array ops, in the same operation order."""
     inv_rho = 1.0 / rho
+    inv_rho_sq, sqrt = inv_rho * inv_rho, math.sqrt
     g = gamma_prev
-    gammas = [g := 0.5 * (inv_rho + math.sqrt(inv_rho * inv_rho + 4.0 * g**2)) for _ in range(n)]
+    gammas = [g := 0.5 * (inv_rho + sqrt(inv_rho_sq + 4.0 * g**2)) for _ in range(n)]
     gamma = np.array(gammas)
     prev = np.concatenate(([gamma_prev], gamma[:-1]))
     ge = gamma * eta
@@ -917,9 +968,11 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
     ``estimate`` L^, Acc-SGD(LS): Acc-SGD at rho = L^/L and eta = 1/L^ whose
     exact steps with a nonzero gradient may double L^ (``search``). With a
     screen, the certified steps at the head of a block are crossed by
-    updating c alone (see ``_ZeroScreen.certified_in_span``): r_k is a
-    cumulative product of 1 - alpha_j in convex mode and a constant times a
-    power of beta (1 - alpha) in strongly convex mode. With a screen on the
+    updating c alone (see ``_ZeroScreen.span_head``), without a fold: r_k is
+    c times a cumulative product of 1 - alpha_j in convex mode and c times
+    a constant times a power of beta (1 - alpha) in strongly convex mode,
+    and the screen keeps its certificates while M stands still. A pass
+    returns w without folding either. With a screen on the
     squared hinge and no running mean, a stretch of at least ``_MIN_SOLVED``
     steps that the screen hands over runs as :class:`_SolvedBlock`s of
     ``_SOLVE_BLOCK`` steps: each commits its leading steps that agree with
@@ -1052,17 +1105,19 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
 
         def head(start: int, end: int) -> int:
             """Crosses the certified steps at the head of start..end-1, with
-            zeta_k = m - r[k] u~ from c = 1; returns their count, with c and
-            the mean moved past them."""
-            it.fold()
+            zeta_k = m - r[k] u~; returns their count, with c and the mean
+            moved past them."""
             ready(end)
-            r = np.cumprod(np.subtract(1.0, alphas[start:end])) if convex else sc_r[: end - start]
-            j = _leading_true(screen.certified_in_span(draw[start:end], it.m, it.u, r))
+            c = it.c
+            # r_k / c: convex mode's cumulative product (r_k = c_{k+1}), or a
+            # constant times a power of beta (1 - alpha)
+            rel = np.cumprod(np.subtract(1.0, alphas[start:end])) if convex else sc_r[: end - start]
+            r = c * rel
+            j = screen.span_head(draw[start:end], it.M, c, r)
             if j:
                 if mean is not None:
                     mean.add_span(it.m, it.u, j, float(r[:j].sum()))
-                # convex mode: r_k = c_{k+1}
-                it.scale(float(r[j - 1] if convex else powers[j]))
+                it.scale(float(rel[j - 1] if convex else powers[j]))
             return j
 
         if screen is None:
@@ -1070,7 +1125,6 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
         else:
             screen.cover(n, steps, head)
         gamma_prev = gammas[-1]
-        it.fold()
         return it.w()
 
     return run_pass
@@ -1204,7 +1258,10 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     (without averaging) skips, and the accelerated kernel crosses by a
     scalar update, the steps that a :class:`_ZeroScreen` certifies to have
     an exactly zero gradient (a zero-gradient line-search step leaves its
-    estimate alone); SGD and SGD(LS) stay bit-identical. On the squared
+    estimate alone); SGD and SGD(LS) stay bit-identical. Both kernels keep
+    the certificates of all n rows from one product while their iterates
+    stand still (w, or the rank-one form's M while only its scale moves),
+    made by the first block of at least n/4 steps. On the squared
     hinge without averaging, the accelerated kernel runs the stretches that
     it does not screen in solved blocks (:class:`_SolvedBlock`): a block of
     128 steps guesses its active set from the margins at its start, solves

@@ -4,6 +4,7 @@ import pytest
 from interpsgd.data import generate_margin_data
 from interpsgd.growth import (
     GrowthEstimate,
+    RatioUndefinedError,
     audit_sgc,
     empirical_sgc_ratio,
     grid_search_rho,
@@ -120,7 +121,7 @@ class TestEmpiricalRatio:
 
     def test_vanishing_gradient_rejected(self):
         obj = margin_objective(seed=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(RatioUndefinedError, match="ratio undefined at interpolation"):
             empirical_sgc_ratio(obj, obj.data.w_star)
 
 
@@ -178,8 +179,20 @@ class TestAuditSgc:
     def test_everything_at_interpolation_errors(self):
         # identically-zero objective: every probe has a vanishing gradient
         obj = QuadraticObjective(np.zeros((2, 2)), np.zeros(2))
-        with pytest.raises(ValueError, match="interpolation"):
+        with pytest.raises(RatioUndefinedError, match="interpolation"):
             audit_sgc(obj, 20, make_rng(0))
+
+    def test_a_failing_probe_is_not_excluded(self, monkeypatch):
+        # only an undefined ratio excludes a probe: any other ValueError,
+        # such as a shape mismatch, is a fault and reaches the caller
+        def failing(self, z):
+            raise ValueError("operands could not be broadcast together")
+
+        obj = margin_objective(seed=7)
+        monkeypatch.setattr(Objective, "_grad_scalars", failing)
+        with pytest.raises(ValueError, match="broadcast") as raised:
+            audit_sgc(obj, 20, make_rng(0))
+        assert not isinstance(raised.value, RatioUndefinedError)
 
 
 class TestGridSearch:

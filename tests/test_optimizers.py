@@ -1033,6 +1033,51 @@ def record_certified(monkeypatch) -> list:
     return counts
 
 
+def record_span_heads(monkeypatch, writer=None) -> list:
+    """In call order: per span_head call, (whether it read kept
+    certificates, whether it left some kept); and, given ``writer``, a
+    (class, method name) pair of a writer of M, the name per call of it
+    that changed M."""
+    events = []
+    original = optimizers._ZeroScreen.span_head
+
+    def recording(self, blk, M, c, r):
+        kept = self._certified
+        count = original(self, blk, M, c, r)
+        events.append((kept is not None and self._certified is kept, self._certified is not None))
+        return count
+
+    monkeypatch.setattr(optimizers._ZeroScreen, "span_head", recording)
+    if writer is not None:
+        owner, name = writer
+        write = getattr(owner, name)
+
+        def writing(self, *args):
+            it = args[0] if owner is optimizers._SolvedBlock else self
+            before = it.M.copy()
+            result = write(self, *args)
+            if not np.array_equal(it.M, before):
+                events.append(name)
+            return result
+
+        monkeypatch.setattr(owner, name, writing)
+    return events
+
+
+def dropped_after(events: list, name: str) -> bool:
+    """Whether a span_head call that left kept certificates is followed by
+    a write of ``name`` and then by a call that did not read them."""
+    kept = wrote = False
+    for event in events:
+        if isinstance(event, tuple):
+            if kept and wrote and not event[0]:
+                return True
+            kept, wrote = event[1], False
+        else:
+            wrote |= event == name
+    return False
+
+
 def boundary_objective(kind: str, margin: float):
     """Two rows, y = +1 and y = -1, both with the margin ``margin`` at the
     returned w0 in the kernel's own product ``row.dot(w0)``: exactly 1.0 or
@@ -1145,17 +1190,16 @@ class TestZeroScreen:
         cfg = kink_config("hinge", mode, w)
         if mode == "strongly_convex":
             cfg = replace(cfg, mu=0.09 * cfg.rho / cfg.eta)
-        original = optimizers._ZeroScreen.certified_in_span
+        original = optimizers._ZeroScreen.span_head
         crossed = []
 
-        def recording(self, blk, m, u, r):
-            certified = original(self, blk, m, u, r)
-            crossed.append(optimizers._leading_true(certified))
-            return certified
+        def recording(self, blk, M, c, r):
+            crossed.append(original(self, blk, M, c, r))
+            return crossed[-1]
 
         calls = count_scalar_gradients(monkeypatch)
         with monkeypatch.context() as patch:
-            patch.setattr(optimizers._ZeroScreen, "certified_in_span", recording)
+            patch.setattr(optimizers._ZeroScreen, "span_head", recording)
             rows = kernel_rows(obj, "accel", cfg, 3)
         assert len(calls) < 0.5 * 3 * obj.n  # the screen was at work
         if mode == "strongly_convex":
@@ -1175,17 +1219,16 @@ class TestZeroScreen:
         cfg = replace(screen_config(obj, "accel_ls", 0.1, mode, seed=5, averaging=True),
                       w0=0.9 * obj.data.w_star)
         events = []
-        original = (optimizers._ZeroScreen.cover, optimizers._ZeroScreen.certified_in_span,
+        original = (optimizers._ZeroScreen.cover, optimizers._ZeroScreen.span_head,
                     optimizers._schedule_coefficients)
 
         def cover(self, n, steps, head):
             events.append("pass")
             return original[0](self, n, steps, head)
 
-        def certified_in_span(self, blk, m, u, r):
-            certified = original[1](self, blk, m, u, r)
-            events.append(optimizers._leading_true(certified))
-            return certified
+        def span_head(self, blk, M, c, r):
+            events.append(original[1](self, blk, M, c, r))
+            return events[-1]
 
         def schedule_coefficients(mode, rho, eta, mu, gamma_prev, ab):
             events.append(1.0 / eta)  # an estimate, once a pass has begun
@@ -1193,7 +1236,7 @@ class TestZeroScreen:
 
         with monkeypatch.context() as patch:
             patch.setattr(optimizers._ZeroScreen, "cover", cover)
-            patch.setattr(optimizers._ZeroScreen, "certified_in_span", certified_in_span)
+            patch.setattr(optimizers._ZeroScreen, "span_head", span_head)
             patch.setattr(optimizers, "_schedule_coefficients", schedule_coefficients)
             rows = kernel_rows(obj, "accel_ls", cfg, 3)
         estimate, doubled, crossed = cfg.ls_init, False, 0
@@ -1265,6 +1308,80 @@ class TestZeroScreen:
         assert kernel_rows(obj, method, cfg, 4) == expected
         assert any(kept and not now for kept, now in zip(reads, reads[1:]))
 
+    @pytest.mark.parametrize("method", ["accel", "accel_ls"])
+    @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
+    def test_accel_keeps_certificates_while_M_stands_still(self, monkeypatch, method, mode):
+        # every margin at 1.01 w_star is >= 1.01: every gradient is zero,
+        # only c moves, and from the first product over all rows on, every
+        # later block of every pass (n = 5000) reads the kept certificates
+        data = generate_margin_data(5000, 5, 0.1, seed=0)
+        obj = Objective("squared_hinge", data)
+        cfg = RunConfig(seed=2, mode=mode, mu=1e-3 if mode == "strongly_convex" else None,
+                        w0=1.01 * data.w_star)
+        expected = per_step_accel_rows(monkeypatch, obj, cfg, 4, method)
+        events = record_span_heads(monkeypatch)
+        rows = kernel_rows(obj, method, cfg, 4)
+        made = next(k for k, (_, kept) in enumerate(events) if kept)
+        assert all(read for read, _ in events[made + 1:]) and len(events) - made > 4
+        assert_within_tolerance(rows, expected)
+
+    def test_span_head_reads_kept_certificates_only_at_their_M_and_c(self):
+        # at 1.01 w_star every row is certified on its whole segment; a
+        # block of n/4 steps makes the kept certificates, which hold for
+        # the same M at a c no larger, and neither at a larger c nor at
+        # another M (a fold moves both and leaves w alone)
+        data = generate_margin_data(400, 5, 0.1, seed=0)
+        screen = optimizers._ZeroScreen(Objective("squared_hinge", data), 0.0)
+        M = np.stack((1.01 * data.w_star, 0.01 * data.w_star))
+        blk, c = np.arange(100), 0.5
+        r = c * np.linspace(1.0, 0.5, 100)
+        assert screen.span_head(blk, M, c, r) == 100
+        kept = screen._certified
+        assert kept is not None and kept.all()
+        assert screen.span_head(blk[:10], M.copy(), 0.25, 0.5 * r[:10]) == 10
+        assert screen._certified is kept
+        folded = np.stack((M[0], c * M[1]))
+        for M_now, c_now in ((M, 1.0), (folded, c), (folded, 1.0)):
+            screen._certified = kept
+            assert screen.span_head(blk[:10], M_now, c_now, c_now * r[:10] / c) == 10
+            assert screen._certified is None  # a block of 10 < n/4 keeps none
+
+    @pytest.mark.parametrize("writer", ["step", "scale", "rebase", "commit"])
+    def test_a_write_to_M_drops_the_kept_certificates(self, monkeypatch, writer):
+        # kept certificates hold while M stands still: each writer of M
+        # moves it and must drop them before the next block. An active
+        # step from 0.99 w_star; a fold below the floor, with mu eta / rho
+        # = 0.09 at the kink; a rebase of kappa after a doubling in
+        # Acc-SGD(LS)'s strongly convex mode, when a flipped row of norm 10
+        # is drawn; a solved block's commit, on n = 200 rows, where every
+        # block of the screen makes kept certificates
+        owner, method, passes = optimizers._RankOneIterates, "accel", 4
+        if writer == "step":
+            obj = screen_objective("squared_hinge", 0.1, 0)
+            cfg = replace(screen_config(obj, method, 0.1, seed=5), w0=0.99 * obj.data.w_star)
+        elif writer == "scale":
+            obj, w = near_kink_objective("hinge")
+            cfg = kink_config("hinge", "strongly_convex", w)
+            cfg, passes = replace(cfg, mu=0.09 * cfg.rho / cfg.eta), 3
+        elif writer == "rebase":
+            # at 1.01 w_star the three flipped rows are the only active ones
+            data = screen_objective("squared_hinge", 0.1, 0).data
+            X, y = data.X.copy(), data.y.copy()
+            X[:3] *= 10.0
+            y[:3] *= -1.0
+            obj, method = Objective("squared_hinge", Dataset(X=X, y=y)), "accel_ls"
+            cfg = replace(screen_config(obj, method, 0.1, "strongly_convex", seed=5),
+                          w0=1.01 * data.w_star)
+        else:
+            obj = Objective("squared_hinge", generate_margin_data(200, 20, 0.05, seed=0))
+            cfg = replace(screen_config(obj, method, 0.05, seed=5), w0=0.9 * obj.data.w_star)
+            owner, passes = optimizers._SolvedBlock, 10
+        expected = oracle_rows(obj, method, cfg, passes)
+        events = record_span_heads(monkeypatch, (owner, writer))
+        rows = kernel_rows(obj, method, cfg, passes)
+        assert dropped_after(events, writer)
+        assert_within_tolerance(rows, expected)
+
     @pytest.mark.parametrize("averaging,sigma", [(True, 0.0), (False, 0.1)])
     def test_sgd_screens_only_without_averaging_and_noise(self, monkeypatch, averaging, sigma):
         # from 0.9 w_star most margins exceed 1, where the screen would
@@ -1335,12 +1452,15 @@ class TestZeroScreen:
     @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
     def test_span_certificate_holds_in_exact_arithmetic(self, mode):
         # Acc-SGD crosses a block of zero-gradient steps at the span points
-        # zeta_k = m - r_k u~. Rows whose exact margins at their span points
-        # lie within 40 ulps of 1, on both sides, must be
+        # zeta_k = m - r_k u~, r_k in [0, c]. Rows whose exact margins at
+        # their span points lie within 40 ulps of 1, on both sides, must be
         # certified only where the exact margin is >= 1; without its slack
-        # the certificate would pass some that are not.
+        # the certificate would pass some that are not. The same holds for
+        # the segment certificates that span_head keeps: rows whose exact
+        # margins at r = 0 and r = c lie within 40 ulps of 1 are kept only
+        # where the exact margin is >= 1 at both ends and at every r_k.
         rng = np.random.default_rng(0 if mode == "convex" else 1)
-        d, B = 3, 512
+        d, B, c = 3, 512, 0.37
         if mode == "convex":
             sched = make_schedule("convex", 10.0, 0.01)
             alphas = []
@@ -1352,12 +1472,13 @@ class TestZeroScreen:
             alpha, beta = 0.05, 0.9
             kappa = optimizers._kappa(alpha, beta)
             r = (1.0 - kappa - alpha) * (beta * (1.0 - alpha)) ** np.arange(B)
-        certified = unsafe = 0
+        ulps = lambda: 1.0 + rng.integers(-40, 40, size=B) * 2.0**-52
+        certified = unsafe = kept = unsafe_kept = 0
         for _ in range(4):
             v = rng.normal(size=d)
             u = 0.3 * rng.normal(size=d)
             X = rng.normal(size=(B, d))
-            target = 1.0 + rng.integers(-40, 40, size=B) * 2.0**-52
+            target = ulps()
             points = v[None, :] - r[:, None] * u[None, :]
             X *= (target / np.einsum("ij,ij->i", X, points))[:, None]
             obj = Objective("hinge", Dataset(X=X, y=np.ones(B)))
@@ -1374,7 +1495,34 @@ class TestZeroScreen:
                         assert margin >= 1, k
                         certified += 1
                     unsafe += bare[k] and margin < 1
+            # the segment: each row's exact margins at r = 0 and r = c near
+            # 1, from its part in the span of m and u~
+            X = rng.normal(size=(B, d))
+            ends = np.stack((ulps(), ulps()))
+            gram = np.array([[v @ v, v @ u], [u @ v, u @ u]])
+            rhs = np.stack((ends[0], (ends[0] - ends[1]) / c)) - np.stack((X @ v, X @ u))
+            X += np.linalg.solve(gram, rhs).T @ np.stack((v, u))
+            M = np.stack((v, u))
+            block = c * r[: B // 4]
+            obj = Objective("hinge", Dataset(X=X, y=np.ones(B)))
+            segments = []
+            for gamma in (None, 0.0):
+                screen = optimizers._ZeroScreen(obj, 0.0)
+                if gamma is not None:
+                    screen._gamma = gamma
+                screen.span_head(np.arange(B // 4), M, c, block)
+                segments.append(screen._certified)
+            points = [Fraction(0), Fraction(c)] + [Fraction(rk) for rk in block]
+            for k in np.flatnonzero(segments[0] | segments[1]):
+                a = sum(Fraction(x) * b for x, b in zip(X[k], vf))
+                b = sum(Fraction(x) * b for x, b in zip(X[k], uf))
+                lowest = min(a - rk * b for rk in points)
+                if segments[0][k]:
+                    assert lowest >= 1, k
+                    kept += 1
+                unsafe_kept += segments[1][k] and lowest < 1
         assert certified > 0 and unsafe > 0
+        assert kept > 0 and unsafe_kept > 0
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ on a sparse 120x12 file (zeros omitted, indices unordered, a comment line
 and a label-only row), whose lines the reader places one by one, and
 ``spectral`` on a dense 20000x54 file (about 24 MB), which the reader splits
 into parts on a machine with more than one CPU. ``--full`` adds
-``reproduce fig1a..fig1d`` at n = 8000, d = 100, 30 passes with seeds 0-3
-and ``reproduce app_ls`` at its defaults (17 argvs; 108 in all).
+``reproduce fig1a..fig1d`` at n = 8000, d = 100, 30 passes with seeds 0-3,
+``reproduce app_ls`` at its defaults, and Acc-SGD and Acc-SGD(LS) at the
+same scale and tau = 0.1 in strongly convex mode and with averaging, both
+converging to interpolation (19 argvs; 110 in all).
 
 Each argv runs in a fresh temporary directory with ``COLUMNS=80`` and
 relative paths, so outputs do not depend on where either tree lives; the
@@ -202,6 +204,10 @@ def full_argvs() -> dict[str, list[str]]:
                 "--seed", str(seed), "--out", "out",
             ]
     argvs["full_app_ls"] = ["reproduce", "app_ls", "--out", "out"]
+    accel = ["run", "--n", "8000", "--d", "100", "--tau", "0.1", "--passes", "30",
+             "--methods", "accel,accel_ls", "--step-rule-accel", "tau_over_L", "--out", "out"]
+    argvs["full_accel_strongly_convex"] = [*accel, "--mode", "strongly_convex", "--mu", "0.001"]
+    argvs["full_accel_averaging"] = [*accel, "--averaging", "true"]
     return argvs
 
 
@@ -346,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", nargs="?", help="JSON file to write")
     parser.add_argument("--repo", default=str(REPO), help="tree to hash (default: this one)")
-    parser.add_argument("--full", action="store_true", help="add the 17 full-scale argvs")
+    parser.add_argument("--full", action="store_true", help="add the 19 full-scale argvs")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="compare two JSON files instead of hashing")
     args = parser.parse_args(argv)
