@@ -153,13 +153,18 @@ def _schedule_coefficients(
 
     Convex mode takes the positive root of
     gamma^2 - gamma/rho - gamma_prev^2 = 0, which keeps gamma strictly
-    increasing with gamma_k >= k/(2 rho). Strongly-convex mode is constant
-    in k; at the degenerate boundary mu*eta = rho (beta = 0) the three
-    sequences collapse to plain gradient descent and alpha is defined as 1.
+    increasing with gamma_k >= k/(2 rho). It squares gamma_prev as
+    gamma_prev * gamma_prev, one correctly rounded product: ``**`` on a
+    float calls the C library's pow, which need not be correctly rounded
+    (glibc's differs from the product on about 0.09% of doubles) and may
+    round differently from one libm to another. Strongly-convex mode is
+    constant in k; at the degenerate boundary mu*eta = rho (beta = 0) the
+    three sequences collapse to plain gradient descent and alpha is
+    defined as 1.
     """
     if mode == "convex":
         inv_rho = 1.0 / rho
-        gamma = 0.5 * (inv_rho + math.sqrt(inv_rho * inv_rho + 4.0 * gamma_prev**2))
+        gamma = 0.5 * (inv_rho + math.sqrt(inv_rho * inv_rho + 4.0 * (gamma_prev * gamma_prev)))
         alpha = gamma * eta / (gamma * eta + ab_ratio)
         return gamma, alpha, 1.0, gamma * gamma * eta * rho
     if not _sc_feasible(mu, eta, rho):
@@ -410,9 +415,30 @@ class _ZeroScreen:
     m_i(w) - 2 gamma ||x_i|| ||w|| >= 1. A certified step leaves w
     untouched, so the kernel skips it. Since the bound holds for any
     summation order, the margins may come from the block's gathered rows
-    or from one X @ w over all n rows: the screen keeps the certificates
-    of all n rows from the latter while w stands still (see :meth:`cover`
-    and :meth:`certified_head`).
+    or from one X @ w0 over all n rows. From the latter the screen keeps,
+    with a copy of w0, the bounds L_i = y_i (X w0)_i - gamma ||x_i|| ||w0||
+    on the exact margins at w0, and reads them at any later w (see
+    :meth:`cover` and :meth:`certified_head`). The exact margin moves by at
+    most ||x_i|| ||w - w0|| from w0 to w (Cauchy-Schwarz), and the kernel's
+    margin lies within gamma_d ||x_i|| ||w|| of the exact one, so a step is
+    certified when
+
+        L_i - ||x_i|| (delta + gamma ||w||) >= 1,   delta >= ||w - w0||.
+
+    At w = w0 (delta = 0) this is the test above. delta is the computed
+    norm of the rounded difference w - w0 times 1 + 2 gamma. Each entry of
+    that difference is within u of the exact one, relatively, and a
+    computed norm, that of the difference or ||x_i||, is within
+    (d/2 + 1) u (1 + O(u)) of its exact value. The factor exceeds 1 by
+    2 gamma >= (2 d + 8) u, more than the (d + 7) u that these errors take
+    together with the roundings of the factor and of its product and the
+    two roundings of the slack's own sum and product, each at most
+    u ||x_i|| (delta + gamma ||w||): their delta parts are covered, and the
+    rest is second order. Left over are the subtraction in L_i, at most
+    u ||x_i|| ||w0|| (1 + O(u)), and the subtraction of the slack, whose
+    rounded result is >= 1 only if the exact one is >= 1 - u, with
+    1 <= L_i <= ||x_i|| ||w0|| (1 + gamma): two of the four extra units.
+    delta <= ||w|| + ||w0||, so nothing overflows below the norm limit.
 
     Acc-SGD and Acc-SGD(LS) (:meth:`certified_in_span`, :meth:`span_head`):
     the kernel holds its iterates as m, u~ and c (see
@@ -462,8 +488,12 @@ class _ZeroScreen:
         self._norm_limit = 1e300 / max(float(self._l2.max()), 1.0)
         self._min_gap = min_gap
         self._gap = 0.0
-        self._certified = None  # per row, at the w or M of the last full product
-        self._kept_M, self._kept_c = None, 0.0  # that M and c (Acc-SGD)
+        # SGD: per row, a lower bound on the exact margin at w0, the w of the
+        # last full product; and whether the last read was at another w
+        self._bounds, self._w0, self._moved = None, None, False
+        # Acc-SGD: per row, the segment certificate at the M and c of the
+        # last full product
+        self._certified, self._kept_M, self._kept_c = None, None, 0.0
 
     def cover(self, n: int, steps, head) -> None:
         """Runs a pass of n steps. ``steps(start, end)`` runs the steps
@@ -480,28 +510,27 @@ class _ZeroScreen:
         without one suggests a gap of at least twice its length (one cut
         short by the end of the pass only keeps the estimate).
 
-        The kept certificates of :meth:`certified_head` are dropped
-        whenever ``steps`` reports an active step. While the screen is on
-        (no noise, no running mean), that is the only way SGD's or
-        SGD(LS)'s w moves, so they stay valid across blocks and passes.
-        Those of :meth:`span_head` also stay while M stands still, which
-        that method checks itself.
+        The kept bounds of :meth:`certified_head` hold at any w, so active
+        steps keep them. A false alarm drops them: the first uncertified
+        step of a block runs exactly and has a zero gradient, while the
+        head was read at a w that has moved since the bounds were made.
+        The next block of at least n/4 steps then makes them again at the
+        current w. The kept certificates of :meth:`span_head` stay while M
+        stands still, which that method checks itself.
         """
         k = 0
         while k < n:
-            moved = 0
             if self._gap < self._min_gap:
                 end = min(k + _PROBE, n)
-                active = moved = steps(k, end)
+                active = steps(k, end)
             else:
                 end = min(k + min(int(2.0 * self._gap), _MAX_BLOCK), n)
                 stop = k + head(k, end)
                 active = int(stop < end)
                 if active:
-                    moved = steps(stop, stop + 1)
                     end = stop + 1
-            if moved:
-                self._certified = None
+                    if not steps(stop, end) and self._moved:
+                        self._bounds = None  # a false alarm
             sample = (end - k) / active if active else max(2.0 * (end - k), self._gap)
             self._gap = 0.5 * (self._gap + sample)
             k = end
@@ -509,23 +538,27 @@ class _ZeroScreen:
     def certified_head(self, blk: np.ndarray, w: np.ndarray) -> int:
         """How many steps at the head of ``blk`` are certified at w.
 
-        Reads the kept certificates of all n rows if there are any (w has
-        not moved since they were made). Otherwise a block of at least n/4
-        rows makes and keeps them with one X @ w, which costs about as much
-        as gathering that many rows and serves the blocks after it; a
-        shorter block gathers its own rows.
+        Reads the kept bounds L_i of all n rows if there are any, at the
+        distance delta of w from the w0 they were made at. Otherwise a
+        block of at least n/4 rows makes and keeps them, with a copy of w0
+        = w, from one X @ w, which costs about as much as gathering that
+        many rows and serves the blocks after it; a shorter block gathers
+        its own rows.
         """
-        if self._certified is not None:
-            return _leading_true(self._certified[blk])
         norm = math.sqrt(w.dot(w))
         if not norm < self._norm_limit:
             return 0
-        scale = 2.0 * self._gamma * norm
-        if 4 * len(blk) < len(self._y):
-            m = self._y[blk] * (self._X[blk] @ w)
-            return _leading_true(m - scale * self._l2[blk] >= 1.0)
-        self._certified = self._y * (self._X @ w) - scale * self._l2 >= 1.0
-        return _leading_true(self._certified[blk])
+        gamma, l2 = self._gamma, self._l2
+        if self._bounds is None:
+            if 4 * len(blk) < len(self._y):
+                m = self._y[blk] * (self._X[blk] @ w)
+                return _leading_true(m - 2.0 * gamma * norm * l2[blk] >= 1.0)
+            self._bounds = self._y * (self._X @ w) - (gamma * norm) * l2
+            self._w0 = w.copy()
+        e = w - self._w0
+        delta = (1.0 + 2.0 * gamma) * math.sqrt(e.dot(e))
+        self._moved = delta > 0.0
+        return _leading_true(self._bounds[blk] - l2[blk] * (delta + gamma * norm) >= 1.0)
 
     def span_head(self, blk: np.ndarray, M: np.ndarray, c: float, r: np.ndarray) -> int:
         """How many steps at the head of ``blk`` are certified at their span
@@ -533,18 +566,22 @@ class _ZeroScreen:
 
         Reads the kept certificates of all n rows if there are any, M is
         bitwise equal to the M they were made at and c is at most that c:
-        each holds on the segment of span points with r in [0, c]. The
-        steps after their head run the check of :meth:`certified_in_span`.
-        Otherwise a block of at least n/4 rows makes and keeps them with one
+        each holds on the segment of span points with r in [0, c]. After
+        their head, the steps whose kept certificate is False, and only
+        those, run the check of :meth:`certified_in_span` at their own
+        span points; the head ends at the first that fails it. Otherwise a
+        block of at least n/4 rows makes and keeps them with one
         X @ [m, u~] (:meth:`certified_head`'s rule), and certifies its own
         steps from that product; a shorter block gathers its own rows.
         """
         if (self._certified is not None and c <= self._kept_c
                 and np.array_equal(M, self._kept_M)):
-            j = _leading_true(self._certified[blk])
-            if j < len(blk):
-                j += _leading_true(self.certified_in_span(blk[j:], M[0], M[1], r[j:]))
-            return j
+            miss = np.flatnonzero(~self._certified[blk])
+            if not len(miss):
+                return len(blk)
+            ok = self.certified_in_span(blk[miss], M[0], M[1], r[miss])
+            f = _leading_true(ok)
+            return int(miss[f]) if f < len(miss) else len(blk)
         self._certified = None
         if 4 * len(blk) < len(self._y):
             return _leading_true(self.certified_in_span(blk, M[0], M[1], r))
@@ -608,22 +645,28 @@ def _sgd_kernel(obj: Objective, w: np.ndarray, eta: float, mean, screen, estimat
     sampled example passes the sufficient-decrease test. ``grad`` returns
     s_i x_i (s_i from ``_grad_scalar``) in a buffer that the next call
     overwrites, or None when s_i is exactly zero, which on the two hinge
-    losses it tells from the margin alone (see ``_LossKind.margin_zero``)."""
+    losses it tells from the margin alone (see ``_LossKind.margin_zero``).
+    It leaves its margin z = x_i . p in ``z``, from which SGD(LS) takes the
+    loss at w: the same call ``loss`` would make, so the same bits."""
     rows, ys, _ = obj._scalar_rows
     grad_scalar, loss_scalar = obj._grad_scalar, obj._loss_scalar
     buf = np.empty(obj.dim)
+    z = 0.0
 
     if obj._loss_kind.margin_zero:
 
         def grad(p, i):
+            nonlocal z
             row, y = rows[i], ys[i]
             z = float(row.dot(p))
             return np.multiply(row, grad_scalar(z, y), buf) if y * z < 1.0 else None
     else:
 
         def grad(p, i):
+            nonlocal z
             row = rows[i]
-            s = grad_scalar(float(row.dot(p)), ys[i])
+            z = float(row.dot(p))
+            s = grad_scalar(z, ys[i])
             return np.multiply(row, s, buf) if s else None
 
     def loss(p, i):
@@ -654,7 +697,7 @@ def _sgd_kernel(obj: Objective, w: np.ndarray, eta: float, mean, screen, estimat
                         # t = w - g / estimate is both the trial point and,
                         # once accepted, the next iterate; below resolution
                         # the first is accepted untested
-                        f0 = None if g_sq <= GRAD_RESOLUTION_SQ else loss(w, i)
+                        f0 = None if g_sq <= GRAD_RESOLUTION_SQ else loss_scalar(z, ys[i])
                         for _ in range(MAX_DOUBLINGS + 1):
                             np.divide(g, estimate, t)
                             np.subtract(w, t, t)
@@ -951,12 +994,16 @@ def _convex_coefficients(
 ) -> tuple[list, np.ndarray]:
     """(gamma_k, alpha_k) over n >= 1 convex-mode advances from the carried
     gamma_prev: ``_schedule_coefficients``' formulas and bits. Only gamma is
-    sequential; ab_k = gamma_{k-1}^2 eta rho and alpha_k follow as
+    sequential, and the loop carries h = 2 gamma instead:
+    h_k = 1/rho + sqrt(1/rho^2 + h_{k-1} h_{k-1}). Scaling by a power of two
+    is exact (barring overflow and underflow), so h h is bitwise
+    4 (gamma gamma), 0.5 h_k bitwise gamma_k, and the loop drops the
+    multiplication by 4. ab_k = gamma_{k-1}^2 eta rho and alpha_k follow as
     elementwise array ops, in the same operation order."""
     inv_rho = 1.0 / rho
     inv_rho_sq, sqrt = inv_rho * inv_rho, math.sqrt
-    g = gamma_prev
-    gammas = [g := 0.5 * (inv_rho + sqrt(inv_rho_sq + 4.0 * g**2)) for _ in range(n)]
+    h = 2.0 * gamma_prev
+    gammas = [0.5 * (h := inv_rho + sqrt(inv_rho_sq + h * h)) for _ in range(n)]
     gamma = np.array(gammas)
     prev = np.concatenate(([gamma_prev], gamma[:-1]))
     ge = gamma * eta
@@ -1259,9 +1306,13 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     scalar update, the steps that a :class:`_ZeroScreen` certifies to have
     an exactly zero gradient (a zero-gradient line-search step leaves its
     estimate alone); SGD and SGD(LS) stay bit-identical. Both kernels keep
-    the certificates of all n rows from one product while their iterates
-    stand still (w, or the rank-one form's M while only its scale moves),
-    made by the first block of at least n/4 steps. On the squared
+    what one product over all n rows tells, made by the first block of at
+    least n/4 steps: SGD and SGD(LS) a lower bound per row on the exact
+    margin, which a later w reads with the slack of its distance from the
+    product's w, through active steps, until a step that the bound missed
+    turns out to have a zero gradient; Acc-SGD and Acc-SGD(LS) a
+    certificate per row while the rank-one form's M stands still and only
+    its scale moves. On the squared
     hinge without averaging, the accelerated kernel runs the stretches that
     it does not screen in solved blocks (:class:`_SolvedBlock`): a block of
     128 steps guesses its active set from the margins at its start, solves

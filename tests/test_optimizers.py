@@ -215,6 +215,26 @@ class TestScheduleAdvance:
             gamma_prev = gammas[-1]
             assert (gamma_prev, gamma_prev * gamma_prev * eta * rho) == (want_prev, want_ab)
 
+    def test_convex_schedule_squares_gamma_exactly(self):
+        # g**2 calls the C library's pow, which is not correctly rounded: on
+        # a few doubles in ten thousand it differs from the product g * g by
+        # enough to move gamma. The schedule squares with the product, and
+        # the pass coefficients follow it bit for bit.
+        rho, eta = 1.0, 0.03
+        inv_rho, sqrt = 1.0 / rho, math.sqrt
+
+        def gamma(square):
+            return 0.5 * (inv_rho + sqrt(inv_rho * inv_rho + 4.0 * square))
+
+        doubles = np.random.default_rng(0).uniform(0.0, 1000.0, size=200_000).tolist()
+        g = next((g for g in doubles if gamma(g**2) != gamma(g * g)), None)
+        if g is None:
+            pytest.skip("this C library's pow squares these doubles exactly")
+        got, _, _, _ = optimizers._schedule_coefficients("convex", rho, eta, 0.0, g, 1.0)
+        assert got == gamma(g * g) != gamma(g**2)
+        gammas, _ = optimizers._convex_coefficients(1, rho, eta, g)
+        assert gammas == [got]
+
 
 class TestAccelStep:
     def test_requires_advanced_schedule(self):
@@ -1008,16 +1028,57 @@ def count_scalar_gradients(monkeypatch) -> list:
 
 
 def record_kept_reads(monkeypatch) -> list:
-    """Per certified_head call: whether it read kept certificates."""
+    """Per certified_head call: whether it read kept bounds."""
     reads = []
     original = optimizers._ZeroScreen.certified_head
 
     def recording(self, blk, w):
-        reads.append(self._certified is not None)
+        reads.append(self._bounds is not None)
         return original(self, blk, w)
 
     monkeypatch.setattr(optimizers._ZeroScreen, "certified_head", recording)
     return reads
+
+
+def record_sgd_screen(monkeypatch) -> list:
+    """In call order: per certified_head call, ("head", steps in the block,
+    whether it read kept bounds, whether it made them with a new product,
+    whether it read them at a w other than theirs); per steps call of
+    cover, ("steps", how many had a nonzero gradient)."""
+    events = []
+    cover, head = optimizers._ZeroScreen.cover, optimizers._ZeroScreen.certified_head
+
+    def covering(self, n, steps, head_fn):
+        def recorded(start, end):
+            events.append(("steps", steps(start, end)))
+            return events[-1][1]
+
+        return cover(self, n, recorded, head_fn)
+
+    def heading(self, blk, w):
+        kept = self._bounds
+        count = head(self, blk, w)
+        made = self._bounds is not None and self._bounds is not kept
+        events.append(("head", len(blk), kept is not None, made, kept is not None and self._moved))
+        return count
+
+    monkeypatch.setattr(optimizers._ZeroScreen, "cover", covering)
+    monkeypatch.setattr(optimizers._ZeroScreen, "certified_head", heading)
+    return events
+
+
+def few_active_rows(near: int):
+    """Margin data (n = 5000) at 2 w_star, where every margin is >= 2, but
+    for rows 0-2, scaled to the margin 0.5, and the ``near`` rows after
+    them, scaled to 1 + 1e-3: SGD steps on the first three move w a little,
+    and the screen's bounds then certify all but the rows near the kink."""
+    data = generate_margin_data(5000, 5, 0.1, seed=0)
+    w0 = 2.0 * data.w_star
+    X = data.X.copy()
+    scaled = 1.0 + 1e-3 * (np.arange(3 + near) >= 3)
+    scaled[:3] = 0.5
+    X[: 3 + near] *= (scaled / (data.y * (X @ w0))[: 3 + near])[:, None]
+    return Objective("squared_hinge", Dataset(X=X, y=data.y)), w0
 
 
 def record_certified(monkeypatch) -> list:
@@ -1298,15 +1359,127 @@ class TestZeroScreen:
 
     @pytest.mark.parametrize("method", ["sgd", "sgd_ls"])
     def test_active_step_after_kept_certificates(self, monkeypatch, method):
-        # at 0.99 w_star a few margins are below 1: a stretch of kept
-        # certificates ends in an active step, which moves w and must drop
-        # them (margins read at the old w would skip steps that are active)
+        # at 0.99 w_star a few margins are below 1: active steps move w,
+        # the kept bounds are read at the moved w with the slack of its
+        # distance (margins read at the old w would skip steps that are
+        # active), and a false alarm drops them
         obj = screen_objective("squared_hinge", 0.1, 0)
         cfg = RunConfig(seed=5, w0=0.99 * obj.data.w_star)
         expected = oracle_rows(obj, method, cfg, 4)
         reads = record_kept_reads(monkeypatch)
         assert kernel_rows(obj, method, cfg, 4) == expected
         assert any(kept and not now for kept, now in zip(reads, reads[1:]))
+
+    @pytest.mark.parametrize("method", ["sgd", "sgd_ls"])
+    def test_kept_bounds_survive_active_steps(self, monkeypatch, method):
+        # after the first product over all rows, an active step moves w,
+        # and the block after it reads the kept bounds at the new w instead
+        # of taking X @ w again
+        obj, w0 = few_active_rows(0)
+        cfg = RunConfig(seed=2, w0=w0)
+        expected = oracle_rows(obj, method, cfg, 4)
+        events = record_sgd_screen(monkeypatch)
+        assert kernel_rows(obj, method, cfg, 4) == expected
+        first = next(k for k, e in enumerate(events) if e[0] == "head" and e[3])
+        survived = [
+            after for before, after in zip(events[first:], events[first + 1:])
+            if before[0] == "steps" and before[1] and after[0] == "head"
+        ]
+        assert survived and all(read and not made for _, _, read, made, _ in survived)
+        products = sum(e[0] == "head" and e[3] for e in events)
+        active = sum(e[1] for e in events[first:] if e[0] == "steps")
+        assert products < active
+
+    @pytest.mark.parametrize("method", ["sgd", "sgd_ls"])
+    def test_false_alarm_drops_the_kept_bounds(self, monkeypatch, method):
+        # the rows at 1 + 1e-3 are certified at 2 w_star, but not once w has
+        # moved: drawn, such a row runs exactly with a zero gradient, which
+        # drops the bounds, and the next block of at least n/4 steps takes
+        # X @ w again
+        obj, w0 = few_active_rows(12)
+        cfg = RunConfig(seed=2, w0=w0)
+        expected = oracle_rows(obj, method, cfg, 4)
+        events = record_sgd_screen(monkeypatch)
+        assert kernel_rows(obj, method, cfg, 4) == expected
+        alarms = [
+            k for k in range(len(events) - 1)
+            if events[k][0] == "head" and events[k][4] and events[k + 1] == ("steps", 0)
+        ]
+        assert alarms
+        for k in alarms:
+            after = [e for e in events[k + 2:] if e[0] == "head"]
+            long = next(j for j, e in enumerate(after) if 4 * e[1] >= obj.n)
+            assert not any(read for _, _, read, _, _ in after[: long + 1])
+            assert after[long][3]
+
+    def test_kept_bounds_hold_in_exact_arithmetic(self):
+        # bounds made at w0 and read at a w a few dozen ulps away: every row
+        # they certify has an exact margin >= 1 at the float w, and the
+        # kernel's own product row.dot(w) is not below 1 either. The rows'
+        # exact margins at w lie within 40 ulps of 1, on both sides; without
+        # the slack gamma and the distance delta the test would pass some
+        # that are not.
+        rng = np.random.default_rng(0)
+        d, B = 3, 512
+        certified = unsafe = 0
+        for _ in range(4):
+            w0 = rng.normal(size=d)
+            w = w0 + rng.normal(size=d) * 20.0 * 2.0**-52 * np.linalg.norm(w0)
+            X = rng.normal(size=(B, d))
+            target = 1.0 + rng.integers(-40, 40, size=B) * 2.0**-52
+            X *= (target / (X @ w))[:, None]
+            obj = Objective("hinge", Dataset(X=X, y=np.ones(B)))
+            screen, bare = optimizers._ZeroScreen(obj, 0.0), optimizers._ZeroScreen(obj, 0.0)
+            bare._gamma = 0.0
+            for sc in (screen, bare):
+                sc.certified_head(np.arange(B), w0)  # the bounds, at w0
+            bare._w0 = w.copy()  # delta = 0
+            wf = [Fraction(x) for x in w]
+            for k in range(B):
+                ok, bare_ok = (sc.certified_head(np.array([k]), w) for sc in (screen, bare))
+                if ok or bare_ok:
+                    margin = sum(Fraction(x) * b for x, b in zip(X[k], wf))
+                    if ok:
+                        assert margin >= 1 and float(X[k].dot(w)) >= 1.0, k
+                        certified += 1
+                    unsafe += bare_ok and margin < 1
+        assert certified > 0 and unsafe > 0
+
+    @pytest.mark.parametrize(
+        "case",
+        [(0.2, "hinge", "accel", "strongly_convex", True, 1),
+         (0.2, "squared_hinge", "accel_ls", "strongly_convex", True, 0)],
+    )
+    def test_kept_read_checks_only_the_rows_it_misses(self, monkeypatch, case):
+        # after the head of kept certificates, span_head checks at their
+        # span points only the rows whose kept certificate is False
+        obj, cfg = screen_case(*case)
+        method = case[2]
+        received = []
+        span_head = optimizers._ZeroScreen.span_head
+        in_span = optimizers._ZeroScreen.certified_in_span
+        kept = [None]
+
+        def spying_head(self, blk, M, c, r):
+            reads = (self._certified is not None and c <= self._kept_c
+                     and np.array_equal(M, self._kept_M))
+            kept[0] = self._certified.copy() if reads else None
+            try:
+                return span_head(self, blk, M, c, r)
+            finally:
+                kept[0] = None
+
+        def spying_check(self, blk, m, u, r):
+            if kept[0] is not None:
+                received.append(kept[0][blk])
+            return in_span(self, blk, m, u, r)
+
+        expected = per_step_accel_rows(monkeypatch, obj, cfg, 3, method)
+        monkeypatch.setattr(optimizers._ZeroScreen, "span_head", spying_head)
+        monkeypatch.setattr(optimizers._ZeroScreen, "certified_in_span", spying_check)
+        rows = kernel_rows(obj, method, cfg, 3)
+        assert received and not any(certs.any() for certs in received)
+        assert_within_tolerance(rows, expected)
 
     @pytest.mark.parametrize("method", ["accel", "accel_ls"])
     @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])

@@ -52,3 +52,22 @@ def test_an_older_json_compares_hashes_without_a_verdict(capsys):
     assert output_hashes.compare(old, new) == 1
     out = capsys.readouterr().out
     assert "file out/acc_sgd.csv" in out and "floor" not in out
+
+
+def test_a_differing_stdout_prints_the_lines_that_differ(capsys):
+    old, new = result(), result()
+    tail = "\nsgd: final train_loss 0.0\n"
+    old["stdout_text"] = "accel: final train_loss 1.3887915640533117e-22" + tail
+    new["stdout_text"] = "accel: final train_loss 1.388793319409095e-22" + tail
+    new["stdout"] = "2" * 64
+    assert output_hashes.compare({"a": old}, {"a": new}) == 1
+    assert capsys.readouterr().out == (
+        "a: stdout differ\n"
+        "  old: accel: final train_loss 1.3887915640533117e-22\n"
+        "  new: accel: final train_loss 1.388793319409095e-22\n"
+        "0 of 1 argvs identical\n"
+    )
+    # an older JSON stores no stdout text: the hashes still compare
+    del old["stdout_text"]
+    assert output_hashes.compare({"a": old}, {"a": new}) == 1
+    assert capsys.readouterr().out == "a: stdout differ\n0 of 1 argvs identical\n"

@@ -39,15 +39,20 @@ loss| over the rows whose old loss is above 1e-10 (inf where it is nan),
 which measures a change meant to move curves only in their last digits;
 whether every row at or below 1e-10 stayed there; and whether the old
 curve diverged (a loss above 10x its first), in which case its rows past
-that factor need only stay past 10x the new curve's first loss. A JSON
-written by an older version of this script has no ``train_loss``
-columns: its hashes still compare, but its CSVs get no verdict.
+that factor need only stay past 10x the new curve's first loss. For a
+differing stdout it prints the old and new lines that differ (a ``run``
+argv prints each curve's ``final train_loss``, so a curve that moves in
+its last digits moves these lines too). A JSON written by an older
+version of this script has no ``train_loss`` columns or stdout text: its
+hashes still compare, but its CSVs get no verdict and its stdout no
+lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import hashlib
 import json
 import os
@@ -305,16 +310,25 @@ def hash_argv(src: Path, argv: list[str]) -> dict:
                 column = train_loss_column(blob) if rel.endswith(".csv") else None
                 if column is not None:
                     train_loss[rel] = column
-        stderr = clean(proc.stderr)
+        stdout, stderr = clean(proc.stdout), clean(proc.stderr)
         return {
             "argv": argv,
             "exit": proc.returncode,
-            "stdout": sha256(clean(proc.stdout)),
+            "stdout": sha256(stdout),
             "stderr": sha256(stderr),
+            "stdout_text": stdout.decode(errors="replace"),
             "stderr_text": stderr.decode(errors="replace"),
             "files": files,
             "train_loss": train_loss,
         }
+
+
+def changed_lines(old: str, new: str) -> list[str]:
+    """The lines of ``old`` and ``new`` that differ, as ``  old: ...`` and
+    ``  new: ...``, in the order of a diff without context."""
+    lines = difflib.unified_diff(old.splitlines(), new.splitlines(), lineterm="", n=0)
+    return [f"  {'old' if line[0] == '-' else 'new'}: {line[1:]}" for line in lines
+            if line[:1] in "-+" and not line.startswith(("---", "+++"))]
 
 
 def compare(old: dict, new: dict) -> int:
@@ -330,6 +344,9 @@ def compare(old: dict, new: dict) -> int:
         if fields:
             differing += 1
             print(f"{name}: {', '.join(fields)} differ")
+            if "stdout" in fields and "stdout_text" in a and "stdout_text" in b:
+                for line in changed_lines(a["stdout_text"], b["stdout_text"]):
+                    print(line)
             if "stderr" in fields:
                 print("  old stderr:\n    " + a["stderr_text"].rstrip().replace("\n", "\n    "))
                 print("  new stderr:\n    " + b["stderr_text"].rstrip().replace("\n", "\n    "))
