@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import pickle
 import shutil
@@ -83,6 +84,45 @@ def balance_reachable(n: int) -> bool:
     """Whether some labeling of n points is balanced: a sum of n labels
     of +-1 has n's parity, so its smallest size is n % 2."""
     return _balanced(n % 2, n)
+
+
+def _band_acceptance(d: int, tau: float) -> float:
+    """The share of points uniform on the unit sphere in d >= 2 dimensions
+    that ``generate_margin_data`` keeps: P(|x . v| >= tau), 0 < tau < 1.
+
+    t = x . v has density proportional to (1 - t^2)^((d - 3)/2) on
+    [-1, 1], so the share is the regularized incomplete beta function
+    I_{1 - tau^2}((d - 1)/2, 1/2); with t = sin(theta) it reads
+    int_{asin tau}^{pi/2} cos^(d-2) / int_0^{pi/2} cos^(d-2). It is
+    evaluated by the continued fraction of Numerical Recipes' ``betai``
+    (modified Lentz, to a relative 1e-13), on whichever side of the
+    symmetry I_x(a, b) = 1 - I_{1-x}(b, a) it converges quickly, with
+    1 - x = tau^2 taken exactly. An underflow reads as 0."""
+    a, b = 0.5 * (d - 1), 0.5
+    x, y = 1.0 - tau * tau, tau * tau  # y = 1 - x
+    if y == 0.0:
+        return 1.0
+    front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(front) * _beta_fraction(a, b, x) / a
+    return 1.0 - math.exp(front) * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of the incomplete beta function I_x(a, b)."""
+    tiny = 1e-300
+    clamp = lambda v: v if abs(v) > tiny else tiny
+    c, dd = 1.0, 1.0 / clamp(1.0 - (a + b) * x / (a + 1.0))
+    h = dd
+    for m in range(1, 100_000):
+        for aa in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                   -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            dd = 1.0 / clamp(1.0 + aa * dd)
+            c = clamp(1.0 + aa / c)
+            h *= dd * c
+        if abs(dd * c - 1.0) < 1e-13:
+            break
+    return h
 
 
 def generate_margin_data(

@@ -380,6 +380,7 @@ _SGD_MIN_GAP = 16.0
 _ACCEL_MIN_GAP = 32.0
 _SOLVE_BLOCK = 128  # steps per _SolvedBlock
 _MIN_SOLVED = 16  # shorter stretches run exact steps
+_ITERATE_BELOW = 2.0**-7  # made coupling below which a _SolvedBlock iterates first
 _ROUNDS = 8  # iterations of a weakly coupled _SolvedBlock before it solves
 _GUESSES = 3  # active sets a _SolvedBlock tries
 
@@ -473,6 +474,51 @@ class _ZeroScreen:
     miss, and checks that c has not risen (a fold of u~ = 0 resets c and
     leaves M alone).
 
+    From the same product the screen keeps, per row, the smaller of the
+    two certificates' left-hand sides at r = 0 and r = c0 (c0 the c of the
+    product), L_i: the exact margin at m0 - rho u~0 is affine in rho, so
+    L_i bounds it from below on the whole kept segment, rho in [0, c0]. It
+    also keeps m0 and U0 = fl(c0 u~0). Once M has moved (an active step, a
+    solved block, a rebase or a fold), :meth:`span_head` reads L_i at the
+    two ends of the current segment, m and m - c u~ (v and w in convex
+    mode): an exact margin moves by at most ||x_i|| times the distance
+    moved, so a step is certified when
+
+        L_i - ||x_i|| delta >= 1,   delta >= max(||m - m0||, ||m - c u~ - q||),
+
+    with q = m0 - theta c0 u~0 on the kept segment. Any theta in [0, 1]
+    is sound; the screen takes the least-squares fit of fl(c u~) by U0,
+    clipped to [0, 1], so that a segment that has only shrunk (zero
+    steps lower c and slide the far end towards m) or been folded lies
+    close to its kept copy. The near distance is SGD's delta for the
+    floats m and m0, (1 + 2 gamma) ||fl(m - m0)||, by the proof above. The
+    far end and q are not floats: E = fl(m - fl(c u~)) is within
+    u (||E|| + ||fl(c u~)||) (1 + O(u)) of m - c u~, and
+    Q = fl(m0 - fl(theta U0)) within u (||Q|| + 2 ||U0||) (1 + O(u)) of q
+    (U0 itself is within u of c0 u~0, entry by entry). So
+
+        delta = (1 + 2 gamma) max(||fl(m - m0)||, ||fl(E - Q)||)
+                + gamma (||E|| + ||fl(c u~)|| + ||Q|| + 2 ||U0||),
+
+    where gamma >= 4 u covers both rounding distances with room for the
+    roundings of the norms, at most (d/2 + 1) u each, and of the sum.
+    L_i carries the three roundings of the check; the read rounds twice
+    more: the product ||x_i|| delta, covered by delta's factor as in
+    SGD's proof, and the subtraction, whose rounded result is >= 1 only if
+    the exact one is >= 1 - u: the fourth extra unit. A fold sets
+    u~ <- fl(c u~) and c <- 1 and leaves m in place: the far end moves by
+    one rounding, theta = 1 and delta is the rounding terms alone. An M
+    that overflows gives an inf or nan delta, which certifies nothing. The
+    rows that L_i misses get the check above at their own span points. A
+    block of at least n/4 rows reads L_i for all n rows instead, and keeps
+    the result as the segment certificates of the current M and c, which
+    later blocks read while M stands still. The rows that L_i misses there
+    get the two-end check from a product of their own rows first, so that
+    a converged pass does not check them again step by step; if they are
+    a quarter of the rows or more, one product over all rows makes bounds
+    and certificates again. The kept bounds survive active steps; a false
+    alarm drops them, by :meth:`cover`'s rule.
+
     The bounds assume no overflow, so a block certifies nothing unless
     ||x_i|| ||w|| (SGD) or ||x_i|| (N_v + N_u) (Acc-SGD; c <= 1) is below
     1e300 for every row (a non-finite point fails this too); a nan margin
@@ -491,9 +537,11 @@ class _ZeroScreen:
         # SGD: per row, a lower bound on the exact margin at w0, the w of the
         # last full product; and whether the last read was at another w
         self._bounds, self._w0, self._moved = None, None, False
-        # Acc-SGD: per row, the segment certificate at the M and c of the
-        # last full product
+        # Acc-SGD: per row, the segment certificate at a kept M and c; and
+        # _bounds, per row, a lower bound on the exact margins on the
+        # segment of the last full product, with its m and c u~
         self._certified, self._kept_M, self._kept_c = None, None, 0.0
+        self._kept_m, self._kept_u = None, None
 
     def cover(self, n: int, steps, head) -> None:
         """Runs a pass of n steps. ``steps(start, end)`` runs the steps
@@ -515,8 +563,11 @@ class _ZeroScreen:
         step of a block runs exactly and has a zero gradient, while the
         head was read at a w that has moved since the bounds were made.
         The next block of at least n/4 steps then makes them again at the
-        current w. The kept certificates of :meth:`span_head` stay while M
-        stands still, which that method checks itself.
+        current w. The same holds for Acc-SGD's kept bounds (:meth:`span_head`
+        reads them at a moved M, and the head then ends at a step that fails
+        its own span-point check too); the kept certificates of
+        :meth:`span_head` stay only while M stands still, which that method
+        checks itself.
         """
         k = 0
         while k < n:
@@ -566,33 +617,96 @@ class _ZeroScreen:
 
         Reads the kept certificates of all n rows if there are any, M is
         bitwise equal to the M they were made at and c is at most that c:
-        each holds on the segment of span points with r in [0, c]. After
-        their head, the steps whose kept certificate is False, and only
-        those, run the check of :meth:`certified_in_span` at their own
-        span points; the head ends at the first that fails it. Otherwise a
-        block of at least n/4 rows makes and keeps them with one
-        X @ [m, u~] (:meth:`certified_head`'s rule), and certifies its own
-        steps from that product; a shorter block gathers its own rows.
+        each holds on the segment of span points with r in [0, c].
+        Otherwise, if there are kept bounds, reads them at the two ends of
+        the current segment, m and m - c u~, with the slack of their
+        distance from the kept segment (:meth:`_moved_head`, proof in the
+        class docstring): one vector operation per block and a few of
+        length d, where the product is n x d; a block of at least n/4 rows
+        reads them for all n rows and keeps the certificates of M and c.
+        After either head, the steps that it misses, and only those, run
+        the check of :meth:`certified_in_span` at their own span points;
+        the head ends at the first that fails it. Otherwise a block of at
+        least n/4 rows makes and keeps both with one X @ [m, u~]
+        (:meth:`certified_head`'s rule), and certifies its own steps from
+        that product; a shorter block gathers its own rows.
         """
         if (self._certified is not None and c <= self._kept_c
                 and np.array_equal(M, self._kept_M)):
-            miss = np.flatnonzero(~self._certified[blk])
-            if not len(miss):
-                return len(blk)
-            ok = self.certified_in_span(blk[miss], M[0], M[1], r[miss])
-            f = _leading_true(ok)
-            return int(miss[f]) if f < len(miss) else len(blk)
+            self._moved = False
+            return self._head_after(blk, M, r, self._certified[blk])
         self._certified = None
+        if self._bounds is not None:
+            return self._moved_head(blk, M, c, r)
         if 4 * len(blk) < len(self._y):
             return _leading_true(self.certified_in_span(blk, M[0], M[1], r))
+        return self._product_head(blk, M, c, r)
+
+    def _product_head(self, blk: np.ndarray, M: np.ndarray, c: float, r: np.ndarray) -> int:
+        """:meth:`span_head` from one X @ [m, u~], which makes and keeps the
+        bounds and the certificates of M and c."""
         n_v, n_u = math.sqrt(M[0].dot(M[0])), math.sqrt(M[1].dot(M[1]))
         if not n_v + n_u < self._norm_limit:
             return 0
         P = self._X @ M.T
-        every = slice(None)
-        self._certified = self._check(P, every, n_v, n_u, 0.0) & self._check(P, every, n_v, n_u, c)
+        self._bounds = self._segment(P, slice(None), n_v, n_u, c)
+        self._certified = self._bounds >= 1.0
         self._kept_M, self._kept_c = M.copy(), c
+        self._kept_m, self._kept_u = self._kept_M[0], c * M[1]
+        self._moved = False
         return _leading_true(self._check(P[blk], blk, n_v, n_u, r))
+
+    def _moved_head(self, blk: np.ndarray, M: np.ndarray, c: float, r: np.ndarray) -> int:
+        """:meth:`span_head` from the kept bounds on the kept segment, read
+        at the two ends of the segment of M and c with the slack of their
+        distance from it. A block of at least n/4 rows reads them for all
+        n rows and keeps the result as the certificates of M and c; the
+        rows that they miss get the segment check from their own product,
+        or, if a quarter of the rows or more, one product over all rows
+        makes everything again."""
+        self._moved = True
+        delta = self._distance(M, c)
+        if 4 * len(blk) < len(self._y):
+            return self._head_after(blk, M, r, self._bounds[blk] - self._l2[blk] * delta >= 1.0)
+        certified = self._bounds - self._l2 * delta >= 1.0
+        miss = np.flatnonzero(~certified)
+        if 4 * len(miss) >= len(self._y):
+            return self._product_head(blk, M, c, r)
+        n_v, n_u = math.sqrt(M[0].dot(M[0])), math.sqrt(M[1].dot(M[1]))
+        if len(miss) and n_v + n_u < self._norm_limit:
+            certified[miss] = self._segment(self._X[miss] @ M.T, miss, n_v, n_u, c) >= 1.0
+        self._certified, self._kept_M, self._kept_c = certified, M.copy(), c
+        return self._head_after(blk, M, r, certified[blk])
+
+    def _distance(self, M: np.ndarray, c: float) -> float:
+        """delta of the class docstring: an upper bound on the distances of
+        the ends m and m - c u~ of the segment of M and c from m0 and from
+        m0 - theta c0 u~0 on the kept segment."""
+        m, u = M
+        kept_m, kept_u = self._kept_m, self._kept_u
+        uu = float(kept_u.dot(kept_u))  # made finite, below the norm limit
+        norm = lambda v: math.sqrt(v.dot(v))
+        gamma = self._gamma
+        # an M that overflows gives an inf or nan distance, which certifies
+        # nothing, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_now = c * u
+            end = m - u_now
+            theta = min(1.0, max(0.0, float(u_now.dot(kept_u)) / uu)) if uu > 0.0 else 0.0
+            near = kept_m - theta * kept_u
+            e0, e1 = m - kept_m, end - near
+            return (1.0 + 2.0 * gamma) * max(norm(e0), norm(e1)) + gamma * (
+                norm(end) + norm(u_now) + norm(near) + 2.0 * math.sqrt(uu))
+
+    def _head_after(self, blk: np.ndarray, M: np.ndarray, r: np.ndarray, kept: np.ndarray) -> int:
+        """The certified head of ``blk`` given what the kept state certifies
+        of its rows: the rows it misses run :meth:`certified_in_span`."""
+        miss = np.flatnonzero(~kept)
+        if not len(miss):
+            return len(blk)
+        ok = self.certified_in_span(blk[miss], M[0], M[1], r[miss])
+        f = _leading_true(ok)
+        return int(miss[f]) if f < len(miss) else len(blk)
 
     def certified_in_span(
         self, blk: np.ndarray, m: np.ndarray, u: np.ndarray, r: np.ndarray
@@ -606,9 +720,19 @@ class _ZeroScreen:
     def _check(self, P: np.ndarray, rows, n_v: float, n_u: float, r) -> np.ndarray:
         """The certificate of the ``rows`` at r (per row, or one for all),
         from their products P with [m, u~] and the norms of m and u~."""
+        return self._lower(P, rows, n_v, n_u, r) >= 1.0
+
+    def _segment(self, P: np.ndarray, rows, n_v: float, n_u: float, c: float) -> np.ndarray:
+        """Per row, the smaller of :meth:`_lower` at r = 0 and r = c: a
+        lower bound on the exact margins on the whole segment."""
+        return np.minimum(self._lower(P, rows, n_v, n_u, 0.0), self._lower(P, rows, n_v, n_u, c))
+
+    def _lower(self, P: np.ndarray, rows, n_v: float, n_u: float, r) -> np.ndarray:
+        """:meth:`_check`'s lower bound on the exact margins of the ``rows``
+        at m - r u~, before its comparison with 1."""
         margin = self._y[rows] * (P[:, 0] - r * P[:, 1])
         slack = self._gamma * self._l2[rows] * (n_v + r * n_u)
-        return margin - slack >= 1.0
+        return margin - slack
 
 
 class _RunningMean:
@@ -871,12 +995,19 @@ class _SolvedBlock:
     block, Acc-SGD(LS) took 342 -> 257 and 341 -> 310 ms in two rounds
     (9 and 8 of 9 faster) and Acc-SGD 209 -> 209 and 241 -> 228 ms (4 and 7
     of 9); without the rule above, Acc-SGD took 272 ms against 197 ms with
-    it. Where every made |K_kj| is below 2^-10 it iterates that equation
-    from s = 2 D (p - y) until s stands still, in a few rounds, which cost
-    less than one general solve (s_k reads s_j for j < k only, so s_k settles
-    within k + 1 rounds in any case); otherwise, or if ``_ROUNDS`` rounds do
-    not settle it, it solves (I + 2 K_AA) s_A = 2 (p_A - y_A) with
-    np.linalg.solve. A step's margin reads earlier steps only, so the
+    it. Where every made |K_kj| is below ``_ITERATE_BELOW`` = 2^-7 it
+    iterates that equation from s = 2 D (p - y) until s stands still,
+    bitwise, in a few rounds, which cost less than one general solve (s_k
+    reads s_j for j < k only, so s_k settles within k + 1 rounds in any
+    case); otherwise, or if ``_ROUNDS`` = 8 rounds do not settle it, it
+    solves (I + 2 K_AA) s_A = 2 (p_A - y_A) with np.linalg.solve. Measured
+    over fig1a's Acc-SGD (8000 x 100, tau = 0.1, program seeds 0-31, 10
+    passes): all 1809 systems had made couplings below 0.0061 and settled
+    within 8 rounds (median 6; 28 took 8), so fig1a solves none. On
+    app_ls_hard's data (tau = 0.005, seeds 0 and 4, 3 passes) Acc-SGD's
+    378 systems (couplings below 2^-13) settled within 6 rounds, while
+    Acc-SGD(LS)'s 539 coupled at 2^-7 or more would need 7 to 47 (median
+    10), so they stay on LU. A step's margin reads earlier steps only, so the
     leading steps whose solved status y z < 1 agrees with the guess are the
     steps the exact loop takes, in another operation order; a guess that
     the solved statuses contradict is replaced by them, up to ``_GUESSES``
@@ -898,6 +1029,11 @@ class _SolvedBlock:
         self._X, self._y, self._row_sq = obj.data.X, obj.data.y, obj._row_sq
         self._losses = obj._loss_kind.losses
         self._lower = np.tri(_SOLVE_BLOCK, k=-1)
+        # c_0..c_n, and rows [1, t] and [C0, C1] of the K_kj factor, reused
+        # by every block
+        self._c = np.empty(_SOLVE_BLOCK + 1)
+        self._T = np.ones((2, _SOLVE_BLOCK))
+        self._C = np.empty((2, _SOLVE_BLOCK))
 
     def _columns(self, X_b, T, C, cols):
         """The columns ``cols`` (indices, or slice(None) for all) of K."""
@@ -914,23 +1050,31 @@ class _SolvedBlock:
         active steps) committed, or None, with ``it`` untouched, if the
         block is strongly coupled or a number it needs is not finite: the
         exact loop then runs the block, and raises or warns as it does."""
-        c = np.cumprod(np.concatenate(([it.c], beta * (1.0 - alphas))))  # c_0..c_n
+        c = self._c[: len(alphas) + 1]  # c_0..c_n
+        c[0] = it.c
+        np.multiply(np.subtract(1.0, alphas, c[1:]), beta, c[1:])
+        np.cumprod(c, out=c)
         n = _leading_true(c[1:] >= _FOLD_FLOOR)
         if not n:
             return 0, 0
         blk, alphas = blk[:n], alphas[:n]
         with np.errstate(all="ignore"):
             X_b, y_b = self._X[blk], self._y[blk]
-            t = (kappa - 1.0 + alphas) * c[:n]
+            T, C = self._T[:, :n], self._C[:, :n]
+            t = T[1]
+            np.multiply(kappa - 1.0 + alphas, c[:n], t)
             P = X_b @ it.M.T
             p = P[:, 0] + t * P[:, 1]
-            g = np.array(gammas[:n])
+            g = np.asarray(gammas[:n])
             # K_kj = (x_k . x_j) (C[0, j] + t_k C[1, j]) below the diagonal
-            C = np.array(((g - kappa * (g - 1.0)) * eta, (g - 1.0) * eta / c[1 : n + 1]))
-            T = np.array((np.ones(n), t)).T
-            # the columns of K that some guess made active; the others stay
-            # 0, as do the s they would multiply
-            K = np.zeros((n, n))
+            g1 = g - 1.0
+            np.multiply(g - kappa * g1, eta, C[0])
+            np.divide(g1 * eta, c[1 : n + 1], C[1])
+            T = T.T
+            # the columns of K that some guess made active; the others are
+            # 0, as are the s they would multiply. K is None until a guess
+            # makes some, and the whole product once a guess makes all.
+            K = None
             made = np.zeros(n, dtype=bool)
             coupling = 0.0
             status = y_b * p < 1.0
@@ -938,19 +1082,28 @@ class _SolvedBlock:
                 guess, two = status, 2.0 * status
                 new = np.flatnonzero(guess & ~made)
                 if len(new):
-                    if 2 * len(new) > n:
-                        new = slice(None)  # all of X_b @ X_b.T, a symmetric product
-                    cols = self._columns(X_b, T, C, new)
-                    peak = np.abs(cols).max()
+                    whole = 2 * len(new) > n  # all of X_b @ X_b.T, a symmetric product
+                    cols = self._columns(X_b, T, C, slice(None) if whole else new)
+                    peak = max(cols.max(), -cols.min())
                     if not peak < 0.5:
                         return None
                     coupling = max(coupling, peak)
-                    K[:, new] = cols
-                    made[new] = True
+                    if whole:
+                        K = cols
+                        made[:] = True
+                    else:
+                        if K is None:
+                            K = np.zeros((n, n))
+                        K[:, new] = cols
+                        made[new] = True
+                elif K is None:
+                    K = np.zeros((n, n))
                 b = two * (p - y_b)
                 s = b
-                for _ in range(_ROUNDS if coupling < 2.0**-10 else 0):
-                    s, last = b - two * (K @ s), s
+                for _ in range(_ROUNDS if coupling < _ITERATE_BELOW else 0):
+                    last = s
+                    s = K @ s
+                    np.subtract(b, np.multiply(s, two, s), s)  # b - two * (K @ s)
                     if (s == last).all():
                         break
                 else:
@@ -991,7 +1144,7 @@ class _SolvedBlock:
 
 def _convex_coefficients(
     n: int, rho: float, eta: float, gamma_prev: float
-) -> tuple[list, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """(gamma_k, alpha_k) over n >= 1 convex-mode advances from the carried
     gamma_prev: ``_schedule_coefficients``' formulas and bits. Only gamma is
     sequential, and the loop carries h = 2 gamma instead:
@@ -1003,11 +1156,10 @@ def _convex_coefficients(
     inv_rho = 1.0 / rho
     inv_rho_sq, sqrt = inv_rho * inv_rho, math.sqrt
     h = 2.0 * gamma_prev
-    gammas = [0.5 * (h := inv_rho + sqrt(inv_rho_sq + h * h)) for _ in range(n)]
-    gamma = np.array(gammas)
+    gamma = np.array([0.5 * (h := inv_rho + sqrt(inv_rho_sq + h * h)) for _ in range(n)])
     prev = np.concatenate(([gamma_prev], gamma[:-1]))
     ge = gamma * eta
-    return gammas, ge / (ge + prev * prev * eta * rho)
+    return gamma, ge / (ge + prev * prev * eta * rho)
 
 
 def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, screen, estimate=None):
@@ -1018,7 +1170,9 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
     updating c alone (see ``_ZeroScreen.span_head``), without a fold: r_k is
     c times a cumulative product of 1 - alpha_j in convex mode and c times
     a constant times a power of beta (1 - alpha) in strongly convex mode,
-    and the screen keeps its certificates while M stands still. A pass
+    and the screen keeps its certificates while M stands still, and its
+    bounds on the kept segment after M moves (see :class:`_ZeroScreen`). A
+    pass
     returns w without folding either. With a screen on the
     squared hinge and no running mean, a stretch of at least ``_MIN_SOLVED``
     steps that the screen hands over runs as :class:`_SolvedBlock`s of
@@ -1043,7 +1197,8 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
     def run_pass(draw, noise):
         nonlocal gamma_prev
         n = len(draw)
-        gammas, alphas = [], np.empty(n)
+        gammas, alphas = np.empty(n), np.empty(n)
+        filled = 0  # steps whose gamma and alpha are ready
 
         def ready(end: int) -> None:
             """gamma_j and alpha_j at (rho, eta) of the steps before ``end``
@@ -1051,14 +1206,13 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
             the first step without them: ``_convex_coefficients``' bits, or
             strongly convex mode's constants (finite alpha and beta lie in
             [0, 1]) with kappa and the span powers, c = powers[j] at step j."""
-            nonlocal beta, kappa, powers, sc_r
-            k = len(gammas)
+            nonlocal beta, kappa, powers, sc_r, filled
+            k = filled
             if k >= end:
                 return
             if not convex:
                 gamma, alpha, beta, _ = _schedule_coefficients(mode, rho, eta, mu, 0.0, ab)
-                gammas.extend([gamma] * (n - k))
-                alphas[k:] = alpha
+                gammas[k:], alphas[k:], filled = gamma, alpha, n
                 it.rebase(kappa := _kappa(alpha, beta))
                 powers = (beta * (1.0 - alpha)) ** np.arange(_MAX_BLOCK + 1.0)
                 sc_r = max(0.0, 1.0 - kappa - alpha) * powers[:-1]
@@ -1067,16 +1221,16 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
             # filling it up to each request, as Acc-SGD(LS) must, took fig1a's
             # pass_ms_p50 from 3.00 to 3.25 ms (worse in 9 of 10 benchmark pairs)
             end = n if estimate is None else end
-            gp = gammas[-1] if k else gamma_prev
-            gs, alphas[k:end] = _convex_coefficients(end - k, rho, eta, gp)
-            gammas.extend(gs)
+            gp = float(gammas[k - 1]) if k else gamma_prev
+            gammas[k:end], alphas[k:end] = _convex_coefficients(end - k, rho, eta, gp)
+            filled = end
 
         def search(k: int, i: int) -> bool:
             """Step k by :func:`line_search_accel_step`'s loop, from the state
             carried into it; the coefficients of the steps after it are
             dropped. Returns whether the gradient was nonzero."""
-            nonlocal estimate, rho, eta, ab, search_first
-            gp = gammas[k - 1] if k else gamma_prev
+            nonlocal estimate, rho, eta, ab, search_first, filled
+            gp = float(gammas[k - 1]) if k else gamma_prev
             ab_k = gp * gp * eta * rho if convex else ab
             oracle.start(i)
             for _ in range(MAX_DOUBLINGS + 1):
@@ -1094,7 +1248,7 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
             it.step(beta_k * (1.0 - alpha), gamma, eta * s, oracle.g if s else None)
             if mean is not None:
                 mean.add(it.w())
-            gammas[k:], search_first = [gamma], False
+            gammas[k], filled, search_first = gamma, k + 1, False
             return bool(s)
 
         def steps(start: int, end: int) -> int:
@@ -1123,19 +1277,20 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
         def exact(start: int, stop: int, end: int) -> int:
             """The exact steps start..stop-1 of the steps before ``end``."""
             active = 0
-            # indices and alpha_k as Python scalars, converted a chunk at a
-            # time: a crossed pass runs few exact steps
-            als = alphas[start:stop].tolist()
-            for k, (i, alpha) in enumerate(zip(draw[start:stop].tolist(), als), start):
+            # indices, alpha_k and gamma_k as Python scalars, converted a chunk
+            # at a time: a crossed pass runs few exact steps
+            als, gs = alphas[start:stop].tolist(), gammas[start:stop].tolist()
+            for k, (i, alpha, gamma) in enumerate(zip(draw[start:stop].tolist(), als, gs), start):
                 oracle.start(i)
                 t = (kappa - 1.0 + alpha) * it.c
                 s = oracle.grad(t)
                 if s:
                     active += 1
-                    if estimate is not None and not oracle.decreases(i, t, s, gammas[k] * eta):
+                    if estimate is not None and not oracle.decreases(i, t, s, gamma * eta):
                         search(k, i)
-                        ready(end)  # rescheduled; zip reads als lazily
+                        ready(end)  # rescheduled; zip reads als and gs lazily
                         als[k + 1 - start:] = alphas[k + 1:stop].tolist()
+                        gs[k + 1 - start:] = gammas[k + 1:stop].tolist()
                         continue
                 g, h = (oracle.g, eta * s) if s else (None, 0.0)
                 if noise is not None:
@@ -1145,7 +1300,7 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
                         np.multiply(g, s, g_noise)
                         g = np.add(g_noise, noise[k], g_noise)
                     h = eta
-                it.step(beta * (1.0 - alpha), gammas[k], h, g)
+                it.step(beta * (1.0 - alpha), gamma, h, g)
                 if mean is not None:
                     mean.add(it.w())
             return active
@@ -1171,7 +1326,7 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
             steps(0, n)
         else:
             screen.cover(n, steps, head)
-        gamma_prev = gammas[-1]
+        gamma_prev = float(gammas[-1])
         return it.w()
 
     return run_pass
@@ -1312,7 +1467,12 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     product's w, through active steps, until a step that the bound missed
     turns out to have a zero gradient; Acc-SGD and Acc-SGD(LS) a
     certificate per row while the rank-one form's M stands still and only
-    its scale moves. On the squared
+    its scale moves, and a lower bound per row on the exact margins along
+    the segment of span points m - r u~, r in [0, c], of the product's M
+    and c (from v to w in convex mode), which a later M reads with the
+    slack of the distances of its own segment's ends from that segment,
+    through active steps and folds, until a false alarm or a long block
+    whose rows they miss by a quarter or more. On the squared
     hinge without averaging, the accelerated kernel runs the stretches that
     it does not screen in solved blocks (:class:`_SolvedBlock`): a block of
     128 steps guesses its active set from the margins at its start, solves

@@ -1,5 +1,6 @@
 import itertools
 import os
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -265,6 +266,42 @@ class TestRunCommand:
             f"config error: tau must be in (0, 1) for synthetic data, got {float(tau)!r}\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--n", "3000", "--d", "1500", "--tau", "0.1"],
+            ["reproduce", "fig1a", "--n", "3000", "--d", "1500"],
+            ["perceptron", "--n", "3000", "--d", "1500", "--tau", "0.1", "--passes", "10"],
+            ["audit-rho", "--n", "3000", "--d", "1500", "--tau", "0.1"],
+        ],
+    )
+    def test_band_that_almost_never_accepts_is_refused_before_drawing(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # about 1e-4 of the sphere lies outside the band: 4.3e10 expected
+        # normals, over the budget, so every synthetic path refuses with a
+        # config error before any draw and writes nothing
+        draws = []
+        monkeypatch.setattr("interpsgd.data._unit_sphere", lambda *args: draws.append(args))
+        out = tmp_path / "out"
+        start = time.monotonic()
+        flags = ["--out", str(out)] if argv[0] in ("run", "reproduce") else []
+        assert main([*argv, *flags]) == 1
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tau = 0.1 keeps a share 0.000104 ") and "budget" in err
+        assert draws == [] and not out.exists()
+
+    def test_band_within_the_budget_still_draws(self, monkeypatch):
+        # the refusal reads the expected draw count: at a budget of twice
+        # what 750 rows of the band above take, they fit and 3000 do not;
+        # a wider band fits at the real budget
+        assert harness._check_draw_budget(3000, 1500, 0.05) is None
+        monkeypatch.setattr(harness, "_DRAW_BUDGET", 2 * 750 * 1500 / 1.0412e-4)
+        assert harness._check_draw_budget(750, 1500, 0.1) is None
+        with pytest.raises(harness.ConfigError, match="budget"):
+            harness._check_draw_budget(3000, 1500, 0.1)
 
     def test_libsvm_tau_zero_stays_valid(self, tmp_path):
         # tau = 0 means "no margin" for LIBSVM data, which has none of its own

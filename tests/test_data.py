@@ -85,6 +85,29 @@ class TestGenerateMarginData:
         data = generate_margin_data(21, 4, 0.2, seed=0, balance=True)
         assert abs(float(np.sum(data.y))) < 0.05 * 21
 
+    @pytest.mark.parametrize("d,tau", [(2, 0.5), (3, 0.3), (5, 0.6), (20, 0.2), (100, 0.1)])
+    def test_band_acceptance_matches_the_kept_share(self, d, tau):
+        # the share of unit-sphere draws that the band keeps, over 2e5 draws
+        # of the generator's own sampler: within 5 standard errors; d = 2
+        # and d = 3 have the closed forms 1 - (2/pi) asin(tau) and 1 - tau
+        share = data_module._band_acceptance(d, tau)
+        pts = data_module._unit_sphere(make_rng(d), 200_000, d)
+        kept = float(np.mean(np.abs(pts[:, 0]) >= tau))
+        assert abs(kept - share) <= 5.0 * math.sqrt(share * (1.0 - share) / len(pts))
+        exact = {2: 1.0 - 2.0 / math.pi * math.asin(tau), 3: 1.0 - tau}.get(d)
+        if exact is not None:
+            assert share == pytest.approx(exact, rel=1e-12)
+
+    def test_band_acceptance_far_in_the_tails(self):
+        # far below what sampling can see: the 3000 x 1500 band of the
+        # refused run, a normal tail at large d (t sqrt(d) is standard
+        # normal), and a margin whose square underflows
+        assert data_module._band_acceptance(1500, 0.1) == pytest.approx(1.0412e-4, rel=1e-4)
+        assert data_module._band_acceptance(10**6, 1e-3) == pytest.approx(
+            math.erfc(1.0 / math.sqrt(2.0)), rel=1e-5)
+        assert data_module._band_acceptance(10**6, 0.1) == 0.0
+        assert data_module._band_acceptance(100, 1e-200) == 1.0
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             generate_margin_data(1, 5, 0.1)

@@ -1139,6 +1139,33 @@ def dropped_after(events: list, name: str) -> bool:
     return False
 
 
+def record_accel_screen(monkeypatch) -> list:
+    """In call order: per span_head call, ("head", steps in the block,
+    whether it made kept bounds with a new product, whether it read kept
+    bounds at a moved M, whether bounds are kept after it); per steps call
+    of cover, ("steps", how many had a nonzero gradient)."""
+    events = []
+    cover, head = optimizers._ZeroScreen.cover, optimizers._ZeroScreen.span_head
+
+    def covering(self, n, steps, head_fn):
+        def recorded(start, end):
+            events.append(("steps", steps(start, end)))
+            return events[-1][1]
+
+        return cover(self, n, recorded, head_fn)
+
+    def heading(self, blk, M, c, r):
+        bounds = self._bounds
+        count = head(self, blk, M, c, r)
+        events.append(("head", len(blk), self._bounds is not None and self._bounds is not bounds,
+                       bounds is not None and self._moved, self._bounds is not None))
+        return count
+
+    monkeypatch.setattr(optimizers._ZeroScreen, "cover", covering)
+    monkeypatch.setattr(optimizers._ZeroScreen, "span_head", heading)
+    return events
+
+
 def boundary_objective(kind: str, margin: float):
     """Two rows, y = +1 and y = -1, both with the margin ``margin`` at the
     returned w0 in the kernel's own product ``row.dot(w0)``: exactly 1.0 or
@@ -1555,6 +1582,136 @@ class TestZeroScreen:
         assert dropped_after(events, writer)
         assert_within_tolerance(rows, expected)
 
+    @pytest.mark.parametrize("method", ["accel", "accel_ls"])
+    def test_accel_kept_bounds_survive_active_steps(self, monkeypatch, method):
+        # fig1a's recipe from 2 w_star, where rows 0-2 are active: after the
+        # first product over all rows, an active step moves M, and blocks
+        # after it read the kept bounds at the new M instead of taking
+        # X @ [m, u~] again (a long block takes it if the bounds miss a
+        # quarter of the rows)
+        obj, w0 = few_active_rows(0)
+        cfg = replace(screen_config(obj, method, 0.1, seed=2), w0=w0)
+        expected = per_step_accel_rows(monkeypatch, obj, cfg, 4, method)
+        events = record_accel_screen(monkeypatch)
+        rows = kernel_rows(obj, method, cfg, 4)
+        first = next(k for k, e in enumerate(events) if e[0] == "head" and e[2])
+        survived = [
+            after for before, after in zip(events[first:], events[first + 1:])
+            if before[0] == "steps" and before[1] and after[0] == "head"
+        ]
+        assert any(moved and not made for _, _, made, moved, _ in survived)
+        products = sum(e[0] == "head" and e[2] for e in events)
+        active = sum(e[1] for e in events[first:] if e[0] == "steps")
+        assert products < active
+        assert_within_tolerance(rows, expected)
+
+    @pytest.mark.parametrize("method,kind,seed", [("accel", "hinge", 3),
+                                                  ("accel_ls", "squared_hinge", 0)])
+    def test_accel_false_alarm_drops_the_kept_bounds(self, monkeypatch, method, kind, seed):
+        # steps that move M by about an ulp keep the rows at the kink there
+        # (Acc-SGD(LS) from an estimate of 1e15): after M moves, such a row
+        # is missed by the kept bounds and fails its own check, and its
+        # exact step may have a zero gradient. That false alarm drops the
+        # bounds, and the next block of at least n/4 steps takes
+        # X @ [m, u~] again
+        obj, w = near_kink_objective(kind, seed=seed, n=400)
+        cfg = replace(kink_config(kind, "convex", w), ls_init=1e15)
+        expected = per_step_accel_rows(monkeypatch, obj, cfg, 6, method)
+        events = record_accel_screen(monkeypatch)
+        rows = kernel_rows(obj, method, cfg, 6)
+        alarms = [
+            k for k in range(len(events) - 1)
+            if events[k][0] == "head" and events[k][3] and events[k + 1] == ("steps", 0)
+        ]
+        followed = 0
+        for k in alarms:
+            after = [e for e in events[k + 2:] if e[0] == "head"]
+            long = next((j for j, e in enumerate(after) if 4 * e[1] >= obj.n), None)
+            if long is not None:  # else the run ended first
+                assert not any(moved for _, _, _, moved, _ in after[: long + 1])
+                assert after[long][2]
+                followed += 1
+        assert followed
+        assert_within_tolerance(rows, expected)
+
+    def test_a_fold_moves_no_end(self):
+        # a fold rewrites u~ and c but neither end of the segment: the kept
+        # bounds read at the folded M, with the slack of the distance
+        # (its rounding alone), certify the rows that the kept
+        # certificates do, here all of them. A block shorter than n/4
+        # reads them at its own rows; a longer one reads all n rows and
+        # keeps the result as the certificates of the folded M, which the
+        # next block reads while M stands still
+        data = generate_margin_data(400, 5, 0.1, seed=0)
+        screen = optimizers._ZeroScreen(Objective("squared_hinge", data), 0.0)
+        M, c = np.stack((1.01 * data.w_star, 0.01 * data.w_star)), 0.37
+        blk = np.arange(100)
+        assert screen.span_head(blk, M, c, c * np.linspace(1.0, 0.5, 100)) == 100
+        folded = np.stack((M[0], c * M[1]))
+        delta = screen._distance(folded, 1.0)
+        assert 0.0 < delta <= 8.0 * screen._gamma * np.abs(M).sum()
+        assert screen.span_head(blk[:99], folded, 1.0, np.linspace(1.0, 0.0, 99)) == 99
+        assert screen._certified is None and screen._moved
+        everything = np.arange(400)
+        assert screen.span_head(everything, folded, 1.0, np.linspace(1.0, 0.0, 400)) == 400
+        assert screen._certified.all() and np.array_equal(screen._kept_M, folded)
+        assert screen.span_head(blk, folded, 0.5, np.linspace(0.5, 0.0, 100)) == 100
+        assert not screen._moved
+
+    @pytest.mark.parametrize("fold", [False, True])
+    def test_moved_bounds_hold_in_exact_arithmetic(self, monkeypatch, fold):
+        # bounds kept on the segment of M0 = [m0; u~0] and c0, read at an M a
+        # few dozen ulps away, at a c below c0 (or folded: u~ = c0 u~0 and
+        # c = 1). The rows' exact margins at the ends m and m - c u~ of the
+        # read's segment lie from 40 ulps below 1 to 160 above. Every row
+        # that the moved read certifies (its own span-point check switched
+        # off) has an exact Fraction margin >= 1 at both ends and at the
+        # span points between; with the distance slack zeroed some row
+        # passes that does not.
+        monkeypatch.setattr(optimizers._ZeroScreen, "certified_in_span",
+                            lambda self, blk, m, u, r: np.zeros(len(blk), dtype=bool))
+        rng = np.random.default_rng(2 if fold else 3)
+        d, B, c0 = 3, 512, 0.37
+        certified = unsafe = 0
+        for _ in range(4):
+            M0 = np.stack((rng.normal(size=d), 0.3 * rng.normal(size=d)))
+            if fold:
+                M, c = np.stack((M0[0], c0 * M0[1])), 1.0
+            else:
+                M, c = M0.copy(), 0.8 * c0
+            M += rng.normal(size=M.shape) * 20.0 * 2.0**-52 * np.abs(M)
+            m, u = M
+            # rows whose exact margins at the two ends lie near 1
+            X = rng.normal(size=(B, d))
+            ulps = lambda: 1.0 + rng.integers(-40, 160, size=B) * 2.0**-52
+            ends = np.stack((ulps(), ulps()))
+            gram = np.array([[m @ m, m @ u], [u @ m, u @ u]])
+            rhs = np.stack((ends[0], (ends[0] - ends[1]) / c)) - np.stack((X @ m, X @ u))
+            X += np.linalg.solve(gram, rhs).T @ M
+            obj = Objective("hinge", Dataset(X=X, y=np.ones(B)))
+            screens = []
+            for zeroed in (False, True):
+                screen = optimizers._ZeroScreen(obj, 0.0)
+                screen.span_head(np.arange(B // 4), M0, c0, c0 * np.linspace(1.0, 0.5, B // 4))
+                assert screen._bounds is not None
+                if zeroed:
+                    screen._distance = lambda M, c: 0.0
+                screens.append(screen)
+            mf, uf = [Fraction(x) for x in m], [Fraction(x) for x in u]
+            points = [Fraction(0), Fraction(c) / 2, Fraction(c)]
+            for k in range(B):
+                one = np.array([k])
+                ok, bare_ok = (sc.span_head(one, M, c, np.array([c])) for sc in screens)
+                if ok or bare_ok:
+                    a = sum(Fraction(x) * b for x, b in zip(X[k], mf))
+                    b = sum(Fraction(x) * b for x, b in zip(X[k], uf))
+                    lowest = min(a - r * b for r in points)
+                    if ok:
+                        assert lowest >= 1, k
+                        certified += 1
+                    unsafe += bare_ok and lowest < 1
+        assert certified > 0 and unsafe > 0
+
     @pytest.mark.parametrize("averaging,sigma", [(True, 0.0), (False, 0.1)])
     def test_sgd_screens_only_without_averaging_and_noise(self, monkeypatch, averaging, sigma):
         # from 0.9 w_star most margins exceed 1, where the screen would
@@ -1749,6 +1906,44 @@ def record_products(monkeypatch) -> list:
     return blocks
 
 
+def record_couplings(monkeypatch) -> list:
+    """Per solved block, the largest made |K_kj| of its products."""
+    blocks = []
+    commit, columns = optimizers._SolvedBlock.commit, optimizers._SolvedBlock._columns
+
+    def recording_commit(self, *args):
+        blocks.append(0.0)
+        return commit(self, *args)
+
+    def recording_columns(self, X_b, T, C, cols):
+        K = columns(self, X_b, T, C, cols)
+        blocks[-1] = max(blocks[-1], float(np.abs(K).max()))
+        return K
+
+    monkeypatch.setattr(optimizers._SolvedBlock, "commit", recording_commit)
+    monkeypatch.setattr(optimizers._SolvedBlock, "_columns", recording_columns)
+    return blocks
+
+
+def count_solves(monkeypatch) -> list:
+    """One entry per np.linalg.solve call."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append(len(b))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+def fig1a_like_objective() -> Objective:
+    """fig1a's tau = 0.1 at 4000 x 50: from w = 0 Acc-SGD's pass-1 blocks
+    are coupled by 2^-10 to 2^-7, as the blocks of fig1a's 8000 x 100 are."""
+    return Objective("squared_hinge", generate_margin_data(4000, 50, 0.1, seed=0))
+
+
 def whole(cols) -> bool:
     return isinstance(cols, slice)
 
@@ -1844,6 +2039,64 @@ class TestSolvedBlocks:
             done and done[0] < size and nxt < eta
             for (size, eta, done), (_, nxt, _) in zip(commits, commits[1:])
         )
+
+    def test_weakly_coupled_blocks_iterate_without_lu(self, monkeypatch):
+        # made couplings in [2^-10, 2^-7): every block iterates its system
+        # to a standstill, and np.linalg.solve is never called
+        obj = fig1a_like_objective()
+        cfg = screen_config(obj, "accel", 0.1, seed=1)
+        expected = per_step_accel_rows(monkeypatch, obj, cfg, 2)
+        oracle = oracle_rows(obj, "accel", cfg, 2)
+        couplings = record_couplings(monkeypatch)
+        solves = count_solves(monkeypatch)
+        rows = kernel_rows(obj, "accel", cfg, 2)
+        assert solves == []
+        between = [k for k in couplings if 2.0**-10 <= k < optimizers._ITERATE_BELOW]
+        assert len(between) > 0.5 * len(couplings) and max(couplings) < 2.0**-7
+        assert_within_tolerance(rows, expected)
+        assert_within_tolerance(rows, oracle)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_line_search_blocks_above_the_limit_solve_by_lu(self, monkeypatch):
+        # Acc-SGD(LS) at tau = 0.005: its blocks are coupled above 2^-7,
+        # where iteration would take 10 to 50 rounds, and they solve by LU
+        obj = screen_objective("squared_hinge", 0.005, 0)
+        couplings = record_couplings(monkeypatch)
+        solves = count_solves(monkeypatch)
+        self.check(monkeypatch, obj, dense_config(obj, "accel_ls"), "accel_ls")
+        above = [k for k in couplings if k >= optimizers._ITERATE_BELOW]
+        assert solves and len(above) > 0.5 * len(couplings)
+
+    def test_unsettled_system_falls_back_to_lu(self, monkeypatch):
+        # with one round, iteration settles no system that has a coupled
+        # pair of active steps: such a block solves by LU and commits the
+        # same steps as with the iteration, to within rounding
+        obj = fig1a_like_objective()
+        cfg = screen_config(obj, "accel", 0.1, seed=1)
+        blocks = []
+        commit = optimizers._SolvedBlock.commit
+
+        def recording(self, it, *args):
+            before = (it.M.copy(), it.c, it.kappa)
+            done = commit(self, it, *args)
+            blocks.append((before, args, done, it.M.copy(), it.c))
+            return done
+
+        monkeypatch.setattr(optimizers._SolvedBlock, "commit", recording)
+        kernel_rows(obj, "accel", cfg, 1)
+        monkeypatch.undo()
+        expected = per_step_accel_rows(monkeypatch, obj, cfg, 2)
+        monkeypatch.setattr(optimizers, "_ROUNDS", 1)
+        solves = count_solves(monkeypatch)
+        solver = optimizers._SolvedBlock(obj)
+        for (M, c, kappa), args, done, M_after, c_after in blocks:
+            it = optimizers._RankOneIterates(M[0])
+            it.M[:], it.c, it.kappa = M, c, kappa
+            assert solver.commit(it, *args) == done
+            assert np.allclose(it.M, M_after, rtol=1e-12, atol=0.0) and it.c == c_after
+        assert len(solves) > 0.5 * len(blocks)
+        rows = kernel_rows(obj, "accel", cfg, 2)
+        assert_within_tolerance(rows, expected)
 
     def test_strongly_coupled_blocks_stay_exact(self, monkeypatch):
         # steps of eta = 1/(rho L) at rho = 10 couple the margins of a

@@ -71,3 +71,38 @@ def test_a_differing_stdout_prints_the_lines_that_differ(capsys):
     del old["stdout_text"]
     assert output_hashes.compare({"a": old}, {"a": new}) == 1
     assert capsys.readouterr().out == "a: stdout differ\n0 of 1 argvs identical\n"
+
+
+def test_thread_counts_are_printed_and_a_difference_named(capsys):
+    # a JSON written with --threads records the count next to the entries;
+    # one written without it records None, and an older one holds the
+    # entries alone
+    at = lambda n: {"blas_threads": n, "argvs": {"a": result()}}
+    assert output_hashes.compare(at(1), at(1)) == 0
+    assert capsys.readouterr().out == "BLAS threads: old 1, new 1\n1 of 1 argvs identical\n"
+    assert output_hashes.compare(at(1), at(2)) == 0
+    assert capsys.readouterr().out.startswith("BLAS threads: old 1, new 2 (they differ)\n")
+    assert output_hashes.compare(at(None), {"a": result()}) == 0
+    assert capsys.readouterr().out == (
+        "BLAS threads: old not set, new unrecorded (they differ)\n1 of 1 argvs identical\n"
+    )
+
+
+def test_threads_reach_every_child_and_the_json(tmp_path, monkeypatch):
+    # --threads N sets both thread variables for each argv's child process
+    # and writes N into the JSON
+    envs = []
+
+    def fake_run(cmd, cwd, env, capture_output):
+        envs.append((env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]))
+        return output_hashes.subprocess.CompletedProcess(cmd, 0, b"", b"")
+
+    monkeypatch.setattr(output_hashes.subprocess, "run", fake_run)
+    monkeypatch.setattr(output_hashes, "small_argvs", lambda: {"x": ["--help"], "y": ["run"]})
+    out = tmp_path / "h.json"
+    assert output_hashes.main(["--threads", "2", str(out)]) == 0
+    assert envs == [("2", "2"), ("2", "2")]
+    written = output_hashes.json.loads(out.read_text(encoding="utf-8"))
+    assert written["blas_threads"] == 2 and sorted(written["argvs"]) == ["x", "y"]
+    with pytest.raises(SystemExit):
+        output_hashes.main(["--threads", "0", str(out)])

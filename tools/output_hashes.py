@@ -6,9 +6,16 @@ the run wrote, and each CSV's ``train_loss`` column as written. A change
 that should leave outputs alone is checked by hashing the parent tree and
 the changed tree and comparing the two files:
 
-    python tools/output_hashes.py --repo ../parent parent.json
-    python tools/output_hashes.py change.json
+    python tools/output_hashes.py --threads 1 --repo ../parent parent.json
+    python tools/output_hashes.py --threads 1 change.json
     python tools/output_hashes.py --compare parent.json change.json
+
+``--threads N`` sets ``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` to N
+for every argv and records N in the JSON; without it the children inherit
+the environment and the JSON records the count as not set. Outputs depend
+on the BLAS thread count (see README's Reproducibility section), so
+``--compare`` prints the count of both sides first (unless neither JSON
+records one) and says when they differ.
 
 The small set (91 argvs, about a minute) covers every subcommand at
 200x10 scale, fig2 on a toy LIBSVM file, 23 ``run`` variants, ``--help``,
@@ -44,8 +51,8 @@ differing stdout it prints the old and new lines that differ (a ``run``
 argv prints each curve's ``final train_loss``, so a curve that moves in
 its last digits moves these lines too). A JSON written by an older
 version of this script has no ``train_loss`` columns or stdout text: its
-hashes still compare, but its CSVs get no verdict and its stdout no
-lines.
+hashes still compare, but its CSVs get no verdict, its stdout no lines
+and its thread count reads as unrecorded.
 """
 
 from __future__ import annotations
@@ -291,10 +298,12 @@ def verdict(old: list[str], new: list[str]) -> str:
             f"{'floor kept' if rule.floor_kept else 'FLOOR LEFT'}, old curve {diverged}")
 
 
-def hash_argv(src: Path, argv: list[str]) -> dict:
+def hash_argv(src: Path, argv: list[str], threads: int | None = None) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         inputs = write_inputs(Path(tmp), argv)
         env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(src))
+        if threads is not None:
+            env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
         proc = subprocess.run([sys.executable, "-m", "interpsgd.cli", *argv], cwd=tmp,
                               env=env, capture_output=True)
 
@@ -331,8 +340,28 @@ def changed_lines(old: str, new: str) -> list[str]:
             if line[:1] in "-+" and not line.startswith(("---", "+++"))]
 
 
+# a JSON written by an older version of this script holds the entries alone
+UNRECORDED = "unrecorded"
+
+
+def unpack(data: dict) -> tuple[int | str | None, dict]:
+    """(BLAS thread count, entries per argv) of a written JSON: the count
+    is None if it was written without ``--threads``, and ``UNRECORDED`` if
+    it was written by an older version of this script."""
+    if "argvs" in data and "blas_threads" in data:
+        return data["blas_threads"], data["argvs"]
+    return UNRECORDED, data
+
+
 def compare(old: dict, new: dict) -> int:
-    """Print every argv whose entry differs; returns the count."""
+    """Print the BLAS thread counts of both sides (unless neither JSON
+    records one) and every argv whose entry differs; returns the count of
+    those argvs."""
+    (old_threads, old), (new_threads, new) = unpack(old), unpack(new)
+    if (old_threads, new_threads) != (UNRECORDED, UNRECORDED):
+        count = lambda n: "not set" if n is None else str(n)
+        print(f"BLAS threads: old {count(old_threads)}, new {count(new_threads)}"
+              + ("" if old_threads == new_threads else " (they differ)"))
     differing = 0
     for name in sorted(old.keys() | new.keys()):
         a, b = old.get(name), new.get(name)
@@ -372,7 +401,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--full", action="store_true", help="add the 19 full-scale argvs")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="compare two JSON files instead of hashing")
+    parser.add_argument("--threads", type=int, metavar="N",
+                        help="set OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to N for every "
+                             "argv, and record N (default: the environment's, recorded as "
+                             "not set)")
     args = parser.parse_args(argv)
+    if args.threads is not None and args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     if args.compare:
         old, new = (json.loads(Path(p).read_text(encoding="utf-8")) for p in args.compare)
         return 1 if compare(old, new) else 0
@@ -382,10 +417,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.full:
         argvs.update(full_argvs())
     src = Path(args.repo).resolve() / "src"
-    results = {name: hash_argv(src, a) for name, a in argvs.items()}
-    Path(args.out).write_text(json.dumps(results, indent=1, sort_keys=True) + "\n",
+    results = {name: hash_argv(src, a, args.threads) for name, a in argvs.items()}
+    written = {"blas_threads": args.threads, "argvs": results}
+    Path(args.out).write_text(json.dumps(written, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
-    print(f"hashed {len(results)} argvs from {src} into {args.out}")
+    threads = "" if args.threads is None else f" at {args.threads} BLAS thread(s)"
+    print(f"hashed {len(results)} argvs from {src}{threads} into {args.out}")
     return 0
 
 
