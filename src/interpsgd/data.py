@@ -52,14 +52,16 @@ __all__ = [
     "subsample",
 ]
 
-MAX_CONSECUTIVE_REJECTIONS = 1_000_000
-
-
 class LibsvmFormatError(ValueError):
     """Malformed LIBSVM text; message carries the offending line number."""
 
 
 _NORMALIZE_ROWS = 1024
+
+# The most standard normals a margin data set may be expected to draw:
+# 400 times fig1a's 2.5e6 (8000 x 100 at tau = 0.1), whose draws take
+# 62 ms on a 2-vCPU VM, so about 25 s of drawing there.
+_DRAW_BUDGET = 10**9
 
 
 def _unit_sphere(rng, count: int, d: int) -> np.ndarray:
@@ -136,6 +138,11 @@ def generate_margin_data(
     zero at w_star). ``balance=True`` redraws until the class counts
     differ by less than 5% of n (a ValueError before any draw where no
     labeling can, for odd n <= 19); there is no balance guarantee otherwise.
+    A band that keeps so few points that the n rows of d normals are
+    expected to take more than ``_DRAW_BUDGET`` normals, n d / P with P
+    the share it keeps (:func:`_band_acceptance`), is a ValueError before
+    any draw too. So every ValueError here names an input that cannot be
+    drawn.
 
     Rows are drawn in rejection batches of max(rows missing, 256), each
     normalized in place, and the accepted rows are copied straight into
@@ -153,6 +160,13 @@ def generate_margin_data(
         raise ValueError(f"tau must be in (0, 1), got {tau}")
     if balance and not balance_reachable(n):
         raise ValueError(f"no labeling of n = {n} points is class-balanced")
+    share = _band_acceptance(d, tau)
+    if n * d > _DRAW_BUDGET * share:
+        raise ValueError(
+            f"tau = {tau!r} keeps a share {share:.3g} of the unit sphere in d = {d}: "
+            f"n = {n} rows would take about {n * d / share if share else math.inf:.3g} "
+            f"normal draws, more than the budget of {_DRAW_BUDGET:.0e}"
+        )
 
     for attempt in range(100):
         rng = child_rng(seed, attempt) if attempt else make_rng(seed)
@@ -161,26 +175,14 @@ def generate_margin_data(
 
         rows = np.empty((n, d))
         filled = 0
-        rejected_streak = 0
         while filled < n:
-            size = max(n - filled, 256)
-            batch = _unit_sphere(rng, size, d)
+            batch = _unit_sphere(rng, max(n - filled, 256), d)
             keep = np.flatnonzero(np.abs(batch @ direction) >= tau)
             take = min(keep.size, n - filled)
             # mode="clip" writes straight into out; "raise" buffers it
             np.take(batch, keep[:take], axis=0, out=rows[filled : filled + take], mode="clip")
             del batch  # not alive while the next batch is drawn
             filled += take
-            if take:
-                rejected_streak = 0
-                continue
-            rejected_streak += size
-            if rejected_streak > MAX_CONSECUTIVE_REJECTIONS:
-                raise RuntimeError(
-                    f"margin band rejection exceeded "
-                    f"{MAX_CONSECUTIVE_REJECTIONS} consecutive draws; "
-                    f"tau={tau} is too large for dimension {d}"
-                )
 
         y = np.sign(rows @ direction)
         if not balance or _balanced(float(np.sum(y)), n):

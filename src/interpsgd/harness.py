@@ -23,7 +23,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import (
-    _band_acceptance,
     balance_reachable,
     default_rbf_config,
     generate_margin_data,
@@ -259,33 +258,19 @@ class ExperimentConfig:
         return cfg
 
 
-# The most standard normals a synthetic data set may be expected to draw:
-# 400 times fig1a's 2.5e6 (8000 x 100 at tau = 0.1), whose draws take
-# 62 ms on a 2-vCPU VM, so about 25 s of drawing there.
-_DRAW_BUDGET = 10**9
-
-
-def _check_draw_budget(n: int, d: int, tau: float) -> None:
-    """A ConfigError, before any draw, for margin data whose band keeps so
-    few points that its n rows of d normals are expected to take more than
-    ``_DRAW_BUDGET`` normals: n d / P, P the share the band keeps."""
-    if not (n >= 2 and d >= 2 and 0.0 < tau < 1.0):
-        return  # generate_margin_data names the bad input itself
-    share = _band_acceptance(d, tau)
-    if n * d > _DRAW_BUDGET * share:
-        raise ConfigError(
-            f"tau = {tau!r} keeps a share {share:.3g} of the unit sphere in d = {d}: "
-            f"n = {n} rows would take about {n * d / share if share else math.inf:.3g} "
-            f"normal draws, more than the budget of {_DRAW_BUDGET:.0e}"
-        )
+def _margin_data(n: int, d: int, tau: float, seed: int, balance: bool = False) -> Dataset:
+    """``generate_margin_data``, whose every ValueError (a bad n, d or tau,
+    an unreachable balance, a band over the draw budget) is raised before
+    any draw and is a ConfigError here."""
+    try:
+        return generate_margin_data(n, d, tau, seed=seed, balance=balance)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_dataset(cfg: ExperimentConfig) -> Dataset:
     if cfg.dataset == "synthetic":
-        _check_draw_budget(cfg.n, cfg.d, cfg.tau)
-        return generate_margin_data(
-            cfg.n, cfg.d, cfg.tau, seed=cfg.seed, balance=cfg.balance
-        )
+        return _margin_data(cfg.n, cfg.d, cfg.tau, cfg.seed, cfg.balance)
     data = load_libsvm(cfg.libsvm_path)
     if cfg.n_sub is not None and cfg.n_sub < data.n:
         data = subsample(data, cfg.n_sub, seed=cfg.seed)
@@ -578,9 +563,7 @@ def perceptron_check(
     """
     if passes < MIN_FIT_ROWS:
         raise ConfigError(f"passes must be >= {MIN_FIT_ROWS} for the slope fits, got {passes}")
-    _check_draw_budget(n, d, tau)
-    data = generate_margin_data(n, d, tau, seed=seed)
-    obj = Objective("squared_hinge", data)
+    obj = _synthetic_objective(tau, n, d, seed)
     violations: list[str] = []
 
     seed_records = []
@@ -666,8 +649,7 @@ _APP_LS_CURVES = (
 
 
 def _synthetic_objective(tau: float, n: int, d: int, seed: int) -> Objective:
-    _check_draw_budget(n, d, tau)
-    return Objective("squared_hinge", generate_margin_data(n, d, tau, seed=seed))
+    return Objective("squared_hinge", _margin_data(n, d, tau, seed))
 
 
 def _figure_settings(name, paths, n, d, seed):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from interpsgd import data as data_module
 from interpsgd.data import LibsvmFormatError, RbfConfig
 from interpsgd.numerics import as_matrix, child_rng, make_rng
 from interpsgd.objectives import Dataset
@@ -204,8 +203,8 @@ def generate_margin_data(
     n: int, d: int, tau: float, seed: int = 0, balance: bool = False
 ) -> Dataset:
     """Margin data with a full-size norm, divided copy and boolean-mask
-    gather per rejection batch; the cap is read from
-    ``interpsgd.data.MAX_CONSECUTIVE_REJECTIONS``."""
+    gather per rejection batch. It has no draw budget: give it only bands
+    that keep a fair share of the sphere."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if d < 2:
@@ -215,7 +214,6 @@ def generate_margin_data(
     if balance and not abs(n % 2) < 0.05 * n:
         raise ValueError(f"no labeling of n = {n} points is class-balanced")
 
-    cap = data_module.MAX_CONSECUTIVE_REJECTIONS
     for attempt in range(100):
         rng = child_rng(seed, attempt) if attempt else make_rng(seed)
         direction = _unit_sphere(rng, 1, d)[0]
@@ -223,21 +221,10 @@ def generate_margin_data(
 
         rows = np.empty((n, d))
         filled = 0
-        rejected_streak = 0
         while filled < n:
             batch = _unit_sphere(rng, max(n - filled, 256), d)
             keep = np.abs(batch @ direction) >= tau
             accepted = batch[keep]
-            if accepted.shape[0] == 0:
-                rejected_streak += batch.shape[0]
-                if rejected_streak > cap:
-                    raise RuntimeError(
-                        f"margin band rejection exceeded "
-                        f"{cap} consecutive draws; "
-                        f"tau={tau} is too large for dimension {d}"
-                    )
-                continue
-            rejected_streak = 0
             take = min(accepted.shape[0], n - filled)
             rows[filled : filled + take] = accepted[:take]
             filled += take

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from interpsgd import cli, growth, harness, optimizers
+from interpsgd import data as data_module
 from interpsgd.cli import main
 from interpsgd.data import generate_margin_data, save_libsvm
 from interpsgd.harness import reproduce_figure
@@ -293,15 +294,26 @@ class TestRunCommand:
         assert err.startswith("config error: tau = 0.1 keeps a share 0.000104 ") and "budget" in err
         assert draws == [] and not out.exists()
 
-    def test_band_within_the_budget_still_draws(self, monkeypatch):
+    def test_band_within_the_budget_still_draws(self, tmp_path, capsys, monkeypatch):
         # the refusal reads the expected draw count: at a budget of twice
-        # what 750 rows of the band above take, they fit and 3000 do not;
-        # a wider band fits at the real budget
-        assert harness._check_draw_budget(3000, 1500, 0.05) is None
-        monkeypatch.setattr(harness, "_DRAW_BUDGET", 2 * 750 * 1500 / 1.0412e-4)
-        assert harness._check_draw_budget(750, 1500, 0.1) is None
-        with pytest.raises(harness.ConfigError, match="budget"):
-            harness._check_draw_budget(3000, 1500, 0.1)
+        # what 750 rows of the band above take, they reach the sampler and
+        # 3000 do not; a wider band reaches it at the real budget
+        class Drew(Exception):
+            pass
+
+        def sampler(*args):
+            raise Drew
+
+        monkeypatch.setattr(data_module, "_unit_sphere", sampler)
+        run = lambda n, tau: main(["run", "--n", str(n), "--d", "1500", "--tau", tau,
+                                   "--out", str(tmp_path / "out")])
+        with pytest.raises(Drew):
+            run(3000, "0.05")
+        monkeypatch.setattr(data_module, "_DRAW_BUDGET", 2 * 750 * 1500 / 1.0412e-4)
+        with pytest.raises(Drew):
+            run(750, "0.1")
+        assert run(3000, "0.1") == 1
+        assert "budget" in capsys.readouterr().err
 
     def test_libsvm_tau_zero_stays_valid(self, tmp_path):
         # tau = 0 means "no margin" for LIBSVM data, which has none of its own

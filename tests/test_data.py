@@ -59,15 +59,40 @@ class TestGenerateMarginData:
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
 
     def test_infeasible_margin_errors(self, monkeypatch):
-        # tau = 0.9 in dimension 100 leaves essentially no sphere mass; a
-        # smaller cap reaches the same raise after about 40 batches
-        monkeypatch.setattr(data_module, "MAX_CONSECUTIVE_REJECTIONS", 10_000)
+        # tau = 0.9 in dimension 100 keeps a share 1.8e-37 of the sphere,
+        # far over the draw budget: refused before any draw
+        draws = []
+        monkeypatch.setattr(data_module, "_unit_sphere", lambda *args: draws.append(args))
         message = (
-            "margin band rejection exceeded 10000 consecutive draws; "
-            "tau=0.9 is too large for dimension 100"
+            "tau = 0.9 keeps a share 1.76e-37 of the unit sphere in d = 100: n = 10 rows "
+            "would take about 5.67e+39 normal draws, more than the budget of 1e+09"
         )
-        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             generate_margin_data(10, 100, 0.9, seed=0)
+        assert draws == []
+
+    def test_band_within_the_budget_draws_past_any_run_of_rejections(self, monkeypatch):
+        # a band the budget admits is drawn however long its runs of
+        # rejected rows: a sampler that rejects the first 1,000,192 rows
+        # (3907 batches of 256) and then keeps every row
+        direction = np.array([1.0, 0.0])
+        batches = []
+
+        def sampler(rng, count, d):
+            if count == 1:
+                return direction[None, :].copy()
+            batches.append(count)
+            kept = sum(batches[:-1]) > 1_000_000
+            rows = np.zeros((count, d))
+            rows[:, 0 if kept else 1] = 1.0
+            rows[1::2, 0] *= -1.0
+            return rows
+
+        monkeypatch.setattr(data_module, "_unit_sphere", sampler)
+        data = generate_margin_data(4, 2, 0.5, seed=0)
+        assert sum(batches[:-1]) == 3907 * 256 and len(batches) == 3908
+        assert np.array_equal(data.X, [[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        assert np.array_equal(data.y, [1.0, -1.0, 1.0, -1.0])
 
     def test_balance_flag(self):
         data = generate_margin_data(400, 10, 0.1, seed=4, balance=True)
@@ -147,13 +172,16 @@ class TestMarginDataMatchesOracle:
                 )
                 assert got == want, (seed, balance)
 
-    def test_raised_errors(self, monkeypatch):
-        monkeypatch.setattr(data_module, "MAX_CONSECUTIVE_REJECTIONS", 2_000)
-        for args in [(10, 100, 0.9), (15, 4, 0.2), (1, 5, 0.1), (10, 5, 1.5)]:
+    def test_raised_errors(self):
+        # the oracle has no draw budget, so the refused band is checked
+        # against the generator's own refusal
+        for args in [(15, 4, 0.2), (1, 5, 0.1), (10, 5, 1.5)]:
             got = _margin_outcome(generate_margin_data, *args, seed=0, balance=True)
             assert isinstance(got[0], type) and got == _margin_outcome(
                 oracles.generate_margin_data, *args, seed=0, balance=True
             )
+        got = _margin_outcome(generate_margin_data, 10, 100, 0.9, seed=0, balance=True)
+        assert got[0] is ValueError and "budget" in got[1]
 
     def test_peak_memory_is_the_output_plus_one_batch(self):
         n, d = 8000, 100

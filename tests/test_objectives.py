@@ -50,6 +50,19 @@ class TestDataset:
             Dataset(X=X, y=y, support_size=2)
         assert calls == [1]
 
+    def test_rejects_a_margin_that_is_not_positive(self):
+        for tau in (0.0, -0.5):
+            with pytest.raises(ValueError, match="margin tau must be positive"):
+                Dataset(X=np.eye(2), y=np.array([1.0, -1.0]), tau=tau)
+
+    def test_rejects_a_violated_margin_certificate(self):
+        # y_i x_i . w_star >= 1 must hold on every row, to 1e-9
+        X, y = np.eye(2), np.array([1.0, -1.0])
+        for low in (1.0, 1.0 - 5e-10):
+            assert Dataset(X=X, y=y, tau=0.5, w_star=np.array([2.0, -low])).tau == 0.5
+        with pytest.raises(ValueError, match="min y_i x_i\\^T w_star = 0.999999998$"):
+            Dataset(X=X, y=y, tau=0.5, w_star=np.array([2.0, -(1.0 - 2e-9)]))
+
 
 class TestLossFull:
     def test_squared_hinge_zero_when_margins_satisfied(self):

@@ -1191,15 +1191,25 @@ def screen_case(tau, kind, method, mode, averaging, seed):
 
 
 def kink_config(kind: str, mode: str, w: np.ndarray) -> RunConfig:
-    """Steps that move w by about an ulp keep the margins at the kink."""
+    """Steps that move w by about an ulp keep the margins at the kink. The
+    squared hinge's gradient vanishes there, so its step only has to stay
+    below 2 / L_max (L_max = 4.6e3 on near_kink_objective's data) for the
+    run to stay at losses of about 1e-30 instead of diverging."""
     return RunConfig(
-        eta=2e-15 if kind == "hinge" else 1.0,
+        eta=2e-15 if kind == "hinge" else 1e-4,
         rho=2.0,
         mode=mode,
         mu=1e-3 if mode == "strongly_convex" else None,
         seed=3,
         w0=w,
     )
+
+
+def assert_stays_at_the_kink(kind: str, rows: list[MetricRow]) -> None:
+    """A squared-hinge run at kink_config's step keeps losses of about
+    1e-30 (they start at 5e-34): its margins stay within ulps of the kink."""
+    if kind == "squared_hinge":
+        assert max(r.train_loss for r in rows) <= 1e-29
 
 
 class TestZeroScreen:
@@ -1252,9 +1262,11 @@ class TestZeroScreen:
             # test_accel_span_crosses_the_kink
             pin_per_step_accel(monkeypatch)
         calls = count_scalar_gradients(monkeypatch)
-        assert_rows_match(kernel_rows(obj, method, cfg, 3), expected, method)
+        rows = kernel_rows(obj, method, cfg, 3)
+        assert_rows_match(rows, expected, method)
         if method != "accel":
             assert len(calls) < 0.5 * 3 * obj.n  # the screen was at work
+        assert_stays_at_the_kink(kind, rows)
 
     @pytest.mark.parametrize(
         "kind,mode",
@@ -1267,6 +1279,7 @@ class TestZeroScreen:
         rows = kernel_rows(obj, "accel", cfg, 3)
         assert len(calls) < 0.5 * 3 * obj.n  # the screen was at work
         assert_within_tolerance(rows, per_step_accel_rows(monkeypatch, obj, cfg, 3))
+        assert_stays_at_the_kink(kind, rows)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
@@ -1633,6 +1646,23 @@ class TestZeroScreen:
                 followed += 1
         assert followed
         assert_within_tolerance(rows, expected)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_span_check_certifies_nothing_past_the_norm_limit(self):
+        # the slack of the span certificate assumes that no product
+        # overflows, so a point with ||x_i|| (||m|| + ||u~||) >= 1e300
+        # certifies no row, however large its margins; nor does a point
+        # that is not finite, and neither warns. Rows of norm 1e150 put the
+        # limit within reach of a finite ||m||.
+        data = generate_margin_data(50, 5, 0.1, seed=0)
+        obj = Objective("squared_hinge", Dataset(X=1e150 * data.X, y=data.y))
+        screen = optimizers._ZeroScreen(obj, 0.0)
+        direction = data.tau * data.w_star  # unit norm, margins >= 0.1
+        blk, u, r = np.arange(obj.n), np.zeros(obj.dim), np.zeros(obj.n)
+        assert 1e149 < screen._norm_limit < 2e150
+        assert screen.certified_in_span(blk, 1e149 * direction, u, r).all()
+        assert not screen.certified_in_span(blk, 2e150 * direction, u, r).any()
+        assert not screen.certified_in_span(blk, direction, np.full(obj.dim, np.inf), r).any()
 
     def test_a_fold_moves_no_end(self):
         # a fold rewrites u~ and c but neither end of the segment: the kept
@@ -2113,6 +2143,43 @@ class TestSolvedBlocks:
         assert commits and all(done in (None, (0, 0)) for _, _, done in commits)
         narrow = sum(len(cols) == 1 and not whole(cols[0]) for cols in products)
         assert narrow > 0.5 * len(products)
+
+    @staticmethod
+    def commit_uncoupled(margin: float, test: bool):
+        """One block over 64 orthogonal rows, whose steps do not move each
+        other's margins, from margins y_i x_i . m = ``margin`` at eta = 1:
+        (what commit returned, M before, the iterates after)."""
+        y = np.where(np.arange(64) % 2, 1.0, -1.0)
+        obj = Objective("squared_hinge", Dataset(X=np.eye(64), y=y))
+        it = optimizers._RankOneIterates(margin * y)
+        before = it.M.copy()
+        done = optimizers._SolvedBlock(obj).commit(
+            it, np.arange(64), np.full(64, 0.01), np.full(64, 2.0), 1.0, 0.0, 1.0, test
+        )
+        return done, before, it
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_line_search_gradient_is_left_to_the_exact_loop(self):
+        # from margins of -1e200 the margins and steps are finite, but each
+        # squared gradient norm overflows: without the line search's test
+        # the block commits, and with it the block declines and leaves the
+        # iterates alone
+        done, _, it = self.commit_uncoupled(-1e200, False)
+        assert done == (64, 64) and np.isfinite(it.M).all()
+        done, before, it = self.commit_uncoupled(-1e200, True)
+        assert done is None
+        assert np.array_equal(it.M, before) and it.c == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_update_is_left_to_the_exact_loop(self):
+        # from margins of -8e307 the gradient scalars 2 (z - y) are still
+        # finite, but each step sends m_i to about 3 times its margin,
+        # past the largest double: the block declines and leaves the
+        # iterates alone (with the line search's test, the squared
+        # gradients would overflow first)
+        done, before, it = self.commit_uncoupled(-8e307, False)
+        assert done is None
+        assert np.array_equal(it.M, before) and it.c == 1.0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("test", [False, True])

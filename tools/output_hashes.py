@@ -17,10 +17,12 @@ on the BLAS thread count (see README's Reproducibility section), so
 ``--compare`` prints the count of both sides first (unless neither JSON
 records one) and says when they differ.
 
-The small set (91 argvs, about a minute) covers every subcommand at
+The small set (93 argvs, about a minute) covers every subcommand at
 200x10 scale, fig2 on a toy LIBSVM file, 23 ``run`` variants, ``--help``,
-config errors, ``perceptron`` with too few passes or τ above 1, a diverging
-run, the hinge combinations, ``spectral`` and ``run`` on a wide 20x200 file
+config errors (a margin band over the draw budget through ``run`` and
+``reproduce fig1a`` among them), ``perceptron`` with too few passes or τ
+above 1, a diverging run, the hinge combinations, ``spectral`` and ``run``
+on a wide 20x200 file
 whose top two singular values are 1 and 1 - 1e-9, ``spectral`` on a
 200x10 file whose rows have norm 1e150, and ``spectral`` and ``audit-rho``
 on a sparse 120x12 file (zeros omitted, indices unordered, a comment line
@@ -30,7 +32,9 @@ into parts on a machine with more than one CPU. ``--full`` adds
 ``reproduce fig1a..fig1d`` at n = 8000, d = 100, 30 passes with seeds 0-3,
 ``reproduce app_ls`` at its defaults, and Acc-SGD and Acc-SGD(LS) at the
 same scale and tau = 0.1 in strongly convex mode and with averaging, both
-converging to interpolation (19 argvs; 110 in all).
+converging to interpolation, and ``run`` on a margin band within the draw
+budget that rejects more than a million rows in a row (about 15 s; 20
+argvs, 113 in all).
 
 Each argv runs in a fresh temporary directory with ``COLUMNS=80`` and
 relative paths, so outputs do not depend on where either tree lives; the
@@ -191,6 +195,11 @@ def small_argvs() -> dict[str, list[str]]:
                           "--out", "out"],
         "sigma_negative": [*RUN, "--sigma", "-1"],
         "sigma_nan": [*RUN, "--sigma", "nan"],
+        # a band that keeps 1.04e-4 of the sphere: over the draw budget
+        "band_over_budget": ["run", "--n", "3000", "--d", "1500", "--tau", "0.1",
+                             "--out", "out"],
+        "band_over_budget_fig1a": ["reproduce", "fig1a", "--n", "3000", "--d", "1500",
+                                   "--out", "out"],
     }
     argvs.update({f"error_{name}": argv for name, argv in errors.items()})
     hinge = {
@@ -220,6 +229,10 @@ def full_argvs() -> dict[str, list[str]]:
              "--methods", "accel,accel_ls", "--step-rule-accel", "tau_over_L", "--out", "out"]
     argvs["full_accel_strongly_convex"] = [*accel, "--mode", "strongly_convex", "--mu", "0.001"]
     argvs["full_accel_averaging"] = [*accel, "--averaging", "true"]
+    # a band that keeps 2.0e-7 of the sphere, within the draw budget: about
+    # 5e8 normals, with runs of more than a million rejected rows
+    argvs["full_band_in_budget"] = ["run", "--n", "2", "--d", "50", "--tau", "0.6535",
+                                    "--passes", "1", "--out", "out"]
     return argvs
 
 
@@ -398,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", nargs="?", help="JSON file to write")
     parser.add_argument("--repo", default=str(REPO), help="tree to hash (default: this one)")
-    parser.add_argument("--full", action="store_true", help="add the 19 full-scale argvs")
+    parser.add_argument("--full", action="store_true", help="add the 20 full-scale argvs")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="compare two JSON files instead of hashing")
     parser.add_argument("--threads", type=int, metavar="N",
