@@ -390,6 +390,13 @@ def _leading_true(mask: np.ndarray) -> int:
     return len(mask) if mask.all() else int(mask.argmin())
 
 
+def _norms(*vectors: np.ndarray) -> list[float]:
+    """The computed 2-norms sqrt(v . v) of ``vectors``: inf or nan, without
+    numpy's warning, where a square overflows or an entry is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [math.sqrt(v.dot(v)) for v in vectors]
+
+
 class _ZeroScreen:
     """Certificates that upcoming steps have an exactly zero gradient, and
     the one screened pass (:meth:`cover`) of the SGD kernel (SGD and
@@ -519,6 +526,72 @@ class _ZeroScreen:
     and certificates again. The kept bounds survive active steps; a false
     alarm drops them, by :meth:`cover`'s rule.
 
+    Settled runs (:meth:`settled`): after a pass without a nonzero
+    gradient, Acc-SGD and Acc-SGD(LS) without a running mean take one
+    X @ [m, u~] at the M = [m; u~] and c that the next step starts from,
+    and read L_i, the smaller of :meth:`_lower` at r = 0 and r = c. The
+    run is settled when every row has
+
+        L_i - ||x_i|| (4 gamma (N_v + c N_u) + 4 (F u + lead) c N_u
+                       + 2^-900) >= 1,
+
+    where F = 2 s for a run of s steps in all, and lead bounds t / c from
+    above at every point m + t u~ where a later step takes a margin: 0 in
+    convex mode (kappa = 0, alpha <= 1), and in strongly convex mode the
+    one coefficient fl(fl(kappa - 1) + alpha) of every later step, if it
+    is positive (kappa and alpha move only with the line search's
+    estimate, which moves only at a nonzero gradient). The kernel computes
+    that kappa and alpha as the next pass will, and passes an infinite
+    lead where that kappa is not the current one, so that the next pass's
+    rebase would move m. The check refuses F u or lead above 2^-10, and a
+    point past the norm limit. L_i carries the three roundings of the
+    check; the subtraction of the terminal slack rounds once more, and its
+    rounded result is >= 1 only if the exact one is >= 1 - u: the fourth
+    extra unit. So every exact margin on the segment m - r u~, r in
+    [0, c], exceeds 1 by the terminal slack, up to a relative O(d u) from
+    the rounding of the norms and of the slack's own evaluation.
+
+    Then no later gradient is nonzero. By induction over the later steps,
+    let all before one have had zero gradients. Nothing has written m: a
+    zero step scales c by a computed factor in [0, 1], a solved block
+    with no active step sets c to a cumulative product of such factors, a
+    crossing scales c, and each pass's rebase finds the same kappa. A
+    fold sets u~ <- fl(c u~) and c <- 1, so the product V = c u~ becomes
+    fl(V), each entry within u |V_k| + 2^-1075 of V_k, and each later step
+    makes at most two folds (one at the start of the kernel's steps(),
+    which runs at least one step, and one in scale()). So
+    with V0 = c u~ at the check, every later state has V_k = sigma V0_k
+    (1 + theta_k) + e_k, sigma in [0, 1] common to all entries,
+    |theta_k| <= (1 + u)^F - 1 <= 1.01 F u and |e_k| <= 1.01 F 2^-1075.
+    Every margin that the kernel computes is taken at a point m + t u~,
+    t = fl(a c'), with a in [-1, lead] and c' at most the current c: the
+    exact loop's a = fl(fl(kappa - 1) + alpha), a solved block's the same
+    a with c' from its cumulative product, and log_row's w, whose
+    a = fl(kappa - 1) is at most the steps' a. So t u~ = -rho V with rho
+    in [-1.01 lead, 1], and with E = V - sigma V0 the exact margin there
+    is y_i x_i . (m - rho sigma V0) - rho y_i x_i . E. For rho >= 0 the
+    first term is an exact margin on the checked segment, at
+    r = rho sigma c; for rho < 0 it is at least the one at r = 0 less
+    1.01 lead ||x_i|| ||V0||. The second is at most ||x_i|| ||E|| <=
+    ||x_i|| (1.01 F u ||V0|| + 1.01 F sqrt(d) 2^-1075). The kernel's
+    margin lies within (gamma_d + 2.02 u) ||x_i|| (||m|| + ||V||) of the
+    exact one at its point: the exact loop's M.dot(row) and the block's
+    X_b @ M^T give a and b within gamma_d ||x_i|| ||m|| and
+    gamma_d ||x_i|| ||u~||, and a + t b rounds twice; log_row's
+    fl(m + fl(t u~)) lies within u (||m|| + 2.01 |t| ||u~||) of m + t u~,
+    and its gemv within gamma_d of the rest; y = +-1 multiplies exactly.
+    Here |t| ||u~|| <= ||V|| <= 1.002 ||V0|| + ||e||. The terminal slack
+    covers all of it: 4 gamma (gamma taken at d + 4) covers
+    gamma_d + 2.02 u with the factor 1.002 and the relative errors of the
+    norms, 4 (F u + lead) covers 1.01 (F u + lead), and 2^-900 covers
+    1.01 F sqrt(d) 2^-1075 for F sqrt(d) below 2^170. So the kernel's
+    margin y_i z is >= 1, where s_i is exactly zero: the step only scales
+    c, a solved block guesses no step active and commits none, and
+    log_row would log a loss of 0.0 (each max(0, 1 - y z) is 0), a zero
+    gradient and no mistake (y z > 0). A settled run therefore logs the
+    row (0.0, 0.0, 0.0) at this pass and every later one without
+    stepping (see :func:`run`), with the bytes that stepping would write.
+
     The bounds assume no overflow, so a block certifies nothing unless
     ||x_i|| ||w|| (SGD) or ||x_i|| (N_v + N_u) (Acc-SGD; c <= 1) is below
     1e300 for every row (a non-finite point fails this too); a nan margin
@@ -543,12 +616,15 @@ class _ZeroScreen:
         self._certified, self._kept_M, self._kept_c = None, None, 0.0
         self._kept_m, self._kept_u = None, None
 
-    def cover(self, n: int, steps, head) -> None:
-        """Runs a pass of n steps. ``steps(start, end)`` runs the steps
-        start..end-1 (exactly, or as the accelerated kernel's solved
-        blocks) and returns how many had a nonzero gradient;
-        ``head(start, end)`` moves the iterates past the certified steps at
-        the head of start..end-1 and returns their count.
+    def cover(self, n: int, steps, head) -> int:
+        """Runs a pass of n steps and returns how many had a nonzero
+        gradient. ``steps(start, end)`` runs the steps start..end-1
+        (exactly, or as the accelerated kernel's solved blocks) and returns
+        how many had a nonzero gradient; ``head(start, end)`` moves the
+        iterates past the certified steps at the head of start..end-1 and
+        returns their count. A pass without a nonzero gradient is where
+        the accelerated kernel asks :meth:`settled` whether any later one
+        can have one.
 
         While the observed gap between active steps (a running mean) is
         below ``min_gap``, a product costs more than it saves and the pass
@@ -569,22 +645,26 @@ class _ZeroScreen:
         :meth:`span_head` stay only while M stands still, which that method
         checks itself.
         """
-        k = 0
+        k = nonzero = 0
         while k < n:
             if self._gap < self._min_gap:
                 end = min(k + _PROBE, n)
                 active = steps(k, end)
+                nonzero += active
             else:
                 end = min(k + min(int(2.0 * self._gap), _MAX_BLOCK), n)
                 stop = k + head(k, end)
                 active = int(stop < end)
                 if active:
                     end = stop + 1
-                    if not steps(stop, end) and self._moved:
+                    moved = steps(stop, end)
+                    nonzero += moved
+                    if not moved and self._moved:
                         self._bounds = None  # a false alarm
             sample = (end - k) / active if active else max(2.0 * (end - k), self._gap)
             self._gap = 0.5 * (self._gap + sample)
             k = end
+        return nonzero
 
     def certified_head(self, blk: np.ndarray, w: np.ndarray) -> int:
         """How many steps at the head of ``blk`` are certified at w.
@@ -596,7 +676,7 @@ class _ZeroScreen:
         many rows and serves the blocks after it; a shorter block gathers
         its own rows.
         """
-        norm = math.sqrt(w.dot(w))
+        norm, = _norms(w)
         if not norm < self._norm_limit:
             return 0
         gamma, l2 = self._gamma, self._l2
@@ -606,8 +686,8 @@ class _ZeroScreen:
                 return _leading_true(m - 2.0 * gamma * norm * l2[blk] >= 1.0)
             self._bounds = self._y * (self._X @ w) - (gamma * norm) * l2
             self._w0 = w.copy()
-        e = w - self._w0
-        delta = (1.0 + 2.0 * gamma) * math.sqrt(e.dot(e))
+        e, = _norms(w - self._w0)
+        delta = (1.0 + 2.0 * gamma) * e
         self._moved = delta > 0.0
         return _leading_true(self._bounds[blk] - l2[blk] * (delta + gamma * norm) >= 1.0)
 
@@ -645,7 +725,7 @@ class _ZeroScreen:
     def _product_head(self, blk: np.ndarray, M: np.ndarray, c: float, r: np.ndarray) -> int:
         """:meth:`span_head` from one X @ [m, u~], which makes and keeps the
         bounds and the certificates of M and c."""
-        n_v, n_u = math.sqrt(M[0].dot(M[0])), math.sqrt(M[1].dot(M[1]))
+        n_v, n_u = _norms(*M)
         if not n_v + n_u < self._norm_limit:
             return 0
         P = self._X @ M.T
@@ -672,7 +752,7 @@ class _ZeroScreen:
         miss = np.flatnonzero(~certified)
         if 4 * len(miss) >= len(self._y):
             return self._product_head(blk, M, c, r)
-        n_v, n_u = math.sqrt(M[0].dot(M[0])), math.sqrt(M[1].dot(M[1]))
+        n_v, n_u = _norms(*M)
         if len(miss) and n_v + n_u < self._norm_limit:
             certified[miss] = self._segment(self._X[miss] @ M.T, miss, n_v, n_u, c) >= 1.0
         self._certified, self._kept_M, self._kept_c = certified, M.copy(), c
@@ -684,19 +764,19 @@ class _ZeroScreen:
         m0 - theta c0 u~0 on the kept segment."""
         m, u = M
         kept_m, kept_u = self._kept_m, self._kept_u
-        uu = float(kept_u.dot(kept_u))  # made finite, below the norm limit
-        norm = lambda v: math.sqrt(v.dot(v))
         gamma = self._gamma
         # an M that overflows gives an inf or nan distance, which certifies
         # nothing, without a warning
         with np.errstate(over="ignore", invalid="ignore"):
+            uu = float(kept_u.dot(kept_u))
             u_now = c * u
             end = m - u_now
             theta = min(1.0, max(0.0, float(u_now.dot(kept_u)) / uu)) if uu > 0.0 else 0.0
             near = kept_m - theta * kept_u
             e0, e1 = m - kept_m, end - near
-            return (1.0 + 2.0 * gamma) * max(norm(e0), norm(e1)) + gamma * (
-                norm(end) + norm(u_now) + norm(near) + 2.0 * math.sqrt(uu))
+        n0, n1, n_end, n_now, n_near = _norms(e0, e1, end, u_now, near)
+        return (1.0 + 2.0 * gamma) * max(n0, n1) + gamma * (
+            n_end + n_now + n_near + 2.0 * math.sqrt(uu))
 
     def _head_after(self, blk: np.ndarray, M: np.ndarray, r: np.ndarray, kept: np.ndarray) -> int:
         """The certified head of ``blk`` given what the kept state certifies
@@ -712,10 +792,27 @@ class _ZeroScreen:
         self, blk: np.ndarray, m: np.ndarray, u: np.ndarray, r: np.ndarray
     ) -> np.ndarray:
         """Per step k of ``blk``: certified at the span point m - r[k] u~."""
-        n_v, n_u = math.sqrt(m.dot(m)), math.sqrt(u.dot(u))
+        n_v, n_u = _norms(m, u)
         if not n_v + n_u < self._norm_limit:
             return np.zeros(len(blk), dtype=bool)
         return self._check(self._X[blk] @ np.stack((m, u), axis=1), blk, n_v, n_u, r)
+
+    def settled(self, M: np.ndarray, c: float, lead: float, steps: int) -> bool:
+        """Whether no later step of an accelerated run of ``steps`` steps in
+        all can have a nonzero gradient, from the state M and c that its
+        next step starts from, where ``lead`` >= 0 bounds t / c from above
+        at every span point m + t u~ that a later step reads: the terminal
+        slack of the class docstring, read from one X @ [m, u~] at r = 0
+        and r = c."""
+        n_v, n_u = _norms(*M)
+        folds = 2.0 * steps
+        if not (n_v + n_u < self._norm_limit and folds * _U <= 2.0**-10 and lead <= 2.0**-10):
+            return False
+        far = c * n_u
+        slack = self._l2 * (4.0 * self._gamma * (n_v + far)
+                            + 4.0 * (folds * _U + lead) * far + 2.0**-900)
+        lower = self._segment(self._X @ M.T, slice(None), n_v, n_u, c)
+        return bool((lower - slack >= 1.0).all())
 
     def _check(self, P: np.ndarray, rows, n_v: float, n_u: float, r) -> np.ndarray:
         """The certificate of the ``rows`` at r (per row, or one for all),
@@ -1162,7 +1259,8 @@ def _convex_coefficients(
     return gamma, ge / (ge + prev * prev * eta * rho)
 
 
-def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, screen, estimate=None):
+def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, screen, horizon: int,
+                  estimate=None):
     """Acc-SGD on :class:`_RankOneIterates`; given a line-search start
     ``estimate`` L^, Acc-SGD(LS): Acc-SGD at rho = L^/L and eta = 1/L^ whose
     exact steps with a nonzero gradient may double L^ (``search``). With a
@@ -1172,15 +1270,18 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
     a constant times a power of beta (1 - alpha) in strongly convex mode,
     and the screen keeps its certificates while M stands still, and its
     bounds on the kept segment after M moves (see :class:`_ZeroScreen`). A
-    pass
-    returns w without folding either. With a screen on the
-    squared hinge and no running mean, a stretch of at least ``_MIN_SOLVED``
+    pass returns w without folding either. With a screen on the squared
+    hinge and no running mean, a stretch of at least ``_MIN_SOLVED``
     steps that the screen hands over runs as :class:`_SolvedBlock`s of
     ``_SOLVE_BLOCK`` steps: each commits its leading steps that agree with
     its guessed active set (and, in Acc-SGD(LS), pass the sufficient-decrease
     test), and the exact loop takes the step that ended them, which may fold
     c or double L^, or the whole block if it is strongly coupled or not
-    finite."""
+    finite. A pass returns None instead of w where it settles the run: with
+    a screen and no running mean, a pass without a nonzero gradient asks
+    :meth:`_ZeroScreen.settled` whether a later step can have one, where
+    ``horizon``, the run's step count, bounds the folds still to come.
+    run() then makes no further call."""
     mode, mu, convex = sched.mode, sched.mu, sched.mode == "convex"
     rho, eta, gamma_prev, ab = sched.rho, sched.eta, sched.gamma_prev, sched.ab_ratio
     it = _RankOneIterates(w)
@@ -1189,10 +1290,22 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
     if screen is not None and mean is None and obj.kind == "squared_hinge":
         solver = _SolvedBlock(obj)
     g_noise = np.empty_like(w)
+    settle = screen is not None and mean is None
     beta, kappa, powers, sc_r = 1.0, 0.0, None, None
     # Acc-SGD(LS) searches the run's first step: that sets rho and eta, and in
     # strongly convex mode uses make_schedule's ratio and skips infeasible L^
     search_first = estimate is not None
+
+    def lead() -> float:
+        """An upper bound on t / c at every later span point m + t u~: 0 in
+        convex mode; in strongly convex mode the coefficient of every
+        later step, as the next pass computes it, or inf if the next pass
+        would rebase m (Acc-SGD(LS) after a search at a pass's last step)."""
+        if convex:
+            return 0.0
+        _, alpha, beta_next, _ = _schedule_coefficients(mode, rho, eta, mu, 0.0, ab)
+        kappa_next = _kappa(alpha, beta_next)
+        return max(0.0, kappa_next - 1.0 + alpha) if kappa_next == it.kappa else math.inf
 
     def run_pass(draw, noise):
         nonlocal gamma_prev
@@ -1322,11 +1435,10 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
                 it.scale(float(rel[j - 1] if convex else powers[j]))
             return j
 
-        if screen is None:
-            steps(0, n)
-        else:
-            screen.cover(n, steps, head)
+        nonzero = steps(0, n) if screen is None else screen.cover(n, steps, head)
         gamma_prev = float(gammas[-1])
+        if settle and not nonzero and screen.settled(it.M, it.c, lead(), horizon):
+            return None
         return it.w()
 
     return run_pass
@@ -1486,6 +1598,14 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     losses skip a step whose margin y z is not below 1 without evaluating
     the loss table, whose s is exactly zero there
     (``_LossKind.margin_zero``), and stay bit-identical.
+    An accelerated run with a screen and without averaging settles after a
+    pass without a nonzero gradient if one X @ [m, u~] shows every margin
+    along the segment of the iterates' span points above 1 by a terminal
+    slack that covers every margin the kernel could still compute, and
+    the rounding of its later folds (``_ZeroScreen.settled``). Every later
+    gradient is then exactly zero, and each later pass logs the row that
+    stepping would log, bit for bit: loss, gradient and mistake rate 0.0,
+    without drawing, stepping or evaluating.
     Any other objective (those of :mod:`interpsgd.problems`), and any while
     a single-step function or ``Objective.grad_example``/``loss_example``
     is rebound (wrapped by a profiler, say), steps through the public
@@ -1533,32 +1653,38 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
             elif mean is None:
                 screen = _ZeroScreen(obj, _SGD_MIN_GAP)
         if accel:
-            run_pass = _accel_kernel(obj, w, sched, mean, screen, estimate)
+            run_pass = _accel_kernel(obj, w, sched, mean, screen, passes * n, estimate)
         else:
             run_pass = _sgd_kernel(obj, w, eta, mean, screen, estimate)
 
     record = RunRecord()
     t0 = time.monotonic()
 
-    def log_row(pass_index: int, point: np.ndarray) -> None:
-        if isinstance(obj, Objective):
+    def log_row(pass_index: int, point: np.ndarray | None) -> None:
+        """The row at ``point``; at None, that of a settled run, whose
+        every margin is >= 1 (see ``_ZeroScreen.settled``)."""
+        if point is None:
+            loss = grad_sq = mistakes = 0.0
+        elif isinstance(obj, Objective):
             # loss_full, grad_full and mistake_rate from one z = X w
             z = obj.data.X @ point
             loss = float(np.mean(obj._losses(z)))
             s = obj._grad_scalars(z)
             # X is finite (Dataset checks), so s = 0 gives a zero gradient
             full = (obj.data.X.T @ s) / n if s.any() else np.zeros(obj.dim)
+            grad_sq = float(full @ full)
             mistakes = float(np.mean(obj.data.y * z <= 0.0))
         else:
             loss = obj.loss_full(point)
             full = obj.grad_full(point)
+            grad_sq = float(full @ full)
             mistakes = obj.mistake_rate(point) if hasattr(obj, "mistake_rate") else 0.0
         record.append(
             MetricRow(
                 pass_index=pass_index,
                 iteration=pass_index * n,
                 train_loss=loss,
-                grad_sq_norm=float(full @ full),
+                grad_sq_norm=grad_sq,
                 mistake_rate=mistakes,
                 elapsed_ms=int((time.monotonic() - t0) * 1000),
             )
@@ -1568,13 +1694,14 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     noise_std = config.sigma / math.sqrt(obj.dim)
     for p in range(1, passes + 1):
         try:
-            draw = rng.integers(0, n, size=n)
-            noise = None
-            if config.sigma > 0:
-                noise = rng.normal(0.0, noise_std, size=(n, obj.dim))
-            w = run_pass(draw, noise)
+            if w is not None:  # None: settled, and no later step moves
+                draw = rng.integers(0, n, size=n)
+                noise = None
+                if config.sigma > 0:
+                    noise = rng.normal(0.0, noise_std, size=(n, obj.dim))
+                w = run_pass(draw, noise)
             point = w if mean is None else mean.value
-            if not np.isfinite(point).all():
+            if point is not None and not np.isfinite(point).all():
                 raise FloatingPointError("non-finite iterate")
             log_row(p, point)
         except Exception as exc:

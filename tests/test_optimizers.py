@@ -1526,7 +1526,10 @@ class TestZeroScreen:
     def test_accel_keeps_certificates_while_M_stands_still(self, monkeypatch, method, mode):
         # every margin at 1.01 w_star is >= 1.01: every gradient is zero,
         # only c moves, and from the first product over all rows on, every
-        # later block of every pass (n = 5000) reads the kept certificates
+        # later block of every pass (n = 5000) reads the kept certificates.
+        # Such a run settles after pass 1 (test_accel_settles_where_M_stands_still),
+        # so the check is switched off here to keep all four passes stepping.
+        monkeypatch.setattr(optimizers._ZeroScreen, "settled", lambda self, *args: False)
         data = generate_margin_data(5000, 5, 0.1, seed=0)
         obj = Objective("squared_hinge", data)
         cfg = RunConfig(seed=2, mode=mode, mu=1e-3 if mode == "strongly_convex" else None,
@@ -1537,6 +1540,28 @@ class TestZeroScreen:
         made = next(k for k, (_, kept) in enumerate(events) if kept)
         assert all(read for read, _ in events[made + 1:]) and len(events) - made > 4
         assert_within_tolerance(rows, expected)
+
+    @pytest.mark.parametrize("method", ["accel", "accel_ls"])
+    @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
+    def test_accel_settles_where_M_stands_still(self, monkeypatch, method, mode):
+        # the data of test_accel_keeps_certificates_while_M_stands_still:
+        # pass 1 has no nonzero gradient and every margin clears the
+        # terminal slack, so the run is settled after it. No later pass
+        # reads the screen, and the rows are those of the stepping run.
+        data = generate_margin_data(5000, 5, 0.1, seed=0)
+        obj = Objective("squared_hinge", data)
+        cfg = RunConfig(seed=2, mode=mode, mu=1e-3 if mode == "strongly_convex" else None,
+                        w0=1.01 * data.w_star)
+        stepping = stepping_rows(monkeypatch, obj, method, cfg, 4)
+        checks = record_settled(monkeypatch)
+        events = record_span_heads(monkeypatch)
+        rows = kernel_rows(obj, method, cfg, 4)
+        assert checks == [True]
+        assert events and rows == stepping
+        assert all(astuple(r)[2:5] == (0.0, 0.0, 0.0) for r in rows[1:])
+        heads = len(events)
+        kernel_rows(obj, method, cfg, 1)
+        assert len(events) == 2 * heads  # all of them in pass 1
 
     def test_span_head_reads_kept_certificates_only_at_their_M_and_c(self):
         # at 1.01 w_star every row is certified on its whole segment; a
@@ -1663,6 +1688,21 @@ class TestZeroScreen:
         assert screen.certified_in_span(blk, 1e149 * direction, u, r).all()
         assert not screen.certified_in_span(blk, 2e150 * direction, u, r).any()
         assert not screen.certified_in_span(blk, direction, np.full(obj.dim, np.inf), r).any()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norms_past_the_float_range_certify_nothing_without_a_warning(self):
+        # a finite point whose squared norm overflows: 1e299 times a unit
+        # direction, at unit-norm rows (a norm limit of 1e300). Every check
+        # takes its norms without numpy's overflow warning and certifies
+        # nothing.
+        data = generate_margin_data(50, 5, 0.1, seed=0)
+        screen = optimizers._ZeroScreen(Objective("squared_hinge", data), 0.0)
+        huge = 1e299 * (data.tau * data.w_star)
+        blk, r = np.arange(data.n), np.zeros(data.n)
+        assert 9e299 < screen._norm_limit <= 1e300
+        assert not screen.certified_in_span(blk, huge, np.zeros(data.dim), r).any()
+        assert screen.certified_head(blk, huge) == 0
+        assert not screen.settled(np.stack((huge, np.zeros(data.dim))), 1.0, 0.0, 100)
 
     def test_a_fold_moves_no_end(self):
         # a fold rewrites u~ and c but neither end of the segment: the kept
@@ -1883,6 +1923,204 @@ class TestZeroScreen:
                 unsafe_kept += segments[1][k] and lowest < 1
         assert certified > 0 and unsafe > 0
         assert kept > 0 and unsafe_kept > 0
+
+
+# ---------------------------------------------------------------------------
+# settled accelerated runs: a state from which no later gradient is nonzero
+# ---------------------------------------------------------------------------
+
+
+def record_settled(monkeypatch, events=None) -> list:
+    """What each _ZeroScreen.settled call returned; given ``events``, also
+    ("cover", nonzero gradients) per pass and ("settled", result) per check,
+    in call order."""
+    checks = []
+    settled, cover = optimizers._ZeroScreen.settled, optimizers._ZeroScreen.cover
+
+    def recording(self, *args):
+        checks.append(settled(self, *args))
+        if events is not None:
+            events.append(("settled", checks[-1]))
+        return checks[-1]
+
+    def covering(self, *args):
+        events.append(("cover", cover(self, *args)))
+        return events[-1][1]
+
+    monkeypatch.setattr(optimizers._ZeroScreen, "settled", recording)
+    if events is not None:
+        monkeypatch.setattr(optimizers._ZeroScreen, "cover", covering)
+    return checks
+
+
+def stepping_rows(monkeypatch, obj, method: str, cfg: RunConfig, passes: int) -> list[MetricRow]:
+    """kernel_rows with the settled check switched off: every pass steps."""
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizers._ZeroScreen, "settled", lambda self, *args: False)
+        return kernel_rows(obj, method, cfg, passes)
+
+
+@functools.lru_cache(maxsize=None)
+def settling_objective() -> Objective:
+    """fig1a's tau = 0.1 at 4000 x 50, where screen_config's Acc-SGD
+    (tau_over_L) and Acc-SGD(LS) settle within 12 passes from w = 0 in
+    both modes."""
+    return Objective("squared_hinge", generate_margin_data(4000, 50, 0.1, seed=2))
+
+
+def span_margins(row: np.ndarray, M: np.ndarray, ts) -> list[float]:
+    """The computed x . p of a one-row matrix at the points p = m + t u~ of
+    ``ts`` (times y, a margin) as the kernel takes it: a + t b from the
+    exact loop's M.dot(x), and log_row's gemv at fl(w) = m + fl(t u~)."""
+    a, b = M.dot(row[0]).tolist()
+    return [z for t in ts for z in (a + t * b, float((row @ (M[0] + t * M[1]))[0]))]
+
+
+class TestSettledRuns:
+    @pytest.mark.parametrize("method", ["accel", "accel_ls"])
+    @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
+    def test_rows_equal_the_stepping_run(self, monkeypatch, method, mode):
+        # from w = 0 the run steps until a pass has no nonzero gradient and
+        # the check passes; the rows after it are those that stepping on
+        # would log, bit for bit. The check is made after every pass without
+        # a nonzero gradient, and only then.
+        obj = settling_objective()
+        cfg = screen_config(obj, method, 0.1, mode)
+        stepping = stepping_rows(monkeypatch, obj, method, cfg, 12)
+        events = []
+        checks = record_settled(monkeypatch, events)
+        rows = kernel_rows(obj, method, cfg, 12)
+        assert checks[-1] and checks.count(True) == 1
+        assert rows == stepping
+        covers = [value for kind, value in events if kind == "cover"]
+        assert covers[0] > 0 and len(covers) < 12
+        for before, after in zip(events, events[1:]):
+            if after[0] == "settled":
+                assert before == ("cover", 0)
+            elif before[0] == "cover":
+                assert before[1] > 0
+
+    def test_no_settling_before_a_rebase(self, monkeypatch):
+        # one row, so Acc-SGD(LS)'s search of the run's first step is the
+        # last step of pass 1. Its zero gradient keeps the estimate, but
+        # the search moved rho and eta from the config's, and the next
+        # pass rebases m to their kappa: pass 1 is not checked (lead inf),
+        # pass 2 settles
+        data = generate_margin_data(2, 5, 0.1, seed=0)
+        obj = Objective("squared_hinge", Dataset(X=data.X[:1], y=data.y[:1]))
+        cfg = RunConfig(mode="strongly_convex", mu=1e-3, seed=0, w0=1.01 * data.w_star)
+        stepping = stepping_rows(monkeypatch, obj, "accel_ls", cfg, 4)
+        checks = []
+        settled = optimizers._ZeroScreen.settled
+
+        def recording(self, M, c, lead, steps):
+            checks.append((lead, settled(self, M, c, lead, steps)))
+            return checks[-1][1]
+
+        monkeypatch.setattr(optimizers._ZeroScreen, "settled", recording)
+        rows = kernel_rows(obj, "accel_ls", cfg, 4)
+        assert checks == [(math.inf, False), (0.0, True)]
+        assert rows == stepping
+
+    def test_settled_rows_hold_in_exact_arithmetic(self):
+        # rows whose exact margins at the ends m and m - c u~ of the segment
+        # lie from 40 ulps below 1 to 400 above. Every row that the check
+        # passes on its own has exact Fraction margins >= 1 at both ends,
+        # and computed margins >= 1 at span points across [0, c], from the
+        # exact loop's M.dot(row) and from X @ fl(w), and so after a fold
+        # (u~ <- fl(c u~), c <- 1). With the terminal slack zeroed some row
+        # passes that fails one of these.
+        rng = np.random.default_rng(4)
+        d, B, c, steps = 3, 512, 0.37, 100
+        passed = unsafe = 0
+        for _ in range(4):
+            M = np.stack((rng.normal(size=d), 0.3 * rng.normal(size=d)))
+            m, u = M
+            folded = np.stack((m, c * u))
+            X = rng.normal(size=(B, d))
+            ulps = lambda: 1.0 + rng.integers(-40, 400, size=B) * 2.0**-52
+            ends = np.stack((ulps(), ulps()))
+            gram = np.array([[m @ m, m @ u], [u @ m, u @ u]])
+            rhs = np.stack((ends[0], (ends[0] - ends[1]) / c)) - np.stack((X @ m, X @ u))
+            X += np.linalg.solve(gram, rhs).T @ M
+            mf, uf = [Fraction(x) for x in m], [Fraction(x) for x in u]
+            for k in range(B):
+                row = X[k : k + 1]
+                screen = optimizers._ZeroScreen(Objective("hinge", Dataset(X=row, y=np.ones(1))), 0.0)
+                ok = screen.settled(M, c, 0.0, steps)
+                screen._gamma = 0.0
+                bare_ok = screen.settled(M, c, 0.0, 0)
+                if ok or bare_ok:
+                    a = sum(Fraction(x) * v for x, v in zip(row[0], mf))
+                    b = sum(Fraction(x) * v for x, v in zip(row[0], uf))
+                    computed = (span_margins(row, M, -c * np.linspace(0.0, 1.0, 9))
+                                + span_margins(row, folded, -np.linspace(0.0, 1.0, 9)))
+                    safe = min(a, a - Fraction(c) * b) >= 1 and min(computed) >= 1.0
+                    if ok:
+                        assert safe, k
+                        passed += 1
+                    unsafe += bare_ok and not safe
+        assert passed > 0 and unsafe > 0
+
+    def test_a_row_ulps_above_the_kink_is_refused(self):
+        # at M = [1.01 w_star; 0.01 w_star] and c = 0.5 every margin on the
+        # segment is at least 1.005 and the run is settled, but not once one
+        # row along w_star has an exact margin a few ulps above 1 at the
+        # segment's far end (and 1 + 5e-3 at m): there every check of the
+        # kernel still sees a zero gradient, and the check without its
+        # terminal slack passes it
+        data = generate_margin_data(400, 5, 0.1, seed=0)
+        M, c = np.stack((1.01 * data.w_star, 0.01 * data.w_star)), 0.5
+        screen = optimizers._ZeroScreen(Objective("squared_hinge", data), 0.0)
+        assert screen.settled(M, c, 0.0, 4000)
+        X = data.X.copy()
+        X[0] = data.y[0] * (1.0 + 4 * 2.0**-52) / 1.005 * data.w_star / (data.w_star @ data.w_star)
+        far = [Fraction(x) for x in M[0] - c * M[1]]
+        margin = data.y[0] * sum(Fraction(x) * v for x, v in zip(X[0], far))
+        assert 1 <= margin <= 1 + Fraction(2.0**-48)
+        obj = Objective("squared_hinge", Dataset(X=X, y=data.y))
+        screen = optimizers._ZeroScreen(obj, 0.0)
+        assert not screen.settled(M, c, 0.0, 4000)
+        assert min(data.y[0] * np.array(span_margins(X[:1], M, -c * np.linspace(0.0, 1.0, 9)))) >= 1.0
+        screen._gamma = 0.0
+        assert screen.settled(M, c, 0.0, 0)
+
+    def test_the_slack_grows_with_the_run_and_the_lead(self):
+        # the terminal slack covers the rounding of every fold still to
+        # come (two per step of the run) and span points up to lead c past
+        # m: a row along w_star with a margin of 1 + 1e-6 at the far end
+        # of the segment clears it for a run of 4000 steps at lead 0, but
+        # not for a run of 2^40 steps or at a lead of 2^-11 (slack terms
+        # of about 5e-5 and 1e-4); no run of 2^43 steps and no lead above
+        # 2^-10 settles at all
+        data = generate_margin_data(400, 5, 0.1, seed=0)
+        M, c = np.stack((1.01 * data.w_star, 0.01 * data.w_star)), 0.5
+        X = data.X.copy()
+        X[0] = data.y[0] * (1.0 + 1e-6) / 1.005 * data.w_star / (data.w_star @ data.w_star)
+        screen = optimizers._ZeroScreen(Objective("squared_hinge", Dataset(X=X, y=data.y)), 0.0)
+        assert screen.settled(M, c, 0.0, 4000)
+        assert not screen.settled(M, c, 0.0, 2**40)
+        assert not screen.settled(M, c, 2.0**-11, 4000)
+        screen = optimizers._ZeroScreen(Objective("squared_hinge", data), 0.0)
+        assert screen.settled(M, c, 0.0, 2**40)
+        assert not screen.settled(M, c, 0.0, 2**43)
+        assert not screen.settled(M, c, 2.0**-9, 4000)
+
+    @pytest.mark.parametrize(
+        "method,averaging,sigma",
+        [("accel", True, 0.0), ("accel_ls", True, 0.0), ("accel", False, 0.1),
+         ("sgd", False, 0.0), ("sgd_ls", False, 0.0)],
+    )
+    def test_no_check_with_averaging_noise_or_sgd(self, monkeypatch, method, averaging, sigma):
+        # from 1.01 w_star every gradient is zero (the noise aside), but the
+        # check needs the accelerated kernel's screen and no running mean
+        data = generate_margin_data(5000, 5, 0.1, seed=0)
+        obj = Objective("squared_hinge", data)
+        cfg = RunConfig(rho=10.0, seed=2, averaging=averaging, sigma=sigma,
+                        w0=1.01 * data.w_star)
+        checks = record_settled(monkeypatch)
+        rows = kernel_rows(obj, method, cfg, 3)
+        assert checks == [] and len(rows) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,10 @@ on the BLAS thread count (see README's Reproducibility section), so
 ``--compare`` prints the count of both sides first (unless neither JSON
 records one) and says when they differ.
 
-The small set (93 argvs, about a minute) covers every subcommand at
-200x10 scale, fig2 on a toy LIBSVM file, 23 ``run`` variants, ``--help``,
+The small set (95 argvs, about a minute) covers every subcommand at
+200x10 scale, fig2 on a toy LIBSVM file, 23 ``run`` variants, two Acc-SGD
+runs that settle (500x50 at 20 passes, and 200x10 at 30 passes in strongly
+convex mode), ``--help``,
 config errors (a margin band over the draw budget through ``run`` and
 ``reproduce fig1a`` among them), ``perceptron`` with too few passes or τ
 above 1, a diverging run, the hinge combinations, ``spectral`` and ``run``
@@ -34,7 +36,7 @@ into parts on a machine with more than one CPU. ``--full`` adds
 same scale and tau = 0.1 in strongly convex mode and with averaging, both
 converging to interpolation, and ``run`` on a margin band within the draw
 budget that rejects more than a million rows in a row (about 15 s; 20
-argvs, 113 in all).
+argvs, 115 in all).
 
 Each argv runs in a fresh temporary directory with ``COLUMNS=80`` and
 relative paths, so outputs do not depend on where either tree lives; the
@@ -156,6 +158,15 @@ def small_argvs() -> dict[str, list[str]]:
     argvs["run_strongly_convex_ls_from_below_mu"] = [
         "run", "--methods", "accel,accel_ls", "--mode", "strongly_convex", "--mu", "1.0",
         "--n", "200", "--d", "2", "--passes", "2", "--out", "out"]
+    # Acc-SGD runs that settle: every later gradient is certified zero, and
+    # the passes after that log their rows without stepping (one curve of
+    # the first, both of the second)
+    settles = ["run", "--tau", "0.1", "--methods", "accel,accel_ls",
+               "--step-rule-accel", "tau_over_L", "--out", "out"]
+    argvs["run_settles"] = [*settles, "--n", "500", "--d", "50", "--passes", "20"]
+    argvs["run_settles_strongly_convex"] = [*settles, "--n", "200", "--d", "10",
+                                            "--passes", "30", "--mode", "strongly_convex",
+                                            "--mu", "0.001"]
     argvs["audit"] = ["audit-rho", *SMALL]
     argvs["audit_grid"] = ["audit-rho", *SMALL, "--rho-rule", "grid",
                            "--rho-grid", "0.01,16", "--grid-passes", "3"]
