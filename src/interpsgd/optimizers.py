@@ -383,6 +383,14 @@ _MIN_SOLVED = 16  # shorter stretches run exact steps
 _ITERATE_BELOW = 2.0**-7  # made coupling below which a _SolvedBlock iterates first
 _ROUNDS = 8  # iterations of a weakly coupled _SolvedBlock before it solves
 _GUESSES = 3  # active sets a _SolvedBlock tries
+# An accelerated pass with at most n / _SETTLE_SHARE nonzero gradients asks
+# _ZeroScreen.settled whether the run has settled. The first check of a run
+# costs one product over all rows (0.6-0.8 ms at 8000 x 100, one BLAS
+# thread), so passes with many active steps, after which it all but surely
+# fails, skip it. On fig1a's data (8000 x 100, tau = 0.1, program seeds
+# 0-31) 16 of 32 runs settled after a pass that still had 1 to 15 nonzero
+# gradients; fig1a's first pass has about 3100 and its second 8 to 36.
+_SETTLE_SHARE = 64
 
 
 def _leading_true(mask: np.ndarray) -> int:
@@ -526,11 +534,11 @@ class _ZeroScreen:
     and certificates again. The kept bounds survive active steps; a false
     alarm drops them, by :meth:`cover`'s rule.
 
-    Settled runs (:meth:`settled`): after a pass without a nonzero
-    gradient, Acc-SGD and Acc-SGD(LS) without a running mean take one
-    X @ [m, u~] at the M = [m; u~] and c that the next step starts from,
-    and read L_i, the smaller of :meth:`_lower` at r = 0 and r = c. The
-    run is settled when every row has
+    Settled runs (:meth:`settled`): after a pass with few nonzero
+    gradients (at most n / _SETTLE_SHARE), Acc-SGD and Acc-SGD(LS) without
+    a running mean take one X @ [m, u~] at the M = [m; u~] and c that the
+    next step starts from, and read L_i, the smaller of :meth:`_lower` at
+    r = 0 and r = c. The run is settled when every row has
 
         L_i - ||x_i|| (4 gamma (N_v + c N_u) + 4 (F u + lead) c N_u
                        + 2^-900) >= 1,
@@ -549,7 +557,10 @@ class _ZeroScreen:
     rounded result is >= 1 only if the exact one is >= 1 - u: the fourth
     extra unit. So every exact margin on the segment m - r u~, r in
     [0, c], exceeds 1 by the terminal slack, up to a relative O(d u) from
-    the rounding of the norms and of the slack's own evaluation.
+    the rounding of the norms and of the slack's own evaluation. Nothing
+    here reads the steps before the check, so a pass with nonzero
+    gradients may settle the run as well as one without; the rows that
+    failed the last check are read first only to refuse sooner.
 
     Then no later gradient is nonzero. By induction over the later steps,
     let all before one have had zero gradients. Nothing has written m: a
@@ -615,6 +626,8 @@ class _ZeroScreen:
         # segment of the last full product, with its m and c u~
         self._certified, self._kept_M, self._kept_c = None, None, 0.0
         self._kept_m, self._kept_u = None, None
+        # the rows that failed the last settled check
+        self._unsettled = np.empty(0, dtype=np.intp)
 
     def cover(self, n: int, steps, head) -> int:
         """Runs a pass of n steps and returns how many had a nonzero
@@ -622,9 +635,9 @@ class _ZeroScreen:
         (exactly, or as the accelerated kernel's solved blocks) and returns
         how many had a nonzero gradient; ``head(start, end)`` moves the
         iterates past the certified steps at the head of start..end-1 and
-        returns their count. A pass without a nonzero gradient is where
-        the accelerated kernel asks :meth:`settled` whether any later one
-        can have one.
+        returns their count. After a pass with few of them the
+        accelerated kernel asks :meth:`settled` whether any later step can
+        have one.
 
         While the observed gap between active steps (a running mean) is
         below ``min_gap``, a product costs more than it saves and the pass
@@ -803,16 +816,25 @@ class _ZeroScreen:
         next step starts from, where ``lead`` >= 0 bounds t / c from above
         at every span point m + t u~ that a later step reads: the terminal
         slack of the class docstring, read from one X @ [m, u~] at r = 0
-        and r = c."""
+        and r = c. The rows that failed the last check are read first, from
+        a product of their own rows: while one of them still fails, the
+        check refuses without the product over all rows."""
         n_v, n_u = _norms(*M)
         folds = 2.0 * steps
         if not (n_v + n_u < self._norm_limit and folds * _U <= 2.0**-10 and lead <= 2.0**-10):
             return False
         far = c * n_u
-        slack = self._l2 * (4.0 * self._gamma * (n_v + far)
-                            + 4.0 * (folds * _U + lead) * far + 2.0**-900)
+        scale = 4.0 * self._gamma * (n_v + far) + 4.0 * (folds * _U + lead) * far + 2.0**-900
+        rows = self._unsettled
+        if len(rows):
+            lower = self._segment(self._X[rows] @ M.T, rows, n_v, n_u, c)
+            fails = ~(lower - self._l2[rows] * scale >= 1.0)
+            if fails.any():
+                self._unsettled = rows[fails]
+                return False
         lower = self._segment(self._X @ M.T, slice(None), n_v, n_u, c)
-        return bool((lower - slack >= 1.0).all())
+        self._unsettled = np.flatnonzero(~(lower - self._l2 * scale >= 1.0))
+        return not len(self._unsettled)
 
     def _check(self, P: np.ndarray, rows, n_v: float, n_u: float, r) -> np.ndarray:
         """The certificate of the ``rows`` at r (per row, or one for all),
@@ -1278,10 +1300,10 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
     test), and the exact loop takes the step that ended them, which may fold
     c or double L^, or the whole block if it is strongly coupled or not
     finite. A pass returns None instead of w where it settles the run: with
-    a screen and no running mean, a pass without a nonzero gradient asks
-    :meth:`_ZeroScreen.settled` whether a later step can have one, where
-    ``horizon``, the run's step count, bounds the folds still to come.
-    run() then makes no further call."""
+    a screen and no running mean, a pass with at most n / _SETTLE_SHARE
+    nonzero gradients asks :meth:`_ZeroScreen.settled` whether a later
+    step can have one, where ``horizon``, the run's step count, bounds the
+    folds still to come. run() then makes no further call."""
     mode, mu, convex = sched.mode, sched.mu, sched.mode == "convex"
     rho, eta, gamma_prev, ab = sched.rho, sched.eta, sched.gamma_prev, sched.ab_ratio
     it = _RankOneIterates(w)
@@ -1437,7 +1459,7 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
 
         nonzero = steps(0, n) if screen is None else screen.cover(n, steps, head)
         gamma_prev = float(gammas[-1])
-        if settle and not nonzero and screen.settled(it.M, it.c, lead(), horizon):
+        if settle and nonzero * _SETTLE_SHARE <= n and screen.settled(it.M, it.c, lead(), horizon):
             return None
         return it.w()
 
@@ -1599,10 +1621,11 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     the loss table, whose s is exactly zero there
     (``_LossKind.margin_zero``), and stay bit-identical.
     An accelerated run with a screen and without averaging settles after a
-    pass without a nonzero gradient if one X @ [m, u~] shows every margin
-    along the segment of the iterates' span points above 1 by a terminal
-    slack that covers every margin the kernel could still compute, and
-    the rounding of its later folds (``_ZeroScreen.settled``). Every later
+    pass with few nonzero gradients (at most n / 64) if one X @ [m, u~]
+    shows every margin along the segment of the iterates' span points
+    above 1 by a terminal slack that covers every margin the kernel could
+    still compute, and the rounding of its later folds
+    (``_ZeroScreen.settled``). Every later
     gradient is then exactly zero, and each later pass logs the row that
     stepping would log, bit for bit: loss, gradient and mistake rate 0.0,
     without drawing, stepping or evaluating.

@@ -1980,10 +1980,10 @@ class TestSettledRuns:
     @pytest.mark.parametrize("method", ["accel", "accel_ls"])
     @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
     def test_rows_equal_the_stepping_run(self, monkeypatch, method, mode):
-        # from w = 0 the run steps until a pass has no nonzero gradient and
-        # the check passes; the rows after it are those that stepping on
-        # would log, bit for bit. The check is made after every pass without
-        # a nonzero gradient, and only then.
+        # from w = 0 the run steps until a pass has at most n / 64 nonzero
+        # gradients and the check passes; the rows after it are those that
+        # stepping on would log, bit for bit. The check is made after every
+        # pass with at most n / 64 nonzero gradients, and only then.
         obj = settling_objective()
         cfg = screen_config(obj, method, 0.1, mode)
         stepping = stepping_rows(monkeypatch, obj, method, cfg, 12)
@@ -1994,11 +1994,49 @@ class TestSettledRuns:
         assert rows == stepping
         covers = [value for kind, value in events if kind == "cover"]
         assert covers[0] > 0 and len(covers) < 12
+        few = obj.n // optimizers._SETTLE_SHARE
         for before, after in zip(events, events[1:]):
             if after[0] == "settled":
-                assert before == ("cover", 0)
+                assert before[0] == "cover" and before[1] <= few
             elif before[0] == "cover":
-                assert before[1] > 0
+                assert before[1] > few
+
+    def test_a_pass_with_nonzero_gradients_can_settle(self, monkeypatch):
+        # the check reads only the state the next step starts from: on
+        # this data convex Acc-SGD settles after a pass with 2 nonzero
+        # gradients, and the rows are still those of the stepping run
+        obj = Objective("squared_hinge", generate_margin_data(4000, 50, 0.1, seed=1))
+        cfg = screen_config(obj, "accel", 0.1)
+        stepping = stepping_rows(monkeypatch, obj, "accel", cfg, 12)
+        events = []
+        checks = record_settled(monkeypatch, events)
+        rows = kernel_rows(obj, "accel", cfg, 12)
+        assert checks[-1] and events[-2] == ("cover", 2)
+        assert rows == stepping
+
+    def test_a_refusal_reads_the_rows_that_failed_before(self, monkeypatch):
+        # a row along w_star with margin 1/2 fails the check at M; the
+        # next check at M reads that row alone and refuses, and one at 4 M,
+        # where it clears 1, reads it, then all rows, and settles
+        data = generate_margin_data(400, 5, 0.1, seed=0)
+        M, c = np.stack((1.01 * data.w_star, 0.01 * data.w_star)), 0.5
+        X = data.X.copy()
+        X[7] = data.y[7] * 0.5 / 1.01 * data.w_star / (data.w_star @ data.w_star)
+        screen = optimizers._ZeroScreen(Objective("squared_hinge", Dataset(X=X, y=data.y)), 0.0)
+        read = []
+        segment = screen._segment
+
+        def recording(P, *args):
+            read.append(len(P))
+            return segment(P, *args)
+
+        monkeypatch.setattr(screen, "_segment", recording)
+        assert not screen.settled(M, c, 0.0, 4000)
+        assert screen._unsettled.tolist() == [7] and read == [400]
+        assert not screen.settled(M, c, 0.0, 4000)
+        assert read == [400, 1]
+        assert screen.settled(4.0 * M, c, 0.0, 4000)
+        assert read == [400, 1, 1, 400] and len(screen._unsettled) == 0
 
     def test_no_settling_before_a_rebase(self, monkeypatch):
         # one row, so Acc-SGD(LS)'s search of the run's first step is the
