@@ -480,24 +480,18 @@ class _ZeroScreen:
 
     The exact margin at m - r u~ is affine in r, so a row whose certificate
     holds at r = 0 and at r = c, each checked as above, has an exact margin
-    >= 1 at every span point with r in [0, c]. While M = [m; u~] stands
-    still, c only falls (a fold that resets it rewrites u~), so every later
-    span point has r in [0, c] with c taken when the check was made: the
-    screen keeps these segment certificates of all n rows from one
-    X @ [m, u~] while M stands still (see :meth:`span_head`). It compares a
-    copy of M rather than counting the writes to it, which a copy cannot
-    miss, and checks that c has not risen (a fold of u~ = 0 resets c and
-    leaves M alone).
+    >= 1 at every span point with r in [0, c].
 
-    From the same product the screen keeps, per row, the smaller of the
-    two certificates' left-hand sides at r = 0 and r = c0 (c0 the c of the
-    product), L_i: the exact margin at m0 - rho u~0 is affine in rho, so
-    L_i bounds it from below on the whole kept segment, rho in [0, c0]. It
-    also keeps m0 and U0 = fl(c0 u~0). Once M has moved (an active step, a
-    solved block, a rebase or a fold), :meth:`span_head` reads L_i at the
-    two ends of the current segment, m and m - c u~ (v and w in convex
-    mode): an exact margin moves by at most ||x_i|| times the distance
-    moved, so a step is certified when
+    A block of at least n/4 steps takes one X @ [m, u~] over all n rows
+    (see :meth:`span_head`), and from it the screen keeps, per row, the
+    smaller of the two certificates' left-hand sides at r = 0 and r = c0
+    (c0 the c of the product), L_i: the exact margin at m0 - rho u~0 is
+    affine in rho, so L_i bounds it from below on the whole kept segment,
+    rho in [0, c0]. It also keeps m0 and U0 = fl(c0 u~0). Later blocks,
+    whether M has moved since (an active step, a solved block, a rebase or
+    a fold) or not, read L_i at the two ends of their own segment, m and
+    m - c u~ (v and w in convex mode): an exact margin moves by at most
+    ||x_i|| times the distance moved, so a step is certified when
 
         L_i - ||x_i|| delta >= 1,   delta >= max(||m - m0||, ||m - c u~ - q||),
 
@@ -524,15 +518,9 @@ class _ZeroScreen:
     u~ <- fl(c u~) and c <- 1 and leaves m in place: the far end moves by
     one rounding, theta = 1 and delta is the rounding terms alone. An M
     that overflows gives an inf or nan delta, which certifies nothing. The
-    rows that L_i misses get the check above at their own span points. A
-    block of at least n/4 rows reads L_i for all n rows instead, and keeps
-    the result as the segment certificates of the current M and c, which
-    later blocks read while M stands still. The rows that L_i misses there
-    get the two-end check from a product of their own rows first, so that
-    a converged pass does not check them again step by step; if they are
-    a quarter of the rows or more, one product over all rows makes bounds
-    and certificates again. The kept bounds survive active steps; a false
-    alarm drops them, by :meth:`cover`'s rule.
+    rows that L_i misses get the check above at their own span points. The
+    kept bounds survive active steps; a false alarm drops them, by
+    :meth:`cover`'s rule.
 
     Settled runs (:meth:`settled`): after a pass with few nonzero
     gradients (at most n / _SETTLE_SHARE), Acc-SGD and Acc-SGD(LS) without
@@ -621,10 +609,8 @@ class _ZeroScreen:
         # SGD: per row, a lower bound on the exact margin at w0, the w of the
         # last full product; and whether the last read was at another w
         self._bounds, self._w0, self._moved = None, None, False
-        # Acc-SGD: per row, the segment certificate at a kept M and c; and
-        # _bounds, per row, a lower bound on the exact margins on the
-        # segment of the last full product, with its m and c u~
-        self._certified, self._kept_M, self._kept_c = None, None, 0.0
+        # Acc-SGD: _bounds, per row, a lower bound on the exact margins on
+        # the segment of the last full product, with its m and c u~
         self._kept_m, self._kept_u = None, None
         # the rows that failed the last settled check
         self._unsettled = np.empty(0, dtype=np.intp)
@@ -653,10 +639,8 @@ class _ZeroScreen:
         head was read at a w that has moved since the bounds were made.
         The next block of at least n/4 steps then makes them again at the
         current w. The same holds for Acc-SGD's kept bounds (:meth:`span_head`
-        reads them at a moved M, and the head then ends at a step that fails
-        its own span-point check too); the kept certificates of
-        :meth:`span_head` stay only while M stands still, which that method
-        checks itself.
+        reads them at any later M, and the head then ends at a step that
+        fails its own span-point check too).
         """
         k = nonzero = 0
         while k < n:
@@ -708,68 +692,35 @@ class _ZeroScreen:
         """How many steps at the head of ``blk`` are certified at their span
         points m - r[k] u~, M = [m; u~] and 0 <= r[k] <= c.
 
-        Reads the kept certificates of all n rows if there are any, M is
-        bitwise equal to the M they were made at and c is at most that c:
-        each holds on the segment of span points with r in [0, c].
-        Otherwise, if there are kept bounds, reads them at the two ends of
-        the current segment, m and m - c u~, with the slack of their
-        distance from the kept segment (:meth:`_moved_head`, proof in the
-        class docstring): one vector operation per block and a few of
-        length d, where the product is n x d; a block of at least n/4 rows
-        reads them for all n rows and keeps the certificates of M and c.
-        After either head, the steps that it misses, and only those, run
-        the check of :meth:`certified_in_span` at their own span points;
-        the head ends at the first that fails it. Otherwise a block of at
-        least n/4 rows makes and keeps both with one X @ [m, u~]
+        Reads the kept bounds if there are any, at the two ends of the
+        current segment, m and m - c u~, with the slack of their distance
+        from the kept segment (proof in the class docstring): one vector
+        operation per block and a few of length d, where the product is
+        n x d. The steps that they miss, and only those, run the check of
+        :meth:`certified_in_span` at their own span points; the head ends
+        at the first that fails it. Otherwise a block of at least n/4 rows
+        makes and keeps the bounds with one X @ [m, u~]
         (:meth:`certified_head`'s rule), and certifies its own steps from
         that product; a shorter block gathers its own rows.
         """
-        if (self._certified is not None and c <= self._kept_c
-                and np.array_equal(M, self._kept_M)):
+        if self._bounds is None:
+            if 4 * len(blk) < len(self._y):
+                return _leading_true(self.certified_in_span(blk, M[0], M[1], r))
+            n_v, n_u = _norms(*M)
+            if not n_v + n_u < self._norm_limit:
+                return 0
+            P = self._X @ M.T
+            self._bounds = self._segment(P, slice(None), n_v, n_u, c)
+            self._kept_m, self._kept_u = M[0].copy(), c * M[1]
             self._moved = False
-            return self._head_after(blk, M, r, self._certified[blk])
-        self._certified = None
-        if self._bounds is not None:
-            return self._moved_head(blk, M, c, r)
-        if 4 * len(blk) < len(self._y):
-            return _leading_true(self.certified_in_span(blk, M[0], M[1], r))
-        return self._product_head(blk, M, c, r)
-
-    def _product_head(self, blk: np.ndarray, M: np.ndarray, c: float, r: np.ndarray) -> int:
-        """:meth:`span_head` from one X @ [m, u~], which makes and keeps the
-        bounds and the certificates of M and c."""
-        n_v, n_u = _norms(*M)
-        if not n_v + n_u < self._norm_limit:
-            return 0
-        P = self._X @ M.T
-        self._bounds = self._segment(P, slice(None), n_v, n_u, c)
-        self._certified = self._bounds >= 1.0
-        self._kept_M, self._kept_c = M.copy(), c
-        self._kept_m, self._kept_u = self._kept_M[0], c * M[1]
-        self._moved = False
-        return _leading_true(self._check(P[blk], blk, n_v, n_u, r))
-
-    def _moved_head(self, blk: np.ndarray, M: np.ndarray, c: float, r: np.ndarray) -> int:
-        """:meth:`span_head` from the kept bounds on the kept segment, read
-        at the two ends of the segment of M and c with the slack of their
-        distance from it. A block of at least n/4 rows reads them for all
-        n rows and keeps the result as the certificates of M and c; the
-        rows that they miss get the segment check from their own product,
-        or, if a quarter of the rows or more, one product over all rows
-        makes everything again."""
+            return _leading_true(self._check(P[blk], blk, n_v, n_u, r))
         self._moved = True
-        delta = self._distance(M, c)
-        if 4 * len(blk) < len(self._y):
-            return self._head_after(blk, M, r, self._bounds[blk] - self._l2[blk] * delta >= 1.0)
-        certified = self._bounds - self._l2 * delta >= 1.0
-        miss = np.flatnonzero(~certified)
-        if 4 * len(miss) >= len(self._y):
-            return self._product_head(blk, M, c, r)
-        n_v, n_u = _norms(*M)
-        if len(miss) and n_v + n_u < self._norm_limit:
-            certified[miss] = self._segment(self._X[miss] @ M.T, miss, n_v, n_u, c) >= 1.0
-        self._certified, self._kept_M, self._kept_c = certified, M.copy(), c
-        return self._head_after(blk, M, r, certified[blk])
+        kept = self._bounds[blk] - self._l2[blk] * self._distance(M, c) >= 1.0
+        miss = np.flatnonzero(~kept)
+        if not len(miss):
+            return len(blk)
+        f = _leading_true(self.certified_in_span(blk[miss], M[0], M[1], r[miss]))
+        return int(miss[f]) if f < len(miss) else len(blk)
 
     def _distance(self, M: np.ndarray, c: float) -> float:
         """delta of the class docstring: an upper bound on the distances of
@@ -790,16 +741,6 @@ class _ZeroScreen:
         n0, n1, n_end, n_now, n_near = _norms(e0, e1, end, u_now, near)
         return (1.0 + 2.0 * gamma) * max(n0, n1) + gamma * (
             n_end + n_now + n_near + 2.0 * math.sqrt(uu))
-
-    def _head_after(self, blk: np.ndarray, M: np.ndarray, r: np.ndarray, kept: np.ndarray) -> int:
-        """The certified head of ``blk`` given what the kept state certifies
-        of its rows: the rows it misses run :meth:`certified_in_span`."""
-        miss = np.flatnonzero(~kept)
-        if not len(miss):
-            return len(blk)
-        ok = self.certified_in_span(blk[miss], M[0], M[1], r[miss])
-        f = _leading_true(ok)
-        return int(miss[f]) if f < len(miss) else len(blk)
 
     def certified_in_span(
         self, blk: np.ndarray, m: np.ndarray, u: np.ndarray, r: np.ndarray
@@ -999,11 +940,10 @@ class _RankOneIterates:
     u~ <- c u~ and c <- 1. It happens only where c would fall below
     ``_FOLD_FLOOR`` (convex mode's first step, alpha = 1, would set c to 0),
     which bounds the 1/c of the update by 2^60, and at the start of the
-    kernel's exact steps and solved blocks; while only c moves, M stands
-    still, and so do the screen's kept certificates. A step whose
-    coefficients call for another kappa (Acc-SGD(LS) in strongly convex
-    mode, after its estimate moved) first rebases
-    m += (kappa_old - kappa) c u~, which leaves u and v alone.
+    kernel's exact steps and solved blocks. A step whose coefficients call
+    for another kappa (Acc-SGD(LS) in strongly convex mode, after its
+    estimate moved) first rebases m += (kappa_old - kappa) c u~, which
+    leaves u and v alone.
     """
 
     def __init__(self, w: np.ndarray):
@@ -1290,11 +1230,11 @@ def _accel_kernel(obj: Objective, w: np.ndarray, sched: AccelSchedule, mean, scr
     updating c alone (see ``_ZeroScreen.span_head``), without a fold: r_k is
     c times a cumulative product of 1 - alpha_j in convex mode and c times
     a constant times a power of beta (1 - alpha) in strongly convex mode,
-    and the screen keeps its certificates while M stands still, and its
-    bounds on the kept segment after M moves (see :class:`_ZeroScreen`). A
-    pass returns w without folding either. With a screen on the squared
-    hinge and no running mean, a stretch of at least ``_MIN_SOLVED``
-    steps that the screen hands over runs as :class:`_SolvedBlock`s of
+    and the screen reads its bounds on the kept segment at the current M
+    and c (see :class:`_ZeroScreen`). A pass returns w without folding
+    either. With a screen on the squared hinge and no running mean, a
+    stretch of at least ``_MIN_SOLVED`` steps that the screen hands over
+    runs as :class:`_SolvedBlock`s of
     ``_SOLVE_BLOCK`` steps: each commits its leading steps that agree with
     its guessed active set (and, in Acc-SGD(LS), pass the sufficient-decrease
     test), and the exact loop takes the step that ended them, which may fold
@@ -1599,16 +1539,14 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     least n/4 steps: SGD and SGD(LS) a lower bound per row on the exact
     margin, which a later w reads with the slack of its distance from the
     product's w, through active steps, until a step that the bound missed
-    turns out to have a zero gradient; Acc-SGD and Acc-SGD(LS) a
-    certificate per row while the rank-one form's M stands still and only
-    its scale moves, and a lower bound per row on the exact margins along
-    the segment of span points m - r u~, r in [0, c], of the product's M
-    and c (from v to w in convex mode), which a later M reads with the
-    slack of the distances of its own segment's ends from that segment,
-    through active steps and folds, until a false alarm or a long block
-    whose rows they miss by a quarter or more. On the squared
-    hinge without averaging, the accelerated kernel runs the stretches that
-    it does not screen in solved blocks (:class:`_SolvedBlock`): a block of
+    turns out to have a zero gradient; Acc-SGD and Acc-SGD(LS) a lower
+    bound per row on the exact margins along the segment of span points
+    m - r u~, r in [0, c], of the product's M and c (from v to w in convex
+    mode), which a later M reads with the slack of the distances of its
+    own segment's ends from that segment, through active steps and folds,
+    until a false alarm. On the squared hinge without averaging, the
+    accelerated kernel runs the stretches that it does not screen in
+    solved blocks (:class:`_SolvedBlock`): a block of
     128 steps guesses its active set from the margins at its start, solves
     the unit lower-triangular system that the steps' gradient scalars
     satisfy on the squared hinge's linear side, from the Gram columns of

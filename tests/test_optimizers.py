@@ -1094,56 +1094,13 @@ def record_certified(monkeypatch) -> list:
     return counts
 
 
-def record_span_heads(monkeypatch, writer=None) -> list:
-    """In call order: per span_head call, (whether it read kept
-    certificates, whether it left some kept); and, given ``writer``, a
-    (class, method name) pair of a writer of M, the name per call of it
-    that changed M."""
-    events = []
-    original = optimizers._ZeroScreen.span_head
-
-    def recording(self, blk, M, c, r):
-        kept = self._certified
-        count = original(self, blk, M, c, r)
-        events.append((kept is not None and self._certified is kept, self._certified is not None))
-        return count
-
-    monkeypatch.setattr(optimizers._ZeroScreen, "span_head", recording)
-    if writer is not None:
-        owner, name = writer
-        write = getattr(owner, name)
-
-        def writing(self, *args):
-            it = args[0] if owner is optimizers._SolvedBlock else self
-            before = it.M.copy()
-            result = write(self, *args)
-            if not np.array_equal(it.M, before):
-                events.append(name)
-            return result
-
-        monkeypatch.setattr(owner, name, writing)
-    return events
-
-
-def dropped_after(events: list, name: str) -> bool:
-    """Whether a span_head call that left kept certificates is followed by
-    a write of ``name`` and then by a call that did not read them."""
-    kept = wrote = False
-    for event in events:
-        if isinstance(event, tuple):
-            if kept and wrote and not event[0]:
-                return True
-            kept, wrote = event[1], False
-        else:
-            wrote |= event == name
-    return False
-
-
-def record_accel_screen(monkeypatch) -> list:
+def record_accel_screen(monkeypatch, writer=None) -> list:
     """In call order: per span_head call, ("head", steps in the block,
     whether it made kept bounds with a new product, whether it read kept
     bounds at a moved M, whether bounds are kept after it); per steps call
-    of cover, ("steps", how many had a nonzero gradient)."""
+    of cover, ("steps", how many had a nonzero gradient); and, given
+    ``writer``, a (class, method name) pair of a writer of M, the name per
+    call of it that changed M."""
     events = []
     cover, head = optimizers._ZeroScreen.cover, optimizers._ZeroScreen.span_head
 
@@ -1163,7 +1120,35 @@ def record_accel_screen(monkeypatch) -> list:
 
     monkeypatch.setattr(optimizers._ZeroScreen, "cover", covering)
     monkeypatch.setattr(optimizers._ZeroScreen, "span_head", heading)
+    if writer is not None:
+        owner, name = writer
+        write = getattr(owner, name)
+
+        def writing(self, *args):
+            it = args[0] if owner is optimizers._SolvedBlock else self
+            before = it.M.copy()
+            result = write(self, *args)
+            if not np.array_equal(it.M, before):
+                events.append(name)
+            return result
+
+        monkeypatch.setattr(owner, name, writing)
     return events
+
+
+def read_after(events: list, name: str) -> bool:
+    """Whether a span_head call reads kept bounds at a moved M after a
+    write of ``name`` that followed the product the bounds came from."""
+    wrote = False
+    for event in events:
+        if event == name:
+            wrote = True
+        elif event[0] == "head":
+            if wrote and event[3]:
+                return True
+            if event[2] or not event[4]:  # bounds made at this M, or none kept
+                wrote = False
+    return False
 
 
 def boundary_objective(kind: str, margin: float):
@@ -1491,8 +1476,8 @@ class TestZeroScreen:
          (0.2, "squared_hinge", "accel_ls", "strongly_convex", True, 0)],
     )
     def test_kept_read_checks_only_the_rows_it_misses(self, monkeypatch, case):
-        # after the head of kept certificates, span_head checks at their
-        # span points only the rows whose kept certificate is False
+        # after the kept bounds are read at the current M and c, span_head
+        # checks at their span points only the rows that the read misses
         obj, cfg = screen_case(*case)
         method = case[2]
         received = []
@@ -1501,9 +1486,8 @@ class TestZeroScreen:
         kept = [None]
 
         def spying_head(self, blk, M, c, r):
-            reads = (self._certified is not None and c <= self._kept_c
-                     and np.array_equal(M, self._kept_M))
-            kept[0] = self._certified.copy() if reads else None
+            if self._bounds is not None:
+                kept[0] = self._bounds - self._l2 * self._distance(M, c) >= 1.0
             try:
                 return span_head(self, blk, M, c, r)
             finally:
@@ -1523,76 +1507,35 @@ class TestZeroScreen:
 
     @pytest.mark.parametrize("method", ["accel", "accel_ls"])
     @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
-    def test_accel_keeps_certificates_while_M_stands_still(self, monkeypatch, method, mode):
-        # every margin at 1.01 w_star is >= 1.01: every gradient is zero,
-        # only c moves, and from the first product over all rows on, every
-        # later block of every pass (n = 5000) reads the kept certificates.
-        # Such a run settles after pass 1 (test_accel_settles_where_M_stands_still),
-        # so the check is switched off here to keep all four passes stepping.
-        monkeypatch.setattr(optimizers._ZeroScreen, "settled", lambda self, *args: False)
-        data = generate_margin_data(5000, 5, 0.1, seed=0)
-        obj = Objective("squared_hinge", data)
-        cfg = RunConfig(seed=2, mode=mode, mu=1e-3 if mode == "strongly_convex" else None,
-                        w0=1.01 * data.w_star)
-        expected = per_step_accel_rows(monkeypatch, obj, cfg, 4, method)
-        events = record_span_heads(monkeypatch)
-        rows = kernel_rows(obj, method, cfg, 4)
-        made = next(k for k, (_, kept) in enumerate(events) if kept)
-        assert all(read for read, _ in events[made + 1:]) and len(events) - made > 4
-        assert_within_tolerance(rows, expected)
-
-    @pytest.mark.parametrize("method", ["accel", "accel_ls"])
-    @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
     def test_accel_settles_where_M_stands_still(self, monkeypatch, method, mode):
-        # the data of test_accel_keeps_certificates_while_M_stands_still:
-        # pass 1 has no nonzero gradient and every margin clears the
-        # terminal slack, so the run is settled after it. No later pass
-        # reads the screen, and the rows are those of the stepping run.
+        # every margin at 1.01 w_star is >= 1.01: pass 1 has no nonzero
+        # gradient and every margin clears the terminal slack, so the run
+        # is settled after it. No later pass reads the screen, and the rows
+        # are those of the stepping run.
         data = generate_margin_data(5000, 5, 0.1, seed=0)
         obj = Objective("squared_hinge", data)
         cfg = RunConfig(seed=2, mode=mode, mu=1e-3 if mode == "strongly_convex" else None,
                         w0=1.01 * data.w_star)
         stepping = stepping_rows(monkeypatch, obj, method, cfg, 4)
         checks = record_settled(monkeypatch)
-        events = record_span_heads(monkeypatch)
+        events = record_accel_screen(monkeypatch)
         rows = kernel_rows(obj, method, cfg, 4)
         assert checks == [True]
-        assert events and rows == stepping
+        assert rows == stepping
         assert all(astuple(r)[2:5] == (0.0, 0.0, 0.0) for r in rows[1:])
-        heads = len(events)
+        heads = sum(e[0] == "head" for e in events)
         kernel_rows(obj, method, cfg, 1)
-        assert len(events) == 2 * heads  # all of them in pass 1
-
-    def test_span_head_reads_kept_certificates_only_at_their_M_and_c(self):
-        # at 1.01 w_star every row is certified on its whole segment; a
-        # block of n/4 steps makes the kept certificates, which hold for
-        # the same M at a c no larger, and neither at a larger c nor at
-        # another M (a fold moves both and leaves w alone)
-        data = generate_margin_data(400, 5, 0.1, seed=0)
-        screen = optimizers._ZeroScreen(Objective("squared_hinge", data), 0.0)
-        M = np.stack((1.01 * data.w_star, 0.01 * data.w_star))
-        blk, c = np.arange(100), 0.5
-        r = c * np.linspace(1.0, 0.5, 100)
-        assert screen.span_head(blk, M, c, r) == 100
-        kept = screen._certified
-        assert kept is not None and kept.all()
-        assert screen.span_head(blk[:10], M.copy(), 0.25, 0.5 * r[:10]) == 10
-        assert screen._certified is kept
-        folded = np.stack((M[0], c * M[1]))
-        for M_now, c_now in ((M, 1.0), (folded, c), (folded, 1.0)):
-            screen._certified = kept
-            assert screen.span_head(blk[:10], M_now, c_now, c_now * r[:10] / c) == 10
-            assert screen._certified is None  # a block of 10 < n/4 keeps none
+        assert heads and sum(e[0] == "head" for e in events) == 2 * heads  # all in pass 1
 
     @pytest.mark.parametrize("writer", ["step", "scale", "rebase", "commit"])
-    def test_a_write_to_M_drops_the_kept_certificates(self, monkeypatch, writer):
-        # kept certificates hold while M stands still: each writer of M
-        # moves it and must drop them before the next block. An active
-        # step from 0.99 w_star; a fold below the floor, with mu eta / rho
-        # = 0.09 at the kink; a rebase of kappa after a doubling in
-        # Acc-SGD(LS)'s strongly convex mode, when a flipped row of norm 10
-        # is drawn; a solved block's commit, on n = 200 rows, where every
-        # block of the screen makes kept certificates
+    def test_kept_bounds_are_read_after_each_write_to_M(self, monkeypatch, writer):
+        # the kept bounds hold at any M: after each writer of M moves it, a
+        # later block reads them at the new M with the slack of its
+        # distance. An active step from 0.99 w_star; a fold below the
+        # floor, with mu eta / rho = 0.09 at the kink; a rebase of kappa
+        # after a doubling in Acc-SGD(LS)'s strongly convex mode, when a
+        # flipped row of norm 10 is drawn; a solved block's commit, on
+        # n = 200 rows
         owner, method, passes = optimizers._RankOneIterates, "accel", 4
         if writer == "step":
             obj = screen_objective("squared_hinge", 0.1, 0)
@@ -1615,9 +1558,9 @@ class TestZeroScreen:
             cfg = replace(screen_config(obj, method, 0.05, seed=5), w0=0.9 * obj.data.w_star)
             owner, passes = optimizers._SolvedBlock, 10
         expected = oracle_rows(obj, method, cfg, passes)
-        events = record_span_heads(monkeypatch, (owner, writer))
+        events = record_accel_screen(monkeypatch, (owner, writer))
         rows = kernel_rows(obj, method, cfg, passes)
-        assert dropped_after(events, writer)
+        assert read_after(events, writer)
         assert_within_tolerance(rows, expected)
 
     @pytest.mark.parametrize("method", ["accel", "accel_ls"])
@@ -1625,8 +1568,7 @@ class TestZeroScreen:
         # fig1a's recipe from 2 w_star, where rows 0-2 are active: after the
         # first product over all rows, an active step moves M, and blocks
         # after it read the kept bounds at the new M instead of taking
-        # X @ [m, u~] again (a long block takes it if the bounds miss a
-        # quarter of the rows)
+        # X @ [m, u~] again
         obj, w0 = few_active_rows(0)
         cfg = replace(screen_config(obj, method, 0.1, seed=2), w0=w0)
         expected = per_step_accel_rows(monkeypatch, obj, cfg, 4, method)
@@ -1704,29 +1646,26 @@ class TestZeroScreen:
         assert screen.certified_head(blk, huge) == 0
         assert not screen.settled(np.stack((huge, np.zeros(data.dim))), 1.0, 0.0, 100)
 
-    def test_a_fold_moves_no_end(self):
+    def test_a_fold_moves_no_end(self, monkeypatch):
         # a fold rewrites u~ and c but neither end of the segment: the kept
-        # bounds read at the folded M, with the slack of the distance
-        # (its rounding alone), certify the rows that the kept
-        # certificates do, here all of them. A block shorter than n/4
-        # reads them at its own rows; a longer one reads all n rows and
-        # keeps the result as the certificates of the folded M, which the
-        # next block reads while M stands still
+        # bounds read at the folded M, with the slack of the distance (its
+        # rounding alone), certify every row here, in blocks of any length
+        # and at a lower c, with the rows' own span-point check switched off
         data = generate_margin_data(400, 5, 0.1, seed=0)
         screen = optimizers._ZeroScreen(Objective("squared_hinge", data), 0.0)
         M, c = np.stack((1.01 * data.w_star, 0.01 * data.w_star)), 0.37
         blk = np.arange(100)
         assert screen.span_head(blk, M, c, c * np.linspace(1.0, 0.5, 100)) == 100
+        monkeypatch.setattr(optimizers._ZeroScreen, "certified_in_span",
+                            lambda self, blk, m, u, r: np.zeros(len(blk), dtype=bool))
         folded = np.stack((M[0], c * M[1]))
         delta = screen._distance(folded, 1.0)
         assert 0.0 < delta <= 8.0 * screen._gamma * np.abs(M).sum()
         assert screen.span_head(blk[:99], folded, 1.0, np.linspace(1.0, 0.0, 99)) == 99
-        assert screen._certified is None and screen._moved
+        assert screen._moved
         everything = np.arange(400)
         assert screen.span_head(everything, folded, 1.0, np.linspace(1.0, 0.0, 400)) == 400
-        assert screen._certified.all() and np.array_equal(screen._kept_M, folded)
         assert screen.span_head(blk, folded, 0.5, np.linspace(0.5, 0.0, 100)) == 100
-        assert not screen._moved
 
     @pytest.mark.parametrize("fold", [False, True])
     def test_moved_bounds_hold_in_exact_arithmetic(self, monkeypatch, fold):
@@ -1856,9 +1795,9 @@ class TestZeroScreen:
         # their span points lie within 40 ulps of 1, on both sides, must be
         # certified only where the exact margin is >= 1; without its slack
         # the certificate would pass some that are not. The same holds for
-        # the segment certificates that span_head keeps: rows whose exact
-        # margins at r = 0 and r = c lie within 40 ulps of 1 are kept only
-        # where the exact margin is >= 1 at both ends and at every r_k.
+        # the segment bounds that span_head keeps: rows whose exact margins
+        # at r = 0 and r = c lie within 40 ulps of 1 have a kept bound >= 1
+        # only where the exact margin is >= 1 at both ends and at every r_k.
         rng = np.random.default_rng(0 if mode == "convex" else 1)
         d, B, c = 3, 512, 0.37
         if mode == "convex":
@@ -1911,7 +1850,7 @@ class TestZeroScreen:
                 if gamma is not None:
                     screen._gamma = gamma
                 screen.span_head(np.arange(B // 4), M, c, block)
-                segments.append(screen._certified)
+                segments.append(screen._bounds >= 1.0)
             points = [Fraction(0), Fraction(c)] + [Fraction(rk) for rk in block]
             for k in np.flatnonzero(segments[0] | segments[1]):
                 a = sum(Fraction(x) * b for x, b in zip(X[k], vf))
