@@ -1507,6 +1507,30 @@ class TestZeroScreen:
 
     @pytest.mark.parametrize("method", ["accel", "accel_ls"])
     @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
+    def test_accel_reads_kept_bounds_while_M_stands_still(self, monkeypatch, method, mode):
+        # every margin at 1.01 w_star is >= 1.01: every gradient is zero,
+        # only c moves, and the first product over all rows is the only
+        # one: every later block of every pass (n = 5000) reads its bounds,
+        # whose slack is then the distance's rounding alone. Such a run
+        # settles after pass 1 (test_accel_settles_where_M_stands_still),
+        # so the check is switched off here to keep all four passes stepping.
+        monkeypatch.setattr(optimizers._ZeroScreen, "settled", lambda self, *args: False)
+        data = generate_margin_data(5000, 5, 0.1, seed=0)
+        obj = Objective("squared_hinge", data)
+        cfg = RunConfig(seed=2, mode=mode, mu=1e-3 if mode == "strongly_convex" else None,
+                        w0=1.01 * data.w_star)
+        expected = per_step_accel_rows(monkeypatch, obj, cfg, 4, method)
+        events = record_accel_screen(monkeypatch)
+        rows = kernel_rows(obj, method, cfg, 4)
+        heads = [e for e in events if e[0] == "head"]
+        made = next(k for k, e in enumerate(heads) if e[2])
+        assert not any(e[2] for e in heads[made + 1:])
+        assert all(e[3] for e in heads[made + 1:]) and len(heads) - made > 4
+        assert all(e == ("steps", 0) for e in events if e[0] == "steps")
+        assert_within_tolerance(rows, expected)
+
+    @pytest.mark.parametrize("method", ["accel", "accel_ls"])
+    @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
     def test_accel_settles_where_M_stands_still(self, monkeypatch, method, mode):
         # every margin at 1.01 w_star is >= 1.01: pass 1 has no nonzero
         # gradient and every margin clears the terminal slack, so the run
@@ -1526,6 +1550,32 @@ class TestZeroScreen:
         heads = sum(e[0] == "head" for e in events)
         kernel_rows(obj, method, cfg, 1)
         assert heads and sum(e[0] == "head" for e in events) == 2 * heads  # all in pass 1
+
+    def test_span_head_reads_kept_bounds_at_any_M_and_c(self, monkeypatch):
+        # at 1.01 w_star every row is certified on its whole segment; a
+        # block of n/4 steps makes the kept bounds, which later blocks read
+        # without a new product at the same M with a smaller or a larger c
+        # and at the folded M (a fold moves neither end). With the rows'
+        # own span-point check switched off, the bounds alone certify all
+        # of them there, and, with the slack of the distance, only some at
+        # an m moved far from the kept segment
+        data = generate_margin_data(400, 5, 0.1, seed=0)
+        screen = optimizers._ZeroScreen(Objective("squared_hinge", data), 0.0)
+        M = np.stack((1.01 * data.w_star, 0.01 * data.w_star))
+        blk, c = np.arange(100), 0.5
+        r = c * np.linspace(1.0, 0.5, 100)
+        assert screen.span_head(blk, M, c, r) == 100
+        kept = screen._bounds
+        assert kept is not None and (kept >= 1.0).all()
+        monkeypatch.setattr(optimizers._ZeroScreen, "certified_in_span",
+                            lambda self, blk, m, u, r: np.zeros(len(blk), dtype=bool))
+        folded = np.stack((M[0], c * M[1]))
+        for M_now, c_now in ((M, 0.25), (M, 1.0), (folded, c), (folded, 1.0)):
+            assert screen.span_head(blk[:10], M_now, c_now, c_now * r[:10] / c) == 10
+            assert screen._bounds is kept
+        far = np.stack((0.5 * data.w_star, M[1]))
+        assert screen.span_head(blk[:10], far, c, r[:10]) < 10
+        assert screen._bounds is kept
 
     @pytest.mark.parametrize("writer", ["step", "scale", "rebase", "commit"])
     def test_kept_bounds_are_read_after_each_write_to_M(self, monkeypatch, writer):
