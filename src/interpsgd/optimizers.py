@@ -354,8 +354,8 @@ def line_search_accel_step(obj, st: AccelState, rhoL_hat: float, rng) -> tuple[A
 # cover() runs the pass instead, block by block. While it does not screen,
 # on the squared hinge without a running mean, the accelerated kernel runs
 # its stretches of mostly active steps as _SolvedBlocks: a Gram product on
-# the guessed active columns and a triangular solve per guessed active set,
-# within the same tolerance, and the exact loop where a block cannot be
+# the guessed active columns and a forward substitution per guessed active
+# set, within the same tolerance, and the exact loop where a block cannot be
 # committed.
 
 
@@ -380,8 +380,6 @@ _SGD_MIN_GAP = 16.0
 _ACCEL_MIN_GAP = 32.0
 _SOLVE_BLOCK = 128  # steps per _SolvedBlock
 _MIN_SOLVED = 16  # shorter stretches run exact steps
-_ITERATE_BELOW = 2.0**-7  # made coupling below which a _SolvedBlock iterates first
-_ROUNDS = 8  # iterations of a weakly coupled _SolvedBlock before it solves
 _GUESSES = 3  # active sets a _SolvedBlock tries
 # An accelerated pass with at most n / _SETTLE_SHARE nonzero gradients asks
 # _ZeroScreen.settled whether the run has settled. The first check of a run
@@ -482,7 +480,7 @@ class _ZeroScreen:
     holds at r = 0 and at r = c, each checked as above, has an exact margin
     >= 1 at every span point with r in [0, c].
 
-    A block of at least n/4 steps takes one X @ [m, u~] over all n rows
+    A block without kept bounds takes one X @ [m, u~] over all n rows
     (see :meth:`span_head`), and from it the screen keeps, per row, the
     smaller of the two certificates' left-hand sides at r = 0 and r = c0
     (c0 the c of the product), L_i: the exact margin at m0 - rho u~0 is
@@ -640,7 +638,8 @@ class _ZeroScreen:
         The next block of at least n/4 steps then makes them again at the
         current w. The same holds for Acc-SGD's kept bounds (:meth:`span_head`
         reads them at any later M, and the head then ends at a step that
-        fails its own span-point check too).
+        fails its own span-point check too), but there the next block makes
+        them again, whatever its length.
         """
         k = nonzero = 0
         while k < n:
@@ -698,14 +697,11 @@ class _ZeroScreen:
         operation per block and a few of length d, where the product is
         n x d. The steps that they miss, and only those, run the check of
         :meth:`certified_in_span` at their own span points; the head ends
-        at the first that fails it. Otherwise a block of at least n/4 rows
-        makes and keeps the bounds with one X @ [m, u~]
-        (:meth:`certified_head`'s rule), and certifies its own steps from
-        that product; a shorter block gathers its own rows.
+        at the first that fails it. Otherwise the block makes and keeps the
+        bounds with one X @ [m, u~], and certifies its own steps from that
+        product.
         """
         if self._bounds is None:
-            if 4 * len(blk) < len(self._y):
-                return _leading_true(self.certified_in_span(blk, M[0], M[1], r))
             n_v, n_u = _norms(*M)
             if not n_v + n_u < self._norm_limit:
                 return 0
@@ -1054,23 +1050,23 @@ class _SolvedBlock:
     block, Acc-SGD(LS) took 342 -> 257 and 341 -> 310 ms in two rounds
     (9 and 8 of 9 faster) and Acc-SGD 209 -> 209 and 241 -> 228 ms (4 and 7
     of 9); without the rule above, Acc-SGD took 272 ms against 197 ms with
-    it. Where every made |K_kj| is below ``_ITERATE_BELOW`` = 2^-7 it
-    iterates that equation from s = 2 D (p - y) until s stands still,
-    bitwise, in a few rounds, which cost less than one general solve (s_k
-    reads s_j for j < k only, so s_k settles within k + 1 rounds in any
-    case); otherwise, or if ``_ROUNDS`` = 8 rounds do not settle it, it
-    solves (I + 2 K_AA) s_A = 2 (p_A - y_A) with np.linalg.solve. Measured
-    over fig1a's Acc-SGD (8000 x 100, tau = 0.1, program seeds 0-31, 10
-    passes): all 1809 systems had made couplings below 0.0061 and settled
-    within 8 rounds (median 6; 28 took 8), so fig1a solves none. On
-    app_ls_hard's data (tau = 0.005, seeds 0 and 4, 3 passes) Acc-SGD's
-    378 systems (couplings below 2^-13) settled within 6 rounds, while
-    Acc-SGD(LS)'s 539 coupled at 2^-7 or more would need 7 to 47 (median
-    10), so they stay on LU. A step's margin reads earlier steps only, so the
-    leading steps whose solved status y z < 1 agrees with the guess are the
-    steps the exact loop takes, in another operation order; a guess that
-    the solved statuses contradict is replaced by them, up to ``_GUESSES``
-    guesses in all, and the block commits its leading agreeing steps.
+    it. K is held as its made columns, n x |made|, with their indices idx,
+    and :meth:`_solve` iterates s <- b - 2 D K s[idx] from s = b,
+    b = 2 D (p - y), until s stands still, bitwise: a round costs
+    n |made|. K is strictly lower triangular, so this is forward
+    substitution: s_k reads s_j for j < k only and stands still from round
+    k + 1 on, and n + 1 rounds settle any system whose numbers are finite
+    (its active s_k within |A| + 1), whatever its coupling. Measured over
+    fig1a's Acc-SGD (8000 x 100, tau = 0.1, seeds 0-7, 10 passes), its 460
+    systems took at most 8 rounds (median 6); on app_ls_hard's data
+    (tau = 0.005, seeds 0-3, 3 passes) Acc-SGD's 756 took at most 6
+    (median 5) and Acc-SGD(LS)'s 1083 a median 10, p90 16 and at most 53.
+
+    A step's margin reads earlier steps only, so the leading steps whose
+    solved status y z < 1 agrees with the guess are the steps the exact
+    loop takes, in another operation order; a guess that the solved
+    statuses contradict is replaced by them, up to ``_GUESSES`` guesses in
+    all, and the block commits its leading agreeing steps.
     Acc-SGD(LS) commits a step only if it also passes
     :meth:`_MarginOracle.decreases`' test at the current estimate. A block
     ends before a step that would take c below ``_FOLD_FLOOR``, which the
@@ -1078,10 +1074,10 @@ class _SolvedBlock:
 
     A block with some made |K_kj| >= 1/2 is left to the exact loop. Its
     steps move each other's margins by more than their own size: its
-    guesses fail within a few steps, its system needs a general solve, and
-    a diverging run (where every reordering changes the printed digits)
-    keeps the exact loop's arithmetic. The made columns are those of active
-    steps, the only ones that move a margin.
+    guesses fail within a few steps, and a diverging run (where every
+    reordering changes the printed digits) keeps the exact loop's
+    arithmetic. The made columns are those of active steps, the only ones
+    that move a margin.
     """
 
     def __init__(self, obj: Objective):
@@ -1101,6 +1097,19 @@ class _SolvedBlock:
         K *= self._lower[:n, :n][:, cols]
         K *= X_b @ X_b[cols].T
         return K
+
+    @staticmethod
+    def _solve(K, idx, b, two):
+        """s = b - two K s[idx], iterated from s = b until s stands still
+        (within len(b) + 1 rounds, the class docstring shows)."""
+        s = b
+        for _ in range(len(b) + 1):
+            last = s
+            s = K @ s[idx]
+            np.subtract(b, np.multiply(s, two, s), s)  # b - two * (K @ s[idx])
+            if (s == last).all():
+                break
+        return s
 
     def commit(self, it: _RankOneIterates, blk, alphas, gammas, beta, kappa, eta, test):
         """Commits the leading steps of the example indices ``blk``, with
@@ -1130,12 +1139,11 @@ class _SolvedBlock:
             np.multiply(g - kappa * g1, eta, C[0])
             np.divide(g1 * eta, c[1 : n + 1], C[1])
             T = T.T
-            # the columns of K that some guess made active; the others are
-            # 0, as are the s they would multiply. K is None until a guess
-            # makes some, and the whole product once a guess makes all.
-            K = None
+            # K holds the columns idx of the K_kj that some guess made
+            # active, the whole product once a guess makes all; the others
+            # are 0, as are the s they would multiply
+            K, idx = np.empty((n, 0)), np.empty(0, dtype=np.intp)
             made = np.zeros(n, dtype=bool)
-            coupling = 0.0
             status = y_b * p < 1.0
             for _ in range(_GUESSES):
                 guess, two = status, 2.0 * status
@@ -1143,35 +1151,16 @@ class _SolvedBlock:
                 if len(new):
                     whole = 2 * len(new) > n  # all of X_b @ X_b.T, a symmetric product
                     cols = self._columns(X_b, T, C, slice(None) if whole else new)
-                    peak = max(cols.max(), -cols.min())
-                    if not peak < 0.5:
+                    if not max(cols.max(), -cols.min()) < 0.5:
                         return None
-                    coupling = max(coupling, peak)
                     if whole:
-                        K = cols
+                        K, idx = cols, slice(None)
                         made[:] = True
                     else:
-                        if K is None:
-                            K = np.zeros((n, n))
-                        K[:, new] = cols
+                        K, idx = np.concatenate((K, cols), axis=1), np.concatenate((idx, new))
                         made[new] = True
-                elif K is None:
-                    K = np.zeros((n, n))
-                b = two * (p - y_b)
-                s = b
-                for _ in range(_ROUNDS if coupling < _ITERATE_BELOW else 0):
-                    last = s
-                    s = K @ s
-                    np.subtract(b, np.multiply(s, two, s), s)  # b - two * (K @ s)
-                    if (s == last).all():
-                        break
-                else:
-                    act = np.flatnonzero(guess)
-                    system = 2.0 * K[act][:, act]
-                    system.flat[:: len(act) + 1] = 1.0
-                    s = np.zeros(n)
-                    s[act] = np.linalg.solve(system, b[act])
-                z = p - K @ s
+                s = self._solve(K, idx, two * (p - y_b), two)
+                z = p - K @ s[idx]
                 if not np.isfinite(z).all():
                     return None
                 status = y_b * z < 1.0
@@ -1446,7 +1435,11 @@ def _single_step_pass(obj, method: str, w, eta: float, sigma: float, sched, esti
     draws as the kernels. run() uses it for an objective that is not an
     :class:`Objective` (the analytic objectives of :mod:`interpsgd.problems`,
     which the kernels do not serve), and when one of the functions has been
-    rebound, so that the rebinding sees every step."""
+    rebound, so that the rebinding sees every step. A non-finite point of
+    the run's own state raises FloatingPointError("non-finite iterate")
+    before the step that would read it, as the kernels report a diverging
+    run; the single steps' ValueError stays for non-finite input that a
+    caller passes in."""
     cfg = SgdConfig(eta=eta, sigma=sigma) if method == "sgd" else None
     st = None if sched is None else init_accel_state(w, sched)
 
@@ -1454,6 +1447,9 @@ def _single_step_pass(obj, method: str, w, eta: float, sigma: float, sched, esti
         nonlocal w, st, estimate
         rng = _PassDraws(indices, noise)
         for _ in indices:
+            state = (w,) if st is None else (st.w, st.v)
+            if not all(np.isfinite(v).all() for v in state):
+                raise FloatingPointError("non-finite iterate")
             if method == "sgd":
                 w = sgd_step(obj, w, cfg, rng)
             elif method == "sgd_ls":
@@ -1535,10 +1531,10 @@ def run(obj, method: str, config: RunConfig, passes: int) -> RunRecord:
     scalar update, the steps that a :class:`_ZeroScreen` certifies to have
     an exactly zero gradient (a zero-gradient line-search step leaves its
     estimate alone); SGD and SGD(LS) stay bit-identical. Both kernels keep
-    what one product over all n rows tells, made by the first block of at
-    least n/4 steps: SGD and SGD(LS) a lower bound per row on the exact
-    margin, which a later w reads with the slack of its distance from the
-    product's w, through active steps, until a step that the bound missed
+    what one product over all n rows tells, made by the first block that
+    they screen (SGD's of at least n/4 steps): SGD and SGD(LS) a lower
+    bound per row on the exact margin, which a later w reads with the
+    slack of its distance from the product's w, through active steps, until a step that the bound missed
     turns out to have a zero gradient; Acc-SGD and Acc-SGD(LS) a lower
     bound per row on the exact margins along the segment of span points
     m - r u~, r in [0, c], of the product's M and c (from v to w in convex
