@@ -161,8 +161,10 @@ def _one_blas_thread() -> None:
     """Pins numpy's OpenBLAS to one thread unless the environment sets a
     count: the per-step products of ``run`` and ``reproduce`` are too small
     to share, and an idle second thread spins. The other subcommands keep
-    numpy's default (``audit-rho``'s RBF map and Gram products take less
-    wall time on two threads). Does nothing where the library is not found."""
+    numpy's default. ``audit-rho``'s RBF map and Gram products take less
+    wall time on two threads and its growth audit about the same, so
+    neither count is clearly faster there (README). Does nothing where the
+    library is not found."""
     if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
         return
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")

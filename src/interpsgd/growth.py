@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_vector, child_rng
+from .numerics import as_matrix, as_vector, child_rng
 from .objectives import Dataset, Objective
 from .optimizers import RunConfig, RunError, SgdConfig, run, sgd_step
 
@@ -41,6 +41,16 @@ __all__ = [
 # Below this full-gradient norm both sides of the ratio are numerically
 # zero (interpolation) and the ratio is undefined rather than satisfied.
 GRAD_NORM_CUTOFF = 1e-12
+
+# Byte budget of the rows that one chunk of empirical_sgc_ratio's pass over
+# X covers: about a core's L2, so the chunk read for the predictions is
+# still cached when the gradient product reads it again.
+CHUNK_BYTES = 512 * 1024
+
+# audit_sgc evaluates its probes this many to a call. Larger blocks cost
+# less per probe but more per call, and the benchmark times the audit per
+# call: a pair takes less time than one probe took through two gemvs.
+PROBES_PER_CALL = 2
 
 ROUTES = ("wgc_analytic", "sgc_margin", "empirical_ratio", "grid_search")
 
@@ -102,33 +112,60 @@ def rho_sgc_margin(data: Dataset) -> GrowthEstimate:
     )
 
 
-def empirical_sgc_ratio(obj, w) -> float:
-    """Pointwise ratio E_i ||grad f_i(w)||^2 / ||grad f(w)||^2 at one w.
+def empirical_sgc_ratio(obj, w):
+    """Pointwise ratio E_i ||grad f_i(w)||^2 / ||grad f(w)||^2 at one w, or
+    at each row of a (k, d) block of points.
 
-    At least 1 up to floating error (Jensen). Raises
-    :class:`RatioUndefinedError` when the full gradient is below the
-    cutoff: at interpolation both sides vanish and the ratio is undefined.
-    Raises it too, without an overflow warning, when the ratio
-    is not finite: a squared gradient norm overflows float64 (rows near
-    1e100) and the ratio is lost. For an :class:`Objective` both sides come
-    from one product z = X w; other objectives go through their public
-    ``grad_full`` and ``per_example_grad_sq_norms``.
+    At least 1 up to floating error (Jensen). The ratio is undefined when
+    the full gradient is below the cutoff (at interpolation both sides
+    vanish), and also when it is not finite: a squared gradient norm
+    overflows float64 (rows near 1e100) and the ratio is lost. At one w
+    the result is a float and an undefined ratio raises
+    :class:`RatioUndefinedError`; a block returns k ratios with nan where
+    one is undefined. Neither emits an overflow warning. A single w is the
+    k = 1 case of the block.
+
+    For an :class:`Objective` all k points share one pass over X in chunks
+    of about ``CHUNK_BYTES`` of rows: a chunk's predictions Z_c = W X_c^T
+    give its gradient scalars S_c, and G += S_c X_c and the chunk's
+    per-example terms read the chunk again while it is still in cache.
+    When X fits in one chunk a single w gives the same bits as the public
+    ``grad_full`` and ``per_example_grad_sq_norms``; over more chunks the
+    sums are grouped by chunk. Other objectives go through those two
+    public oracles, one point at a time.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    single = np.ndim(w) == 1
+    W = as_vector(w, dim=obj.dim)[None, :] if single else as_matrix(w)
+    if W.shape[1] != obj.dim:
+        raise ValueError(f"dimension mismatch: expected {obj.dim}, got {W.shape[1]}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if isinstance(obj, Objective):
-            w = as_vector(w, dim=obj.dim)
-            s = obj._grad_scalars(obj.data.X @ w)
-            full = (obj.data.X.T @ s) / obj.n
-            per_example = s**2 * obj._row_sq
+            X, n = obj.data.X, obj.n
+            rows = max(1, CHUNK_BYTES // X[0].nbytes)
+            grads = np.zeros(W.shape)
+            sq_sums = np.zeros(len(W))
+            for a in range(0, n, rows):
+                chunk = slice(a, a + rows)
+                Xc = X[chunk]
+                S = obj._grad_scalars(W @ Xc.T, chunk)
+                grads += S @ Xc
+                sq_sums += np.sum(S * S * obj._row_sq[chunk], axis=1)
+            full = grads / n
+            mean_sq = sq_sums / n
         else:
-            full, per_example = obj.grad_full(w), obj.per_example_grad_sq_norms(w)
-        full_sq = float(full @ full)
-        if full_sq <= GRAD_NORM_CUTOFF**2:
-            raise RatioUndefinedError(
-                f"full gradient norm {np.sqrt(full_sq)!r} below cutoff "
-                f"{GRAD_NORM_CUTOFF}: ratio undefined at interpolation"
-            )
-        ratio = float(np.mean(per_example)) / full_sq
+            full = np.array([obj.grad_full(p) for p in W])
+            mean_sq = np.array([np.mean(obj.per_example_grad_sq_norms(p)) for p in W])
+        full_sq = np.array([g @ g for g in full])
+        ratios = mean_sq / full_sq
+    at_cutoff = full_sq <= GRAD_NORM_CUTOFF**2
+    if not single:
+        return np.where(at_cutoff | ~np.isfinite(ratios), np.nan, ratios)
+    if at_cutoff[0]:
+        raise RatioUndefinedError(
+            f"full gradient norm {np.sqrt(full_sq[0])!r} below cutoff "
+            f"{GRAD_NORM_CUTOFF}: ratio undefined at interpolation"
+        )
+    ratio = float(ratios[0])
     if not np.isfinite(ratio):
         raise RatioUndefinedError(f"ratio {ratio!r} is not finite: the gradients overflow float64")
     return ratio
@@ -155,10 +192,12 @@ def audit_sgc(obj, sample_count: int, rng) -> GrowthEstimate:
     margins x_i . w stay within sqrt(d) of 0 whatever the scale of the
     rows), and is the unit box for other objectives or when every row is
     zero.
-    Probes at interpolation (full gradient below cutoff) and probes whose
-    ratio overflows (:class:`RatioUndefinedError`) are excluded and not
-    counted in ``detail``; if every probe is excluded the audit fails. Any
-    other error of a probe propagates.
+    The probes are drawn first, then evaluated ``PROBES_PER_CALL`` at a
+    time by :func:`empirical_sgc_ratio` (a lone probe last when the count
+    is odd). Probes at interpolation (full gradient below cutoff) and
+    probes whose ratio overflows (a nan ratio) are excluded and not
+    counted in ``detail``; if every probe is excluded the audit fails with
+    :class:`RatioUndefinedError`. Any other error of a probe propagates.
     """
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
@@ -178,12 +217,11 @@ def audit_sgc(obj, sample_count: int, rng) -> GrowthEstimate:
 
     best = 0.0
     used = 0
-    for p in probes:
-        try:
-            best = max(best, empirical_sgc_ratio(obj, p))
-            used += 1
-        except RatioUndefinedError:
-            continue
+    for i in range(0, sample_count, PROBES_PER_CALL):
+        for ratio in empirical_sgc_ratio(obj, np.array(probes[i:i + PROBES_PER_CALL])):
+            if not np.isnan(ratio):
+                best = max(best, float(ratio))
+                used += 1
     if used == 0:
         raise RatioUndefinedError(
             "all probes at interpolation or overflowing: empirical ratio undefined")

@@ -261,9 +261,10 @@ class Objective:
 
     # -- scalar form: grad f_i(w) = s_i(w) * x_i, from the loss table -------
 
-    def _grad_scalars(self, z: np.ndarray) -> np.ndarray:
-        """s_i for all i, given the predictions z = X w."""
-        return self._loss_kind.grads(z, self.data.y)
+    def _grad_scalars(self, z: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """s_i for the examples in ``rows`` (all by default), given their
+        predictions z = X[rows] w; z may hold one such row per point."""
+        return self._loss_kind.grads(z, self.data.y[rows])
 
     def _losses(self, z: np.ndarray) -> np.ndarray:
         return self._loss_kind.losses(z, self.data.y)

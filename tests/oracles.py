@@ -6,15 +6,17 @@ differences for gradient checks, and the per-element LIBSVM
 reader/writer, the three-temporary RBF map, the difference-array
 median bandwidth and the full-batch margin generator that
 ``interpsgd.data``'s streaming and in-place versions must match bit for
-bit."""
+bit, and the one-point growth ratio that ``growth.empirical_sgc_ratio``'s
+chunked block pass must agree with."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from interpsgd.data import LibsvmFormatError, RbfConfig
-from interpsgd.numerics import as_matrix, child_rng, make_rng
-from interpsgd.objectives import Dataset
+from interpsgd.growth import GRAD_NORM_CUTOFF, RatioUndefinedError
+from interpsgd.numerics import as_matrix, as_vector, child_rng, make_rng
+from interpsgd.objectives import Dataset, Objective
 
 
 def jacobi_max_eigenvalue(S: np.ndarray, sweeps: int = 100, tol: float = 1e-13) -> float:
@@ -233,3 +235,27 @@ def generate_margin_data(
         if not balance or abs(float(np.sum(y))) < 0.05 * n:
             return Dataset(X=rows, y=y, tau=tau, w_star=w_star, support_size=n)
     raise RuntimeError("could not draw a class-balanced sample in 100 attempts")
+
+
+def point_sgc_ratio(obj, w) -> float:
+    """The growth ratio at one w from one product z = X w over all rows, as
+    ``growth.empirical_sgc_ratio`` computed it before it took blocks of
+    points: raises RatioUndefinedError at interpolation or overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(obj, Objective):
+            w = as_vector(w, dim=obj.dim)
+            s = obj._grad_scalars(obj.data.X @ w)
+            full = (obj.data.X.T @ s) / obj.n
+            per_example = s**2 * obj._row_sq
+        else:
+            full, per_example = obj.grad_full(w), obj.per_example_grad_sq_norms(w)
+        full_sq = float(full @ full)
+        if full_sq <= GRAD_NORM_CUTOFF**2:
+            raise RatioUndefinedError(
+                f"full gradient norm {np.sqrt(full_sq)!r} below cutoff "
+                f"{GRAD_NORM_CUTOFF}: ratio undefined at interpolation"
+            )
+        ratio = float(np.mean(per_example)) / full_sq
+    if not np.isfinite(ratio):
+        raise RatioUndefinedError(f"ratio {ratio!r} is not finite: the gradients overflow float64")
+    return ratio

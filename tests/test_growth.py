@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from oracles import point_sgc_ratio
 
+from interpsgd import growth
 from interpsgd.data import generate_margin_data
 from interpsgd.growth import (
     GrowthEstimate,
@@ -13,11 +17,34 @@ from interpsgd.growth import (
 )
 from interpsgd.numerics import make_rng
 from interpsgd.objectives import Dataset, Objective
+from interpsgd.optimizers import SgdConfig, sgd_step
 from interpsgd.problems import QuadraticObjective
 
 
 def margin_objective(seed=0, n=40, d=8, tau=0.2, kind="squared_hinge"):
     return Objective(kind, generate_margin_data(n, d, tau, seed=seed))
+
+
+def multi_chunk_objective(kind="squared_hinge", seed=0):
+    """Margin data of two whole chunks of the blocked ratio pass and 37
+    rows of a third."""
+    d = 64
+    n = 2 * (growth.CHUNK_BYTES // (8 * d)) + 37
+    return Objective(kind, generate_margin_data(n, d, 0.1, seed=seed))
+
+
+def huge_row_objective():
+    """Four orthogonal rows of norm 2^510: X^T X and L_max are finite, but
+    the squared gradient norms overflow wherever the scalars s_i are large."""
+    Q = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))[0]
+    return Objective("squared_hinge", Dataset(X=Q * 2.0**510, y=np.array([1.0, -1.0, 1.0, -1.0])))
+
+
+def oracle_or_nan(obj, w) -> float:
+    try:
+        return point_sgc_ratio(obj, w)
+    except RatioUndefinedError:
+        return np.nan
 
 
 class TestRhoWgc:
@@ -125,6 +152,48 @@ class TestEmpiricalRatio:
             empirical_sgc_ratio(obj, obj.data.w_star)
 
 
+class TestBlockRatios:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["squared", "squared_hinge", "hinge", "logistic"])
+    def test_matches_the_point_oracle_over_a_partial_last_chunk(self, kind, k):
+        obj = multi_chunk_objective(kind)
+        assert obj.n % (growth.CHUNK_BYTES // (8 * obj.dim)) == 37
+        W = make_rng(k).normal(scale=10.0, size=(k, obj.dim))
+        ratios = empirical_sgc_ratio(obj, W)
+        assert ratios.shape == (k,)
+        for w, ratio in zip(W, ratios):
+            assert ratio == pytest.approx(point_sgc_ratio(obj, w), rel=1e-12, abs=0.0)
+        assert empirical_sgc_ratio(obj, W[0]) == pytest.approx(ratios[0], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["squared", "squared_hinge", "hinge", "logistic"])
+    def test_nan_exactly_where_the_oracle_raises_at_w_star(self, kind):
+        obj = multi_chunk_objective(kind, seed=1)
+        W = np.vstack([obj.data.w_star, make_rng(2).normal(size=obj.dim), obj.data.w_star])
+        expected = [oracle_or_nan(obj, w) for w in W]
+        ratios = empirical_sgc_ratio(obj, W)
+        assert np.array_equal(np.isnan(ratios), np.isnan(expected))
+        assert ratios[1] == pytest.approx(expected[1], rel=1e-12, abs=0.0)
+        if kind in ("squared_hinge", "hinge"):  # a zero gradient at w_star
+            assert np.isnan(ratios[0]) and np.isnan(ratios[2])
+
+    def test_nan_exactly_where_the_oracle_raises_on_huge_rows(self):
+        obj = huge_row_objective()
+        W = make_rng(4).uniform(-2.0**-509, 2.0**-509, size=(12, obj.dim))
+        expected = np.array([oracle_or_nan(obj, w) for w in W])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratios = empirical_sgc_ratio(obj, W)
+        assert 0 < np.isnan(expected).sum() < len(W)  # both outcomes occur
+        assert np.array_equal(np.isnan(ratios), np.isnan(expected))
+        finite = ~np.isnan(expected)
+        assert ratios[finite] == pytest.approx(expected[finite], rel=1e-12, abs=0.0)
+
+    def test_rejects_points_of_another_dimension(self):
+        obj = margin_objective()
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            empirical_sgc_ratio(obj, np.ones((2, obj.dim + 1)))
+
+
 class TestAuditSgc:
     def test_single_example_problem_gives_one(self):
         obj = QuadraticObjective(np.array([[2.0]]), np.array([0.0]))
@@ -182,10 +251,39 @@ class TestAuditSgc:
         with pytest.raises(RatioUndefinedError, match="interpolation"):
             audit_sgc(obj, 20, make_rng(0))
 
+    @pytest.mark.parametrize("count", [7, 8])
+    @pytest.mark.parametrize("make", [multi_chunk_objective, huge_row_objective])
+    def test_pairs_agree_with_a_per_point_loop(self, monkeypatch, make, count):
+        # the probes are drawn in the order they always were and go in
+        # pairs, a lone one last; the oracle's raises are the probes excluded
+        obj = make()
+        rng = make_rng(5)
+        scale = 1.0 / (obj.data.tau or np.sqrt(np.max(obj._row_sq)))
+        probes = [rng.uniform(-scale, scale, size=obj.dim) for _ in range(count // 2)]
+        w = np.zeros(obj.dim)
+        for _ in range(count - count // 2):
+            w = sgd_step(obj, w, SgdConfig(eta=1.0 / obj.L_max), rng)
+            probes.append(w)
+        blocks = []
+        original = growth.empirical_sgc_ratio
+
+        def recording(obj, W):
+            blocks.append(np.array(W))
+            return original(obj, W)
+
+        monkeypatch.setattr(growth, "empirical_sgc_ratio", recording)
+        est = audit_sgc(obj, count, make_rng(5))
+        assert [len(b) for b in blocks] == [2] * (count // 2) + [1] * (count % 2)
+        assert np.array_equal(np.vstack(blocks), probes)
+        expected = [oracle_or_nan(obj, w) for w in probes]
+        used = [r for r in expected if not np.isnan(r)]
+        assert est.detail == f"max over {len(used)}/{count} probes"
+        assert est.rho == pytest.approx(max(max(used), 1.0), rel=1e-12, abs=0.0)
+
     def test_a_failing_probe_is_not_excluded(self, monkeypatch):
         # only an undefined ratio excludes a probe: any other ValueError,
         # such as a shape mismatch, is a fault and reaches the caller
-        def failing(self, z):
+        def failing(self, z, rows=slice(None)):
             raise ValueError("operands could not be broadcast together")
 
         obj = margin_objective(seed=7)

@@ -708,25 +708,6 @@ class TestKernelsMatchSingleSteps:
             kernel_rows(obj, method, cfg, 6), per_step_accel_rows(monkeypatch, obj, cfg, 6)
         )
 
-    @pytest.mark.parametrize("method", ["sgd", "accel", "sgd_ls", "accel_ls"])
-    @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
-    def test_quadratic_objective(self, method, mode):
-        obj = QuadraticObjective(np.diag([0.04, 4.0]), np.array([1.3, -0.7]))
-        cfg = RunConfig(
-            mode=mode,
-            mu=obj.mu if mode == "strongly_convex" else None,
-            seed=2,
-            w0=np.array([3.0, 2.0]),
-        )
-        # run() steps an analytic objective through the single steps
-        assert kernel_rows(obj, method, cfg, 40) == oracle_rows(obj, method, cfg, 40)
-
-    @pytest.mark.parametrize("method", ["sgd", "accel", "sgd_ls", "accel_ls"])
-    def test_pl_toy_objective(self, method):
-        obj = PlToyObjective(3)
-        cfg = RunConfig(rho=2.0, seed=2, averaging=True, w0=np.array([3.0, 2.0, -1.0]))
-        assert kernel_rows(obj, method, cfg, 40) == oracle_rows(obj, method, cfg, 40)
-
     @pytest.mark.parametrize("method", ["sgd", "accel"])
     @pytest.mark.parametrize("n", [2, 20])
     def test_noise_matches_batched_draws(self, method, n):
@@ -851,6 +832,25 @@ class TestPassDrawsAndFailures:
         obj = one_d_quadratic(1e200)
         cfg = RunConfig(seed=0, ls_init=1e-12, w0=np.array([1.0]))
         assert assert_same_failure(obj, method, cfg, 3) == 1
+
+    @pytest.mark.parametrize("method", ["sgd", "accel", "sgd_ls", "accel_ls"])
+    @pytest.mark.parametrize("mode", ["convex", "strongly_convex"])
+    def test_quadratic_objective(self, method, mode):
+        obj = QuadraticObjective(np.diag([0.04, 4.0]), np.array([1.3, -0.7]))
+        cfg = RunConfig(
+            mode=mode,
+            mu=obj.mu if mode == "strongly_convex" else None,
+            seed=2,
+            w0=np.array([3.0, 2.0]),
+        )
+        # run() steps an analytic objective through the single steps
+        assert kernel_rows(obj, method, cfg, 40) == oracle_rows(obj, method, cfg, 40)
+
+    @pytest.mark.parametrize("method", ["sgd", "accel", "sgd_ls", "accel_ls"])
+    def test_pl_toy_objective(self, method):
+        obj = PlToyObjective(3)
+        cfg = RunConfig(rho=2.0, seed=2, averaging=True, w0=np.array([3.0, 2.0, -1.0]))
+        assert kernel_rows(obj, method, cfg, 40) == oracle_rows(obj, method, cfg, 40)
 
     def test_accel_line_search_hits_the_doubling_cap(self):
         obj = ConstantLossObjective(1.0)

@@ -17,7 +17,7 @@ on the BLAS thread count (see README's Reproducibility section), so
 ``--compare`` prints the count of both sides first (unless neither JSON
 records one) and says when they differ.
 
-The small set (95 argvs, about a minute) covers every subcommand at
+The small set (96 argvs, about a minute) covers every subcommand at
 200x10 scale, fig2 on a toy LIBSVM file, 23 ``run`` variants, two Acc-SGD
 runs that settle (500x50 at 20 passes, and 200x10 at 30 passes in strongly
 convex mode), ``--help``,
@@ -29,14 +29,15 @@ whose top two singular values are 1 and 1 - 1e-9, ``spectral`` on a
 200x10 file whose rows have norm 1e150, and ``spectral`` and ``audit-rho``
 on a sparse 120x12 file (zeros omitted, indices unordered, a comment line
 and a label-only row), whose lines the reader places one by one, and
-``spectral`` on a dense 20000x54 file (about 24 MB), which the reader splits
-into parts on a machine with more than one CPU. ``--full`` adds
+``spectral`` and a 20-probe ``audit-rho`` on a dense 20000x54 file (about
+24 MB), which the reader splits into parts on a machine with more than one
+CPU and whose growth ratios take 17 chunks of rows. ``--full`` adds
 ``reproduce fig1a..fig1d`` at n = 8000, d = 100, 30 passes with seeds 0-3,
 ``reproduce app_ls`` at its defaults, and Acc-SGD and Acc-SGD(LS) at the
 same scale and tau = 0.1 in strongly convex mode and with averaging, both
 converging to interpolation, and ``run`` on a margin band within the draw
 budget that rejects more than a million rows in a row (about 15 s; 20
-argvs, 115 in all).
+argvs, 116 in all).
 
 Each argv runs in a fresh temporary directory with ``COLUMNS=80`` and
 relative paths, so outputs do not depend on where either tree lives; the
@@ -178,6 +179,9 @@ def small_argvs() -> dict[str, list[str]]:
     argvs["spectral_sparse"] = ["spectral", "--libsvm", "sparse.txt"]
     argvs["audit_sparse"] = ["audit-rho", "--dataset", "libsvm", "--libsvm-path", "sparse.txt"]
     argvs["spectral_big"] = ["spectral", "--libsvm", "big.txt"]
+    # 20000 rows of 54 features span 17 chunks of the growth ratio's pass
+    argvs["audit_big"] = ["audit-rho", "--dataset", "libsvm", "--libsvm-path", "big.txt",
+                          "--audit-samples", "20"]
     argvs["help"] = ["--help"]
     for sub in ("run", "reproduce", "perceptron", "audit-rho", "spectral"):
         argvs[f"help_{sub}"] = [sub, "--help"]
